@@ -11,11 +11,12 @@
 # conc-planned-parallel, conc-packed, and conc-packed256 SWAR batch
 # concentrator paths, all at n ∈ {64, 256, 1024, 4096}), and
 # BENCH_serve.json (ns/request for the streaming service vs the
-# planned-parallel batch pipeline at n ∈ {256, 1024, 4096}), and
-# BENCH_frontdoor.json (the multi-tenant wire trajectory:
-# TestFrontdoorThroughputFloor appends a ci-floor record from the
-# 4-tenant × 16-connection verified workload, gated at ≥ 200 reqs/sec;
-# `permroute -loadgen` appends loadgen records to the same file).
+# planned-parallel batch pipeline at n ∈ {256, 1024, 4096}). Only the
+# Benchmark* functions write those files; the Test*Floor gates never
+# do, so plain `go test ./...` leaves the tree clean. BENCH_frontdoor.json
+# (the multi-tenant wire trajectory) is appended to by
+# `permroute -loadgen` alone; TestFrontdoorThroughputFloor gates the
+# 4-tenant × 16-connection verified workload at ≥ 200 reqs/sec.
 #
 # The bench smoke run also enforces the timing floors, including
 # TestPackedSpeedupFloor: the SWAR lane-packed concentrator must hold at

@@ -7,11 +7,12 @@ import (
 // FrontDoor is the multi-tenant routing front door: one shared
 // dispatcher pool serving many per-tenant plan sets, each lazily
 // instantiated through the shared plan cache on first traffic and
-// evicted when idle. Tenants get bounded ingress queues scheduled by
-// word-fair deficit round-robin, per-tenant stats, and an adaptive
-// controller that resizes queue depth and worker share from the
-// serving-layer latency histograms. See internal/frontdoor for the
-// scheduling, adaptation, and eviction semantics.
+// evicted when idle. The dispatchers run requests inline on the plan
+// sets, so a tenant costs no goroutines. Tenants get bounded ingress
+// queues scheduled by word-fair deficit round-robin, per-tenant stats,
+// and an adaptive controller that resizes queue depth and worker share
+// from each plan set's latency histogram. See internal/frontdoor for
+// the scheduling, adaptation, and eviction semantics.
 type FrontDoor = frontdoor.FrontDoor
 
 // FrontDoorConfig configures a FrontDoor; zero values select defaults
@@ -24,15 +25,15 @@ type FrontDoorConfig = frontdoor.Config
 type TenantSpec = frontdoor.TenantSpec
 
 // FrontDoorFuture is the always-resolved handle of a request admitted
-// to a tenant queue.
+// to a tenant queue; it is the same type as ServeFuture.
 type FrontDoorFuture = frontdoor.Future
 
 // FrontDoorStats is an aggregate snapshot across all tenants.
 type FrontDoorStats = frontdoor.Stats
 
 // TenantStats is one tenant's snapshot: scheduling state, cumulative
-// counters, and (when the plan set is live) the inner serving-layer
-// stats.
+// counters, and (when the plan set is live) the plan set's own serve
+// and fault stats.
 type TenantStats = frontdoor.TenantStats
 
 // FrontDoorServer serves a FrontDoor over TCP with the length-prefixed

@@ -1,18 +1,21 @@
 // Package frontdoor is the multi-tenant admission layer in front of the
-// single-plan-set routing service: one FrontDoor owns many serve.Service
-// plan sets — one per registered tenant, each its own (n, engine, k, m)
-// network shape — behind per-tenant bounded ingress queues and a
+// serving layer's plan sets: one FrontDoor owns many serve.PlanSets —
+// one per registered tenant, each its own (n, engine, k, m) network
+// shape — behind per-tenant bounded ingress queues and a
 // deficit-round-robin dispatcher pool, so many independent workloads
 // share the compiled-plan machinery without one hot tenant starving the
-// rest.
+// rest. The dispatchers run each request inline through its tenant's
+// PlanSet.Exec: a request passes one queue and one scheduler, and a
+// tenant costs no goroutines.
 //
 // The pieces:
 //
-//   - Register declares a tenant's network shape (TenantSpec). The
-//     tenant's plan set is NOT compiled at registration: the backing
-//     serve.Service is instantiated lazily on first dispatch, and every
-//     plan it compiles flows through the process-wide planner.Shared
-//     LRU, so instantiation after the first is a cache hit.
+//   - Register declares a tenant's network shape (TenantSpec), validated
+//     by serve's own Config.Resolve. The tenant's plan set is NOT
+//     compiled at registration: it is instantiated lazily on first
+//     dispatch, and every plan it compiles flows through the
+//     process-wide planner.Shared LRU, so instantiation after the first
+//     is a cache hit.
 //   - Submit fails fast: a tenant ingress queue at its (adaptive) depth
 //     bound returns ErrTenantQueueFull instead of blocking, keeping the
 //     front door's latency independent of any one tenant's backlog.
@@ -22,20 +25,19 @@
 //     equal word throughput under contention regardless of request rate
 //     or network width, and a weight-w tenant gets w shares.
 //   - An idle tenant's plan set is evicted: after IdleTTL with nothing
-//     queued, running, or recently finished, the janitor closes the
-//     backing service and drops it. The next request re-instantiates it
-//     through planner.Shared.
+//     queued, running, or recently finished, the janitor drops it. The
+//     next request re-instantiates it through planner.Shared.
 //   - An adaptive controller resizes each tenant's ingress depth and
-//     dispatcher share from the latency histogram its service already
+//     dispatcher share from the latency histogram its plan set already
 //     keeps: rejections while p99 is within target grow the queue,
 //     p99 over target grows the dispatcher share and then sheds queue
 //     depth, and idle tenants decay back toward the configured
 //     defaults.
 //
 // Per-tenant Stats/FaultStats surface both the front door's admission
-// counters and the live service's serve.Stats snapshot; TenantStats of
+// counters and the live plan set's serve.Stats snapshot; TenantStats of
 // an evicted tenant reports the cumulative front-door counters with a
-// zero service snapshot.
+// zero plan-set snapshot.
 package frontdoor
 
 import (
@@ -48,8 +50,6 @@ import (
 	"time"
 
 	"absort/internal/concentrator"
-	"absort/internal/core"
-	"absort/internal/planner"
 	"absort/internal/serve"
 )
 
@@ -76,8 +76,8 @@ var (
 // Config configures a FrontDoor.
 type Config struct {
 	// Workers is the dispatcher pool size (≤ 0 means GOMAXPROCS). Each
-	// dispatcher executes one tenant request at a time through the
-	// tenant's backing service.
+	// dispatcher executes one tenant request at a time on the tenant's
+	// plan set.
 	Workers int
 	// QueueDepth is the default per-tenant ingress queue bound (≤ 0
 	// means 64). The adaptive controller moves each tenant's live bound
@@ -93,13 +93,13 @@ type Config struct {
 	// (≤ 0 means 30s).
 	IdleTTL time.Duration
 	// TargetP99 is the adaptive controller's per-tenant latency target,
-	// compared against the p99 of the service's completion-latency
+	// compared against the p99 of the plan set's completion-latency
 	// histogram over the last controller window (≤ 0 means 5ms).
 	TargetP99 time.Duration
 	// AdaptEvery is the controller/janitor period (≤ 0 means 100ms).
 	AdaptEvery time.Duration
-	// CheckFraction and Spares are forwarded to every tenant's backing
-	// serve.Service (see serve.Config).
+	// CheckFraction and Spares are forwarded to every tenant's plan set
+	// (see serve.Config).
 	CheckFraction float64
 	Spares        int
 }
@@ -120,61 +120,25 @@ type TenantSpec struct {
 }
 
 // Future is the handle of an admitted front-door request, resolved
-// exactly once — never dropped, even across Close.
-type Future struct {
-	done chan struct{}
-	res  serve.Result
-	err  error
-}
-
-// Done is closed when the Future has been resolved.
-func (f *Future) Done() <-chan struct{} { return f.done }
-
-// Result returns the resolved outcome; only valid after Done is closed.
-func (f *Future) Result() (serve.Result, error) { return f.res, f.err }
-
-// Wait blocks until the Future resolves or ctx is done. Resolution wins
-// every race with cancellation, exactly as serve.Future.Wait.
-func (f *Future) Wait(ctx context.Context) (serve.Result, error) {
-	select {
-	case <-f.done:
-		return f.res, f.err
-	default:
-	}
-	select {
-	case <-f.done:
-		return f.res, f.err
-	case <-ctx.Done():
-		select {
-		case <-f.done:
-			return f.res, f.err
-		default:
-		}
-		return serve.Result{}, ctx.Err()
-	}
-}
-
-func (f *Future) resolve(res serve.Result, err error) {
-	f.res, f.err = res, err
-	close(f.done)
-}
+// exactly once — never dropped, even across Close. It is serve's Future.
+type Future = serve.Future
 
 // job is the ingress-queue envelope of an admitted request.
 type job struct {
 	req serve.Request
 	ctx context.Context
 	fut *Future
-	enq time.Time
 }
 
 // tenant is one registered workload: its spec, its bounded ingress
-// queue, its DRR scheduling state, and its lazily instantiated backing
-// service. All fields except svc are guarded by FrontDoor.mu; svc is an
+// queue, its DRR scheduling state, and its lazily instantiated plan set.
+// All fields except plans are guarded by FrontDoor.mu; plans is an
 // atomic pointer (nil while evicted) whose instantiation is serialized
-// by svcMu.
+// by plansMu.
 type tenant struct {
 	id     string
 	spec   TenantSpec
+	cfg    serve.Config // the resolved plan-set config of spec
 	weight int64
 
 	queue   []*job
@@ -193,8 +157,8 @@ type tenant struct {
 	ctrlCompleted int64
 	ctrlLat       serve.Stats
 
-	svcMu sync.Mutex
-	svc   atomic.Pointer[serve.Service]
+	plansMu sync.Mutex
+	plans   atomic.Pointer[serve.PlanSet]
 }
 
 // cost is the tenant's DRR charge per dispatch: its network width in
@@ -285,24 +249,28 @@ func New(cfg Config) *FrontDoor {
 // Register declares a tenant. The tenant's plan set is not compiled
 // here: the first dispatched request instantiates it (through the
 // planner.Shared plan cache), and idle eviction may drop and later
-// re-instantiate it. The spec is validated eagerly with the same rules
-// serve.New applies, so a bad shape fails at registration, not at first
+// re-instantiate it. The spec is validated eagerly by serve's
+// Config.Resolve, so a bad shape fails at registration, not at first
 // traffic.
 func (fd *FrontDoor) Register(id string, spec TenantSpec) error {
 	if id == "" {
 		return errors.New("frontdoor: Register: empty tenant id")
 	}
-	if err := validateSpec(spec); err != nil {
-		return err
+	cfg, err := serve.Config{
+		N:             spec.N,
+		Engine:        spec.Engine,
+		K:             spec.K,
+		M:             spec.M,
+		WordBits:      spec.WordBits,
+		CheckFraction: fd.cfg.CheckFraction,
+		Spares:        fd.cfg.Spares,
+	}.Resolve()
+	if err != nil {
+		return fmt.Errorf("frontdoor: Register: %w", err)
 	}
+	spec.M, spec.WordBits = cfg.M, cfg.WordBits
 	if spec.Weight <= 0 {
 		spec.Weight = 1
-	}
-	if spec.M <= 0 {
-		spec.M = spec.N
-	}
-	if spec.WordBits <= 0 {
-		spec.WordBits = 64
 	}
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
@@ -318,6 +286,7 @@ func (fd *FrontDoor) Register(id string, spec TenantSpec) error {
 	t := &tenant{
 		id:      id,
 		spec:    spec,
+		cfg:     cfg,
 		weight:  int64(spec.Weight),
 		depth:   fd.cfg.QueueDepth,
 		share:   fd.defShare,
@@ -326,37 +295,6 @@ func (fd *FrontDoor) Register(id string, spec TenantSpec) error {
 	fd.tenants[id] = t
 	if c := t.cost(); c > fd.quantum {
 		fd.quantum = c
-	}
-	return nil
-}
-
-// validateSpec mirrors serve.New's config validation so Register fails
-// fast instead of deferring the error to the tenant's first dispatch.
-func validateSpec(spec TenantSpec) error {
-	if !core.IsPow2(spec.N) {
-		return fmt.Errorf("frontdoor: Register: n=%d is not a positive power of two", spec.N)
-	}
-	eSpec, ok := planner.Lookup(spec.Engine)
-	if !ok {
-		return fmt.Errorf("frontdoor: Register: unknown engine %v", spec.Engine)
-	}
-	if !planner.CanRoute(spec.Engine, spec.N) {
-		return fmt.Errorf("frontdoor: Register: engine %v cannot route width %d", spec.Engine, spec.N)
-	}
-	if spec.N >= 2 && !planner.CanRoute(spec.Engine, 2) {
-		return fmt.Errorf("frontdoor: Register: engine %v cannot route the permuter's level widths 2..%d",
-			spec.Engine, spec.N)
-	}
-	if eSpec.CheckK != nil && spec.K > 0 {
-		if _, err := eSpec.CheckK(spec.N, spec.K); err != nil {
-			return fmt.Errorf("frontdoor: Register: %v", err)
-		}
-	}
-	if spec.M > spec.N {
-		return fmt.Errorf("frontdoor: Register: concentrator capacity m=%d exceeds n=%d", spec.M, spec.N)
-	}
-	if spec.WordBits > 64 {
-		return fmt.Errorf("frontdoor: Register: key width %d out of range [1,64]", spec.WordBits)
 	}
 	return nil
 }
@@ -376,7 +314,7 @@ func (fd *FrontDoor) Submit(ctx context.Context, tenantID string, req serve.Requ
 		fd.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if err := validateRequest(t.spec, req); err != nil {
+	if err := t.cfg.CheckRequest(req); err != nil {
 		t.rejected++
 		fd.mu.Unlock()
 		return nil, err
@@ -394,8 +332,7 @@ func (fd *FrontDoor) Submit(ctx context.Context, tenantID string, req serve.Requ
 	j := &job{
 		req: req,
 		ctx: ctx,
-		fut: &Future{done: make(chan struct{})},
-		enq: time.Now(),
+		fut: serve.NewFuture(),
 	}
 	t.queue = append(t.queue, j)
 	t.submitted++
@@ -409,31 +346,10 @@ func (fd *FrontDoor) Submit(ctx context.Context, tenantID string, req serve.Requ
 	return j.fut, nil
 }
 
-// validateRequest rejects length-mismatched requests at admission so a
-// malformed request never occupies ingress-queue or dispatcher capacity.
-func validateRequest(spec TenantSpec, req serve.Request) error {
-	switch req.Kind {
-	case serve.Permute:
-		if len(req.Dest) != spec.N {
-			return fmt.Errorf("frontdoor: permute request with %d destinations, want %d", len(req.Dest), spec.N)
-		}
-	case serve.Concentrate:
-		if len(req.Marked) != spec.N {
-			return fmt.Errorf("frontdoor: concentrate request with %d marks, want %d", len(req.Marked), spec.N)
-		}
-	case serve.SortWords:
-		if len(req.Keys) != spec.N {
-			return fmt.Errorf("frontdoor: sortwords request with %d keys, want %d", len(req.Keys), spec.N)
-		}
-	default:
-		return fmt.Errorf("frontdoor: unknown request kind %v", req.Kind)
-	}
-	return nil
-}
-
 // Close stops admission, drains every admitted request (each Future
-// resolves), stops the dispatchers and the janitor, and closes every
-// live tenant service. Idempotent and safe to call concurrently.
+// resolves), and stops the dispatchers and the janitor. Plan sets hold
+// no goroutines, so there is nothing else to release. Idempotent and
+// safe to call concurrently.
 func (fd *FrontDoor) Close() {
 	fd.mu.Lock()
 	first := !fd.closed
@@ -445,19 +361,6 @@ func (fd *FrontDoor) Close() {
 	fd.cond.Broadcast()
 	fd.workers.Wait()
 	fd.janitor.Wait()
-	if first {
-		fd.mu.Lock()
-		var live []*serve.Service
-		for _, t := range fd.tenants {
-			if svc := t.svc.Swap(nil); svc != nil {
-				live = append(live, svc)
-			}
-		}
-		fd.mu.Unlock()
-		for _, svc := range live {
-			svc.Close()
-		}
-	}
 }
 
 // dispatcher executes scheduler picks until the front door is closed and
@@ -535,20 +438,20 @@ func (fd *FrontDoor) pickLocked() (*job, *tenant) {
 	return nil, nil
 }
 
-// run executes one popped job end to end: lazily instantiate the
-// tenant's backing service, submit, wait, resolve the front-door Future,
-// and release the tenant's dispatch slot.
+// run executes one popped job end to end on the dispatcher's goroutine:
+// lazily instantiate the tenant's plan set, run the request through
+// Exec (which honours ctx and Deadline before routing), release the
+// tenant's dispatch slot, and resolve the Future. Exec's start is the
+// dispatch time, taken once the plan set is live, so the latency
+// histogram the controller reads covers execution only — ingress wait
+// is the controller's depth signal, and a one-off instantiation is not
+// load.
 func (fd *FrontDoor) run(t *tenant, j *job) {
 	var res serve.Result
-	svc, err := fd.service(t)
+	plans, err := fd.planSet(t)
 	if err == nil {
-		var fut *serve.Future
-		fut, err = svc.Submit(j.ctx, j.req)
-		if err == nil {
-			res, err = fut.Wait(j.ctx)
-		}
+		res, err = plans.Exec(j.ctx, j.req, time.Now())
 	}
-	j.fut.resolve(res, err)
 	fd.mu.Lock()
 	t.running--
 	t.completed++
@@ -557,40 +460,33 @@ func (fd *FrontDoor) run(t *tenant, j *job) {
 	}
 	t.lastUse = time.Now()
 	fd.mu.Unlock()
+	// Count before resolving: a caller that has seen its Future resolve
+	// also sees it in Stats.
+	j.fut.Resolve(res, err)
 	// A finished dispatch may unblock a share-capped tenant or the
 	// closed-and-drained exit condition; wake everyone.
 	fd.cond.Broadcast()
 }
 
-// service returns the tenant's backing serve.Service, instantiating it
-// on first use (and after eviction). Creation is serialized per tenant;
-// the compiled plans come out of planner.Shared, so re-instantiation
-// after eviction recompiles nothing that is still cached.
-func (fd *FrontDoor) service(t *tenant) (*serve.Service, error) {
-	if svc := t.svc.Load(); svc != nil {
-		return svc, nil
+// planSet returns the tenant's plan set, instantiating it on first use
+// (and after eviction). Creation is serialized per tenant; the compiled
+// plans come out of planner.Shared, so re-instantiation after eviction
+// recompiles nothing that is still cached.
+func (fd *FrontDoor) planSet(t *tenant) (*serve.PlanSet, error) {
+	if p := t.plans.Load(); p != nil {
+		return p, nil
 	}
-	t.svcMu.Lock()
-	defer t.svcMu.Unlock()
-	if svc := t.svc.Load(); svc != nil {
-		return svc, nil
+	t.plansMu.Lock()
+	defer t.plansMu.Unlock()
+	if p := t.plans.Load(); p != nil {
+		return p, nil
 	}
-	svc, err := serve.New(serve.Config{
-		N:             t.spec.N,
-		Engine:        t.spec.Engine,
-		K:             t.spec.K,
-		M:             t.spec.M,
-		WordBits:      t.spec.WordBits,
-		Workers:       fd.maxShare,
-		QueueDepth:    2 * fd.maxShare,
-		CheckFraction: fd.cfg.CheckFraction,
-		Spares:        fd.cfg.Spares,
-	})
+	p, err := serve.NewPlanSet(t.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("frontdoor: tenant %q: %w", t.id, err)
 	}
-	t.svc.Store(svc)
-	return svc, nil
+	t.plans.Store(p)
+	return p, nil
 }
 
 // janitorLoop runs the adaptive controller and the idle-eviction sweep
@@ -611,14 +507,14 @@ func (fd *FrontDoor) janitorLoop() {
 
 // adaptOnce runs one controller tick: per tenant, resize the ingress
 // depth and dispatcher share from the last window's admission counters
-// and the latency histogram the tenant's service already keeps, then
-// evict services idle past IdleTTL. The policy:
+// and the latency histogram the tenant's plan set already keeps, then
+// evict plan sets idle past IdleTTL. The policy:
 //
 //   - rejections in the window while windowed p99 ≤ TargetP99: the
-//     tenant is bursty but the service keeps up — double the ingress
+//     tenant is bursty but its plan set keeps up — double the ingress
 //     depth (to MaxQueueDepth) so the front door absorbs the burst.
 //   - windowed p99 > TargetP99 with share headroom: grow the tenant's
-//     dispatcher share by one — more parallelism through its service.
+//     dispatcher share by one — more parallelism on its plan set.
 //   - windowed p99 > TargetP99 at max share: the tenant is overloaded —
 //     halve the ingress depth (to the floor) so excess load is shed at
 //     admission instead of queueing past its deadline.
@@ -626,11 +522,11 @@ func (fd *FrontDoor) janitorLoop() {
 //     the configured defaults.
 func (fd *FrontDoor) adaptOnce(now time.Time) {
 	fd.mu.Lock()
-	var evict []*serve.Service
+	defer fd.mu.Unlock()
 	for _, t := range fd.tenants {
 		var cur serve.Stats
-		if svc := t.svc.Load(); svc != nil {
-			cur = svc.Stats()
+		if p := t.plans.Load(); p != nil {
+			cur = p.Stats()
 		}
 		rejDelta := t.rejected - t.ctrlRejected
 		compDelta := t.completed - t.ctrlCompleted
@@ -660,17 +556,10 @@ func (fd *FrontDoor) adaptOnce(now time.Time) {
 		t.ctrlCompleted = t.completed
 		t.ctrlLat = cur
 		if len(t.queue) == 0 && t.running == 0 && now.Sub(t.lastUse) > fd.cfg.IdleTTL {
-			if svc := t.svc.Swap(nil); svc != nil {
+			if t.plans.Swap(nil) != nil {
 				t.evictions++
-				evict = append(evict, svc)
 			}
 		}
-	}
-	fd.mu.Unlock()
-	// Close evicted services outside the scheduler lock: Close drains the
-	// (empty) service and waits for its workers to exit.
-	for _, svc := range evict {
-		svc.Close()
 	}
 }
 

@@ -3,7 +3,9 @@ package frontdoor
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -519,6 +521,100 @@ func TestSubmitValidation(t *testing.T) {
 	st, _ = fd.TenantStats("t")
 	if st.Failed != 1 || st.Completed != 1 {
 		t.Errorf("failed=%d completed=%d, want 1/1", st.Failed, st.Completed)
+	}
+}
+
+// TestTenantsCostNoGoroutines pins the goroutine-free tenant: the
+// dispatchers run every request inline on the tenant's plan set, so 32
+// live tenants leave the goroutine count where the dispatcher pool put
+// it: a tenant must not bring worker goroutines of its own.
+func TestTenantsCostNoGoroutines(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n, tenants = 16, 32
+	fd := New(testConfig(2, 8))
+	defer fd.Close()
+	base := runtime.NumGoroutine()
+	ctx := context.Background()
+	for i := 0; i < tenants; i++ {
+		id := fmt.Sprintf("t%d", i)
+		if err := fd.Register(id, TenantSpec{N: n, Engine: concentrator.MuxMerger}); err != nil {
+			t.Fatal(err)
+		}
+		fut, err := fd.Submit(ctx, id, permReq(n, rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fut.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := fd.Stats(); st.Live != tenants {
+		t.Fatalf("live plan sets = %d, want %d", st.Live, tenants)
+	}
+	const slack = 2 // independent of the tenant count
+	if grown := runtime.NumGoroutine() - base; grown > slack {
+		t.Fatalf("%d live tenants grew the goroutine count by %d, want ≤ %d", tenants, grown, slack)
+	}
+}
+
+// TestExpiredWhileQueued pins expiry in the ingress queue: a request
+// whose Deadline passes, and one whose ctx is cancelled, while both wait
+// behind a held dispatcher resolve with serve.ErrDeadlineExceeded and
+// context.Canceled, and the plan set routes neither (with every routed
+// response checked, only the held request counts as checked).
+func TestExpiredWhileQueued(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const n = 64
+	cfg := testConfig(1, 8)
+	cfg.CheckFraction = 1
+	fd := New(cfg)
+	defer fd.Close()
+	release, held := holdFirst(fd)
+	if err := fd.Register("t", TenantSpec{N: n, Engine: concentrator.MuxMerger}); err != nil {
+		t.Fatal(err)
+	}
+	bg := context.Background()
+	holdFut, err := fd.Submit(bg, "t", permReq(n, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !held.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	late := permReq(n, rng)
+	late.Deadline = time.Now().Add(time.Millisecond)
+	lateFut, err := fd.Submit(bg, "t", late)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(bg)
+	cancelFut, err := fd.Submit(ctx, "t", permReq(n, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	time.Sleep(2 * time.Millisecond) // past late's deadline
+	close(release)
+
+	if _, err := holdFut.Wait(bg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lateFut.Wait(bg); !errors.Is(err, serve.ErrDeadlineExceeded) {
+		t.Errorf("deadline passed in queue: %v, want serve.ErrDeadlineExceeded", err)
+	}
+	if _, err := cancelFut.Wait(bg); !errors.Is(err, context.Canceled) {
+		t.Errorf("ctx cancelled in queue: %v, want context.Canceled", err)
+	}
+	st, err := fd.TenantStats("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Completed != 3 || st.Failed != 2 {
+		t.Errorf("front door completed=%d failed=%d, want 3/2", st.Completed, st.Failed)
+	}
+	if st.Serve.Completed != 3 || st.Serve.Failed != 2 || st.Fault.Checked != 1 {
+		t.Errorf("plan set completed=%d failed=%d checked=%d, want 3/2/1 (expired requests must not route)",
+			st.Serve.Completed, st.Serve.Failed, st.Fault.Checked)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 // TenantStats is a point-in-time snapshot of one tenant's front-door
-// state and, when the tenant's plan set is live, its backing service's
-// own counters.
+// state and, when the tenant's plan set is live, the plan set's own
+// counters.
 type TenantStats struct {
 	// ID and Spec identify the tenant as registered.
 	ID   string
@@ -28,10 +28,12 @@ type TenantStats struct {
 	// cumulative across evictions.
 	Submitted, Rejected, Completed, Failed, Evictions int64
 
-	// Live reports whether the tenant's backing service is currently
-	// instantiated; Serve and Fault are its own snapshots (zero while
-	// evicted — the service's counters do not survive eviction, the
-	// front-door counters above do).
+	// Live reports whether the tenant's plan set is currently
+	// instantiated; Serve and Fault are its serve.PlanSet snapshots (zero
+	// while evicted — the plan set's counters do not survive eviction,
+	// the front-door counters above do). Serve counts requests from
+	// dispatch: Completed covers every request a dispatcher ran on the
+	// plan set, and its latency histogram covers execution only.
 	Live  bool
 	Serve serve.Stats
 	Fault serve.FaultStats
@@ -80,12 +82,12 @@ func (fd *FrontDoor) TenantStats(id string) (TenantStats, error) {
 		Failed:    t.failed,
 		Evictions: t.evictions,
 	}
-	svc := t.svc.Load()
+	plans := t.plans.Load()
 	fd.mu.Unlock()
-	if svc != nil {
+	if plans != nil {
 		st.Live = true
-		st.Serve = svc.Stats()
-		st.Fault = svc.FaultStats()
+		st.Serve = plans.Stats()
+		st.Fault = plans.FaultStats()
 	}
 	return st, nil
 }
@@ -98,7 +100,7 @@ func (fd *FrontDoor) Stats() Stats {
 	defer fd.mu.Unlock()
 	st := Stats{Tenants: len(fd.tenants), Queued: fd.queued}
 	for _, t := range fd.tenants {
-		if t.svc.Load() != nil {
+		if t.plans.Load() != nil {
 			st.Live++
 		}
 		st.Submitted += t.submitted

@@ -205,6 +205,8 @@ func TestBurstTailNotStarved(t *testing.T) {
 // after maxConsecBursts consecutive full-width same-kind bursts, further
 // same-kind drains are capped at one lane word until the streak breaks.
 // A pre-filled queue and a single worker make the burst sequence exact.
+// The trailing 20 requests are fewer than MinPackedLanes, so they route
+// per request and form no burst.
 func TestBurstConsecutiveKindCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	n := 64
@@ -263,13 +265,89 @@ func TestBurstConsecutiveKindCap(t *testing.T) {
 	defer mu.Unlock()
 	want := []int{burstLanes, burstLanes, burstLanes, burstLanes,
 		concentrator.PackedLanes, concentrator.PackedLanes,
-		concentrator.PackedLanes, concentrator.PackedLanes, 20}
+		concentrator.PackedLanes, concentrator.PackedLanes}
 	if len(sizes) != len(want) {
 		t.Fatalf("burst sizes %v, want %v", sizes, want)
 	}
 	for i := range want {
 		if sizes[i] != want[i] {
 			t.Fatalf("burst %d: size %d, want %d (full sequence %v)", i, sizes[i], want[i], sizes)
+		}
+	}
+}
+
+// TestNoNarrowBurst pins the narrow-group rule: with fewer than
+// MinPackedLanes requests on hand a worker routes the one it picked and
+// leaves the rest of the queue to the other workers. Before the fix, a
+// worker drained all 16 held Permutes into one burst too narrow to pack
+// and routed them one by one while the second worker idled.
+func TestNoNarrowBurst(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	n := 64
+	const held = 16
+	s, err := New(Config{N: n, Engine: concentrator.Fish, Workers: 2, QueueDepth: held})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	release := make(chan struct{})
+	var holding atomic.Int32
+	s.testBeforeExec = func() {
+		if holding.Add(1) <= 2 {
+			<-release
+		}
+	}
+	var mu sync.Mutex
+	var sizes []int
+	s.testOnBurst = func(kind Kind, size int) {
+		mu.Lock()
+		sizes = append(sizes, size)
+		mu.Unlock()
+	}
+
+	ctx := context.Background()
+	futs := make([]*Future, 0, held+2)
+	for len(futs) < 2 { // one hold task per worker
+		fut, err := s.Submit(ctx, Request{Kind: SortWords, Keys: make([]uint64, n)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		futs = append(futs, fut)
+	}
+	for holding.Load() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	dests := make([][]int, held)
+	for i := range dests {
+		dests[i] = rng.Perm(n)
+		fut, err := s.Submit(ctx, Request{Kind: Permute, Dest: dests[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		futs = append(futs, fut)
+	}
+	close(release)
+	for i, fut := range futs {
+		res, err := fut.Wait(ctx)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if i < 2 {
+			continue
+		}
+		for src, d := range dests[i-2] {
+			if res.Perm[d] != src {
+				t.Fatalf("permute %d: input %d not at dest %d", i-2, src, d)
+			}
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, size := range sizes {
+		if size < concentrator.MinPackedLanes {
+			t.Fatalf("burst of %d formed (all bursts %v), want none narrower than MinPackedLanes = %d",
+				size, sizes, concentrator.MinPackedLanes)
 		}
 	}
 }

@@ -80,10 +80,10 @@ func rotationFor(kind Kind, n int) []Engine {
 type planInstance struct {
 	engine Engine
 
-	perm    *permnet.RoutePlan          // Permute, flat widths
-	sharded *permnet.ShardedRoutePlan   // Permute, n ≥ permnet.ShardedAutoThreshold
-	conc    *concentrator.Concentrator  // Concentrate
-	word    *wordsort.Sorter            // SortWords
+	perm    *permnet.RoutePlan         // Permute, flat widths
+	sharded *permnet.ShardedRoutePlan  // Permute, n ≥ permnet.ShardedAutoThreshold
+	conc    *concentrator.Concentrator // Concentrate
+	word    *wordsort.Sorter           // SortWords
 
 	// degraded marks the concentrator's last-resort mode: no concentrator
 	// plan at all — requests route through the Permute instance on the
@@ -142,7 +142,7 @@ func (pi *planInstance) packable(kind Kind) bool {
 }
 
 // recoveryState is the per-kind bookkeeping of recovery decisions,
-// guarded by Service.faultMu. The quarantine set is a map because the
+// guarded by PlanSet.faultMu. The quarantine set is a map because the
 // registry is open-world: engines registered at runtime must be
 // quarantinable too.
 type recoveryState struct {
@@ -158,7 +158,7 @@ func (rc *recoveryState) quarantine(e Engine) {
 	rc.quarantined[e] = true
 }
 
-// WireFault describes one wire to wedge into a running service's current
+// WireFault describes one wire to wedge into a live plan set's current
 // plan instance — the serving-layer mirror of the netlist engine's
 // stuck-at fault model.
 type WireFault struct {
@@ -178,50 +178,50 @@ type WireFault struct {
 }
 
 // loadInst returns the plan instance currently serving kind.
-func (s *Service) loadInst(kind Kind) *planInstance {
-	return s.inst[kind].Load()
+func (p *PlanSet) loadInst(kind Kind) *planInstance {
+	return p.inst[kind].Load()
 }
 
 // ActiveEngine returns the engine of the plan instance currently serving
 // kind — the configured engine until recovery fails over to another one.
-func (s *Service) ActiveEngine(kind Kind) (Engine, error) {
-	if int(kind) >= len(s.inst) {
+func (p *PlanSet) ActiveEngine(kind Kind) (Engine, error) {
+	if int(kind) >= len(p.inst) {
 		return 0, fmt.Errorf("serve: unknown request kind %v", kind)
 	}
-	return s.loadInst(kind).engine, nil
+	return p.loadInst(kind).engine, nil
 }
 
 // Degraded reports whether Concentrate requests are currently served in
 // degraded mode (routed through the permuter).
-func (s *Service) Degraded() bool {
-	return s.loadInst(Concentrate).degraded
+func (p *PlanSet) Degraded() bool {
+	return p.loadInst(Concentrate).degraded
 }
 
 // InjectFault wedges a wire of the CURRENT plan instance serving f.Kind,
 // under live traffic. The fault stays with that hardware copy: once the
 // checker detects a misroute and recovery swaps the copy out, the wedged
 // wire goes with it. Faults accumulate until ClearFaults or recovery.
-func (s *Service) InjectFault(f WireFault) error {
+func (p *PlanSet) InjectFault(f WireFault) error {
 	if f.Stuck > 1 {
 		return fmt.Errorf("serve: InjectFault: stuck value %d, want 0 or 1", f.Stuck)
 	}
-	if f.Pos < 0 || f.Pos >= s.cfg.N {
-		return fmt.Errorf("serve: InjectFault: position %d, want 0..%d", f.Pos, s.cfg.N-1)
+	if f.Pos < 0 || f.Pos >= p.cfg.N {
+		return fmt.Errorf("serve: InjectFault: position %d, want 0..%d", f.Pos, p.cfg.N-1)
 	}
 	switch f.Kind {
 	case Permute:
-		lg := core.Lg(s.cfg.N)
+		lg := core.Lg(p.cfg.N)
 		if f.Bit < 0 || f.Bit >= lg {
 			return fmt.Errorf("serve: InjectFault: destination bit %d, want 0..%d", f.Bit, lg-1)
 		}
-		inst := s.loadInst(Permute)
+		inst := p.loadInst(Permute)
 		if inst.sharded != nil {
 			return fmt.Errorf("serve: InjectFault: sharded permute plans (n ≥ %d) do not support injection",
 				permnet.ShardedAutoThreshold)
 		}
 		inst.addFault(permnet.DestBitFault(f.Pos, f.Bit, f.Stuck))
 	case Concentrate:
-		inst := s.loadInst(Concentrate)
+		inst := p.loadInst(Concentrate)
 		if inst.degraded {
 			return fmt.Errorf("serve: InjectFault: concentrate service is degraded (permuter-backed), no plan to fault")
 		}
@@ -235,9 +235,9 @@ func (s *Service) InjectFault(f WireFault) error {
 // ClearFaults removes every injected fault from the current plan
 // instance of kind (a repaired wire); already-quarantined copies are
 // unaffected.
-func (s *Service) ClearFaults(kind Kind) {
-	if int(kind) < len(s.inst) {
-		if inst := s.loadInst(kind); inst != nil {
+func (p *PlanSet) ClearFaults(kind Kind) {
+	if int(kind) < len(p.inst) {
+		if inst := p.loadInst(kind); inst != nil {
 			inst.faults.Store(nil)
 		}
 	}
@@ -265,41 +265,41 @@ func strideFor(f float64) uint64 {
 // verified: every response of a suspect instance, one in checkStride
 // otherwise. The clean-path cost is one atomic add on the sampled
 // counter (none at all when checking is disabled).
-func (s *Service) shouldCheck(inst *planInstance) bool {
+func (p *PlanSet) shouldCheck(inst *planInstance) bool {
 	if inst.suspect.Load() {
 		return true
 	}
-	switch s.checkStride {
+	switch p.checkStride {
 	case 0:
 		return false
 	case 1:
 		return true
 	}
-	return s.checkCtr.Add(1)%s.checkStride == 0
+	return p.checkCtr.Add(1)%p.checkStride == 0
 }
 
 // checkResult verifies one successful response against its kind's
 // lanewise invariant.
-func (s *Service) checkResult(req Request, res Result) error {
+func (p *PlanSet) checkResult(req Request, res Result) error {
 	switch req.Kind {
 	case Permute:
-		return s.checker.CheckPermute(req.Dest, res.Perm)
+		return p.checker.CheckPermute(req.Dest, res.Perm)
 	case Concentrate:
-		return s.checker.CheckConcentrate(req.Marked, res.Perm, res.Count)
+		return p.checker.CheckConcentrate(req.Marked, res.Perm, res.Count)
 	case SortWords:
-		return s.checker.CheckSortWords(req.Keys, res.Keys, res.Perm)
+		return p.checker.CheckSortWords(req.Keys, res.Keys, res.Perm)
 	}
 	return nil
 }
 
-// finish runs the sampled response check on a successfully routed task
-// and resolves it; a failed check enters the recover-and-replay path.
-// inst must be the instance that produced res.
-func (s *Service) finish(t *task, inst *planInstance, res Result, err error) {
-	if err == nil && s.shouldCheck(inst) {
-		res, err = s.checkAndRecover(t.req, inst, res)
+// checkSampled runs the sampled response check on a successfully routed
+// request; a failed check enters the recover-and-replay path. inst must
+// be the instance that produced res.
+func (p *PlanSet) checkSampled(req Request, inst *planInstance, res Result, err error) (Result, error) {
+	if err == nil && p.shouldCheck(inst) {
+		return p.checkAndRecover(req, inst, res)
 	}
-	s.resolve(t, res, err)
+	return res, err
 }
 
 // checkAndRecover verifies one response and, on a detected misroute,
@@ -307,28 +307,28 @@ func (s *Service) finish(t *task, inst *planInstance, res Result, err error) {
 // request on the replacement until it verifies — the no-wrong-answer
 // guarantee: a request either resolves with a verified result or with an
 // explicit error, never with a silent misroute.
-func (s *Service) checkAndRecover(req Request, inst *planInstance, res Result) (Result, error) {
-	s.stats.checked.Add(1)
-	verr := s.checkResult(req, res)
+func (p *PlanSet) checkAndRecover(req Request, inst *planInstance, res Result) (Result, error) {
+	p.stats.checked.Add(1)
+	verr := p.checkResult(req, res)
 	if verr == nil {
 		return res, nil
 	}
-	s.stats.faultDetected.Add(1)
+	p.stats.faultDetected.Add(1)
 	inst.suspect.Store(true)
 	cur := inst
 	for attempt := 0; attempt < maxRecoverAttempts; attempt++ {
-		s.recoverFrom(req.Kind, cur)
-		cur = s.loadInst(req.Kind)
-		s.stats.faultReplayed.Add(1)
-		res2, err := s.routeOn(cur, req)
+		p.recoverFrom(req.Kind, cur)
+		cur = p.loadInst(req.Kind)
+		p.stats.faultReplayed.Add(1)
+		res2, err := p.routeOn(cur, req)
 		if err != nil {
 			return Result{}, err
 		}
-		s.stats.checked.Add(1)
-		if verr = s.checkResult(req, res2); verr == nil {
+		p.stats.checked.Add(1)
+		if verr = p.checkResult(req, res2); verr == nil {
 			return res2, nil
 		}
-		s.stats.faultDetected.Add(1)
+		p.stats.faultDetected.Add(1)
 		cur.suspect.Store(true)
 	}
 	return Result{}, fmt.Errorf("%w: %v", ErrFaultUnrecovered, verr)
@@ -337,14 +337,14 @@ func (s *Service) checkAndRecover(req Request, inst *planInstance, res Result) (
 // recoverFrom swaps the faulty instance out for a replacement, exactly
 // once per quarantined copy: concurrent detections of the same instance
 // serialize on faultMu and only the first one swaps.
-func (s *Service) recoverFrom(kind Kind, bad *planInstance) {
-	s.faultMu.Lock()
-	defer s.faultMu.Unlock()
-	if s.loadInst(kind) != bad {
-		return // another worker already recovered this copy
+func (p *PlanSet) recoverFrom(kind Kind, bad *planInstance) {
+	p.faultMu.Lock()
+	defer p.faultMu.Unlock()
+	if p.loadInst(kind) != bad {
+		return // another goroutine already recovered this copy
 	}
-	s.inst[kind].Store(s.replacementLocked(kind, bad))
-	s.stats.faultRecompiled.Add(1)
+	p.inst[kind].Store(p.replacementLocked(kind, bad))
+	p.stats.faultRecompiled.Add(1)
 }
 
 // replacementLocked picks the recovery target for a quarantined copy:
@@ -354,20 +354,20 @@ func (s *Service) recoverFrom(kind Kind, bad *planInstance) {
 // rotation resets the quarantine set and starts over on the configured
 // engine (the pathological every-engine-faulty case). Caller holds
 // faultMu.
-func (s *Service) replacementLocked(kind Kind, bad *planInstance) *planInstance {
-	rc := &s.recov[kind]
-	if rc.sparesUsed < s.spares {
-		if inst, err := s.newInstanceLocked(kind, bad.engine); err == nil {
+func (p *PlanSet) replacementLocked(kind Kind, bad *planInstance) *planInstance {
+	rc := &p.recov[kind]
+	if rc.sparesUsed < p.spares {
+		if inst, err := p.newInstanceLocked(kind, bad.engine); err == nil {
 			rc.sparesUsed++
 			return inst
 		}
 	}
 	rc.quarantine(bad.engine)
-	for _, e := range s.rotation[kind] {
+	for _, e := range p.rotation[kind] {
 		if rc.quarantined[e] {
 			continue
 		}
-		inst, err := s.newInstanceLocked(kind, e)
+		inst, err := p.newInstanceLocked(kind, e)
 		if err != nil {
 			rc.quarantine(e)
 			continue
@@ -380,9 +380,9 @@ func (s *Service) replacementLocked(kind Kind, bad *planInstance) *planInstance 
 	}
 	rc.quarantined = nil
 	rc.sparesUsed = 0
-	inst, err := s.newInstanceLocked(kind, s.cfg.Engine)
+	inst, err := p.newInstanceLocked(kind, p.cfg.Engine)
 	if err != nil {
-		return bad // unreachable: the configured engine compiled at New
+		return bad // unreachable: the configured engine compiled at construction
 	}
 	return inst
 }
@@ -392,27 +392,27 @@ func (s *Service) replacementLocked(kind Kind, bad *planInstance) *planInstance 
 // configured fish group count only applies to the configured engine;
 // a fish FALLBACK uses the paper's default so an unrelated K can never
 // make recovery panic.
-func (s *Service) newInstanceLocked(kind Kind, e Engine) (*planInstance, error) {
+func (p *PlanSet) newInstanceLocked(kind Kind, e Engine) (*planInstance, error) {
 	k := 0
-	if e == s.cfg.Engine {
-		k = s.cfg.K
+	if e == p.cfg.Engine {
+		k = p.cfg.K
 	}
 	switch kind {
 	case Permute:
-		if s.cfg.N >= permnet.ShardedAutoThreshold {
-			sh, err := permnet.ShardedPlanFor(s.cfg.N, e, 0)
+		if p.cfg.N >= permnet.ShardedAutoThreshold {
+			sh, err := permnet.ShardedPlanFor(p.cfg.N, e, 0)
 			if err != nil {
 				return nil, err
 			}
 			return &planInstance{engine: e, sharded: sh}, nil
 		}
-		return &planInstance{engine: e, perm: permnet.NewRadixPermuter(s.cfg.N, e, k).Compile()}, nil
+		return &planInstance{engine: e, perm: permnet.NewRadixPermuter(p.cfg.N, e, k).Compile()}, nil
 	case Concentrate:
-		conc := concentrator.New(s.cfg.N, s.cfg.M, e, k)
+		conc := concentrator.New(p.cfg.N, p.cfg.M, e, k)
 		conc.Compile()
 		return &planInstance{engine: e, conc: conc}, nil
 	case SortWords:
-		w, err := wordsort.New(s.cfg.N, s.cfg.WordBits, e)
+		w, err := wordsort.New(p.cfg.N, p.cfg.WordBits, e)
 		if err != nil {
 			return nil, err
 		}
@@ -427,16 +427,16 @@ func (s *Service) newInstanceLocked(kind Kind, e Engine) (*planInstance, error) 
 // permutation, and any permuter realizes it — the paper's observation
 // that a binary sorter forms an (n,n)-concentrator, run in reverse: a
 // permutation network provides concentrator service at permuter cost.
-func (s *Service) concentrateDegraded(marked []bool) (Result, error) {
-	n := s.cfg.N
+func (p *PlanSet) concentrateDegraded(marked []bool) (Result, error) {
+	n := p.cfg.N
 	r := 0
 	for _, m := range marked {
 		if m {
 			r++
 		}
 	}
-	if r > s.cfg.M {
-		return Result{}, fmt.Errorf("concentrator: %d requests exceed capacity %d", r, s.cfg.M)
+	if r > p.cfg.M {
+		return Result{}, fmt.Errorf("concentrator: %d requests exceed capacity %d", r, p.cfg.M)
 	}
 	dest := make([]int, n)
 	z, o := 0, r
@@ -450,7 +450,7 @@ func (s *Service) concentrateDegraded(marked []bool) (Result, error) {
 		}
 	}
 	out := make([]int, n)
-	pin := s.loadInst(Permute)
+	pin := p.loadInst(Permute)
 	var err error
 	switch {
 	case pin.sharded != nil:
@@ -463,6 +463,6 @@ func (s *Service) concentrateDegraded(marked []bool) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	s.stats.faultDegraded.Add(1)
+	p.stats.faultDegraded.Add(1)
 	return Result{Perm: out, Count: r}, nil
 }

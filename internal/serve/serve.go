@@ -1,8 +1,14 @@
 // Package serve is the streaming routing service in front of the compiled
-// routing plans: one long-lived worker pool owning one plan set — the
-// Fig. 10 radix permuter's route plan, an (n,m)-concentrator plan
-// (Section IV), and a word sorter (the Section I radix decomposition) —
-// replayed over an unbounded request stream with bounded admission.
+// routing plans. It has two layers:
+//
+//   - A PlanSet (plans.go) owns one compiled plan per request kind — the
+//     Fig. 10 radix permuter's route plan, an (n,m)-concentrator plan
+//     (Section IV), and a word sorter (the Section I radix
+//     decomposition) — plus the sampled response checker, fault
+//     recovery and the stats counters. It starts no goroutines: Exec
+//     runs one request to completion on the caller's goroutine.
+//   - A Service is a PlanSet behind a bounded admission queue and a
+//     long-lived worker pool, replayed over an unbounded request stream.
 //
 // This is the serving regime of a fixed small network: the same compiled
 // structure is reused across many inputs, exactly the periodic operation
@@ -28,24 +34,26 @@
 // caller.
 //
 // Under a request burst the service additionally matches the packed
-// batch pipelines: a worker that picks up a Concentrate or Permute
-// request greedily drains further queued requests of the same kind
-// (never blocking) and, when the drained group is at least
-// MinPackedLanes wide, routes the whole group through one SWAR plan
-// replay (ConcentratePacked / RoutePacked) — up to burstLanes requests
-// per replay, riding the packed engine's multi-word lane planes. The
-// drain is fair across kinds: an other-kind request that ends a drain
-// executes before the burst's wide replay, and a sustained single-kind
-// stream has its burst width capped after maxConsecBursts consecutive
-// full-width bursts, so no kind is starved past its deadline by another
-// kind's packing. Results are bit-for-bit identical to the per-request path, and
-// every drained task still honours its own context, deadline, and (for
-// Concentrate) capacity check individually; a malformed permutation in a
-// Permute burst resolves alone with its own error and never poisons its
-// burst neighbours. The Ranking engine's Concentrate requests always
+// batch pipelines: when at least MinPackedLanes requests are on hand, a
+// worker that picks up a Concentrate or Permute request greedily drains
+// further queued requests of the same kind (never blocking) and, when
+// the drained group is at least MinPackedLanes wide, routes the whole
+// group through one SWAR plan replay (ConcentratePacked / RoutePacked) —
+// up to burstLanes requests per replay, riding the packed engine's
+// multi-word lane planes. With fewer on hand each request routes on its
+// own, so a narrow group never serializes on one worker. The drain is
+// fair across kinds: an other-kind request that ends a drain executes
+// before the burst's wide replay, and a sustained single-kind stream has
+// its burst width capped after maxConsecBursts consecutive full-width
+// bursts, so no kind is starved past its deadline by another kind's
+// packing. Results are bit-for-bit identical to the per-request path,
+// and every drained task still honours its own context, deadline, and
+// (for Concentrate) capacity check individually; a malformed permutation
+// in a Permute burst resolves alone with its own error and never poisons
+// its burst neighbours. The Ranking engine's Concentrate requests always
 // take the per-request path, exactly as ConcentrateBatch does.
 //
-// The service additionally carries the paper's hardware fault model into
+// The plan set additionally carries the paper's hardware fault model into
 // the serving regime (see fault.go): each request kind routes through a
 // swappable plan INSTANCE (one "hardware copy" of the compiled plan),
 // InjectFault wedges wires of an instance under live traffic, a sampled
@@ -60,20 +68,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"absort/internal/concentrator"
-	"absort/internal/core"
-	"absort/internal/permnet"
 	"absort/internal/planner"
-	"absort/internal/verify"
-	"absort/internal/wordsort"
 )
 
-// Engine selects the routing engine backing the service's plan set.
+// Engine selects the routing engine backing a plan set.
 type Engine = concentrator.Engine
 
 // burstLanes caps a worker's greedy same-kind drain: WideWords lane
@@ -102,8 +104,8 @@ var (
 	ErrQueueFull = errors.New("serve: queue full")
 	// ErrClosed is returned by Submit/TrySubmit after Close has started.
 	ErrClosed = errors.New("serve: service closed")
-	// ErrDeadlineExceeded resolves a Future whose request deadline passed
-	// before a worker picked it up.
+	// ErrDeadlineExceeded resolves a request whose deadline passed before
+	// its routing started.
 	ErrDeadlineExceeded = errors.New("serve: request deadline exceeded before execution")
 )
 
@@ -176,8 +178,8 @@ type Request struct {
 	Marked []bool   // Concentrate: request pattern
 	Keys   []uint64 // SortWords: keys to sort
 
-	// Deadline, when nonzero, drops the request (resolving its Future
-	// with ErrDeadlineExceeded) if no worker has started it by then.
+	// Deadline, when nonzero, drops the request (resolving it with
+	// ErrDeadlineExceeded) if its routing has not started by then.
 	Deadline time.Time
 }
 
@@ -234,6 +236,18 @@ func (f *Future) Wait(ctx context.Context) (Result, error) {
 // is closed (Wait does this for you).
 func (f *Future) Result() (Result, error) { return f.res, f.err }
 
+// NewFuture returns an unresolved Future, for an admission layer that
+// queues requests itself and runs them through PlanSet.Exec.
+func NewFuture() *Future { return &Future{done: make(chan struct{})} }
+
+// Resolve publishes the outcome and wakes every waiter. It must be
+// called exactly once, by whoever created the Future with NewFuture:
+// Futures returned by Service.Submit are resolved by the service.
+func (f *Future) Resolve(res Result, err error) {
+	f.res, f.err = res, err
+	close(f.done)
+}
+
 // task is the queue envelope of an admitted request.
 type task struct {
 	req       Request
@@ -242,43 +256,13 @@ type task struct {
 	submitted time.Time
 }
 
-// Service is a streaming routing service: a bounded admission queue in
-// front of a long-lived worker pool replaying one compiled plan set. It
-// is safe for concurrent use.
+// Service is a streaming routing service: a bounded admission queue and
+// a long-lived worker pool in front of one PlanSet. The embedded plan
+// set supplies the routing, checking, fault and stats methods (its Exec
+// routes a request inline on the caller's goroutine, bypassing the
+// queue). It is safe for concurrent use.
 type Service struct {
-	cfg Config
-
-	// word is the initial word sorter of the plan set, kept for
-	// introspection; routing always goes through the per-kind plan
-	// instances below.
-	word *wordsort.Sorter
-
-	// inst holds the plan instance currently serving each request kind
-	// (indexed by Kind). An instance is one "hardware copy" of the
-	// compiled plan: fault injection wedges wires of the current
-	// instance, and recovery swaps in a replacement — the quarantined
-	// copy (with its faults) is simply never routed through again. For
-	// Permute at n ≥ permnet.ShardedAutoThreshold the instance carries
-	// the sharded decomposition and the flat fused program — Θ(n lg n)
-	// steps at those widths — is never compiled.
-	inst [3]atomic.Pointer[planInstance]
-
-	// checker verifies sampled responses; checkStride is the sampling
-	// stride derived from Config.CheckFraction (0 disabled, 1 every
-	// response, k one in k via checkCtr).
-	checker     *verify.LaneChecker
-	checkStride uint64
-	checkCtr    atomic.Uint64
-
-	// faultMu serializes recovery (instance replacement); recov tracks
-	// per-kind spare usage and quarantined engines; spares is the
-	// resolved Config.Spares; rotation is the per-kind engine fallback
-	// order, derived from the planner registry at New (capability-
-	// filtered, registration order — see rotationFor).
-	faultMu  sync.Mutex
-	recov    [3]recoveryState
-	spares   int
-	rotation [3][]Engine
+	PlanSet
 
 	// packed enables the concentrate burst fast path: drained groups of
 	// queued Concentrate requests ride one SWAR plan replay. Disabled for
@@ -300,8 +284,6 @@ type Service struct {
 	submitters sync.WaitGroup // Submits between admission check and send
 	workers    sync.WaitGroup
 
-	stats statsCounters
-
 	// testBeforeExec, when set (tests only), runs in the worker once per
 	// task taken off the queue (including tasks drained into a packed
 	// burst) before the task executes; it lets tests hold workers busy
@@ -316,84 +298,15 @@ type Service struct {
 
 // New validates cfg, compiles the plan set, and starts the worker pool.
 func New(cfg Config) (*Service, error) {
-	if !core.IsPow2(cfg.N) {
-		return nil, fmt.Errorf("serve: New: n=%d is not a positive power of two", cfg.N)
+	s := &Service{}
+	if err := s.init(cfg); err != nil {
+		return nil, err
 	}
-	spec, ok := planner.Lookup(cfg.Engine)
-	if !ok {
-		return nil, fmt.Errorf("serve: New: unknown engine %v", cfg.Engine)
-	}
-	if !planner.CanRoute(cfg.Engine, cfg.N) {
-		return nil, fmt.Errorf("serve: New: engine %v cannot route width %d", cfg.Engine, cfg.N)
-	}
-	if cfg.N >= 2 && !planner.CanRoute(cfg.Engine, 2) {
-		// The permuter and word-sorter plans recurse through every level
-		// width n, n/2, …, 2, so a width-locked kernel cannot back them.
-		return nil, fmt.Errorf("serve: New: engine %v cannot route the permuter's level widths 2..%d",
-			cfg.Engine, cfg.N)
-	}
-	if spec.CheckK != nil && cfg.K > 0 {
-		if _, err := spec.CheckK(cfg.N, cfg.K); err != nil {
-			return nil, fmt.Errorf("serve: New: %v", err)
-		}
-	}
-	if cfg.M <= 0 {
-		cfg.M = cfg.N
-	}
-	if cfg.M > cfg.N {
-		return nil, fmt.Errorf("serve: New: concentrator capacity m=%d exceeds n=%d", cfg.M, cfg.N)
-	}
-	if cfg.WordBits <= 0 {
-		cfg.WordBits = 64
-	}
-	if cfg.WordBits > 64 {
-		return nil, fmt.Errorf("serve: New: key width %d out of range [1,64]", cfg.WordBits)
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4 * cfg.Workers
-	}
-
-	word, err := wordsort.New(cfg.N, cfg.WordBits, cfg.Engine)
-	if err != nil {
-		return nil, fmt.Errorf("serve: New: %w", err)
-	}
-	conc := concentrator.New(cfg.N, cfg.M, cfg.Engine, cfg.K)
-	conc.Compile()
-	s := &Service{
-		cfg:         cfg,
-		word:        word,
-		checker:     verify.NewLaneChecker(cfg.N),
-		checkStride: strideFor(cfg.CheckFraction),
-		spares:      cfg.Spares,
-		packed:      planner.PackedProfitable(cfg.Engine) && cfg.N > 1,
-		packedPerm:  cfg.N > 1,
-		queue:       make(chan *task, cfg.QueueDepth),
-		quit:        make(chan struct{}),
-	}
-	if s.spares == 0 {
-		s.spares = 1
-	} else if s.spares < 0 {
-		s.spares = 0
-	}
-	permInst := &planInstance{engine: cfg.Engine}
-	if cfg.N >= permnet.ShardedAutoThreshold {
-		sharded, err := permnet.ShardedPlanFor(cfg.N, cfg.Engine, 0)
-		if err != nil {
-			return nil, fmt.Errorf("serve: New: %w", err)
-		}
-		permInst.sharded = sharded
-	} else {
-		permInst.perm = permnet.NewRadixPermuter(cfg.N, cfg.Engine, cfg.K).Compile()
-	}
-	s.inst[Permute].Store(permInst)
-	s.inst[Concentrate].Store(&planInstance{engine: cfg.Engine, conc: conc})
-	s.inst[SortWords].Store(&planInstance{engine: cfg.Engine, word: word})
-	for kind := range s.rotation {
-		s.rotation[kind] = rotationFor(Kind(kind), cfg.N)
-	}
+	cfg = s.cfg
+	s.packed = planner.PackedProfitable(cfg.Engine) && cfg.N > 1
+	s.packedPerm = cfg.N > 1
+	s.queue = make(chan *task, cfg.QueueDepth)
+	s.quit = make(chan struct{})
 	s.workers.Add(cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		go s.worker()
@@ -401,38 +314,11 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// N returns the network width; Engine, Workers, QueueDepth the resolved
-// configuration; QueueLen the current admission queue occupancy.
-func (s *Service) N() int          { return s.cfg.N }
-func (s *Service) Engine() Engine  { return s.cfg.Engine }
+// Workers and QueueDepth return the resolved configuration; QueueLen the
+// current admission queue occupancy.
 func (s *Service) Workers() int    { return s.cfg.Workers }
 func (s *Service) QueueDepth() int { return s.cfg.QueueDepth }
 func (s *Service) QueueLen() int   { return len(s.queue) }
-
-// validate rejects malformed requests at admission so a bad request can
-// never reach (let alone crash) a worker.
-func (s *Service) validate(req Request) error {
-	switch req.Kind {
-	case Permute:
-		if len(req.Dest) != s.cfg.N {
-			return fmt.Errorf("serve: permute request with %d destinations, want %d",
-				len(req.Dest), s.cfg.N)
-		}
-	case Concentrate:
-		if len(req.Marked) != s.cfg.N {
-			return fmt.Errorf("serve: concentrate request with %d marks, want %d",
-				len(req.Marked), s.cfg.N)
-		}
-	case SortWords:
-		if len(req.Keys) != s.cfg.N {
-			return fmt.Errorf("serve: sortwords request with %d keys, want %d",
-				len(req.Keys), s.cfg.N)
-		}
-	default:
-		return fmt.Errorf("serve: unknown request kind %v", req.Kind)
-	}
-	return nil
-}
 
 // Submit admits req, blocking while the queue is full. It returns a
 // Future that is always resolved, or an error when the request is
@@ -448,7 +334,7 @@ func (s *Service) TrySubmit(ctx context.Context, req Request) (*Future, error) {
 }
 
 func (s *Service) submit(ctx context.Context, req Request, block bool) (*Future, error) {
-	if err := s.validate(req); err != nil {
+	if err := s.cfg.CheckRequest(req); err != nil {
 		s.stats.rejected.Add(1)
 		return nil, err
 	}
@@ -471,7 +357,7 @@ func (s *Service) submit(ctx context.Context, req Request, block bool) (*Future,
 	t := &task{
 		req:       req,
 		ctx:       ctx,
-		fut:       &Future{done: make(chan struct{})},
+		fut:       NewFuture(),
 		submitted: time.Now(),
 	}
 	// Count the admission BEFORE the queue send: a worker can take the
@@ -523,15 +409,19 @@ func (s *Service) Close() {
 }
 
 // worker drains the admission queue until it is closed and empty. With
-// the matching packed fast path enabled, a Concentrate or Permute task
-// triggers a greedy non-blocking drain of further queued tasks of the
-// same kind so the group rides one SWAR plan replay. Two fairness rules
-// keep a sustained single-kind stream from starving the other kinds:
-// the drain's other-kind tail executes BEFORE the burst's packed replay
-// (one scalar route delays the burst; a wide replay could expire the
-// tail's deadline), and after maxConsecBursts consecutive full-width
-// same-kind bursts the drain is capped at one lane word so other-kind
-// arrivals surface within PackedLanes tasks instead of burstLanes.
+// the matching packed fast path enabled and at least MinPackedLanes
+// tasks on hand (the picked one plus the queue), a Concentrate or
+// Permute task triggers a greedy non-blocking drain of further queued
+// tasks of the same kind so the group rides one SWAR plan replay; with
+// fewer the task runs per request, leaving the rest of the queue to the
+// other workers instead of serializing a group too narrow to pack. Two
+// fairness rules keep a sustained single-kind stream from starving the
+// other kinds: the drain's other-kind tail executes BEFORE the burst's
+// packed replay (one scalar route delays the burst; a wide replay could
+// expire the tail's deadline), and after maxConsecBursts consecutive
+// full-width same-kind bursts the drain is capped at one lane word so
+// other-kind arrivals surface within PackedLanes tasks instead of
+// burstLanes.
 func (s *Service) worker() {
 	defer s.workers.Done()
 	var burst []*task
@@ -553,14 +443,17 @@ func (s *Service) worker() {
 			s.testBeforeExec()
 		}
 		var kind Kind
+		wide := len(s.queue)+1 >= planner.MinPackedLanes // enough on hand to pack
 		switch {
-		case s.packed && t.req.Kind == Concentrate:
+		case wide && s.packed && t.req.Kind == Concentrate:
 			kind = Concentrate
-		case s.packedPerm && t.req.Kind == Permute:
+		case wide && s.packedPerm && t.req.Kind == Permute:
 			kind = Permute
 		default:
-			s.exec(t)
-			lastKind, consec = Kind(255), 0 // another kind ran: streak over
+			// Another kind, or too few tasks to pack: route this one alone
+			// and leave the rest of the queue to the other workers.
+			s.run(t)
+			lastKind, consec = Kind(255), 0 // streak over
 			continue
 		}
 		limit := burstLanes
@@ -573,16 +466,12 @@ func (s *Service) worker() {
 			// Age/deadline protection: the tail is the lone other-kind
 			// request this worker claimed — run it before the wide replay
 			// it is not part of, not after.
-			s.exec(tail)
+			s.run(tail)
 		}
 		if s.testOnBurst != nil {
 			s.testOnBurst(kind, len(burst))
 		}
-		if kind == Concentrate {
-			s.execConcentrateBurst(burst, marked)
-		} else {
-			s.execPermuteBurst(burst, dests)
-		}
+		s.execBurst(kind, burst, marked, dests)
 		switch {
 		case tail != nil || len(burst) < limit:
 			// Another kind ran, or the queue went idle mid-drain: no
@@ -598,8 +487,8 @@ func (s *Service) worker() {
 
 // drainKind greedily claims further queued tasks of the same kind up to
 // limit, never blocking: under a request burst the queue is hot and the
-// claimed group rides one packed plan replay; on an idle queue the
-// select falls through immediately and the single task routes on the
+// claimed group rides one packed plan replay; if the queue empties
+// under a racing worker the group may come out narrow and route on the
 // per-request path. Claim order matches queue order, so burst tasks
 // execute in FIFO order. The first other-kind task claimed, if any, ends
 // the drain and is returned — the worker executes it BEFORE the burst's
@@ -625,244 +514,106 @@ func (s *Service) drainKind(kind Kind, burst *[]*task, limit int) *task {
 	return nil
 }
 
-// execConcentrateBurst resolves a drained group of Concentrate tasks.
-// Groups at least MinPackedLanes wide route through one packed plan
-// replay; narrower groups take the per-request path (the packing
-// overhead would not pay for itself), as does any group whose current
-// plan instance cannot ride the packed replay — injected faults force
-// the scalar faulty path, a recovery fallback onto the Ranking engine
-// gains nothing from lane packing, and degraded (permuter-backed)
-// service has no concentrator plan at all. Each task is still
-// pre-checked individually — cancellation, deadline, and concentrator
-// capacity — so one dead or over-capacity request resolves alone with
-// its own error and never poisons its burst neighbours; the pre-checked
-// failures take the same scalar path exec would, producing identical
-// error messages.
-func (s *Service) execConcentrateBurst(burst []*task, marked [][]bool) {
-	inst := s.loadInst(Concentrate)
-	if len(burst) < concentrator.MinPackedLanes || !inst.packable(Concentrate) {
+// execBurst resolves a drained group of same-kind tasks. Groups at
+// least MinPackedLanes wide route through one packed plan replay
+// (ConcentratePacked / RoutePacked); narrower groups take the
+// per-request path (the packing overhead would not pay for itself), as
+// does any group whose current plan instance cannot ride the packed
+// replay — injected faults force the scalar faulty path, a Concentrate
+// fallback onto the Ranking engine gains nothing from lane packing, and
+// degraded (permuter-backed) service has no concentrator plan at all.
+// Each task is still pre-checked individually — cancellation, deadline,
+// and concentrator capacity — so one dead or over-capacity request
+// resolves alone with its own error and never poisons its burst
+// neighbours. The packed-group fallback is reachable for Permute:
+// admission validates only lengths, so a non-permutation destination
+// assignment surfaces inside RoutePacked — the group then re-routes
+// per request so each task gets its own canonical result or error.
+func (s *Service) execBurst(kind Kind, burst []*task, marked [][]bool, dests [][]int) {
+	inst := s.loadInst(kind)
+	if len(burst) < planner.MinPackedLanes || !inst.packable(kind) {
 		for _, t := range burst {
-			s.exec(t)
+			s.run(t)
 		}
 		return
 	}
 	live := burst[:0] // compact forward: reads stay ahead of writes
 	for _, t := range burst {
-		switch {
-		case t.ctx.Err() != nil:
-			s.resolve(t, Result{}, t.ctx.Err())
-		case !t.req.Deadline.IsZero() && !time.Now().Before(t.req.Deadline):
-			s.resolve(t, Result{}, ErrDeadlineExceeded)
-		case s.overCapacity(t.req.Marked):
-			res, err := s.route(t.req) // canonical capacity error text
+		switch err := expired(t.ctx, t.req); {
+		case err != nil:
+			s.resolve(t, Result{}, err)
+		case kind == Concentrate && s.overCapacity(t.req.Marked):
+			res, err := s.routeOn(inst, t.req) // canonical capacity error text
 			s.resolve(t, res, err)
 		default:
 			live = append(live, t)
 		}
 	}
-	if len(live) < concentrator.MinPackedLanes {
-		for _, t := range live {
-			s.execRouted(t)
-		}
+	if len(live) < planner.MinPackedLanes {
+		s.routeEach(live)
 		return
 	}
 	n := s.cfg.N
 	flat := make([]int, len(live)*n)
 	perms := make([][]int, len(live))
-	counts := make([]int, len(live))
-	marked = marked[:0]
-	for i, t := range live {
+	for i := range live {
 		perms[i] = flat[i*n : (i+1)*n]
-		marked = append(marked, t.req.Marked)
 	}
-	if err := inst.conc.ConcentratePacked(perms, counts, marked); err != nil {
-		// Unreachable after the per-task pre-checks, but kept as a
-		// defensive fallback: resolve every task on the scalar path so
-		// each Future still gets its own result or error.
+	var counts []int
+	var err error
+	if kind == Concentrate {
+		counts = make([]int, len(live))
+		marked = marked[:0]
 		for _, t := range live {
-			s.execRouted(t)
+			marked = append(marked, t.req.Marked)
 		}
-		return
-	}
-	for i, t := range live {
-		s.finish(t, inst, Result{Perm: perms[i], Count: counts[i]}, nil)
-	}
-}
-
-// execPermuteBurst resolves a drained group of Permute tasks. Groups at
-// least MinPackedLanes wide route through one packed fused-plan replay;
-// narrower groups take the per-request path (the packing overhead would
-// not pay for itself), as does any group whose current plan instance has
-// injected faults (the scalar faulty replay applies them). Each task is
-// still pre-checked individually — cancellation and deadline — so a dead
-// request resolves alone with its own error. Unlike the concentrate
-// burst, the packed-group fallback IS reachable: admission validates
-// only lengths, so a non-permutation destination assignment surfaces
-// inside RoutePacked — the group then re-routes per-request so each task
-// gets its own canonical result or error and a bad request never poisons
-// its burst neighbours.
-func (s *Service) execPermuteBurst(burst []*task, dests [][]int) {
-	inst := s.loadInst(Permute)
-	if len(burst) < permnet.MinPackedLanes || !inst.packable(Permute) {
-		for _, t := range burst {
-			s.exec(t)
-		}
-		return
-	}
-	live := burst[:0] // compact forward: reads stay ahead of writes
-	for _, t := range burst {
-		switch {
-		case t.ctx.Err() != nil:
-			s.resolve(t, Result{}, t.ctx.Err())
-		case !t.req.Deadline.IsZero() && !time.Now().Before(t.req.Deadline):
-			s.resolve(t, Result{}, ErrDeadlineExceeded)
-		default:
-			live = append(live, t)
-		}
-	}
-	if len(live) < permnet.MinPackedLanes {
-		for _, t := range live {
-			s.execRouted(t)
-		}
-		return
-	}
-	n := s.cfg.N
-	flat := make([]int, len(live)*n)
-	perms := make([][]int, len(live))
-	dests = dests[:0]
-	for i, t := range live {
-		perms[i] = flat[i*n : (i+1)*n]
-		dests = append(dests, t.req.Dest)
-	}
-	err := error(nil)
-	if inst.sharded != nil {
-		// Shard-parallel drain: the burst routes in groups of requests per
-		// wide replay, each request spanning its w shard lanes.
-		err = inst.sharded.RoutePacked(perms, dests)
+		err = inst.conc.ConcentratePacked(perms, counts, marked)
 	} else {
-		err = inst.perm.RoutePacked(perms, dests)
+		dests = dests[:0]
+		for _, t := range live {
+			dests = append(dests, t.req.Dest)
+		}
+		if inst.sharded != nil {
+			// Shard-parallel drain: the burst routes in groups of requests
+			// per wide replay, each request spanning its w shard lanes.
+			err = inst.sharded.RoutePacked(perms, dests)
+		} else {
+			err = inst.perm.RoutePacked(perms, dests)
+		}
 	}
 	if err != nil {
-		// Reachable: a destination assignment that is not a permutation
-		// fails the packed replay before any routing starts. Resolve every
-		// task on the scalar path so each Future gets its own result or its
-		// own canonical validation error.
-		for _, t := range live {
-			s.execRouted(t)
-		}
+		s.routeEach(live)
 		return
 	}
 	for i, t := range live {
-		s.finish(t, inst, Result{Perm: perms[i]}, nil)
-	}
-}
-
-// overCapacity reports whether a concentrate pattern requests more than
-// the capacity m. For the (n,n)-concentrator (m = n) no pattern can
-// exceed capacity, so the scan is skipped.
-func (s *Service) overCapacity(marked []bool) bool {
-	if s.cfg.M >= s.cfg.N {
-		return false
-	}
-	r := 0
-	for _, mk := range marked {
-		if mk {
-			r++
+		res := Result{Perm: perms[i]}
+		if counts != nil {
+			res.Count = counts[i]
 		}
-	}
-	return r > s.cfg.M
-}
-
-// exec resolves one task: cancellation and deadline are honoured before
-// any routing work is spent on the request.
-func (s *Service) exec(t *task) {
-	switch {
-	case t.ctx.Err() != nil:
-		s.resolve(t, Result{}, t.ctx.Err())
-	case !t.req.Deadline.IsZero() && !time.Now().Before(t.req.Deadline):
-		s.resolve(t, Result{}, ErrDeadlineExceeded)
-	default:
-		s.execRouted(t)
+		res, err := s.checkSampled(t.req, inst, res, nil)
+		s.resolve(t, res, err)
 	}
 }
 
-// execRouted routes one pre-checked task on the current plan instance of
-// its kind, runs the sampled lanewise response check, and resolves it —
-// the common tail of the scalar path and the burst fallbacks.
-func (s *Service) execRouted(t *task) {
-	inst := s.loadInst(t.req.Kind)
-	res, err := s.routeOn(inst, t.req)
-	s.finish(t, inst, res, err)
+// run resolves one task through the plan set's per-request path.
+func (s *Service) run(t *task) {
+	res, err := s.exec(t.ctx, t.req)
+	s.resolve(t, res, err)
 }
 
-// resolve publishes a task's outcome exactly once and records it in the
-// service counters and latency histogram.
+// routeEach resolves pre-checked tasks one by one on the per-request
+// path — the fallback of a burst that cannot ride the packed replay.
+func (s *Service) routeEach(ts []*task) {
+	for _, t := range ts {
+		res, err := s.routeChecked(t.req)
+		s.resolve(t, res, err)
+	}
+}
+
+// resolve records a task's outcome in the counters and latency
+// histogram, then publishes it exactly once: a caller that has seen its
+// Future resolve also sees it in Stats.
 func (s *Service) resolve(t *task, res Result, err error) {
-	t.fut.res, t.fut.err = res, err
-	close(t.fut.done)
-	s.stats.completed.Add(1)
-	if err != nil {
-		s.stats.failed.Add(1)
-	}
-	s.stats.observe(time.Since(t.submitted))
-}
-
-// route replays the request through the current plan instance of its
-// kind; see routeOn.
-func (s *Service) route(req Request) (Result, error) {
-	return s.routeOn(s.loadInst(req.Kind), req)
-}
-
-// routeOn replays the request through one plan instance. Lengths were
-// validated at admission; the plans re-validate semantic properties
-// (permutation validity, concentrator capacity) and return errors — no
-// routing path here can panic on malformed input. An instance with
-// injected faults routes through the scalar faulty replay (the wedged
-// wires apply); a degraded concentrator instance routes through the
-// permuter instead.
-func (s *Service) routeOn(inst *planInstance, req Request) (Result, error) {
-	switch req.Kind {
-	case Permute:
-		out := make([]int, s.cfg.N)
-		if inst.sharded != nil {
-			if err := inst.sharded.RouteInto(out, req.Dest); err != nil {
-				return Result{}, err
-			}
-			return Result{Perm: out}, nil
-		}
-		if f := inst.faultList(); f != nil {
-			if err := inst.perm.RouteIntoStuck(out, req.Dest, f); err != nil {
-				return Result{}, err
-			}
-			return Result{Perm: out}, nil
-		}
-		if err := inst.perm.RouteInto(out, req.Dest); err != nil {
-			return Result{}, err
-		}
-		return Result{Perm: out}, nil
-	case Concentrate:
-		if inst.degraded {
-			return s.concentrateDegraded(req.Marked)
-		}
-		out := make([]int, s.cfg.N)
-		var r int
-		var err error
-		if f := inst.faultList(); f != nil {
-			r, err = inst.conc.ConcentrateIntoStuck(out, req.Marked, f)
-		} else {
-			r, err = inst.conc.ConcentrateInto(out, req.Marked)
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Perm: out, Count: r}, nil
-	case SortWords:
-		keys := make([]uint64, s.cfg.N)
-		perm := make([]int, s.cfg.N)
-		if err := inst.word.SortInto(keys, perm, req.Keys); err != nil {
-			return Result{}, err
-		}
-		return Result{Perm: perm, Keys: keys}, nil
-	}
-	return Result{}, fmt.Errorf("serve: unknown request kind %v", req.Kind)
+	s.record(t.submitted, err)
+	t.fut.Resolve(res, err)
 }

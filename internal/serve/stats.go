@@ -1,4 +1,4 @@
-// Service counters and the completion-latency histogram. Everything is
+// Plan-set counters and the completion-latency histogram. Everything is
 // lock-free: plain atomic counters plus a fixed array of power-of-two
 // latency buckets, so recording a completion costs two atomic adds and
 // Stats() is a consistent-enough snapshot for monitoring.
@@ -16,7 +16,7 @@ import (
 // in [2^(i-1), 2^i) nanoseconds, so 48 buckets span beyond three days.
 const histBuckets = 48
 
-// statsCounters is the service's internal mutable state. There is no
+// statsCounters is the plan set's internal mutable state. There is no
 // in-flight counter: InFlight is derived in Stats from the two monotone
 // counters submitted and completed, because a third independently
 // updated counter can tear against them in a snapshot (the historical
@@ -62,14 +62,14 @@ func (c *statsCounters) observe(d time.Duration) {
 	}
 }
 
-// Stats is a point-in-time snapshot of a Service's counters.
+// Stats is a point-in-time snapshot of a PlanSet's (or Service's) counters.
 type Stats struct {
 	// Submitted counts admitted requests; Completed counts resolved
-	// Futures (including those resolved with an error); Rejected counts
+	// requests (including those resolved with an error); Rejected counts
 	// Submit/TrySubmit calls that returned an error (malformed request,
-	// queue full, cancelled, closed); Failed counts Futures resolved with
-	// an error; InFlight is the number of admitted, not-yet-resolved
-	// requests. Every snapshot satisfies
+	// queue full, cancelled, closed) and Exec calls refused as malformed;
+	// Failed counts requests resolved with an error; InFlight is the
+	// number of admitted, not-yet-resolved requests. Every snapshot satisfies
 	//
 	//	Submitted ≥ Completed + InFlight   and   InFlight ≥ 0
 	//
@@ -77,7 +77,8 @@ type Stats struct {
 	Submitted, Completed, Rejected, Failed, InFlight int64
 	// Latency[0] counts completions that resolved within the clock's
 	// resolution (exactly 0 ns); Latency[i] for i ≥ 1 counts completions
-	// with submit-to-resolve latency in [2^(i-1), 2^i) ns.
+	// with submit-to-resolve latency (from Exec's start argument, for
+	// requests run through Exec) in [2^(i-1), 2^i) ns.
 	Latency [histBuckets]int64
 	// LatencySumNs is the sum of all completion latencies in nanoseconds.
 	LatencySumNs int64
@@ -86,31 +87,31 @@ type Stats struct {
 	LatencyMaxNs int64
 }
 
-// Stats snapshots the service counters. Each field is atomically read,
+// Stats snapshots the plan-set counters. Each field is atomically read,
 // but the snapshot as a whole is not a single atomic cut: a completion
 // landing mid-snapshot can make loose cross-field identities (for
 // example LatencyCount = Completed) off by the number of in-progress
 // updates. The documented invariant Submitted ≥ Completed + InFlight,
 // however, holds in EVERY snapshot, torn or not: Completed (monotone)
-// is loaded first and Submitted (monotone, and incremented before the
-// matching queue send — see submit) last, so any resolution landing
+// is loaded first and Submitted (monotone, and incremented at admission,
+// before the matching queue send or Exec's routing — see submit) last, so any resolution landing
 // mid-snapshot can only raise Submitted relative to the Completed
 // already read; InFlight is then derived from those same two loads
 // instead of being a third counter that could tear against them, and
 // clamped against the one transient that remains (a rolled-back
 // admission between the two loads).
-func (s *Service) Stats() Stats {
+func (p *PlanSet) Stats() Stats {
 	st := Stats{
-		Completed:    s.stats.completed.Load(),
-		Rejected:     s.stats.rejected.Load(),
-		Failed:       s.stats.failed.Load(),
-		LatencySumNs: s.stats.latSumNs.Load(),
-		LatencyMaxNs: s.stats.latMaxNs.Load(),
+		Completed:    p.stats.completed.Load(),
+		Rejected:     p.stats.rejected.Load(),
+		Failed:       p.stats.failed.Load(),
+		LatencySumNs: p.stats.latSumNs.Load(),
+		LatencyMaxNs: p.stats.latMaxNs.Load(),
 	}
 	for i := range st.Latency {
-		st.Latency[i] = s.stats.latency[i].Load()
+		st.Latency[i] = p.stats.latency[i].Load()
 	}
-	st.Submitted = s.stats.submitted.Load()
+	st.Submitted = p.stats.submitted.Load()
 	st.InFlight = st.Submitted - st.Completed
 	if st.InFlight < 0 {
 		st.InFlight = 0
@@ -118,7 +119,7 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// FaultStats is a point-in-time snapshot of the service's
+// FaultStats is a point-in-time snapshot of the plan set's
 // fault-tolerance counters (see fault.go for the detection and recovery
 // machinery).
 type FaultStats struct {
@@ -134,13 +135,13 @@ type FaultStats struct {
 
 // FaultStats snapshots the fault-tolerance counters. Like Stats, each
 // field is atomically read but the snapshot is not a single atomic cut.
-func (s *Service) FaultStats() FaultStats {
+func (p *PlanSet) FaultStats() FaultStats {
 	return FaultStats{
-		Checked:    s.stats.checked.Load(),
-		Detected:   s.stats.faultDetected.Load(),
-		Recompiled: s.stats.faultRecompiled.Load(),
-		Replayed:   s.stats.faultReplayed.Load(),
-		Degraded:   s.stats.faultDegraded.Load(),
+		Checked:    p.stats.checked.Load(),
+		Detected:   p.stats.faultDetected.Load(),
+		Recompiled: p.stats.faultRecompiled.Load(),
+		Replayed:   p.stats.faultReplayed.Load(),
+		Degraded:   p.stats.faultDegraded.Load(),
 	}
 }
 

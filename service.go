@@ -8,12 +8,11 @@ import (
 )
 
 // RoutingService is the streaming front door to the compiled routing
-// plans: a long-lived worker pool behind a bounded admission queue,
-// owning one plan set (radix permuter + (n,m)-concentrator + word
-// sorter) for a fixed (n, engine, k) and replaying it over a request
-// stream — the serving-style counterpart of the one-shot Batch* APIs.
-// See internal/serve for the admission, backpressure, and drain
-// semantics.
+// plans: a long-lived worker pool behind a bounded admission queue, on
+// top of one plan set (radix permuter + (n,m)-concentrator + word
+// sorter) for a fixed (n, engine, k), replayed over a request stream —
+// the serving-style counterpart of the one-shot Batch* APIs. See
+// internal/serve for the admission, backpressure, and drain semantics.
 type RoutingService = serve.Service
 
 // ServeConfig configures a RoutingService; zero values select defaults

@@ -3,12 +3,15 @@ package absort_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"absort"
 	"absort/internal/permnet"
+	"absort/internal/planner"
 )
 
 // TestRoutingServicePublic drives the public streaming front door: mixed
@@ -173,5 +176,70 @@ func TestRoutingServiceFaultPublic(t *testing.T) {
 	var fs absort.ServeFaultStats = svc.FaultStats()
 	if fs.Detected < 1 || fs.Recompiled < 1 {
 		t.Fatalf("fault stats after injected fault: %+v", fs)
+	}
+}
+
+// TestFrontDoorMatchesRoutingService pins the two ways of running a
+// plan set to bit-identical results: the same seeded Permute, Concentrate and
+// SortWords stream goes through a front-door tenant (dispatchers calling
+// the plan set inline) and through a RoutingService of the same spec,
+// for every registry engine that can back a tenant, at n ∈ {16, 64}.
+func TestFrontDoorMatchesRoutingService(t *testing.T) {
+	ctx := context.Background()
+	for _, n := range []int{16, 64} {
+		for _, engine := range planner.EnginesFor(n) {
+			cfg := absort.ServeConfig{N: n, Engine: engine, Workers: 2}
+			if _, err := cfg.Resolve(); err != nil {
+				continue // a width-locked kernel cannot back the permuter's level widths
+			}
+			t.Run(fmt.Sprintf("%v/n=%d", engine, n), func(t *testing.T) {
+				svc, err := absort.NewRoutingService(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer svc.Close()
+				fd := absort.NewFrontDoor(absort.FrontDoorConfig{Workers: 2})
+				defer fd.Close()
+				if err := fd.Register("t", absort.TenantSpec{N: n, Engine: engine}); err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(int64(n) + 13))
+				for i := 0; i < 24; i++ {
+					var req absort.ServeRequest
+					switch i % 3 {
+					case 0:
+						req = absort.PermuteRequest(rng.Perm(n))
+					case 1:
+						marked := make([]bool, n)
+						for j := range marked {
+							marked[j] = rng.Intn(2) == 0
+						}
+						req = absort.ConcentrateRequest(marked)
+					default:
+						keys := make([]uint64, n)
+						for j := range keys {
+							keys[j] = rng.Uint64() >> rng.Intn(64)
+						}
+						req = absort.SortWordsRequest(keys)
+					}
+					fdFut, err := fd.Submit(ctx, "t", req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					svcFut, err := svc.Submit(ctx, req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, gotErr := fdFut.Wait(ctx)
+					want, wantErr := svcFut.Wait(ctx)
+					if gotErr != nil || wantErr != nil {
+						t.Fatalf("request %d (%v): front door %v, service %v", i, req.Kind, gotErr, wantErr)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("request %d (%v): front door %+v, service %+v", i, req.Kind, got, want)
+					}
+				}
+			})
+		}
 	}
 }

@@ -135,8 +135,9 @@ func BenchmarkZooEngines(b *testing.B) {
 // replaces (≥ 1× per-pattern throughput) — the registry must not
 // route a generically-lowered network onto a packed path that loses to
 // the baseline. The ratio is taken as the best of three trials so a CI
-// scheduling hiccup cannot fail the gate; both measurements land in
-// BENCH_zoo.json as the ci-floor columns.
+// scheduling hiccup cannot fail the gate. It only gates: BENCH_zoo.json
+// is written by BenchmarkZooEngines alone, so plain `go test` leaves the
+// tracked file untouched.
 func TestZooSpeedupFloor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing floor skipped in -short mode")
@@ -182,8 +183,6 @@ func TestZooSpeedupFloor(t *testing.T) {
 			packedNs = float64(packed.NsPerOp()) / concentrator.PackedLanes
 		}
 	}
-	recordZooBench("periodic", "planned-parallel", n, plannedNs)
-	recordZooBench("periodic", "packed", n, packedNs)
 	t.Logf("periodic n=%d, %d-wide batch: planned %.0f ns/pattern, packed %.0f ns/pattern, speedup %.1f×",
 		n, concentrator.PackedLanes, plannedNs, packedNs, best)
 	if best < 1 {
