@@ -26,9 +26,10 @@
 # throughput on the same batch shape — TestBenesPackedSpeedupFloor: the
 # packed Beneš replay must hold at least 3× the planned replay's
 # per-route throughput on 64-wide batches at n=4096 — and
-# TestWidePackedThroughputFloor: 256-lane multi-word groups must match
-# or beat 64-lane groups on both the permuter and the concentrator at
-# n=256 (no regression from widening) — and TestShardedSpeedupFloor:
+# TestWidePackedThroughputFloor: 256-lane RoutePacked/ConcentratePacked
+# calls must match or beat 64-lane calls on the same 1024 items, on both
+# the permuter and the concentrator at n=256 (no regression from
+# widening) — and TestShardedSpeedupFloor:
 # the w-way sharded hierarchical router must hold at least 2× the flat
 # planned-parallel per-route throughput on 16-wide batches at n=65536
 # (BenchmarkRouteEnginesSharded records the route-sharded columns at
@@ -44,7 +45,9 @@
 # `make bench-wide` / `make bench-shard` / `make bench-fault` /
 # `make bench-frontdoor` / `make bench-zoo` run just those gates plus
 # their benchmark columns, with full calibration
-# instead of the one-iteration smoke. `make chaos` runs the
+# instead of the one-iteration smoke (`make bench-wide` records the
+# 64-lane perm-packed / conc-packed columns next to their 256-lane
+# counterparts). `make chaos` runs the
 # race-enabled fault drill: stuck-at faults wedged into a live service
 # under concurrent load, every admitted future must resolve correctly.
 # `make lint` greps for engine switches that bypass the planner
@@ -96,7 +99,7 @@ bench-permpacked:
 	$(GO) test -run 'TestPermPackedSpeedupFloor' -bench 'RouteEngines/(perm|benes)' -count=1 .
 
 bench-wide:
-	$(GO) test -run 'TestBenesPackedSpeedupFloor|TestWidePackedThroughputFloor' -bench 'RouteEngines/(perm-packed256|benes|conc-packed256)' -count=1 .
+	$(GO) test -run 'TestBenesPackedSpeedupFloor|TestWidePackedThroughputFloor' -bench 'RouteEngines/(perm-packed|benes|conc-packed)' -count=1 .
 
 bench-shard:
 	$(GO) test -run 'TestShardedSpeedupFloor' -bench 'RouteEnginesSharded' -count=1 .

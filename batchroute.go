@@ -112,37 +112,11 @@ func (b *BatchPermuter) Shards() int {
 	return b.sharded.Shards()
 }
 
-// RouteSharded routes dest through the w-way sharded plan regardless of
-// the auto-engage threshold: the cross-shard exchange fans packets into
-// w windows of n/w, and one shared sub-program finishes every window —
-// as w SWAR lanes of a single packed replay when w is at least the
-// packed break-even. shards ≤ 0 selects the default decomposition
-// (permnet.DefaultShards); otherwise it must be a power of two with
-// 2 ≤ shards ≤ n/2. Results are bit-for-bit identical to Route.
-func (b *BatchPermuter) RouteSharded(dest []int, shards int) ([]int, error) {
-	sp, err := b.rp.Sharded(shards)
-	if err != nil {
-		return nil, err
-	}
-	return sp.Route(dest)
-}
-
-// RouteShardedBatch is RouteSharded over a batch of assignments, workers
-// goroutines wide (≤ 0 means GOMAXPROCS): full groups of requests ride
-// one wide packed sub-replay each (g·w lanes).
-func (b *BatchPermuter) RouteShardedBatch(dests [][]int, workers, shards int) ([][]int, error) {
-	sp, err := b.rp.Sharded(shards)
-	if err != nil {
-		return nil, err
-	}
-	return sp.RouteBatch(dests, workers)
-}
-
 // RouteBatch routes every assignment concurrently using workers
 // goroutines (≤ 0 means GOMAXPROCS). Results preserve input order.
 // Batches at least PackedLanes wide automatically route whole lane
 // groups per plan replay through the SWAR lane-packed engine — widened
-// up to MaxPackedLanes assignments per replay when the batch keeps every
+// up to 4×PackedLanes assignments per replay when the batch keeps every
 // worker busy anyway; results are bit-for-bit identical to the
 // per-assignment path.
 func (b *BatchPermuter) RouteBatch(dests [][]int, workers int) ([][]int, error) {
@@ -150,15 +124,6 @@ func (b *BatchPermuter) RouteBatch(dests [][]int, workers int) ([][]int, error) 
 		return b.sharded.RouteBatch(dests, workers)
 	}
 	return b.plan.RouteBatch(dests, workers)
-}
-
-// RouteBatchWide is RouteBatch with an explicit lane-group width:
-// groupLanes must be a positive multiple of PackedLanes up to
-// MaxPackedLanes. It pins the packed engine's multi-word replay width
-// instead of letting the batch auto-tune it — the knob the wide-packing
-// benchmarks and cmd/permroute -lanes expose.
-func (b *BatchPermuter) RouteBatchWide(dests [][]int, workers, groupLanes int) ([][]int, error) {
-	return b.flatPlan().RouteBatchWide(dests, workers, groupLanes)
 }
 
 // RouteBatchPlanned is RouteBatch pinned to the per-assignment planned
@@ -240,20 +205,12 @@ func (b *BatchConcentrator) ConcentrateInto(p []int, marked []bool) (int, error)
 // workers goroutines (≤ 0 means GOMAXPROCS), returning the permutations
 // and request counts in input order. Batches at least PackedLanes wide
 // automatically route whole lane groups per plan replay through the SWAR
-// lane-packed engine — widened up to MaxPackedLanes patterns per replay
+// lane-packed engine — widened up to 4×PackedLanes patterns per replay
 // when the batch keeps every worker busy anyway (except on
 // EngineRanking, whose stable partition gains nothing from packing);
 // results are bit-for-bit identical to the per-pattern path.
 func (b *BatchConcentrator) ConcentrateBatch(marked [][]bool, workers int) ([][]int, []int, error) {
 	return b.c.ConcentrateBatch(marked, workers)
-}
-
-// ConcentrateBatchWide is ConcentrateBatch with an explicit lane-group
-// width: groupLanes must be a positive multiple of PackedLanes up to
-// MaxPackedLanes — the explicit counterpart of the auto-tuned width, for
-// benchmarking and width-pinned serving.
-func (b *BatchConcentrator) ConcentrateBatchWide(marked [][]bool, workers, groupLanes int) ([][]int, []int, error) {
-	return b.c.ConcentrateBatchWide(marked, workers, groupLanes)
 }
 
 // Packed lane-group widths of the SWAR batch engine (see

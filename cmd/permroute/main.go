@@ -9,15 +9,14 @@
 // route plan across -workers goroutines, and scalar-seed vs planned vs
 // planned-parallel vs packed (SWAR) routing rates are reported, alongside
 // the compiled Beneš replay baseline both planned (benes-planned) and
-// lane-packed (benes-packed). -lanes pins the packed lane-group width — a
-// multiple of 64 up to 1024 — and the report shows the resulting wide-path
-// split (full lane groups vs planned remainder); every packed result is
+// lane-packed (benes-packed). Batches of 64 or more take the packed path,
+// whose lane-group width the batch driver picks; every packed result is
 // cross-checked bit-for-bit against its planned baseline. -shards adds a
 // route-sharded row: the batch is re-routed through the w-way sharded
 // hierarchical plan (0 = auto, engaged at n ≥ 65536; otherwise a power of
 // two in [2, n/2]) and cross-checked bit-for-bit against the planned path.
 //
-//	permroute -n 1024 -engine fish -batch 4096 -workers 0 -lanes 256
+//	permroute -n 1024 -engine fish -batch 4096 -workers 0
 //	permroute -n 65536 -engine muxmerger -batch 256 -shards 64
 //
 // With -serve, it replays a workload file through the streaming routing
@@ -112,7 +111,6 @@ func main() {
 		engine   = flag.String("engine", "fish", "routing engine: "+strings.Join(planner.EngineNames(), " | "))
 		batch    = flag.Int("batch", 0, "batch size: route this many permutations through the compiled plan pipeline")
 		workers  = flag.Int("workers", 0, "batch worker goroutines (0 = GOMAXPROCS)")
-		lanes    = flag.Int("lanes", 4*permnet.PackedLanes, "packed lane-group width for -batch (multiple of 64, up to 1024)")
 		shards   = flag.Int("shards", 0, "sharded routing comparison for -batch: 0 = auto (engaged at n >= 65536), else a power of two in [2, n/2]")
 		serveArg = flag.String("serve", "", "replay a workload file through the streaming routing service ('rand' generates -batch random permutes)")
 		queue    = flag.Int("queue", 0, "streaming service admission queue depth (0 = 4x workers)")
@@ -132,11 +130,6 @@ func main() {
 	}
 	if *n < 2 || !core.IsPow2(*n) {
 		fmt.Fprintf(os.Stderr, "permroute: -n %d must be a power of two >= 2\n", *n)
-		os.Exit(1)
-	}
-	if *lanes < permnet.PackedLanes || *lanes > permnet.MaxPackedLanes || *lanes%permnet.PackedLanes != 0 {
-		fmt.Fprintf(os.Stderr, "permroute: -lanes %d must be a multiple of %d up to %d\n",
-			*lanes, permnet.PackedLanes, permnet.MaxPackedLanes)
 		os.Exit(1)
 	}
 	if *shards != 0 && (*shards < 2 || *shards > *n/2 || !core.IsPow2(*shards)) {
@@ -189,8 +182,8 @@ func main() {
 		if w == 0 && *n >= permnet.ShardedAutoThreshold {
 			w = permnet.DefaultShards(*n)
 		}
-		runBatch(rp, rng, *batch, *workers, *lanes, w)
-		runConcentrateBatch(*n, eng, rng, *batch, *workers, *lanes)
+		runBatch(rp, rng, *batch, *workers, w)
+		runConcentrateBatch(*n, eng, rng, *batch, *workers)
 		return
 	}
 
@@ -226,12 +219,12 @@ func main() {
 
 // runBatch drives the compiled routing pipeline: scalar-seed per-request
 // routing vs planned single-route vs planned-parallel batch routing vs
-// the SWAR packed engine at the pinned lane-group width, with the
+// the SWAR packed engine, with the
 // compiled Beneš replay as the rearrangeable baseline in both its
 // planned and packed forms. With shards > 0 the batch is additionally
 // routed through the w-way sharded hierarchical plan and cross-checked
 // bit-for-bit against the planned result.
-func runBatch(rp *permnet.RadixPermuter, rng *rand.Rand, batch, workers, lanes, shards int) {
+func runBatch(rp *permnet.RadixPermuter, rng *rand.Rand, batch, workers, shards int) {
 	n := rp.N()
 	dests := make([][]int, batch)
 	for i := range dests {
@@ -268,14 +261,8 @@ func runBatch(rp *permnet.RadixPermuter, rng *rand.Rand, batch, workers, lanes, 
 	}
 	parallel := time.Since(t0)
 
-	packedRoute := plan.RouteBatch
-	if batch >= permnet.PackedLanes {
-		packedRoute = func(d [][]int, w int) ([][]int, error) {
-			return plan.RouteBatchWide(d, w, lanes)
-		}
-	}
 	t0 = time.Now()
-	routed, err := packedRoute(dests, workers)
+	routed, err := plan.RouteBatch(dests, workers) // ≥ 64: packed lane groups
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "permroute:", err)
 		os.Exit(1)
@@ -357,16 +344,8 @@ func runBatch(rp *permnet.RadixPermuter, rng *rand.Rand, batch, workers, lanes, 
 	fmt.Printf("  planned-parallel %12v/route   %10.0f routes/sec   (%.1f× scalar)\n",
 		perRoute(parallel), rate(parallel), scalar.Seconds()/parallel.Seconds())
 	if batch >= permnet.PackedLanes {
-		full, rem := batch/lanes, batch%lanes
-		split := fmt.Sprintf("%d×%d packed", full, lanes)
-		switch {
-		case rem >= permnet.MinPackedLanes:
-			split += fmt.Sprintf(" + %d packed remainder", rem)
-		case rem > 0:
-			split += fmt.Sprintf(" + %d planned remainder", rem)
-		}
-		fmt.Printf("  packed (SWAR)    %12v/route   %10.0f routes/sec   (%.1f× planned-parallel, %s)\n",
-			perRoute(packed), rate(packed), parallel.Seconds()/packed.Seconds(), split)
+		fmt.Printf("  packed (SWAR)    %12v/route   %10.0f routes/sec   (%.1f× planned-parallel)\n",
+			perRoute(packed), rate(packed), parallel.Seconds()/packed.Seconds())
 	} else {
 		fmt.Printf("  packed engine needs a batch ≥ %d assignments; RouteBatch stayed on the planned path\n",
 			permnet.PackedLanes)
@@ -391,9 +370,8 @@ func runBatch(rp *permnet.RadixPermuter, rng *rand.Rand, batch, workers, lanes, 
 
 // runConcentrateBatch drives the concentrate batch pipeline over the
 // same request count: per-pattern planned routing vs the SWAR lane-packed
-// engine at the pinned lane-group width, with a full bit-for-bit
-// cross-check between the two paths.
-func runConcentrateBatch(n int, eng concentrator.Engine, rng *rand.Rand, batch, workers, lanes int) {
+// engine, with a full bit-for-bit cross-check between the two paths.
+func runConcentrateBatch(n int, eng concentrator.Engine, rng *rand.Rand, batch, workers int) {
 	c := concentrator.New(n, n, eng, 0)
 	c.Compile()
 	marked := make([][]bool, batch)
@@ -415,14 +393,8 @@ func runConcentrateBatch(n int, eng concentrator.Engine, rng *rand.Rand, batch, 
 	}
 	planned := time.Since(t0)
 
-	concRoute := c.ConcentrateBatch
-	if batch >= concentrator.PackedLanes {
-		concRoute = func(m [][]bool, w int) ([][]int, []int, error) {
-			return c.ConcentrateBatchWide(m, w, lanes)
-		}
-	}
 	t0 = time.Now()
-	packedP, packedR, err := concRoute(marked, workers)
+	packedP, packedR, err := c.ConcentrateBatch(marked, workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "permroute:", err)
 		os.Exit(1)
@@ -446,8 +418,8 @@ func runConcentrateBatch(n int, eng concentrator.Engine, rng *rand.Rand, batch, 
 	fmt.Printf("  planned          %12v/pattern  %10.0f patterns/sec\n",
 		planned/time.Duration(batch), rate(planned))
 	if batch >= concentrator.PackedLanes {
-		fmt.Printf("  packed (SWAR)    %12v/pattern  %10.0f patterns/sec   (%.1f× planned, %d lanes/replay)\n",
-			packed/time.Duration(batch), rate(packed), planned.Seconds()/packed.Seconds(), lanes)
+		fmt.Printf("  packed (SWAR)    %12v/pattern  %10.0f patterns/sec   (%.1f× planned)\n",
+			packed/time.Duration(batch), rate(packed), planned.Seconds()/packed.Seconds())
 	} else {
 		fmt.Printf("  packed engine needs a batch ≥ %d patterns; ConcentrateBatch stayed on the planned path\n",
 			concentrator.PackedLanes)

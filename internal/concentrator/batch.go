@@ -7,55 +7,12 @@
 // flat backing array.
 package concentrator
 
-import (
-	"fmt"
-	"sync/atomic"
-
-	"absort/internal/bitvec"
-	"absort/internal/planner"
-)
+import "absort/internal/planner"
 
 // batchGrain is the number of requests a worker claims per cursor bump:
 // coarse enough to amortize the atomic, fine enough to balance skewed
 // request costs.
 const batchGrain = 8
-
-// RouteBatch routes every tag vector through the plan concurrently using
-// workers goroutines (≤ 0 means GOMAXPROCS). Results preserve input
-// order; result i is the permutation the network realizes on tags[i].
-// A malformed tag vector fails the whole batch with an error before any
-// routing starts — it never panics, so one bad request cannot take down
-// a serving process.
-func (p *Plan) RouteBatch(tagsBatch []bitvec.Vector, workers int) ([][]int, error) {
-	if len(tagsBatch) == 0 {
-		return nil, nil
-	}
-	for i, tags := range tagsBatch {
-		if len(tags) != p.n {
-			return nil, fmt.Errorf("concentrator: Plan(%d).RouteBatch: vector %d has %d tags",
-				p.n, i, len(tags))
-		}
-	}
-	out := make([][]int, len(tagsBatch))
-	flat := make([]int, len(tagsBatch)*p.n)
-	for i := range out {
-		out[i] = flat[i*p.n : (i+1)*p.n]
-	}
-	var firstErr atomic.Pointer[batchErr]
-	runBatch(len(tagsBatch), workers, func(i int) bool {
-		if err := p.RouteInto(out[i], tagsBatch[i]); err != nil {
-			// Unreachable after the up-front validation, but kept on the
-			// same fail-fast error path as ConcentrateBatch for defense.
-			recordBatchErr(&firstErr, i, err)
-			return false
-		}
-		return true
-	})
-	if e := firstErr.Load(); e != nil {
-		return nil, fmt.Errorf("concentrator: batch vector %d: %w", e.I, e.Err)
-	}
-	return out, nil
-}
 
 // ConcentrateBatch routes every request pattern through the
 // concentrator's compiled plan concurrently using workers goroutines
@@ -65,135 +22,76 @@ func (p *Plan) RouteBatch(tagsBatch []bitvec.Vector, workers int) ([][]int, erro
 // remaining work is abandoned, and err reports the earliest offending
 // pattern among those attempted.
 //
-// Batches at least one lane group wide (≥ 64 patterns) automatically
-// switch to the SWAR engine: full groups route through
-// ConcentratePacked — one plan replay per group, widened up to
-// planner.WideWords×64 patterns when the batch keeps every worker busy
-// anyway (see planner.AutoWideLanes) — and a remainder narrower than
-// MinPackedLanes falls back to the planned path. Engines the registry
-// marks packed-unprofitable (the Ranking baseline: its single stable
-// partition gains nothing from lane packing) always take the planned
-// path, and a plan whose step stream has no packed form
+// The batch driver of internal/planner (planner.Batch) decides the path:
+// batches at least one lane group wide (≥ 64 patterns) route full lane
+// groups through one SWAR plan replay each, and the rest per pattern.
+// Engines the registry marks packed-unprofitable (the Ranking baseline:
+// its single stable partition gains nothing from lane packing) always
+// take the planned path, and a plan whose step stream has no packed form
 // (planner.ErrNotPackable) falls back to planned cleanly. Results are
 // bit-for-bit identical either way.
 func (c *Concentrator) ConcentrateBatch(markedBatch [][]bool, workers int) ([][]int, []int, error) {
-	if len(markedBatch) >= PackedLanes && planner.PackedProfitable(c.engine) {
-		return c.ConcentrateBatchWide(markedBatch, workers, planner.AutoWideLanes(len(markedBatch), workers))
-	}
-	return c.ConcentrateBatchPlanned(markedBatch, workers)
+	return c.concentrateBatch(markedBatch, workers, true)
 }
 
-// ConcentrateBatchWide is ConcentrateBatch with an explicit lane-group
-// width: groupLanes must be a positive multiple of 64 up to
-// MaxPackedLanes. Full groups route through one packed replay each; a
-// remainder narrower than MinPackedLanes routes planned. Plans without a
-// packed form fall back to the planned pipeline for the whole batch.
-func (c *Concentrator) ConcentrateBatchWide(markedBatch [][]bool, workers, groupLanes int) ([][]int, []int, error) {
-	if groupLanes < PackedLanes || groupLanes > MaxPackedLanes || groupLanes%PackedLanes != 0 {
-		return nil, nil, fmt.Errorf("concentrator: ConcentrateBatchWide: group width %d, want a multiple of %d up to %d",
-			groupLanes, PackedLanes, MaxPackedLanes)
-	}
-	if len(markedBatch) == 0 {
-		return nil, nil, nil
-	}
-	if plan, err := c.compileChecked(); err != nil {
-		return nil, nil, err
-	} else if _, err := plan.Packed(); err != nil {
-		return c.ConcentrateBatchPlanned(markedBatch, workers)
-	}
-	return c.concentrateBatchPacked(markedBatch, workers, groupLanes)
-}
-
-// ConcentrateBatchPlanned is the per-request planned batch pipeline:
-// every pattern replays the compiled plan on pooled scalar scratch, one
-// packet word per input. It is the path ConcentrateBatch takes below the
-// packed threshold, and the baseline the packed engine's throughput
+// ConcentrateBatchPlanned is ConcentrateBatch with packing off: every
+// pattern replays the compiled plan on pooled scalar scratch, one packet
+// word per input. It is the baseline the packed engine's throughput
 // floor is measured against.
 func (c *Concentrator) ConcentrateBatchPlanned(markedBatch [][]bool, workers int) ([][]int, []int, error) {
+	return c.concentrateBatch(markedBatch, workers, false)
+}
+
+// concentrateBatch runs a batch through the planner's batch driver, with
+// packed lane groups when packed is set.
+func (c *Concentrator) concentrateBatch(markedBatch [][]bool, workers int, packed bool) ([][]int, []int, error) {
 	if len(markedBatch) == 0 {
 		return nil, nil, nil
 	}
-	out, rs := makeBatchResults(len(markedBatch), c.n)
-	var firstErr atomic.Pointer[batchErr]
-	runBatch(len(markedBatch), workers, func(i int) bool {
-		if firstErr.Load() != nil {
-			return false // poisoned batch: abort instead of burning workers
-		}
-		r, err := c.ConcentrateInto(out[i], markedBatch[i])
-		if err != nil {
-			recordBatchErr(&firstErr, i, err)
-			return false
-		}
-		rs[i] = r
-		return true
-	})
-	if e := firstErr.Load(); e != nil {
-		return nil, nil, fmt.Errorf("concentrator: batch pattern %d: %w", e.I, e.Err)
+	r := &batchPatterns{c: c, packed: packed, marked: markedBatch}
+	r.out = planner.Rows[int](len(markedBatch), c.n)
+	r.counts = make([]int, len(markedBatch))
+	b := planner.Batch{
+		Workers:      workers,
+		Grain:        batchGrain,
+		Noun:         "concentrator: batch pattern",
+		Unprofitable: !planner.PackedProfitable(c.engine),
 	}
-	return out, rs, nil
-}
-
-// concentrateBatchPacked carves the batch into groupLanes-pattern lane
-// groups and routes every full group through one packed plan replay; a
-// final remainder below MinPackedLanes routes per-pattern on the planned
-// path. Groups are distributed across workers exactly as the planned
-// pipeline distributes single patterns.
-func (c *Concentrator) concentrateBatchPacked(markedBatch [][]bool, workers, groupLanes int) ([][]int, []int, error) {
-	out, rs := makeBatchResults(len(markedBatch), c.n)
-	groups := (len(markedBatch) + groupLanes - 1) / groupLanes
-	var firstErr atomic.Pointer[batchErr]
-	runBatch(groups, workers, func(g int) bool {
-		if firstErr.Load() != nil {
-			return false // poisoned batch: abort instead of burning workers
-		}
-		lo := g * groupLanes
-		hi := min(lo+groupLanes, len(markedBatch))
-		if hi-lo < MinPackedLanes {
-			for i := lo; i < hi; i++ {
-				r, err := c.ConcentrateInto(out[i], markedBatch[i])
-				if err != nil {
-					recordBatchErr(&firstErr, i, err)
-					return false
-				}
-				rs[i] = r
-			}
-			return true
-		}
-		if idx, err := c.concentratePackedAt(out[lo:hi], rs[lo:hi], markedBatch[lo:hi], lo); err != nil {
-			recordBatchErr(&firstErr, idx, err)
-			return false
-		}
-		return true
-	})
-	if e := firstErr.Load(); e != nil {
-		return nil, nil, e.Err
+	if err := b.Run(len(markedBatch), r); err != nil {
+		return nil, nil, err
 	}
-	return out, rs, nil
+	return r.out, r.counts, nil
 }
 
-// makeBatchResults carves the per-pattern permutations out of one flat
-// backing array, plus the request-count slice.
-func makeBatchResults(batch, n int) ([][]int, []int) {
-	out := make([][]int, batch)
-	flat := make([]int, batch*n)
-	for i := range out {
-		out[i] = flat[i*n : (i+1)*n]
+// batchPatterns is one batch of request patterns handed to the planner's
+// batch driver.
+type batchPatterns struct {
+	c      *Concentrator
+	packed bool  // packed lane groups allowed
+	plan   *Plan // compiled plan, set by Packed
+	marked [][]bool
+	out    [][]int
+	counts []int
+}
+
+func (r *batchPatterns) One(i int) (err error) {
+	r.counts[i], err = r.c.ConcentrateInto(r.out[i], r.marked[i])
+	return err
+}
+
+func (r *batchPatterns) Group(lo, hi int) (int, error) {
+	l, err := r.c.concentrateGroup(r.plan, r.out[lo:hi], r.counts[lo:hi], r.marked[lo:hi])
+	return lo + max(l, 0), err
+}
+
+func (r *batchPatterns) Packed() (*planner.Program, error) {
+	if !r.packed {
+		return nil, nil
 	}
-	return out, make([]int, batch)
-}
-
-// batchErr records the earliest failing request of a batch.
-type batchErr = planner.BatchErr
-
-// recordBatchErr CAS-publishes err for request i unless an earlier
-// request already failed (see planner.RecordBatchErr).
-func recordBatchErr(firstErr *atomic.Pointer[batchErr], i int, err error) {
-	planner.RecordBatchErr(firstErr, i, err)
-}
-
-// runBatch executes fn(0..n-1) across workers goroutines with an atomic
-// work cursor claiming batchGrain items at a time, with fail-fast abort —
-// the shared batch executor of internal/planner.
-func runBatch(n, workers int, fn func(i int) bool) {
-	planner.RunBatch(n, workers, batchGrain, fn)
+	plan, err := r.c.compileChecked()
+	if err != nil {
+		return nil, err
+	}
+	r.plan = plan
+	return plan.prog, nil
 }

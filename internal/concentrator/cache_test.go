@@ -8,7 +8,6 @@ package concentrator
 import (
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"absort/internal/bitvec"
@@ -115,41 +114,24 @@ func TestPlanForConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRouteBatchMalformedError pins the bugfix: a malformed tag vector in
-// a batch returns an error instead of panicking.
+// TestRouteBatchMalformedError pins the bugfix: a malformed request in a
+// batch returns an error instead of panicking, on both batch paths.
 func TestRouteBatchMalformedError(t *testing.T) {
-	p := NewPlan(8, MuxMerger, 0)
-	good := make(bitvec.Vector, 8)
-	bad := make(bitvec.Vector, 5)
-	out, err := p.RouteBatch([]bitvec.Vector{good, bad, good}, 2)
-	if err == nil {
-		t.Fatal("malformed tag vector accepted")
-	}
-	if out != nil {
-		t.Fatal("error with non-nil results")
-	}
-}
-
-// TestRunBatchAborts pins the fail-fast contract: once fn returns false,
-// workers stop claiming items instead of burning through the batch.
-func TestRunBatchAborts(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		const n = 10_000
-		var executed atomic.Int64
-		runBatch(n, workers, func(i int) bool {
-			if i == 0 {
-				return false // poison the very first item
-			}
-			executed.Add(1)
-			return true
-		})
-		// Workers claim batchGrain items per cursor bump; an aborted batch
-		// may finish grains already in flight, but the bulk of the batch
-		// must be skipped. The n/2 bound is loose enough to be robust to
-		// scheduling while still proving the abort (the old code ran all n).
-		if got := executed.Load(); got > int64(n/2) {
-			t.Errorf("workers=%d: %d of %d items executed after poison, want early abort",
-				workers, got, n)
+	c := New(8, 8, MuxMerger, 0)
+	good := make([]bool, 8)
+	bad := make([]bool, 5)
+	for _, size := range []int{3, 2 * PackedLanes} {
+		batch := make([][]bool, size)
+		for i := range batch {
+			batch[i] = good
+		}
+		batch[1] = bad
+		out, counts, err := c.ConcentrateBatch(batch, 2)
+		if err == nil {
+			t.Fatalf("batch of %d: malformed pattern accepted", size)
+		}
+		if out != nil || counts != nil {
+			t.Fatalf("batch of %d: error with non-nil results", size)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"absort/internal/bitvec"
 	"absort/internal/core"
+	"absort/internal/planner"
 	"absort/internal/race"
 )
 
@@ -14,31 +15,54 @@ import (
 // pinned by TestTranspose64 in internal/planner, next to the shared
 // packed runner the transpose now lives in.
 
-// TestRoutePackedDifferential checks the 64-lane SWAR engine against the
-// scalar plan on every engine, across widths and every lane count 1..64
+// markedOf is the request pattern that routes like tags through an
+// (n,n) concentrator: an unmarked input carries tag 1, so marked = !tag.
+// With capacity n every tag pattern is a valid request.
+func markedOf(tags bitvec.Vector) []bool {
+	marked := make([]bool, len(tags))
+	for i, t := range tags {
+		marked[i] = t == 0
+	}
+	return marked
+}
+
+// packedRoutes routes the tag patterns as one ConcentratePacked call on
+// an (n,n) concentrator over the plan's configuration and returns the
+// realized permutations.
+func packedRoutes(t *testing.T, engine Engine, n, k int, batch []bitvec.Vector) [][]int {
+	t.Helper()
+	c := New(n, n, engine, k)
+	marked := make([][]bool, len(batch))
+	for l, tags := range batch {
+		marked[l] = markedOf(tags)
+	}
+	perms, counts := makeBatchResults(len(batch), n)
+	if err := c.ConcentratePacked(perms, counts, marked); err != nil {
+		t.Fatalf("%v n=%d k=%d lanes=%d: %v", engine, n, k, len(batch), err)
+	}
+	return perms
+}
+
+// makeBatchResults allocates batch permutation rows and request counts.
+func makeBatchResults(batch, n int) ([][]int, []int) {
+	return planner.Rows[int](batch, n), make([]int, batch)
+}
+
+// TestRoutePackedDifferential checks the SWAR engine against the scalar
+// plan on every engine, across widths and lane counts up to two words
 // (ragged final words included): each lane's permutation must be
 // bit-for-bit identical to the scalar route of that lane's tags.
 func TestRoutePackedDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	lanesSweep := []int{1, 2, 7, 24, 63, 64}
+	lanesSweep := []int{1, 2, 7, 24, 63, 64, 65, 128}
 	for _, cfg := range planConfigs(64) {
 		p := NewPlan(cfg.n, cfg.engine, cfg.k)
-		pp, err := p.Packed()
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, lanes := range lanesSweep {
 			batch := make([]bitvec.Vector, lanes)
 			for l := range batch {
 				batch[l] = bitvec.Random(rng, cfg.n)
 			}
-			out := make([][]int, lanes)
-			for l := range out {
-				out[l] = make([]int, cfg.n)
-			}
-			if err := pp.RouteLanes(out, batch); err != nil {
-				t.Fatalf("%v n=%d k=%d lanes=%d: %v", cfg.engine, cfg.n, cfg.k, lanes, err)
-			}
+			out := packedRoutes(t, cfg.engine, cfg.n, cfg.k, batch)
 			for l, tags := range batch {
 				want := mustRoute(t, p, tags)
 				if !equalPerm(out[l], want) {
@@ -51,27 +75,18 @@ func TestRoutePackedDifferential(t *testing.T) {
 }
 
 // TestRoutePackedExhaustive runs every tag pattern at small widths packed
-// 64 at a time against the scalar plan — the packed twin of
+// 64 at a time against the scalar routers — the packed twin of
 // TestPlanExhaustiveDifferential.
 func TestRoutePackedExhaustive(t *testing.T) {
 	for _, cfg := range planConfigs(8) {
-		p := NewPlan(cfg.n, cfg.engine, cfg.k)
-		pp, err := p.Packed()
-		if err != nil {
-			t.Fatal(err)
-		}
 		total := uint64(1) << cfg.n
 		for lo := uint64(0); lo < total; lo += PackedLanes {
-			lanes := int(min64(PackedLanes, total-lo))
+			lanes := int(min(PackedLanes, total-lo))
 			batch := make([]bitvec.Vector, lanes)
-			out := make([][]int, lanes)
 			for l := range batch {
 				batch[l] = bitvec.FromUint(lo+uint64(l), cfg.n)
-				out[l] = make([]int, cfg.n)
 			}
-			if err := pp.RouteLanes(out, batch); err != nil {
-				t.Fatalf("%v n=%d k=%d: %v", cfg.engine, cfg.n, cfg.k, err)
-			}
+			out := packedRoutes(t, cfg.engine, cfg.n, cfg.k, batch)
 			for l, tags := range batch {
 				want := scalarRoute(cfg.engine, cfg.k, tags)
 				if !equalPerm(out[l], want) {
@@ -81,13 +96,6 @@ func TestRoutePackedExhaustive(t *testing.T) {
 			}
 		}
 	}
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // TestRoutePackedLarge extends the differential to widths where the
@@ -105,23 +113,11 @@ func TestRoutePackedLarge(t *testing.T) {
 		{1024, Fish, 8}, {1024, PrefixAdder, 0},
 	} {
 		p := NewPlan(cfg.n, cfg.engine, cfg.k)
-		pp, err := p.Packed()
-		if err != nil {
-			t.Fatal(err)
-		}
-		tags := make([]uint64, cfg.n)
 		batch := make([]bitvec.Vector, PackedLanes)
-		out := make([][]int, PackedLanes)
 		for l := range batch {
 			batch[l] = bitvec.Random(rng, cfg.n)
-			out[l] = make([]int, cfg.n)
 		}
-		if err := PackTagLanes(tags, batch); err != nil {
-			t.Fatal(err)
-		}
-		if err := pp.RoutePacked(out, tags); err != nil {
-			t.Fatalf("%v n=%d k=%d: %v", cfg.engine, cfg.n, cfg.k, err)
-		}
+		out := packedRoutes(t, cfg.engine, cfg.n, cfg.k, batch)
 		for l, tv := range batch {
 			want := mustRoute(t, p, tv)
 			if !equalPerm(out[l], want) {
@@ -240,50 +236,28 @@ func TestConcentrateBatchRankingStaysPlanned(t *testing.T) {
 }
 
 // TestPackedErrors walks every validated failure of the packed entry
-// points: they must return errors — never panic — with the same messages
+// point: it must return errors — never panic — with the same messages
 // the planned batch pipeline reports.
 func TestPackedErrors(t *testing.T) {
 	n := 16
-	p := NewPlan(n, MuxMerger, 0)
-	pp, err := p.Packed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := make([][]int, 1)
-	good[0] = make([]int, n)
-
-	if err := pp.RoutePacked(nil, make([]uint64, n)); err == nil {
-		t.Error("RoutePacked accepted 0 lanes")
-	}
-	if err := pp.RoutePacked(make([][]int, MaxPackedLanes+1), make([]uint64, n)); err == nil {
-		t.Error("RoutePacked accepted more than MaxPackedLanes lanes")
-	}
-	if err := pp.RoutePacked(good, make([]uint64, n-1)); err == nil {
-		t.Error("RoutePacked accepted short tag words")
-	}
-	if err := pp.RoutePacked([][]int{make([]int, n-1)}, make([]uint64, n)); err == nil {
-		t.Error("RoutePacked accepted short output")
-	}
-	if err := pp.RouteLanes(good, make([]bitvec.Vector, 2)); err == nil {
-		t.Error("RouteLanes accepted output/pattern count mismatch")
-	}
-	if err := pp.RouteLanes(good, []bitvec.Vector{make(bitvec.Vector, n-1)}); err == nil {
-		t.Error("RouteLanes accepted short tag vector")
-	}
-	if err := PackTagLanes(make([]uint64, n), nil); err == nil {
-		t.Error("PackTagLanes accepted 0 lanes")
-	}
-	if err := PackTagLanes(make([]uint64, 1), []bitvec.Vector{make(bitvec.Vector, n)}); err == nil {
-		t.Error("PackTagLanes accepted short destination")
-	}
-
 	c := New(n, 2, MuxMerger, 0)
 	perms, counts := makeBatchResults(1, n)
 	if err := c.ConcentratePacked(perms, counts, nil); err == nil {
 		t.Error("ConcentratePacked accepted 0 patterns")
 	}
+	if err := c.ConcentratePacked(make([][]int, MaxPackedLanes+1), make([]int, MaxPackedLanes+1),
+		make([][]bool, MaxPackedLanes+1)); err == nil {
+		t.Error("ConcentratePacked accepted more than MaxPackedLanes patterns")
+	}
+	if err := c.ConcentratePacked(perms, counts[:0], [][]bool{make([]bool, n)}); err == nil {
+		t.Error("ConcentratePacked accepted a short counts slice")
+	}
+	if err := c.ConcentratePacked([][]int{make([]int, n-1)}, counts, [][]bool{make([]bool, n)}); err == nil ||
+		err.Error() != "concentrator: batch pattern 0: concentrator: permutation buffer of 15 for 16 inputs" {
+		t.Errorf("ConcentratePacked short-output error = %v", err)
+	}
 	if err := c.ConcentratePacked(perms, counts, [][]bool{make([]bool, n-1)}); err == nil ||
-		!strings.Contains(err.Error(), "pattern 0") {
+		err.Error() != "concentrator: batch pattern 0: concentrator: 15 requests for 16 inputs" {
 		t.Errorf("ConcentratePacked wrong-width error = %v", err)
 	}
 	over := make([]bool, n)
@@ -291,7 +265,7 @@ func TestPackedErrors(t *testing.T) {
 		over[i] = true
 	}
 	if err := c.ConcentratePacked(perms, counts, [][]bool{over}); err == nil ||
-		!strings.Contains(err.Error(), "exceed capacity") {
+		err.Error() != "concentrator: batch pattern 0: concentrator: 16 requests exceed capacity 2" {
 		t.Errorf("ConcentratePacked over-capacity error = %v", err)
 	}
 	// The batch front door reports the packed path's failures with the
@@ -307,6 +281,32 @@ func TestPackedErrors(t *testing.T) {
 	}
 }
 
+// TestConcentrateBatchRemainderErrorIndex pins the index of an error
+// raised in the per-pattern remainder of a packed batch: 74 patterns
+// split into one packed 64-lane group and a 10-pattern remainder, and
+// the over-capacity pattern 70 in that remainder must be named exactly
+// as the planned pipeline names it.
+func TestConcentrateBatchRemainderErrorIndex(t *testing.T) {
+	n := 16
+	c := New(n, 4, Fish, 0)
+	batch := make([][]bool, 74)
+	for i := range batch {
+		batch[i] = make([]bool, n)
+	}
+	for i := 0; i < 8; i++ {
+		batch[70][i] = true
+	}
+	const want = "concentrator: batch pattern 70: concentrator: 8 requests exceed capacity 4"
+	for _, workers := range []int{1, 2} {
+		if _, _, err := c.ConcentrateBatchPlanned(batch, workers); err == nil || err.Error() != want {
+			t.Errorf("workers=%d: ConcentrateBatchPlanned error = %v, want %q", workers, err, want)
+		}
+		if _, _, err := c.ConcentrateBatch(batch, workers); err == nil || err.Error() != want {
+			t.Errorf("workers=%d: ConcentrateBatch error = %v, want %q", workers, err, want)
+		}
+	}
+}
+
 // TestPackedAllocFree pins the packed engine's zero steady-state heap
 // allocation guarantee.
 func TestPackedAllocFree(t *testing.T) {
@@ -315,32 +315,26 @@ func TestPackedAllocFree(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(46))
 	n := 256
-	pp, err := NewPlan(n, Fish, 4).Packed()
-	if err != nil {
-		t.Fatal(err)
+	c := New(n, n, Fish, 4)
+	marked := make([][]bool, PackedLanes)
+	for l := range marked {
+		marked[l] = markedOf(bitvec.Random(rng, n))
 	}
-	tags := make([]uint64, n)
-	for i := range tags {
-		tags[i] = rng.Uint64()
-	}
-	out := make([][]int, PackedLanes)
-	for l := range out {
-		out[l] = make([]int, n)
-	}
-	if err := pp.RoutePacked(out, tags); err != nil { // warm the pool
+	perms, counts := makeBatchResults(PackedLanes, n)
+	if err := c.ConcentratePacked(perms, counts, marked); err != nil { // warm the pool
 		t.Fatal(err)
 	}
 	if avg := testing.AllocsPerRun(50, func() {
-		if err := pp.RoutePacked(out, tags); err != nil {
+		if err := c.ConcentratePacked(perms, counts, marked); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Errorf("RoutePacked allocates %.1f per run, want 0", avg)
+		t.Errorf("ConcentratePacked allocates %.1f per run, want 0", avg)
 	}
 }
 
 // FuzzRoutePacked drives random engine/width/lane configurations through
-// the packed engine and cross-checks every lane against the scalar plan.
+// ConcentratePacked and cross-checks every lane against the scalar plan.
 func FuzzRoutePacked(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(3), uint8(17))
 	f.Add(int64(2), uint8(1), uint8(5), uint8(64))
@@ -349,7 +343,7 @@ func FuzzRoutePacked(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, eng, lgN, lanes8 uint8) {
 		engine := Engine(eng % 4)
 		n := 1 << (lgN % 9) // 1..256
-		lanes := int(lanes8%PackedLanes) + 1
+		lanes := int(lanes8)%(2*PackedLanes) + 1
 		k := 0
 		if engine == Fish && n > 1 {
 			rngK := rand.New(rand.NewSource(seed))
@@ -360,19 +354,11 @@ func FuzzRoutePacked(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		p := NewPlan(n, engine, k)
-		pp, err := p.Packed()
-		if err != nil {
-			t.Fatal(err)
-		}
 		batch := make([]bitvec.Vector, lanes)
-		out := make([][]int, lanes)
 		for l := range batch {
 			batch[l] = bitvec.Random(rng, n)
-			out[l] = make([]int, n)
 		}
-		if err := pp.RouteLanes(out, batch); err != nil {
-			t.Fatal(err)
-		}
+		out := packedRoutes(t, engine, n, k, batch)
 		for l, tags := range batch {
 			want := mustRoute(t, p, tags)
 			if !equalPerm(out[l], want) {

@@ -38,7 +38,6 @@ type Plan struct {
 	engine Engine
 	k      int
 	prog   *planner.Program
-	packed atomic.Pointer[PackedPlan] // lazily built 64-lane SWAR wrapper
 }
 
 // NewPlan compiles the routing plan for an n-input concentrating sort

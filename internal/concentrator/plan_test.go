@@ -238,22 +238,27 @@ func TestCompileDefaultFishK(t *testing.T) {
 	}
 }
 
-// TestPlanRouteBatch checks batch routing against sequential planned
-// routing for every engine at both single- and multi-worker settings.
+// TestPlanRouteBatch checks that an (n,n) concentrator's batch path
+// realizes the plan's routing of every tag pattern (marked = !tag), for
+// every engine at single- and multi-worker settings, on a batch wide
+// enough to pack.
 func TestPlanRouteBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	n := 64
 	batch := make([]bitvec.Vector, 100)
+	marked := make([][]bool, len(batch))
 	for i := range batch {
 		batch[i] = bitvec.Random(rng, n)
+		marked[i] = markedOf(batch[i])
 	}
 	for _, cfg := range []struct {
 		engine Engine
 		k      int
 	}{{MuxMerger, 0}, {PrefixAdder, 0}, {Fish, 4}, {Ranking, 0}} {
 		p := NewPlan(n, cfg.engine, cfg.k)
+		c := New(n, n, cfg.engine, cfg.k)
 		for _, workers := range []int{1, 4, 0} {
-			got, err := p.RouteBatch(batch, workers)
+			got, _, err := c.ConcentrateBatch(marked, workers)
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", cfg.engine, workers, err)
 			}
@@ -268,9 +273,6 @@ func TestPlanRouteBatch(t *testing.T) {
 				}
 			}
 		}
-	}
-	if out, err := NewPlan(n, MuxMerger, 0).RouteBatch(nil, 4); out != nil || err != nil {
-		t.Error("RouteBatch(nil) != (nil, nil)")
 	}
 }
 
@@ -307,31 +309,37 @@ func TestConcentrateBatch(t *testing.T) {
 }
 
 // TestPlanBatchAmortizedAllocs pins the batch pipeline's allocation
-// behavior: per-request amortized allocations stay at the flat result
-// backing (≤ 3 allocations per batch regardless of batch size).
+// behavior on both paths: per-request amortized allocations stay at the
+// flat result backing (a handful of allocations per batch regardless of
+// batch size).
 func TestPlanBatchAmortizedAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation pin skipped under the race detector: sync.Pool drops a fraction of Puts when instrumented")
 	}
 	rng := rand.New(rand.NewSource(15))
 	n := 128
-	p := NewPlan(n, Fish, 4)
-	batch := make([]bitvec.Vector, 256)
+	c := New(n, n, Fish, 4)
+	batch := make([][]bool, 256)
 	for i := range batch {
-		batch[i] = bitvec.Random(rng, n)
+		batch[i] = markedOf(bitvec.Random(rng, n))
 	}
-	if _, err := p.RouteBatch(batch, 1); err != nil { // warm the pool
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(20, func() {
-		if _, err := p.RouteBatch(batch, 1); err != nil {
+	for _, route := range []struct {
+		name string
+		fn   func([][]bool, int) ([][]int, []int, error)
+	}{{"ConcentrateBatch", c.ConcentrateBatch}, {"ConcentrateBatchPlanned", c.ConcentrateBatchPlanned}} {
+		if _, _, err := route.fn(batch, 1); err != nil { // warm the pool
 			t.Fatal(err)
 		}
-	})
-	perItem := avg / float64(len(batch))
-	if perItem > 0.05 {
-		t.Errorf("batch routing allocates %.3f per request (%.1f per batch), want amortized ~0",
-			perItem, avg)
+		avg := testing.AllocsPerRun(20, func() {
+			if _, _, err := route.fn(batch, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		perItem := avg / float64(len(batch))
+		if perItem > 0.05 {
+			t.Errorf("%s allocates %.3f per request (%.1f per batch), want amortized ~0",
+				route.name, perItem, avg)
+		}
 	}
 }
 

@@ -1,9 +1,8 @@
 package concentrator
 
-// Tests for the multi-word wide packing of ISSUE 6 on the concentrator
-// side: lane groups wider than one 64-lane plane word through
-// ConcentratePacked and the explicit-width batch front door, plus the
-// multi-word zero-allocation steady-state pin.
+// Tests for the multi-word wide packing on the concentrator side: lane
+// groups wider than one 64-lane plane word through ConcentratePacked,
+// plus the multi-word zero-allocation steady-state pin.
 
 import (
 	"math/rand"
@@ -54,15 +53,15 @@ func TestConcentrateWideDifferential(t *testing.T) {
 	}
 }
 
-// TestConcentrateBatchWideWidths pins the explicit-width batch front
-// door: every legal lane-group width concentrates bit-for-bit
-// identically to the planned pipeline, and illegal widths are rejected
-// up front.
-func TestConcentrateBatchWideWidths(t *testing.T) {
+// TestConcentratePackedWidths concentrates one batch in
+// ConcentratePacked calls of 64, 128, 256 and 1024 patterns (the last
+// call of each width ragged): every width must concentrate bit-for-bit
+// identically to the planned pipeline.
+func TestConcentratePackedWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	n := 64
 	c := New(n, n, Fish, 4)
-	batch := make([][]bool, 300)
+	batch := make([][]bool, 1100) // ragged at every width
 	for i := range batch {
 		marked := make([]bool, n)
 		for j := range marked {
@@ -74,21 +73,19 @@ func TestConcentrateBatchWideWidths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, groupLanes := range []int{64, 128, 256, MaxPackedLanes} {
-		gotP, gotR, err := c.ConcentrateBatchWide(batch, 2, groupLanes)
-		if err != nil {
-			t.Fatalf("width %d: %v", groupLanes, err)
+	for _, width := range []int{64, 128, 256, MaxPackedLanes} {
+		gotP, gotR := makeBatchResults(len(batch), n)
+		for lo := 0; lo < len(batch); lo += width {
+			hi := min(lo+width, len(batch))
+			if err := c.ConcentratePacked(gotP[lo:hi], gotR[lo:hi], batch[lo:hi]); err != nil {
+				t.Fatalf("width %d: %v", width, err)
+			}
 		}
 		for i := range batch {
 			if gotR[i] != wantR[i] || !equalPerm(gotP[i], wantP[i]) {
-				t.Fatalf("width %d pattern %d: wide (%v, %d) != planned (%v, %d)",
-					groupLanes, i, gotP[i], gotR[i], wantP[i], wantR[i])
+				t.Fatalf("width %d pattern %d: packed (%v, %d) != planned (%v, %d)",
+					width, i, gotP[i], gotR[i], wantP[i], wantR[i])
 			}
-		}
-	}
-	for _, bad := range []int{-64, 0, 1, 63, 65, 96, MaxPackedLanes + 64} {
-		if _, _, err := c.ConcentrateBatchWide(batch, 2, bad); err == nil {
-			t.Errorf("ConcentrateBatchWide accepted group width %d", bad)
 		}
 	}
 }

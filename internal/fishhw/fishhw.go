@@ -39,7 +39,9 @@ type levelHW struct {
 	twoMerge *netlist.Circuit // s-input two-way mux-merger
 }
 
-// Machine is the clocked fish sorter datapath.
+// Machine is the clocked fish sorter datapath. It is safe for concurrent
+// use: its netlists are read-only, and every run keeps its own register
+// bank and step count.
 type Machine struct {
 	n, k int
 
@@ -48,12 +50,14 @@ type Machine struct {
 	outputDemux *netlist.Circuit // (n/k, n)-demultiplexer
 	kSorter     *netlist.Circuit // k-input mux-merger sorter (clean sorter)
 	levels      []levelHW        // sizes n, n/2, ..., 2k
+}
 
-	bank bitvec.Vector // the n-bit register bank
-
-	// Counters, reset per Sort call.
+// run is one clocked run of a Machine: the netlists are shared and
+// read-only, and each Sort, SortWide or Route call counts its own macro
+// steps, so concurrent runs on one Machine never share state.
+type run struct {
+	*Machine
 	macroSteps int // clocked block traversals
-	unitDelays int // sum of traversed netlist depths (unpipelined)
 }
 
 // mmSorterCircuit builds an m-input mux-merger sorter netlist.
@@ -117,7 +121,6 @@ func New(n, k int) (*Machine, error) {
 
 		m.levels = append(m.levels, lv)
 	}
-	m.bank = bitvec.New(n)
 	return m, nil
 }
 
@@ -148,7 +151,7 @@ type Stats struct {
 // counts the macro step; unit delays are accumulated by the callers, which
 // know whether branches run in parallel (equation (13)'s max) or
 // sequentially.
-func (m *Machine) traverse(c *netlist.Circuit, in bitvec.Vector) bitvec.Vector {
+func (m *run) traverse(c *netlist.Circuit, in bitvec.Vector) bitvec.Vector {
 	out := c.Compile().Eval(in)
 	m.macroSteps++
 	return out
@@ -162,23 +165,24 @@ func (m *Machine) Sort(v bitvec.Vector) (bitvec.Vector, Stats, error) {
 	if len(v) != m.n {
 		return nil, Stats{}, fmt.Errorf("fishhw: Sort with %d inputs, want %d", len(v), m.n)
 	}
-	m.macroSteps, m.unitDelays = 0, 0
+	r := &run{Machine: m}
+	unitDelays := 0
 	g := m.n / m.k
 
 	// Phase A: funnel each group through the shared sorter. The input
 	// multiplexer reads the raw inputs; the demultiplexer writes the
 	// sorted group into the register bank (write enable = group select).
-	copy(m.bank, v)
+	bank := v.Clone() // the n-bit register bank
 	passDepth := m.inputMux.Stats().UnitDepth +
 		m.groupSorter.Stats().UnitDepth +
 		m.outputDemux.Stats().UnitDepth
 	for t := 0; t < m.k; t++ {
 		selBits := bitvec.Vector(muxnet.SelectBits(t, m.k))
-		grp := m.traverse(m.inputMux, bitvec.Concat(selBits, v))
-		sorted := m.traverse(m.groupSorter, grp)
-		routed := m.traverse(m.outputDemux, bitvec.Concat(selBits, sorted))
-		copy(m.bank[t*g:(t+1)*g], routed[t*g:(t+1)*g])
-		m.unitDelays += passDepth
+		grp := r.traverse(m.inputMux, bitvec.Concat(selBits, v))
+		sorted := r.traverse(m.groupSorter, grp)
+		routed := r.traverse(m.outputDemux, bitvec.Concat(selBits, sorted))
+		copy(bank[t*g:(t+1)*g], routed[t*g:(t+1)*g])
+		unitDelays += passDepth
 	}
 
 	// Phase B: the k-way mux-merger levels. Each level's lower half
@@ -186,21 +190,20 @@ func (m *Machine) Sort(v bitvec.Vector) (bitvec.Vector, Stats, error) {
 	// accumulate in parallel (two independent pipelines sharing the
 	// clock), so the level's ready time is their maximum, as in
 	// equation (13).
-	out, delay := m.mergeLevel(0, m.bank)
-	m.unitDelays += delay
-	copy(m.bank, out)
-	return out.Clone(), Stats{
-		MacroSteps:   m.macroSteps,
-		UnitDelays:   m.unitDelays,
+	out, delay := r.mergeLevel(0, bank)
+	unitDelays += delay
+	return out, Stats{
+		MacroSteps:   r.macroSteps,
+		UnitDelays:   unitDelays,
 		SwitchCost:   m.SwitchCost(),
 		RegisterBits: m.RegisterBits(),
 	}, nil
 }
 
 // mergeLevel executes merger level idx on data and returns the sorted
-// result plus the branch's unit delay (not yet added to m.unitDelays —
+// result plus the branch's unit delay (not yet added to unitDelays —
 // parallel branches are max-combined by the caller chain).
-func (m *Machine) mergeLevel(idx int, data bitvec.Vector) (bitvec.Vector, int) {
+func (m *run) mergeLevel(idx int, data bitvec.Vector) (bitvec.Vector, int) {
 	if idx == len(m.levels) {
 		// Boundary: the k-input mux-merger sorter.
 		out := m.kSorterEval(data)
@@ -230,7 +233,7 @@ func (m *Machine) mergeLevel(idx int, data bitvec.Vector) (bitvec.Vector, int) {
 
 // kSorterEval runs the boundary k-input sorter as a clocked traversal but
 // returns only the data (delay handled by the caller).
-func (m *Machine) kSorterEval(data bitvec.Vector) bitvec.Vector {
+func (m *run) kSorterEval(data bitvec.Vector) bitvec.Vector {
 	out := m.kSorter.Compile().Eval(data)
 	m.macroSteps++
 	return out
@@ -240,7 +243,7 @@ func (m *Machine) kSorterEval(data bitvec.Vector) bitvec.Vector {
 // k-input sorter fix each block's destination; then each block moves, one
 // clock step at a time, through the dispatch multiplexer/demultiplexer
 // into its position register.
-func (m *Machine) cleanSort(idx int, u bitvec.Vector) (bitvec.Vector, int) {
+func (m *run) cleanSort(idx int, u bitvec.Vector) (bitvec.Vector, int) {
 	lv := m.levels[idx]
 	h := len(u)
 	bs := h / m.k

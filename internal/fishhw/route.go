@@ -18,7 +18,8 @@ func (m *Machine) Route(tags bitvec.Vector) ([]int, Stats, error) {
 	if len(tags) != m.n {
 		return nil, Stats{}, fmt.Errorf("fishhw: Route with %d tags, want %d", len(tags), m.n)
 	}
-	m.macroSteps, m.unitDelays = 0, 0
+	r := &run{Machine: m}
+	unitDelays := 0
 	g := m.n / m.k
 
 	in := make([]netlist.Tagged, m.n)
@@ -41,15 +42,15 @@ func (m *Machine) Route(tags bitvec.Vector) ([]int, Stats, error) {
 		m.outputDemux.Stats().UnitDepth
 	for t := 0; t < m.k; t++ {
 		sel := selTagged(t)
-		grp := m.traverseTagged(m.inputMux, append(append([]netlist.Tagged{}, sel...), in...))
-		sorted := m.traverseTagged(m.groupSorter, grp)
-		routed := m.traverseTagged(m.outputDemux, append(append([]netlist.Tagged{}, sel...), sorted...))
+		grp := r.traverseTagged(m.inputMux, append(append([]netlist.Tagged{}, sel...), in...))
+		sorted := r.traverseTagged(m.groupSorter, grp)
+		routed := r.traverseTagged(m.outputDemux, append(append([]netlist.Tagged{}, sel...), sorted...))
 		copy(bank[t*g:(t+1)*g], routed[t*g:(t+1)*g])
-		m.unitDelays += passDepth
+		unitDelays += passDepth
 	}
 
-	out, delay := m.mergeLevelTagged(0, bank)
-	m.unitDelays += delay
+	out, delay := r.mergeLevelTagged(0, bank)
+	unitDelays += delay
 
 	p := make([]int, m.n)
 	seen := make([]bool, m.n)
@@ -61,21 +62,21 @@ func (m *Machine) Route(tags bitvec.Vector) ([]int, Stats, error) {
 		seen[v.Payload] = true
 	}
 	st := Stats{
-		MacroSteps:   m.macroSteps,
-		UnitDelays:   m.unitDelays,
+		MacroSteps:   r.macroSteps,
+		UnitDelays:   unitDelays,
 		SwitchCost:   m.SwitchCost(),
 		RegisterBits: m.RegisterBits(),
 	}
 	return p, st, nil
 }
 
-func (m *Machine) traverseTagged(c *netlist.Circuit, in []netlist.Tagged) []netlist.Tagged {
+func (m *run) traverseTagged(c *netlist.Circuit, in []netlist.Tagged) []netlist.Tagged {
 	out := c.EvalTagged(in)
 	m.macroSteps++
 	return out
 }
 
-func (m *Machine) mergeLevelTagged(idx int, data []netlist.Tagged) ([]netlist.Tagged, int) {
+func (m *run) mergeLevelTagged(idx int, data []netlist.Tagged) ([]netlist.Tagged, int) {
 	if idx == len(m.levels) {
 		out := m.kSorter.EvalTagged(data)
 		m.macroSteps++
@@ -108,7 +109,7 @@ func (m *Machine) mergeLevelTagged(idx int, data []netlist.Tagged) ([]netlist.Ta
 	return out, delay
 }
 
-func (m *Machine) cleanSortTagged(idx int, u []netlist.Tagged) ([]netlist.Tagged, int) {
+func (m *run) cleanSortTagged(idx int, u []netlist.Tagged) ([]netlist.Tagged, int) {
 	lv := m.levels[idx]
 	h := len(u)
 	bs := h / m.k

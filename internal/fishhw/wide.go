@@ -45,7 +45,7 @@ func laneWords(bits []bitvec.Bit) []uint64 {
 
 // traverseWide runs one clocked packed traversal: one macro step moves all
 // lanes through the netlist at once.
-func (m *Machine) traverseWide(p *netlist.Compiled, in []uint64) []uint64 {
+func (m *run) traverseWide(p *netlist.Compiled, in []uint64) []uint64 {
 	out := p.EvalPacked(in)
 	m.macroSteps++
 	return out
@@ -80,7 +80,8 @@ func (m *Machine) SortWide(vs []bitvec.Vector) ([]bitvec.Vector, Stats, error) {
 			return nil, Stats{}, fmt.Errorf("fishhw: SortWide vector %d has %d inputs, want %d", i, len(v), m.n)
 		}
 	}
-	m.macroSteps, m.unitDelays = 0, 0
+	r := &run{Machine: m}
+	unitDelays := 0
 	g := m.n / m.k
 
 	// Pack: data[i] bit l = vs[l][i].
@@ -103,19 +104,19 @@ func (m *Machine) SortWide(vs []bitvec.Vector) ([]bitvec.Vector, Stats, error) {
 		m.outputDemux.Stats().UnitDepth
 	for t := 0; t < m.k; t++ {
 		sel := laneWords(muxnet.SelectBits(t, m.k))
-		grp := m.traverseWide(m.inputMux.Compile(), catWords(sel, data))
-		sorted := m.traverseWide(m.groupSorter.Compile(), grp)
-		routed := m.traverseWide(m.outputDemux.Compile(), catWords(sel, sorted))
+		grp := r.traverseWide(m.inputMux.Compile(), catWords(sel, data))
+		sorted := r.traverseWide(m.groupSorter.Compile(), grp)
+		routed := r.traverseWide(m.outputDemux.Compile(), catWords(sel, sorted))
 		copy(bank[t*g:(t+1)*g], routed[t*g:(t+1)*g])
-		m.unitDelays += passDepth
+		unitDelays += passDepth
 	}
 
-	out, delay := m.mergeLevelWide(0, bank, len(vs))
-	m.unitDelays += delay
+	out, delay := r.mergeLevelWide(0, bank, len(vs))
+	unitDelays += delay
 
 	st := Stats{
-		MacroSteps:   m.macroSteps,
-		UnitDelays:   m.unitDelays,
+		MacroSteps:   r.macroSteps,
+		UnitDelays:   unitDelays,
 		SwitchCost:   m.SwitchCost(),
 		RegisterBits: m.RegisterBits(),
 	}
@@ -132,7 +133,7 @@ func (m *Machine) SortWide(vs []bitvec.Vector) ([]bitvec.Vector, Stats, error) {
 }
 
 // mergeLevelWide is mergeLevel on packed lanes.
-func (m *Machine) mergeLevelWide(idx int, data []uint64, lanes int) ([]uint64, int) {
+func (m *run) mergeLevelWide(idx int, data []uint64, lanes int) ([]uint64, int) {
 	if idx == len(m.levels) {
 		out := m.traverseWide(m.kSorter.Compile(), data)
 		return out, m.kSorter.Stats().UnitDepth
@@ -168,7 +169,7 @@ func (m *Machine) mergeLevelWide(idx int, data []uint64, lanes int) ([]uint64, i
 // cleanSortWide is cleanSort on packed lanes: the k-input sorter pass and
 // the per-block dispatch schedule are uniform; only the destination
 // select words differ per lane.
-func (m *Machine) cleanSortWide(idx int, u []uint64, lanes int) ([]uint64, int) {
+func (m *run) cleanSortWide(idx int, u []uint64, lanes int) ([]uint64, int) {
 	lv := m.levels[idx]
 	h := len(u)
 	bs := h / m.k

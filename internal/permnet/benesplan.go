@@ -169,48 +169,20 @@ func (bp *BenesPlan) Route(dest []int) ([]int, error) {
 
 // RouteBatch routes every destination assignment through the compiled
 // Beneš replay concurrently, using workers goroutines (≤ 0 means
-// GOMAXPROCS) on the shared batch executor — the same contract as
+// GOMAXPROCS) — the same contract and the same batch driver as
 // RoutePlan.RouteBatch, including fail-fast on the earliest malformed
-// request and the same packed auto-switch: batches at least one lane
-// group wide route through RoutePacked in planner.AutoWideLanes-wide
-// groups, with sub-MinPackedLanes remainders on the planned path.
-// Results are bit-for-bit identical either way.
+// request and packed lane groups for batches at least 64 wide. Results
+// are bit-for-bit identical either way.
 func (bp *BenesPlan) RouteBatch(dests [][]int, workers int) ([][]int, error) {
-	if len(dests) == 0 {
-		return nil, nil
-	}
-	if len(dests) >= PackedLanes {
-		return bp.RouteBatchWide(dests, workers, planner.AutoWideLanes(len(dests), workers))
-	}
-	return bp.RouteBatchPlanned(dests, workers)
+	return routeBatch(bp, bp.prog, 0, dests, workers)
 }
 
-// RouteBatchWide is RouteBatch with an explicit lane-group width:
-// groupLanes must be a positive multiple of 64 up to MaxPackedLanes.
-// Full groups route through one packed replay each; a remainder narrower
-// than MinPackedLanes routes planned. A replay program without a packed
-// form falls back to the planned pipeline for the whole batch.
-func (bp *BenesPlan) RouteBatchWide(dests [][]int, workers, groupLanes int) ([][]int, error) {
-	if groupLanes < PackedLanes || groupLanes > MaxPackedLanes || groupLanes%PackedLanes != 0 {
-		return nil, fmt.Errorf("permnet: RouteBatchWide: group width %d, want a multiple of %d up to %d",
-			groupLanes, PackedLanes, MaxPackedLanes)
-	}
-	if len(dests) == 0 {
-		return nil, nil
-	}
-	if _, err := bp.prog.Packed(1); err != nil {
-		return bp.RouteBatchPlanned(dests, workers)
-	}
-	return routeBatchPackedOn(bp.n, dests, workers, groupLanes, bp.RouteInto, bp.routePackedAt)
-}
-
-// RouteBatchPlanned is the per-request planned batch pipeline: every
-// assignment runs the looping algorithm and one scalar replay on pooled
-// scratch. It is the path RouteBatch takes below the packed threshold,
-// and the baseline TestBenesPackedSpeedupFloor measures the packed
-// engine against.
+// RouteBatchPlanned is RouteBatch with packing off: every assignment runs
+// the looping algorithm and one scalar replay on pooled scratch. It is
+// the baseline TestBenesPackedSpeedupFloor measures the packed engine
+// against.
 func (bp *BenesPlan) RouteBatchPlanned(dests [][]int, workers int) ([][]int, error) {
-	return routeBatchPlannedOn(bp.n, dests, workers, bp.RouteInto)
+	return routeBatch(bp, nil, 0, dests, workers)
 }
 
 // RoutePacked routes up to MaxPackedLanes destination assignments

@@ -6,8 +6,8 @@
 // analysis, cache-blocked multi-word lane groups, and the two-stage
 // transpose load/extract — is the shared packed runner of
 // internal/planner; this file contributes only the permuter-specific
-// surface: per-lane permutation validation, the auto-switch policy of
-// RouteBatch, and the error messages of the batch contract.
+// surface: per-lane permutation validation and the error messages of the
+// batch contract; the batch policy is planner.Batch's.
 //
 // Throughput: one packed pass costs roughly live-plane word operations
 // per lane word (2 lg n − d planes at level d) where the planned path
@@ -19,7 +19,6 @@ package permnet
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"absort/internal/planner"
 )
@@ -49,121 +48,63 @@ const routeGrain = 4
 // error is reported — and err names the earliest offending request among
 // those attempted.
 //
-// Batches at least one lane group wide (≥ 64 assignments) automatically
-// switch to the SWAR engine: full groups route through RoutePacked, one
-// fused-plan replay per group — widened up to planner.WideWords×64
-// assignments when the batch keeps every worker busy anyway (see
-// planner.AutoWideLanes) — and a remainder narrower than MinPackedLanes
-// falls back to the planned path. Plans whose step stream has no packed
-// form (planner.ErrNotPackable) take the planned path for the whole
-// batch. Results are bit-for-bit identical either way.
+// The batch driver of internal/planner (planner.Batch) decides the path:
+// batches at least one lane group wide (≥ 64 assignments) route full
+// lane groups through one fused-plan SWAR replay each, and the rest per
+// request. Plans whose step stream has no packed form
+// (planner.ErrNotPackable) take the planned path for the whole batch.
+// Results are bit-for-bit identical either way.
 func (p *RoutePlan) RouteBatch(dests [][]int, workers int) ([][]int, error) {
-	if len(dests) == 0 {
-		return nil, nil
-	}
-	if len(dests) >= PackedLanes {
-		return p.RouteBatchWide(dests, workers, planner.AutoWideLanes(len(dests), workers))
-	}
-	return p.RouteBatchPlanned(dests, workers)
+	return routeBatch(p, p.prog, 0, dests, workers)
 }
 
-// RouteBatchWide is RouteBatch with an explicit lane-group width:
-// groupLanes must be a positive multiple of 64 up to MaxPackedLanes.
-// Full groups route through one packed replay each; a remainder narrower
-// than MinPackedLanes routes planned. Plans without a packed form fall
-// back to the planned pipeline for the whole batch.
-func (p *RoutePlan) RouteBatchWide(dests [][]int, workers, groupLanes int) ([][]int, error) {
-	if groupLanes < PackedLanes || groupLanes > MaxPackedLanes || groupLanes%PackedLanes != 0 {
-		return nil, fmt.Errorf("permnet: RouteBatchWide: group width %d, want a multiple of %d up to %d",
-			groupLanes, PackedLanes, MaxPackedLanes)
-	}
-	if len(dests) == 0 {
-		return nil, nil
-	}
-	if _, err := p.prog.Packed(1); err != nil {
-		return p.RouteBatchPlanned(dests, workers)
-	}
-	return p.routeBatchPacked(dests, workers, groupLanes)
-}
-
-// RouteBatchPlanned is the per-request planned batch pipeline: every
-// assignment replays the fused program on pooled scalar scratch, one
-// packet word per input. It is the path RouteBatch takes below the
-// packed threshold, and the baseline the packed engine's throughput
-// floor is measured against.
+// RouteBatchPlanned is RouteBatch with packing off: every assignment
+// replays the fused program on pooled scalar scratch, one packet word per
+// input. It is the baseline the packed engine's throughput floor is
+// measured against.
 func (p *RoutePlan) RouteBatchPlanned(dests [][]int, workers int) ([][]int, error) {
-	return routeBatchPlannedOn(p.n, dests, workers, p.RouteInto)
+	return routeBatch(p, nil, 0, dests, workers)
 }
 
-// routeBatchPacked carves the batch into groupLanes-assignment lane
-// groups and routes every full group through one packed fused-plan
-// replay; a final remainder below MinPackedLanes routes per-request on
-// the planned path. Groups are distributed across workers exactly as the
-// planned pipeline distributes single assignments.
-func (p *RoutePlan) routeBatchPacked(dests [][]int, workers, groupLanes int) ([][]int, error) {
-	return routeBatchPackedOn(p.n, dests, workers, groupLanes, p.RouteInto, p.routePackedAt)
+// batchPlan is a route plan the batch driver can run: per request, and
+// in packed groups whose errors carry the offending request's global
+// index.
+type batchPlan interface {
+	N() int
+	RouteInto(out, dest []int) error
+	routePackedAt(out, dests [][]int, base int) (int, error)
 }
 
-// routeBatchPlannedOn is the shared planned batch body: the fused radix
-// plan and the compiled Beneš replay have the exact same batch contract,
-// differing only in the per-request route.
-func routeBatchPlannedOn(n int, dests [][]int, workers int,
-	route func(out, dest []int) error) ([][]int, error) {
+// batchRoutes is one batch of assignments handed to the planner's batch
+// driver.
+type batchRoutes struct {
+	plan       batchPlan
+	prog       *planner.Program // replayed by packed groups; nil routes per request
+	out, dests [][]int
+}
+
+func (r *batchRoutes) One(i int) error { return r.plan.RouteInto(r.out[i], r.dests[i]) }
+
+func (r *batchRoutes) Group(lo, hi int) (int, error) {
+	return r.plan.routePackedAt(r.out[lo:hi], r.dests[lo:hi], lo)
+}
+
+func (r *batchRoutes) Packed() (*planner.Program, error) { return r.prog, nil }
+
+// routeBatch runs a batch of assignments through the planner's batch
+// driver: packed lane groups replay prog (none when prog is nil), or,
+// with width > 0, every group of width requests routes packed.
+func routeBatch(plan batchPlan, prog *planner.Program, width int, dests [][]int, workers int) ([][]int, error) {
 	if len(dests) == 0 {
 		return nil, nil
 	}
-	out := makeRouteResults(len(dests), n)
-	var firstErr atomic.Pointer[planner.BatchErr]
-	planner.RunBatch(len(dests), workers, routeGrain, func(i int) bool {
-		if firstErr.Load() != nil {
-			return false // poisoned batch: abort instead of burning workers
-		}
-		if err := route(out[i], dests[i]); err != nil {
-			planner.RecordBatchErr(&firstErr, i, err)
-			return false
-		}
-		return true
-	})
-	if e := firstErr.Load(); e != nil {
-		return nil, fmt.Errorf("permnet: batch request %d: %w", e.I, e.Err)
+	r := &batchRoutes{plan: plan, prog: prog, dests: dests}
+	r.out = planner.Rows[int](len(dests), plan.N())
+	b := planner.Batch{Workers: workers, Grain: routeGrain, Noun: "permnet: batch request", Width: width}
+	if err := b.Run(len(dests), r); err != nil {
+		return nil, err
 	}
-	return out, nil
-}
-
-// routeBatchPackedOn is the shared packed batch body: full lane groups go
-// through the plan's packed group route, a remainder below MinPackedLanes
-// through the per-request planned route.
-func routeBatchPackedOn(n int, dests [][]int, workers, groupLanes int,
-	route func(out, dest []int) error,
-	group func(out, dests [][]int, base int) (int, error)) ([][]int, error) {
-	out := makeRouteResults(len(dests), n)
-	groups := (len(dests) + groupLanes - 1) / groupLanes
-	var firstErr atomic.Pointer[planner.BatchErr]
-	planner.RunBatch(groups, workers, 1, func(g int) bool {
-		if firstErr.Load() != nil {
-			return false // poisoned batch: abort instead of burning workers
-		}
-		lo := g * groupLanes
-		hi := min(lo+groupLanes, len(dests))
-		if hi-lo < MinPackedLanes {
-			for i := lo; i < hi; i++ {
-				if err := route(out[i], dests[i]); err != nil {
-					planner.RecordBatchErr(&firstErr, i, err)
-					return false
-				}
-			}
-			return true
-		}
-		if idx, err := group(out[lo:hi], dests[lo:hi], lo); err != nil {
-			planner.RecordBatchErr(&firstErr, idx, err)
-			return false
-		}
-		return true
-	})
-	if e := firstErr.Load(); e != nil {
-		return nil, fmt.Errorf("permnet: batch request %d: %w", e.I, e.Err)
-	}
-	return out, nil
+	return r.out, nil
 }
 
 // RoutePacked routes up to MaxPackedLanes destination assignments
@@ -215,15 +156,4 @@ func (p *RoutePlan) routePackedAt(out [][]int, dests [][]int, base int) (int, er
 	pp.Extract(out, sc.Val)
 	pp.Put(sc)
 	return 0, nil
-}
-
-// makeRouteResults carves the per-request permutations out of one flat
-// backing array.
-func makeRouteResults(batch, n int) [][]int {
-	out := make([][]int, batch)
-	flat := make([]int, batch*n)
-	for i := range out {
-		out[i] = flat[i*n : (i+1)*n]
-	}
-	return out
 }

@@ -16,9 +16,8 @@
 // every switch.
 //
 // RouteBatch streams many independent permutations through one plan on
-// the shared batch executor of internal/planner; batches one lane group
-// or wider additionally switch to the 64-lane SWAR replay (see
-// packed.go).
+// the batch driver of internal/planner; batches one lane group or wider
+// additionally switch to the 64-lane SWAR replay (see packed.go).
 package permnet
 
 import (
@@ -228,31 +227,6 @@ func (vs *validScratch) checkPerm(dest []int) bool {
 	return true
 }
 
-// RoutePlanned is the compiled counterpart of Route: identical results,
-// zero steady-state allocations beyond the returned permutation.
-func (r *RadixPermuter) RoutePlanned(dest []int) ([]int, error) {
-	return r.Compile().Route(dest)
-}
-
-// RouteInto routes dest through the compiled plan into out,
-// allocation-free in steady state.
-func (r *RadixPermuter) RouteInto(out []int, dest []int) error {
-	return r.Compile().RouteInto(out, dest)
-}
-
 // routePlanPtr is the lazily-populated compiled plan of a RadixPermuter.
 // Declared as its own type so the zero RadixPermuter literal stays usable.
 type routePlanPtr = atomic.Pointer[RoutePlan]
-
-// RouteBatch routes many permutations through the permuter's compiled
-// plan; see RoutePlan.RouteBatch.
-func (r *RadixPermuter) RouteBatch(dests [][]int, workers int) ([][]int, error) {
-	return r.Compile().RouteBatch(dests, workers)
-}
-
-// RouteBatchPlanned routes many permutations through the per-request
-// planned pipeline regardless of batch width; see
-// RoutePlan.RouteBatchPlanned.
-func (r *RadixPermuter) RouteBatchPlanned(dests [][]int, workers int) ([][]int, error) {
-	return r.Compile().RouteBatchPlanned(dests, workers)
-}

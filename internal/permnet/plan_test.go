@@ -54,7 +54,7 @@ func TestPlannedExhaustiveSmall(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := rp.RoutePlanned(dest)
+					got, err := rp.Compile().Route(dest)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -117,7 +117,7 @@ func TestPlannedMatchesRouteParallel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := rp.RoutePlanned(dest)
+			got, err := rp.Compile().Route(dest)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,11 +140,11 @@ func TestRouteIntoAllocFree(t *testing.T) {
 		rp := NewRadixPermuter(n, cfg.engine, cfg.k)
 		dest := rng.Perm(n)
 		out := make([]int, n)
-		if err := rp.RouteInto(out, dest); err != nil {
+		if err := rp.Compile().RouteInto(out, dest); err != nil {
 			t.Fatal(err)
 		}
 		if avg := testing.AllocsPerRun(100, func() {
-			if err := rp.RouteInto(out, dest); err != nil {
+			if err := rp.Compile().RouteInto(out, dest); err != nil {
 				t.Fatal(err)
 			}
 		}); avg != 0 {
@@ -165,12 +165,12 @@ func TestRouteBatchDifferential(t *testing.T) {
 	for _, cfg := range planEngines {
 		rp := NewRadixPermuter(n, cfg.engine, cfg.k)
 		for _, workers := range []int{1, 3, 0} {
-			got, err := rp.RouteBatch(dests, workers)
+			got, err := rp.Compile().RouteBatch(dests, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, dest := range dests {
-				want, err := rp.RoutePlanned(dest)
+				want, err := rp.Compile().Route(dest)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -216,21 +216,21 @@ func TestRouteBatchAmortizedAllocs(t *testing.T) {
 // in batches.
 func TestRoutePlanErrors(t *testing.T) {
 	rp := NewRadixPermuter(8, concentrator.MuxMerger, 0)
-	if _, err := rp.RoutePlanned([]int{0, 1, 2}); err == nil {
-		t.Error("RoutePlanned accepted wrong width")
+	if _, err := rp.Compile().Route([]int{0, 1, 2}); err == nil {
+		t.Error("Route accepted wrong width")
 	}
-	if _, err := rp.RoutePlanned([]int{0, 0, 1, 2, 3, 4, 5, 6}); err == nil {
-		t.Error("RoutePlanned accepted a non-permutation")
+	if _, err := rp.Compile().Route([]int{0, 0, 1, 2, 3, 4, 5, 6}); err == nil {
+		t.Error("Route accepted a non-permutation")
 	}
-	if _, err := rp.RoutePlanned([]int{0, 1, 2, 3, 4, 5, 6, 9}); err == nil {
-		t.Error("RoutePlanned accepted an out-of-range destination")
+	if _, err := rp.Compile().Route([]int{0, 1, 2, 3, 4, 5, 6, 9}); err == nil {
+		t.Error("Route accepted an out-of-range destination")
 	}
 	good := []int{1, 0, 3, 2, 5, 4, 7, 6}
 	bad := []int{0, 0, 1, 2, 3, 4, 5, 6}
-	if _, err := rp.RouteBatch([][]int{good, bad}, 2); err == nil {
+	if _, err := rp.Compile().RouteBatch([][]int{good, bad}, 2); err == nil {
 		t.Error("RouteBatch accepted a batch containing a non-permutation")
 	}
-	if out, err := rp.RouteBatch(nil, 2); out != nil || err != nil {
+	if out, err := rp.Compile().RouteBatch(nil, 2); out != nil || err != nil {
 		t.Error("RouteBatch(nil) != (nil, nil)")
 	}
 }
@@ -267,7 +267,7 @@ func FuzzPlannedVsRoute(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := rp.RoutePlanned(dest)
+		got, err := rp.Compile().Route(dest)
 		if err != nil {
 			t.Fatal(err)
 		}

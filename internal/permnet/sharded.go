@@ -38,7 +38,6 @@ package permnet
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"absort/internal/concentrator"
 	"absort/internal/core"
@@ -364,10 +363,10 @@ func (p *ShardedRoutePlan) routeGroup(out [][]int, dests [][]int, sc *shardScrat
 	return nil
 }
 
-// routeShardedAt routes a group of assignments with the group's global
+// routePackedAt routes a group of assignments with the group's global
 // batch offset (for error messages); it returns the global index of the
 // offending request alongside the error.
-func (p *ShardedRoutePlan) routeShardedAt(out [][]int, dests [][]int, base int) (int, error) {
+func (p *ShardedRoutePlan) routePackedAt(out [][]int, dests [][]int, base int) (int, error) {
 	for l, dest := range dests {
 		if len(dest) != p.n {
 			return base + l, fmt.Errorf("permnet: RouteInto with %d destinations, want %d",
@@ -429,7 +428,7 @@ func (p *ShardedRoutePlan) RoutePacked(out [][]int, dests [][]int) error {
 	}
 	for lo := 0; lo < lanes; lo += p.gbMax {
 		hi := min(lo+p.gbMax, lanes)
-		if _, err := p.routeShardedAt(out[lo:hi], dests[lo:hi], lo); err != nil {
+		if _, err := p.routePackedAt(out[lo:hi], dests[lo:hi], lo); err != nil {
 			return err
 		}
 	}
@@ -445,30 +444,8 @@ func (p *ShardedRoutePlan) RoutePacked(out [][]int, dests [][]int) error {
 // assignment fails the batch fast with err naming the earliest offending
 // request among those attempted.
 func (p *ShardedRoutePlan) RouteBatch(dests [][]int, workers int) ([][]int, error) {
-	if len(dests) == 0 {
-		return nil, nil
-	}
 	if !p.Packed() {
-		return routeBatchPlannedOn(p.n, dests, workers, p.RouteInto)
+		return routeBatch(p, nil, 0, dests, workers)
 	}
-	gb := p.gbMax
-	out := makeRouteResults(len(dests), p.n)
-	groups := (len(dests) + gb - 1) / gb
-	var firstErr atomic.Pointer[planner.BatchErr]
-	planner.RunBatch(groups, workers, 1, func(g int) bool {
-		if firstErr.Load() != nil {
-			return false // poisoned batch: abort instead of burning workers
-		}
-		lo := g * gb
-		hi := min(lo+gb, len(dests))
-		if idx, err := p.routeShardedAt(out[lo:hi], dests[lo:hi], lo); err != nil {
-			planner.RecordBatchErr(&firstErr, idx, err)
-			return false
-		}
-		return true
-	})
-	if e := firstErr.Load(); e != nil {
-		return nil, fmt.Errorf("permnet: batch request %d: %w", e.I, e.Err)
-	}
-	return out, nil
+	return routeBatch(p, nil, p.gbMax, dests, workers)
 }

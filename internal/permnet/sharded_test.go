@@ -108,10 +108,10 @@ func TestRouteShardedExhaustive(t *testing.T) {
 	}
 }
 
-// TestRouteShardedBatch checks the batch pipeline across group
+// TestShardedRouteBatch checks the batch pipeline across group
 // boundaries (batch sizes around and beyond one packed group) against
 // the flat planned batch, and the fail-fast error contract.
-func TestRouteShardedBatch(t *testing.T) {
+func TestShardedRouteBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	n, w := 1024, 64
 	rp := NewRadixPermuter(n, concentrator.MuxMerger, 0)

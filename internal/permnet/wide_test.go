@@ -1,15 +1,16 @@
 package permnet
 
-// Tests for the multi-word wide packing of ISSUE 6: lane groups wider
-// than one 64-lane plane word, through both the fused radix plans and
-// the compiled Beneš replay, plus the zero-allocation steady-state pins
-// for the multi-word scratch.
+// Tests for the multi-word wide packing: lane groups wider than one
+// 64-lane plane word, through both the fused radix plans and the
+// compiled Beneš replay, plus the zero-allocation steady-state pins for
+// the multi-word scratch.
 
 import (
 	"math/rand"
 	"testing"
 
 	"absort/internal/concentrator"
+	"absort/internal/planner"
 	"absort/internal/race"
 )
 
@@ -90,11 +91,11 @@ func TestBenesPackedDifferential(t *testing.T) {
 	}
 }
 
-// TestRouteBatchWideWidths pins the explicit-width batch front door:
-// every legal lane-group width routes bit-for-bit identically to the
-// planned pipeline — including ragged final groups and sub-threshold
-// remainders — and illegal widths are rejected with an error up front.
-func TestRouteBatchWideWidths(t *testing.T) {
+// TestRoutePackedWidths routes one batch in RoutePacked calls of 64,
+// 128, 256 and 1024 lanes (the last call of each width ragged) through
+// both the fused radix plan and the Beneš replay: every width must route
+// bit-for-bit identically to the planned pipeline.
+func TestRoutePackedWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	n := 32
 	rp := NewRadixPermuter(n, concentrator.Fish, 0)
@@ -103,7 +104,7 @@ func TestRouteBatchWideWidths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := 300 // 2×128 + 44-lane packed remainder; 4×64 + 44; 1×256 + 44
+	batch := 1100 // ragged at every width: 1100 = 17×64 + 12 = 4×256 + 76 = 1024 + 76
 	dests := make([][]int, batch)
 	for i := range dests {
 		dests[i] = rng.Perm(n)
@@ -116,31 +117,26 @@ func TestRouteBatchWideWidths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, groupLanes := range []int{64, 128, 256, MaxPackedLanes} {
-		got, err := plan.RouteBatchWide(dests, 2, groupLanes)
-		if err != nil {
-			t.Fatalf("width %d: %v", groupLanes, err)
-		}
-		gotBenes, err := bp.RouteBatchWide(dests, 2, groupLanes)
-		if err != nil {
-			t.Fatalf("benes width %d: %v", groupLanes, err)
+	for _, width := range []int{64, 128, 256, MaxPackedLanes} {
+		got := planner.Rows[int](batch, n)
+		gotBenes := planner.Rows[int](batch, n)
+		for lo := 0; lo < batch; lo += width {
+			hi := min(lo+width, batch)
+			if err := plan.RoutePacked(got[lo:hi], dests[lo:hi]); err != nil {
+				t.Fatalf("width %d: %v", width, err)
+			}
+			if err := bp.RoutePacked(gotBenes[lo:hi], dests[lo:hi]); err != nil {
+				t.Fatalf("benes width %d: %v", width, err)
+			}
 		}
 		for i := range dests {
 			if !permEqual(got[i], want[i]) {
-				t.Fatalf("width %d request %d: wide %v, planned %v", groupLanes, i, got[i], want[i])
+				t.Fatalf("width %d request %d: packed %v, planned %v", width, i, got[i], want[i])
 			}
 			if !permEqual(gotBenes[i], wantBenes[i]) {
-				t.Fatalf("benes width %d request %d: wide %v, planned %v",
-					groupLanes, i, gotBenes[i], wantBenes[i])
+				t.Fatalf("benes width %d request %d: packed %v, planned %v",
+					width, i, gotBenes[i], wantBenes[i])
 			}
-		}
-	}
-	for _, bad := range []int{-64, 0, 1, 63, 65, 96, MaxPackedLanes + 64} {
-		if _, err := plan.RouteBatchWide(dests, 2, bad); err == nil {
-			t.Errorf("RouteBatchWide accepted group width %d", bad)
-		}
-		if _, err := bp.RouteBatchWide(dests, 2, bad); err == nil {
-			t.Errorf("BenesPlan.RouteBatchWide accepted group width %d", bad)
 		}
 	}
 }

@@ -66,7 +66,7 @@ func (sp *ShardedProgram) Run(vals []uint64, workers int) {
 	}
 	sp.cross.Run(vals)
 	m := sp.sub.N()
-	RunBatch(sp.shards, workers, 1, func(s int) bool {
+	runBatch(sp.shards, workers, 1, func(s int) bool {
 		sp.sub.Run(vals[s*m : (s+1)*m])
 		return true
 	})

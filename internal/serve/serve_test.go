@@ -49,7 +49,7 @@ func TestServeDifferential(t *testing.T) {
 				switch i % 3 {
 				case 0:
 					dest := rng.Perm(n)
-					want, err := rp.RoutePlanned(dest)
+					want, err := rp.Compile().Route(dest)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -486,7 +486,7 @@ func TestServePermutePackedBurst(t *testing.T) {
 					reqs = append(reqs, pending{fut: fut, wantErr: ErrDeadlineExceeded})
 				default:
 					dest := rng.Perm(n)
-					want, err := rp.RoutePlanned(dest)
+					want, err := rp.Compile().Route(dest)
 					if err != nil {
 						t.Fatal(err)
 					}

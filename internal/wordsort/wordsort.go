@@ -21,7 +21,6 @@ package wordsort
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"absort/internal/bitvec"
 	"absort/internal/concentrator"
@@ -183,7 +182,7 @@ func (s *Sorter) routePass(p []int, dest []int) error {
 	if s.sharded != nil {
 		return s.sharded.RouteInto(p, dest)
 	}
-	return s.permute.RouteInto(p, dest)
+	return s.permute.Compile().RouteInto(p, dest)
 }
 
 // sortBatchGrain is the number of key sets a batch worker claims per
@@ -192,20 +191,14 @@ const sortBatchGrain = 2
 
 // SortBatch sorts many independent key sets through one compiled route
 // plan, distributed across workers goroutines (≤ 0 means GOMAXPROCS) by
-// the shared batch executor of internal/planner. Results preserve input
-// order and are identical to per-set Sort; result slices are carved out
-// of flat backing arrays.
+// the batch driver of internal/planner (planner.Batch). Results preserve
+// input order and are identical to per-set Sort; result slices are
+// carved out of flat backing arrays.
 //
-// Batches at least one lane group wide (≥ 64 key sets) switch to the
-// packed composition pipeline: the batch splits into lane groups of
-// planner.AutoWideLanes width, and each group runs all w radix passes
-// inside the permuter's SWAR engine without ever leaving bit-plane form —
-// the per-pass rank is the bit-sliced stable-split ladder
-// (planner.SplitFront), the route is one packed plan replay, and the
-// composed permutation accumulates in the engine's index planes across
-// passes (pass ≥ 2 replays with planner.RunFull, since a composed
-// permutation voids the identity-start plane-bound analysis). Only the
-// per-pass tag build and the final key gather touch scalar data. A plan
+// Batches at least one lane group wide (≥ 64 key sets) run full lane
+// groups through the packed composition pipeline (sortGroupWide): each
+// group runs all w radix passes inside the permuter's SWAR engine
+// without ever leaving bit-plane form, and the rest sort per set. A plan
 // whose step stream has no packed form (planner.ErrNotPackable) falls
 // back to the per-set planned path. Results are bit-for-bit identical
 // either way.
@@ -219,91 +212,46 @@ func (s *Sorter) SortBatch(keySets [][]uint64, workers int) ([][]uint64, [][]int
 				i, len(keys), s.n)
 		}
 	}
-	outs := make([][]uint64, len(keySets))
-	perms := make([][]int, len(keySets))
-	flatK := make([]uint64, len(keySets)*s.n)
-	flatP := make([]int, len(keySets)*s.n)
-	for i := range outs {
-		outs[i] = flatK[i*s.n : (i+1)*s.n]
-		perms[i] = flatP[i*s.n : (i+1)*s.n]
+	r := &batchSets{s: s, keySets: keySets}
+	r.outs = planner.Rows[uint64](len(keySets), s.n)
+	r.perms = planner.Rows[int](len(keySets), s.n)
+	b := planner.Batch{Workers: workers, Grain: sortBatchGrain, Noun: "wordsort: batch set"}
+	if err := b.Run(len(keySets), r); err != nil {
+		return nil, nil, err
 	}
-	// Huge networks never take the whole-n wide path: it would compile
-	// the flat fused program sharding exists to avoid, and each sharded
-	// SortInto already replays packed shard lanes internally.
-	wide := s.sharded == nil && len(keySets) >= permnet.PackedLanes && s.n >= 2
-	if wide {
-		if _, err := s.permute.Compile().Program().Packed(1); err != nil {
-			wide = false
-		}
-	}
-	if wide {
-		if err := s.sortBatchWide(outs, perms, keySets, workers); err != nil {
-			return nil, nil, err
-		}
-		return outs, perms, nil
-	}
-	var firstErr atomic.Pointer[planner.BatchErr]
-	planner.RunBatch(len(keySets), workers, sortBatchGrain, func(i int) bool {
-		if firstErr.Load() != nil {
-			return false // poisoned batch: abort instead of burning workers
-		}
-		if err := s.SortInto(outs[i], perms[i], keySets[i]); err != nil {
-			planner.RecordBatchErr(&firstErr, i, err)
-			return false
-		}
-		return true
-	})
-	if e := firstErr.Load(); e != nil {
-		return nil, nil, fmt.Errorf("wordsort: batch set %d: %w", e.I, e.Err)
-	}
-	return outs, perms, nil
+	return r.outs, r.perms, nil
 }
 
-// sortBatchWide carves the batch into lane groups and sorts each group
-// end-to-end in the packed engine; a final remainder below the packed
-// threshold sorts per-set on the planned path. Groups are distributed
-// across workers exactly as the planned pipeline distributes single
-// sets. Errors are impossible by construction — key sets were validated
-// up front and stable-split destinations are permutations — so the group
-// body is error-free; the per-set remainder keeps the fail-fast path for
-// defense.
-func (s *Sorter) sortBatchWide(outs [][]uint64, perms [][]int, keySets [][]uint64, workers int) error {
-	m := len(keySets)
-	prog := s.permute.Compile().Program()
-	groupLanes := planner.AutoWideLanes(m, workers)
-	groups := (m + groupLanes - 1) / groupLanes
-	var firstErr atomic.Pointer[planner.BatchErr]
-	planner.RunBatch(groups, workers, 1, func(g int) bool {
-		if firstErr.Load() != nil {
-			return false // poisoned batch: abort instead of burning workers
-		}
-		lo := g * groupLanes
-		hi := min(lo+groupLanes, m)
-		if hi-lo < permnet.MinPackedLanes {
-			for i := lo; i < hi; i++ {
-				if err := s.SortInto(outs[i], perms[i], keySets[i]); err != nil {
-					planner.RecordBatchErr(&firstErr, i, err)
-					return false
-				}
-			}
-			return true
-		}
-		lanes := hi - lo
-		words := (lanes + permnet.PackedLanes - 1) / permnet.PackedLanes
-		pp, err := prog.Packed(words)
-		if err != nil {
-			// Unreachable: SortBatch probed packability before switching
-			// wide. Kept on the fail-fast path for defense.
-			planner.RecordBatchErr(&firstErr, lo, err)
-			return false
-		}
-		s.sortGroupWide(pp, outs[lo:hi], perms[lo:hi], keySets[lo:hi])
-		return true
-	})
-	if e := firstErr.Load(); e != nil {
-		return fmt.Errorf("wordsort: batch set %d: %w", e.I, e.Err)
+// batchSets is one batch of key sets handed to the planner's batch
+// driver.
+type batchSets struct {
+	s       *Sorter
+	prog    *planner.Program // flat route plan program, set by Packed
+	keySets [][]uint64
+	outs    [][]uint64
+	perms   [][]int
+}
+
+func (r *batchSets) One(i int) error { return r.s.SortInto(r.outs[i], r.perms[i], r.keySets[i]) }
+
+func (r *batchSets) Group(lo, hi int) (int, error) {
+	pp, err := r.prog.Packed((hi - lo + permnet.PackedLanes - 1) / permnet.PackedLanes)
+	if err != nil {
+		return lo, err // unreachable: the driver probed the program
 	}
-	return nil
+	r.s.sortGroupWide(pp, r.outs[lo:hi], r.perms[lo:hi], r.keySets[lo:hi])
+	return 0, nil
+}
+
+func (r *batchSets) Packed() (*planner.Program, error) {
+	// Huge networks never pack whole-n key sets: that would compile the
+	// flat fused program sharding exists to avoid, and each sharded
+	// SortInto already replays packed shard lanes internally.
+	if r.s.sharded != nil || r.s.n < 2 {
+		return nil, nil
+	}
+	r.prog = r.s.permute.Compile().Program()
+	return r.prog, nil
 }
 
 // sortGroupWide sorts one lane group of key sets entirely inside the

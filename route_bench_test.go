@@ -13,8 +13,8 @@ package absort_test
 //   - perm-planned-parallel: per-assignment planned batch routing
 //   - perm-packed:           the SWAR lane-packed fused-plan engine,
 //     64 assignments per plan replay
-//   - perm-packed256:        the multi-word wide engine, 256 assignments
-//     (four lane words) per plan replay
+//   - perm-packed256:        the multi-word wide engine, one 256-lane
+//     RoutePacked call (four lane words per plan replay)
 //   - benes-planned:         the compiled Beneš program, looping-routed
 //     switch settings replayed through preset selects
 //   - benes-packed:          the packed Beneš replay, 64 looping-routed
@@ -27,8 +27,8 @@ package absort_test
 //   - conc-planned-parallel: per-pattern planned batch routing
 //   - conc-packed:           the SWAR lane-packed engine, 64 patterns
 //     per plan replay
-//   - conc-packed256:        the multi-word wide engine, 256 patterns
-//     per plan replay
+//   - conc-packed256:        the multi-word wide engine, one 256-lane
+//     ConcentratePacked call
 //
 // Each sub-benchmark reports ns/route via b.ReportMetric; the collected
 // numbers are persisted to BENCH_route.json when the run completes so the
@@ -45,6 +45,7 @@ import (
 
 	"absort/internal/concentrator"
 	"absort/internal/permnet"
+	"absort/internal/planner"
 	"absort/internal/race"
 )
 
@@ -171,11 +172,12 @@ func BenchmarkRouteEngines(b *testing.B) {
 			wideBatch[i] = rng.Perm(n)
 		}
 		b.Run(fmt.Sprintf("perm-packed256/n=%d", n), func(b *testing.B) {
-			// 256-wide batch pinned to 256-lane groups: one multi-word
-			// (four plane words) fused-plan replay for the whole batch.
+			// One 256-lane RoutePacked call: one multi-word (four plane
+			// words) fused-plan replay for the whole batch.
+			out := planner.Rows[int](len(wideBatch), n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := plan.RouteBatchWide(wideBatch, 0, len(wideBatch)); err != nil {
+				if err := plan.RoutePacked(out, wideBatch); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -263,11 +265,12 @@ func BenchmarkRouteEngines(b *testing.B) {
 			wideMarked[i] = m
 		}
 		b.Run(fmt.Sprintf("conc-packed256/n=%d", n), func(b *testing.B) {
-			// 256-wide batch pinned to 256-lane groups: one multi-word
-			// plan replay for the whole batch.
+			// One 256-lane ConcentratePacked call: one multi-word plan
+			// replay for the whole batch.
+			perms, counts := planner.Rows[int](len(wideMarked), n), make([]int, len(wideMarked))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := conc.ConcentrateBatchWide(wideMarked, 0, len(wideMarked)); err != nil {
+				if err := conc.ConcentratePacked(perms, counts, wideMarked); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -666,14 +669,16 @@ func TestShardedSpeedupFloor(t *testing.T) {
 // TestWidePackedThroughputFloor pins the multi-word engine's acceptance
 // criterion: at n=256 — where one cache block holds several lane words,
 // so a 256-lane group amortizes step decode across four words — routing
-// a 1024-assignment batch in 256-lane groups must match or beat the
-// same batch in 64-lane groups, on both the fused permuter and the
-// concentrator. Widening never adds per-word work — below the L1 block
-// budget the pass runs flat and amortizes step decode, above it the
-// engine falls back to single-word blocks with identical inner loops —
-// so the structural expectation is parity or better; the ratio is taken
-// as the best of five trials to ride out scheduler noise on a loaded
-// CI box.
+// 1024 assignments as four 256-lane RoutePacked calls must match or beat
+// the same 1024 as sixteen 64-lane calls, on both the fused permuter and
+// the concentrator (ConcentratePacked). The calls run back to back on
+// one goroutine, so the ratio is the per-word cost of widening alone,
+// with no worker-pool effect. Widening never adds per-word work — below
+// the L1 block budget the pass runs flat and amortizes step decode,
+// above it the engine falls back to single-word blocks with identical
+// inner loops — so the structural expectation is parity or better; the
+// ratio is taken as the best of five trials to ride out scheduler noise
+// on a loaded CI box.
 func TestWidePackedThroughputFloor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing floor skipped in -short mode")
@@ -700,21 +705,48 @@ func TestWidePackedThroughputFloor(t *testing.T) {
 		}
 		marked[i] = m
 	}
+	out := planner.Rows[int](batch, n)
+	counts := make([]int, batch)
+	route := func(lanes int) error {
+		for lo := 0; lo < batch; lo += lanes {
+			if err := plan.RoutePacked(out[lo:lo+lanes], dests[lo:lo+lanes]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	concentrate := func(lanes int) error {
+		for lo := 0; lo < batch; lo += lanes {
+			if err := conc.ConcentratePacked(out[lo:lo+lanes], counts[lo:lo+lanes], marked[lo:lo+lanes]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	// Warm both widths (packed program compilation per width, pooled scratch).
 	for _, lanes := range []int{permnet.PackedLanes, 4 * permnet.PackedLanes} {
-		if _, err := plan.RouteBatchWide(dests, 0, lanes); err != nil {
+		if err := route(lanes); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := conc.ConcentrateBatchWide(marked, 0, lanes); err != nil {
+		if err := concentrate(lanes); err != nil {
 			t.Fatal(err)
 		}
 	}
-	measure := func(name string, narrow, wide func(b *testing.B)) {
+	measure := func(name string, run func(lanes int) error) {
+		bench := func(lanes int) func(b *testing.B) {
+			return func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if err := run(lanes); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
 		best := 0.0
 		var narrowNs, wideNs float64
 		for trial := 0; trial < 5; trial++ {
-			nb := testing.Benchmark(narrow)
-			wb := testing.Benchmark(wide)
+			nb := testing.Benchmark(bench(permnet.PackedLanes))
+			wb := testing.Benchmark(bench(4 * permnet.PackedLanes))
 			speedup := float64(nb.NsPerOp()) / float64(wb.NsPerOp())
 			if speedup > best {
 				best = speedup
@@ -722,41 +754,13 @@ func TestWidePackedThroughputFloor(t *testing.T) {
 				wideNs = float64(wb.NsPerOp()) / float64(batch)
 			}
 		}
-		t.Logf("%s n=%d, %d-wide batch: 64-lane groups %.0f ns/req, 256-lane groups %.0f ns/req, ratio %.2f×",
+		t.Logf("%s n=%d, %d items: 64-lane calls %.0f ns/req, 256-lane calls %.0f ns/req, ratio %.2f×",
 			name, n, batch, narrowNs, wideNs, best)
 		if best < 1 {
-			t.Errorf("%s 256-lane groups %.2f× slower than 64-lane groups (64-lane %.0f ns/req, 256-lane %.0f ns/req)",
+			t.Errorf("%s 256-lane calls %.2f× slower than 64-lane calls (64-lane %.0f ns/req, 256-lane %.0f ns/req)",
 				name, 1/best, narrowNs, wideNs)
 		}
 	}
-	measure("permuter",
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := plan.RouteBatchWide(dests, 0, permnet.PackedLanes); err != nil {
-					b.Fatal(err)
-				}
-			}
-		},
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := plan.RouteBatchWide(dests, 0, 4*permnet.PackedLanes); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	measure("concentrator",
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := conc.ConcentrateBatchWide(marked, 0, concentrator.PackedLanes); err != nil {
-					b.Fatal(err)
-				}
-			}
-		},
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := conc.ConcentrateBatchWide(marked, 0, 4*concentrator.PackedLanes); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	measure("permuter", route)
+	measure("concentrator", concentrate)
 }
