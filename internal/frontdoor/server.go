@@ -200,10 +200,21 @@ func (s *Server) dispatch(f *frame, out chan<- *frame, pending *sync.WaitGroup) 
 	}()
 }
 
+// maxWireN is the widest network a routing frame can address: a Permute
+// or SortWords payload carries one word per input, so no frame can hold
+// more than MaxFrameBytes/8 of them.
+const maxWireN = MaxFrameBytes / 8
+
 // requestFromFrame converts a decoded routing frame into a
-// serve.Request, copying out of the pooled words.
+// serve.Request, copying out of the pooled words. A width beyond
+// maxWireN is rejected up front: a Concentrate bitmask packs 64 inputs
+// per word, so without the cap one frame could make the server allocate
+// 64 mask bytes for every payload byte it sent.
 func requestFromFrame(f *frame) (serve.Request, error) {
 	n := int(f.n)
+	if n > maxWireN {
+		return serve.Request{}, fmt.Errorf("frontdoor: frame width n=%d exceeds %d", n, maxWireN)
+	}
 	switch f.kind {
 	case kindPermute:
 		if len(f.words) != n {

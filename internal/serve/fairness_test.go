@@ -103,30 +103,65 @@ func TestStatsTornSnapshotInvariant(t *testing.T) {
 	}
 }
 
-// TestBurstTailNotStarved pins the drain-fairness fix: the other-kind
-// task that ends a greedy same-kind drain must execute BEFORE the
-// burst's packed replay, not after it. A single held worker makes the
-// schedule deterministic: 200 Concentrate requests queue up behind a
-// scalar hold task, a lone Permute lands behind them, and on release the
-// worker must resolve the Permute (the drain's tail) while every burst
-// Concentrate is still unresolved.
+// pinBreakEven fixes the break-even width k* of kind's current plan
+// instance at k: the scalar cost cell at 1 ns and the packed cell at
+// k ns. Every real route or replay takes far longer than k ns, so the
+// minima never move and the burst decisions stay deterministic.
+func pinBreakEven(s *Service, kind Kind, k int) {
+	inst := s.loadInst(kind)
+	inst.scalarNs.Store(1)
+	inst.packedWordNs.Store(int64(k))
+}
+
+// burstTailSetup queues, behind one held worker, concs Concentrate
+// requests and then one Permute — the drain's tail — with the given
+// deadline, followed by perms more Permutes. It returns the released
+// service's futures.
+func burstTailSetup(t *testing.T, s *Service, rng *rand.Rand, concs, perms int, deadline time.Time) (
+	concFuts []*Future, tailFut *Future, permFuts []*Future, release func()) {
+	t.Helper()
+	n := s.N()
+	h := newWorkerHold(s)
+	h.hold(t)
+	ctx := context.Background()
+	submit := func(req Request) *Future {
+		fut, err := s.Submit(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fut
+	}
+	for i := 0; i < concs; i++ {
+		marked := make([]bool, n)
+		for j := range marked {
+			marked[j] = rng.Intn(2) == 0
+		}
+		concFuts = append(concFuts, submit(Request{Kind: Concentrate, Marked: marked}))
+	}
+	tailFut = submit(Request{Kind: Permute, Dest: rng.Perm(n), Deadline: deadline})
+	for i := 0; i < perms; i++ {
+		permFuts = append(permFuts, submit(Request{Kind: Permute, Dest: rng.Perm(n)}))
+	}
+	return concFuts, tailFut, permFuts, h.unhold
+}
+
+// TestBurstTailNotStarved pins the drain-fairness rule for a tail with
+// a deadline: the other-kind task that ends a greedy same-kind drain
+// must execute BEFORE the burst's packed replay, not after it. A single
+// held worker makes the schedule deterministic: 200 Concentrate
+// requests queue up behind a scalar hold task, a lone Permute with a
+// deadline lands behind them, and on release the worker must resolve
+// the Permute (the drain's tail) while every burst Concentrate is still
+// unresolved. TestBurstCarriedTailPacks covers a tail without one.
 func TestBurstTailNotStarved(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	n := 64
 	const concs = 200 // below burstLanes so the drain reaches the Permute
-	s, err := New(Config{N: n, Engine: concentrator.MuxMerger, Workers: 1, QueueDepth: 512})
+	s, err := New(Config{N: 64, Engine: concentrator.MuxMerger, Workers: 1, QueueDepth: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	release := make(chan struct{})
-	var held atomic.Bool
-	s.testBeforeExec = func() {
-		if held.CompareAndSwap(false, true) {
-			<-release
-		}
-	}
 	burstGate := make(chan struct{})
 	var gateOnce sync.Once
 	openGate := func() { gateOnce.Do(func() { close(burstGate) }) }
@@ -140,36 +175,11 @@ func TestBurstTailNotStarved(t *testing.T) {
 		burstCh <- burstInfo{kind, size}
 		<-burstGate // park the worker between the tail and the replay
 	}
+	concFuts, tailFut, _, release := burstTailSetup(t, s, rng, concs, 0, time.Now().Add(time.Hour))
 
 	ctx := context.Background()
-	// Scalar hold task: occupies the worker without starting a burst.
-	keys := make([]uint64, n)
-	holdFut, err := s.Submit(ctx, Request{Kind: SortWords, Keys: keys})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for !held.Load() {
-		time.Sleep(time.Millisecond)
-	}
-
-	concFuts := make([]*Future, concs)
-	for i := range concFuts {
-		marked := make([]bool, n)
-		for j := range marked {
-			marked[j] = rng.Intn(2) == 0
-		}
-		if concFuts[i], err = s.Submit(ctx, Request{Kind: Concentrate, Marked: marked}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dest := rng.Perm(n)
-	permFut, err := s.Submit(ctx, Request{Kind: Permute, Dest: dest})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	close(release)
-	if _, err := permFut.Wait(ctx); err != nil {
+	release()
+	if _, err := tailFut.Wait(ctx); err != nil {
 		t.Fatalf("tail permute: %v", err)
 	}
 	// Receiving from burstCh synchronizes with the worker, which is now
@@ -196,17 +206,73 @@ func TestBurstTailNotStarved(t *testing.T) {
 			t.Fatalf("concentrate %d: %v", i, err)
 		}
 	}
-	if _, err := holdFut.Wait(ctx); err != nil {
+	if c := s.Stats().Paths[Permute].Carried; c != 0 {
+		t.Errorf("deadline tail carried (%d carried), want it run before the replay", c)
+	}
+}
+
+// TestBurstCarriedTailPacks pins the rule for a tail without a deadline:
+// it is carried to the head of the worker's next drain and resolves
+// inside its own kind's burst. Behind one held worker, 200 Concentrates
+// are followed by a deadline-free Permute and 30 more Permutes: the
+// worker must run the Concentrate burst with the tail still pending,
+// then one Permute burst of all 31.
+func TestBurstCarriedTailPacks(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const concs, perms = 200, 30
+	s, err := New(Config{N: 64, Engine: concentrator.MuxMerger, Workers: 1, QueueDepth: 512})
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer s.Close()
+	pinBreakEven(s, Permute, concentrator.MinPackedLanes)
+
+	type burstInfo struct {
+		kind        Kind
+		size        int
+		tailPending bool
+	}
+	var mu sync.Mutex
+	var bursts []burstInfo
+	var tailFut *Future
+	s.testOnBurst = func(kind Kind, size int) {
+		pending := true
+		select {
+		case <-tailFut.Done():
+			pending = false
+		default:
+		}
+		mu.Lock()
+		bursts = append(bursts, burstInfo{kind, size, pending})
+		mu.Unlock()
+	}
+	concFuts, tailFut, permFuts, release := burstTailSetup(t, s, rng, concs, perms, time.Time{})
+
+	ctx := context.Background()
+	release()
+	for i, fut := range append(append(concFuts, tailFut), permFuts...) {
+		if _, err := fut.Wait(ctx); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := []burstInfo{{Concentrate, concs, true}, {Permute, perms + 1, true}}
+	if len(bursts) != len(want) || bursts[0] != want[0] || bursts[1] != want[1] {
+		t.Fatalf("bursts %+v, want %+v", bursts, want)
+	}
+	st := s.Stats()
+	if p := st.Paths[Permute]; p.Carried != 1 || p.Packed != perms+1 || p.PerRequest != 0 {
+		t.Fatalf("permute paths %+v, want 1 carried, %d packed, 0 per request", p, perms+1)
 	}
 }
 
 // TestBurstConsecutiveKindCap pins the sustained-stream fairness bound:
 // after maxConsecBursts consecutive full-width same-kind bursts, further
 // same-kind drains are capped at one lane word until the streak breaks.
-// A pre-filled queue and a single worker make the burst sequence exact.
-// The trailing 20 requests are fewer than MinPackedLanes, so they route
-// per request and form no burst.
+// A pre-filled queue, a single worker and a break-even width pinned at
+// MinPackedLanes make the burst sequence exact. The trailing 20 requests
+// are fewer than k*, so they route per request and form no burst.
 func TestBurstConsecutiveKindCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	n := 64
@@ -216,6 +282,7 @@ func TestBurstConsecutiveKindCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	pinBreakEven(s, Concentrate, concentrator.MinPackedLanes)
 
 	release := make(chan struct{})
 	var held atomic.Bool
@@ -276,9 +343,9 @@ func TestBurstConsecutiveKindCap(t *testing.T) {
 	}
 }
 
-// TestNoNarrowBurst pins the narrow-group rule: with fewer than
-// MinPackedLanes requests on hand a worker routes the one it picked and
-// leaves the rest of the queue to the other workers. Before the fix, a
+// TestNoNarrowBurst pins the narrow-group rule: with fewer than k*
+// (pinned here at MinPackedLanes) requests on hand a worker routes the
+// one it picked and leaves the rest of the queue to the other workers. Before the fix, a
 // worker drained all 16 held Permutes into one burst too narrow to pack
 // and routed them one by one while the second worker idled.
 func TestNoNarrowBurst(t *testing.T) {
@@ -290,6 +357,7 @@ func TestNoNarrowBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	pinBreakEven(s, Permute, concentrator.MinPackedLanes)
 
 	release := make(chan struct{})
 	var holding atomic.Int32

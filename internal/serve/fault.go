@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"absort/internal/concentrator"
 	"absort/internal/core"
@@ -75,8 +76,9 @@ func rotationFor(kind Kind, n int) []Engine {
 
 // planInstance is one hardware copy of a request kind's compiled plan.
 // The plans themselves are immutable and shared (planner.Shared); the
-// instance adds the mutable runtime state of the copy — injected faults
-// and the suspect flag — so quarantining a copy is one pointer swap.
+// instance adds the mutable runtime state of the copy — injected faults,
+// the suspect flag and the measured path costs — so quarantining a copy
+// is one pointer swap.
 type planInstance struct {
 	engine Engine
 
@@ -97,6 +99,63 @@ type planInstance struct {
 	// response routed by this copy is verified regardless of the
 	// sampling stride, until recovery swaps the copy out.
 	suspect atomic.Bool
+
+	// scalarNs and packedWordNs are the copy's two cost cells (0 =
+	// unobserved): the minimum observed wall time of one per-request
+	// route, and of one packed burst replay per lane word. A Service's
+	// workers feed them from the routes they already run; breakEven
+	// turns them into the burst packing threshold. A replacement copy
+	// swapped in by recovery starts unobserved and re-learns them.
+	scalarNs     atomic.Int64
+	packedWordNs atomic.Int64
+}
+
+// minBreakEven and maxBreakEven clamp the measured break-even width: a
+// packed replay never serves fewer than two requests, and one lane word
+// holds PackedLanes of them.
+const (
+	minBreakEven = 2
+	maxBreakEven = concentrator.PackedLanes
+)
+
+// breakEven returns k* — the burst width from which one packed replay
+// costs less wall time than routing the burst's requests one by one on
+// this copy: ⌈packedWordNs ÷ scalarNs⌉ clamped to [minBreakEven,
+// maxBreakEven], or planner.MinPackedLanes until both cost cells hold a
+// sample. Minima, not averages, feed it: a minimum is the copy's
+// uncontended cost, where an average under CPU contention swings k*
+// across the whole clamp range.
+func (pi *planInstance) breakEven() int {
+	scalar, packed := pi.scalarNs.Load(), pi.packedWordNs.Load()
+	if scalar <= 0 || packed <= 0 {
+		return planner.MinPackedLanes
+	}
+	k := (packed + scalar - 1) / scalar
+	return int(min(max(k, minBreakEven), maxBreakEven))
+}
+
+// observeScalar feeds one per-request route's wall time into the
+// scalar cost cell.
+func (pi *planInstance) observeScalar(d time.Duration) { storeMin(&pi.scalarNs, d) }
+
+// observePacked feeds one packed replay of lanes requests into the
+// per-lane-word cost cell: a replay costs the same per word however
+// many of the word's lanes are live.
+func (pi *planInstance) observePacked(d time.Duration, lanes int) {
+	words := (lanes + concentrator.PackedLanes - 1) / concentrator.PackedLanes
+	storeMin(&pi.packedWordNs, d/time.Duration(words))
+}
+
+// storeMin lowers cell to d's nanoseconds when d is a new minimum (or
+// the cell is unobserved). The common no-new-minimum case is one load.
+func storeMin(cell *atomic.Int64, d time.Duration) {
+	ns := max(d.Nanoseconds(), 1)
+	for {
+		cur := cell.Load()
+		if (cur > 0 && ns >= cur) || cell.CompareAndSwap(cur, ns) {
+			return
+		}
+	}
 }
 
 // faultList returns the instance's injected faults (nil when clean).

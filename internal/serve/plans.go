@@ -45,7 +45,7 @@ type PlanSet struct {
 	// Permute at n ≥ permnet.ShardedAutoThreshold the instance carries
 	// the sharded decomposition and the flat fused program — Θ(n lg n)
 	// steps at those widths — is never compiled.
-	inst [3]atomic.Pointer[planInstance]
+	inst [numKinds]atomic.Pointer[planInstance]
 
 	// checker verifies sampled responses; checkStride is the sampling
 	// stride derived from Config.CheckFraction (0 disabled, 1 every
@@ -60,9 +60,9 @@ type PlanSet struct {
 	// order, derived from the planner registry at construction
 	// (capability-filtered, registration order — see rotationFor).
 	faultMu  sync.Mutex
-	recov    [3]recoveryState
+	recov    [numKinds]recoveryState
 	spares   int
-	rotation [3][]Engine
+	rotation [numKinds][]Engine
 
 	stats statsCounters
 }
@@ -208,16 +208,21 @@ func (p *PlanSet) Exec(ctx context.Context, req Request, start time.Time) (Resul
 	}
 	p.stats.submitted.Add(1)
 	res, err := p.exec(ctx, req)
-	p.record(start, err)
+	p.record(start, req.Kind, false, err)
 	return res, err
 }
 
-// exec runs an admitted request: the expiry checks, then routeChecked.
+// exec runs an admitted request: the expiry checks, then one route on
+// the current plan instance of its kind with the sampled lanewise
+// response check. (A Service worker's per-request path, routeOne, is the
+// same route plus the cost sample that feeds the burst break-even.)
 func (p *PlanSet) exec(ctx context.Context, req Request) (Result, error) {
 	if err := expired(ctx, req); err != nil {
 		return Result{}, err
 	}
-	return p.routeChecked(req)
+	inst := p.loadInst(req.Kind)
+	res, err := p.routeOn(inst, req)
+	return p.checkSampled(req, inst, res, err)
 }
 
 // expired reports why an admitted request must not be routed: its
@@ -232,18 +237,15 @@ func expired(ctx context.Context, req Request) error {
 	return nil
 }
 
-// routeChecked routes one request on the current plan instance of its
-// kind and runs the sampled lanewise response check — the common tail
-// of the per-request path and the burst fallbacks.
-func (p *PlanSet) routeChecked(req Request) (Result, error) {
-	inst := p.loadInst(req.Kind)
-	res, err := p.routeOn(inst, req)
-	return p.checkSampled(req, inst, res, err)
-}
-
-// record counts one completion and its latency since start.
-func (p *PlanSet) record(start time.Time, err error) {
+// record counts one completion of kind, on the packed or the
+// per-request path, and its latency since start.
+func (p *PlanSet) record(start time.Time, kind Kind, packed bool, err error) {
 	p.stats.completed.Add(1)
+	if packed {
+		p.stats.paths[kind].packed.Add(1)
+	} else {
+		p.stats.paths[kind].perRequest.Add(1)
+	}
 	if err != nil {
 		p.stats.failed.Add(1)
 	}

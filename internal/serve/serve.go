@@ -34,19 +34,28 @@
 // caller.
 //
 // Under a request burst the service additionally matches the packed
-// batch pipelines: when at least MinPackedLanes requests are on hand, a
-// worker that picks up a Concentrate or Permute request greedily drains
-// further queued requests of the same kind (never blocking) and, when
-// the drained group is at least MinPackedLanes wide, routes the whole
-// group through one SWAR plan replay (ConcentratePacked / RoutePacked) —
-// up to burstLanes requests per replay, riding the packed engine's
-// multi-word lane planes. With fewer on hand each request routes on its
-// own, so a narrow group never serializes on one worker. The drain is
-// fair across kinds: an other-kind request that ends a drain executes
-// before the burst's wide replay, and a sustained single-kind stream has
-// its burst width capped after maxConsecBursts consecutive full-width
-// bursts, so no kind is starved past its deadline by another kind's
-// packing. Results are bit-for-bit identical to the per-request path,
+// batch pipelines: when at least k* requests are on hand, a worker that
+// picks up a Concentrate or Permute request greedily drains further
+// queued requests of the same kind (never blocking) and, when the
+// drained group is at least k* wide, routes the whole group through one
+// SWAR plan replay (ConcentratePacked / RoutePacked) — up to burstLanes
+// requests per replay, riding the packed engine's multi-word lane
+// planes. With fewer on hand each request routes on its own, so a group
+// too narrow to pay for packing never serializes on one worker. k* is
+// the break-even width measured on the kind's current plan instance:
+// ⌈packed replay per lane word ÷ one per-request route⌉, both the
+// minimum wall time the workers have observed, clamped to [2, 64]; it
+// is MinPackedLanes until both costs have a sample, and a replacement
+// instance swapped in by fault recovery re-learns it. The drain is fair
+// across kinds: the other-kind request that ends a drain (its tail) is
+// carried to the head of the worker's next drain when it has no
+// deadline, so it packs with its own kind, and executes before the
+// burst's wide replay when it has one; a sustained single-kind stream
+// has its burst width capped after maxConsecBursts consecutive
+// full-width bursts, so no kind is starved past its deadline by another
+// kind's packing. Stats reports per kind how many requests were packed,
+// routed per request and carried, and the current k*. Results are
+// bit-for-bit identical to the per-request path,
 // and every drained task still honours its own context, deadline, and
 // (for Concentrate) capacity check individually; a malformed permutation
 // in a Permute burst resolves alone with its own error and never poisons
@@ -156,6 +165,8 @@ const (
 	Concentrate
 	// SortWords sorts Keys through the word sorter's compiled plan.
 	SortWords
+
+	numKinds = iota // number of request kinds
 )
 
 func (k Kind) String() string {
@@ -409,19 +420,23 @@ func (s *Service) Close() {
 }
 
 // worker drains the admission queue until it is closed and empty. With
-// the matching packed fast path enabled and at least MinPackedLanes
-// tasks on hand (the picked one plus the queue), a Concentrate or
-// Permute task triggers a greedy non-blocking drain of further queued
-// tasks of the same kind so the group rides one SWAR plan replay; with
-// fewer the task runs per request, leaving the rest of the queue to the
-// other workers instead of serializing a group too narrow to pack. Two
-// fairness rules keep a sustained single-kind stream from starving the
-// other kinds: the drain's other-kind tail executes BEFORE the burst's
-// packed replay (one scalar route delays the burst; a wide replay could
-// expire the tail's deadline), and after maxConsecBursts consecutive
-// full-width same-kind bursts the drain is capped at one lane word so
-// other-kind arrivals surface within PackedLanes tasks instead of
-// burstLanes.
+// the matching packed fast path enabled and at least k* tasks on hand
+// (the picked one plus the queue; k* is the kind's measured break-even
+// width, see planInstance.breakEven), a Concentrate or Permute task
+// triggers a greedy non-blocking drain of further queued tasks of the
+// same kind so the group rides one SWAR plan replay; with fewer the task
+// runs per request, leaving the rest of the queue to the other workers
+// instead of serializing a group too narrow to pay for packing.
+//
+// The drain's other-kind tail is carried when it has no deadline (a
+// zero Request.Deadline and a context without one): it becomes the
+// head of this worker's next drain, so it packs with its own kind
+// instead of routing alone. A tail with a deadline executes BEFORE the
+// burst's packed replay (one scalar route delays the burst; a wide
+// replay could expire the tail's deadline). After maxConsecBursts
+// consecutive full-width same-kind bursts the drain is capped at one
+// lane word, so other-kind arrivals surface within PackedLanes tasks
+// instead of burstLanes.
 func (s *Service) worker() {
 	defer s.workers.Done()
 	var burst []*task
@@ -438,18 +453,21 @@ func (s *Service) worker() {
 	}
 	lastKind := Kind(255) // kind of the previous burst; 255 = no streak
 	consec := 0           // consecutive same-kind bursts, full width or capped
-	for t := range s.queue {
-		if s.testBeforeExec != nil {
-			s.testBeforeExec()
+	var carried *task     // the previous drain's carried tail
+	for {
+		t := carried
+		carried = nil
+		if t == nil {
+			var ok bool
+			if t, ok = <-s.queue; !ok {
+				return
+			}
+			if s.testBeforeExec != nil {
+				s.testBeforeExec()
+			}
 		}
-		var kind Kind
-		wide := len(s.queue)+1 >= planner.MinPackedLanes // enough on hand to pack
-		switch {
-		case wide && s.packed && t.req.Kind == Concentrate:
-			kind = Concentrate
-		case wide && s.packedPerm && t.req.Kind == Permute:
-			kind = Permute
-		default:
+		kind := t.req.Kind
+		if !s.burstable(kind) || len(s.queue)+1 < s.loadInst(kind).breakEven() {
 			// Another kind, or too few tasks to pack: route this one alone
 			// and leave the rest of the queue to the other workers.
 			s.run(t)
@@ -462,10 +480,14 @@ func (s *Service) worker() {
 		}
 		burst = append(burst[:0], t)
 		tail := s.drainKind(kind, &burst, limit)
-		if tail != nil {
-			// Age/deadline protection: the tail is the lone other-kind
-			// request this worker claimed — run it before the wide replay
-			// it is not part of, not after.
+		switch {
+		case tail == nil:
+		case carriable(tail):
+			carried = tail
+			s.stats.paths[tail.req.Kind].carried.Add(1)
+		default:
+			// Deadline protection: run the tail before the wide replay it
+			// is not part of, not after.
 			s.run(tail)
 		}
 		if s.testOnBurst != nil {
@@ -474,7 +496,7 @@ func (s *Service) worker() {
 		s.execBurst(kind, burst, marked, dests)
 		switch {
 		case tail != nil || len(burst) < limit:
-			// Another kind ran, or the queue went idle mid-drain: no
+			// Another kind runs next, or the queue went idle mid-drain: no
 			// sustained single-kind pressure, reset the streak.
 			lastKind, consec = Kind(255), 0
 		case kind == lastKind:
@@ -485,14 +507,27 @@ func (s *Service) worker() {
 	}
 }
 
+// burstable reports whether tasks of kind may be drained into a packed
+// burst on this service.
+func (s *Service) burstable(kind Kind) bool {
+	return (kind == Concentrate && s.packed) || (kind == Permute && s.packedPerm)
+}
+
+// carriable reports whether a drain tail may wait for the next drain:
+// only a task with no deadline at all, neither its own nor its
+// context's.
+func carriable(t *task) bool {
+	_, ok := t.ctx.Deadline()
+	return !ok && t.req.Deadline.IsZero()
+}
+
 // drainKind greedily claims further queued tasks of the same kind up to
 // limit, never blocking: under a request burst the queue is hot and the
 // claimed group rides one packed plan replay; if the queue empties
 // under a racing worker the group may come out narrow and route on the
 // per-request path. Claim order matches queue order, so burst tasks
 // execute in FIFO order. The first other-kind task claimed, if any, ends
-// the drain and is returned — the worker executes it BEFORE the burst's
-// packed replay (see worker), the one deliberate FIFO inversion.
+// the drain and is returned as the drain's tail (see worker).
 func (s *Service) drainKind(kind Kind, burst *[]*task, limit int) *task {
 	for len(*burst) < limit {
 		select {
@@ -515,23 +550,28 @@ func (s *Service) drainKind(kind Kind, burst *[]*task, limit int) *task {
 }
 
 // execBurst resolves a drained group of same-kind tasks. Groups at
-// least MinPackedLanes wide route through one packed plan replay
-// (ConcentratePacked / RoutePacked); narrower groups take the
-// per-request path (the packing overhead would not pay for itself), as
-// does any group whose current plan instance cannot ride the packed
-// replay — injected faults force the scalar faulty path, a Concentrate
-// fallback onto the Ranking engine gains nothing from lane packing, and
-// degraded (permuter-backed) service has no concentrator plan at all.
-// Each task is still pre-checked individually — cancellation, deadline,
-// and concentrator capacity — so one dead or over-capacity request
-// resolves alone with its own error and never poisons its burst
-// neighbours. The packed-group fallback is reachable for Permute:
-// admission validates only lengths, so a non-permutation destination
-// assignment surfaces inside RoutePacked — the group then re-routes
-// per request so each task gets its own canonical result or error.
+// least k* wide (the current plan instance's break-even width) route
+// through one packed plan replay (ConcentratePacked / RoutePacked);
+// narrower groups take the per-request path (the packing overhead would
+// not pay for itself), as does any group whose current plan instance
+// cannot ride the packed replay — injected faults force the scalar
+// faulty path, a Concentrate fallback onto the Ranking engine gains
+// nothing from lane packing, and degraded (permuter-backed) service has
+// no concentrator plan at all. Each task is still pre-checked
+// individually — cancellation, deadline, and concentrator capacity — so
+// one dead or over-capacity request resolves alone with its own error
+// and never poisons its burst neighbours. The packed-group fallback is
+// reachable for Permute: admission validates only lengths, so a
+// non-permutation destination assignment surfaces inside RoutePacked —
+// the group then re-routes per request so each task gets its own
+// canonical result or error. A successful flat-plan replay feeds the
+// instance's packed cost cell; the sharded plan's replays do not (its
+// requests span shard lanes, not one lane each), so its k* stays at
+// MinPackedLanes.
 func (s *Service) execBurst(kind Kind, burst []*task, marked [][]bool, dests [][]int) {
 	inst := s.loadInst(kind)
-	if len(burst) < planner.MinPackedLanes || !inst.packable(kind) {
+	k := inst.breakEven()
+	if len(burst) < k || !inst.packable(kind) {
 		for _, t := range burst {
 			s.run(t)
 		}
@@ -541,15 +581,15 @@ func (s *Service) execBurst(kind Kind, burst []*task, marked [][]bool, dests [][
 	for _, t := range burst {
 		switch err := expired(t.ctx, t.req); {
 		case err != nil:
-			s.resolve(t, Result{}, err)
+			s.resolve(t, Result{}, err, false)
 		case kind == Concentrate && s.overCapacity(t.req.Marked):
 			res, err := s.routeOn(inst, t.req) // canonical capacity error text
-			s.resolve(t, res, err)
+			s.resolve(t, res, err, false)
 		default:
 			live = append(live, t)
 		}
 	}
-	if len(live) < planner.MinPackedLanes {
+	if len(live) < k {
 		s.routeEach(live)
 		return
 	}
@@ -561,6 +601,7 @@ func (s *Service) execBurst(kind Kind, burst []*task, marked [][]bool, dests [][
 	}
 	var counts []int
 	var err error
+	start := time.Now()
 	if kind == Concentrate {
 		counts = make([]int, len(live))
 		marked = marked[:0]
@@ -585,35 +626,55 @@ func (s *Service) execBurst(kind Kind, burst []*task, marked [][]bool, dests [][
 		s.routeEach(live)
 		return
 	}
+	if inst.sharded == nil {
+		inst.observePacked(time.Since(start), len(live))
+	}
 	for i, t := range live {
 		res := Result{Perm: perms[i]}
 		if counts != nil {
 			res.Count = counts[i]
 		}
 		res, err := s.checkSampled(t.req, inst, res, nil)
-		s.resolve(t, res, err)
+		s.resolve(t, res, err, true)
 	}
 }
 
-// run resolves one task through the plan set's per-request path.
+// run resolves one task on the per-request path: the expiry checks,
+// then routeOne.
 func (s *Service) run(t *task) {
-	res, err := s.exec(t.ctx, t.req)
-	s.resolve(t, res, err)
+	if err := expired(t.ctx, t.req); err != nil {
+		s.resolve(t, Result{}, err, false)
+		return
+	}
+	s.routeOne(t)
+}
+
+// routeOne routes one live task alone on its kind's current plan
+// instance, with the sampled response check. A successful route on a
+// packable instance feeds the instance's scalar cost cell.
+func (s *Service) routeOne(t *task) {
+	inst := s.loadInst(t.req.Kind)
+	start := time.Now()
+	res, err := s.routeOn(inst, t.req)
+	if err == nil && inst.packable(t.req.Kind) {
+		inst.observeScalar(time.Since(start))
+	}
+	res, err = s.checkSampled(t.req, inst, res, err)
+	s.resolve(t, res, err, false)
 }
 
 // routeEach resolves pre-checked tasks one by one on the per-request
 // path — the fallback of a burst that cannot ride the packed replay.
 func (s *Service) routeEach(ts []*task) {
 	for _, t := range ts {
-		res, err := s.routeChecked(t.req)
-		s.resolve(t, res, err)
+		s.routeOne(t)
 	}
 }
 
-// resolve records a task's outcome in the counters and latency
-// histogram, then publishes it exactly once: a caller that has seen its
-// Future resolve also sees it in Stats.
-func (s *Service) resolve(t *task, res Result, err error) {
-	s.record(t.submitted, err)
+// resolve records a task's outcome — and whether a packed replay routed
+// it — in the counters and latency histogram, then publishes it exactly
+// once: a caller that has seen its Future resolve also sees it in Stats.
+func (s *Service) resolve(t *task, res Result, err error, packed bool) {
+	s.record(t.submitted, t.req.Kind, packed, err)
 	t.fut.Resolve(res, err)
 }

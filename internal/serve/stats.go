@@ -34,9 +34,17 @@ type statsCounters struct {
 	faultReplayed   atomic.Int64
 	faultDegraded   atomic.Int64
 
+	// Per-kind routing-path counters (see PathStats).
+	paths [numKinds]pathCounters
+
 	latency  [histBuckets]atomic.Int64
 	latSumNs atomic.Int64
 	latMaxNs atomic.Int64
+}
+
+// pathCounters counts how one request kind's completions were routed.
+type pathCounters struct {
+	packed, perRequest, carried atomic.Int64
 }
 
 // observe records one completion latency.
@@ -85,6 +93,27 @@ type Stats struct {
 	// LatencyMaxNs is the largest single completion latency observed, in
 	// nanoseconds. Quantile upper bounds are clamped to it.
 	LatencyMaxNs int64
+	// Paths breaks the completions down by request kind (indexed by
+	// Kind) and routing path. Summed over kinds, Packed + PerRequest is
+	// Completed once the plan set is quiescent.
+	Paths [numKinds]PathStats
+}
+
+// PathStats is one request kind's routing-path breakdown.
+type PathStats struct {
+	// Packed counts completions resolved from a packed burst replay
+	// (Service workers only); PerRequest counts every other completion —
+	// routed alone, including the burst fallbacks, or resolved with an
+	// error before routing. Carried counts drain tails of this kind a
+	// Service worker carried into its next drain instead of routing them
+	// ahead of the burst.
+	Packed, PerRequest, Carried int64
+	// BreakEven is the current plan instance's burst break-even width k*:
+	// a Service worker packs a burst of this kind once k* requests are on
+	// hand (see planInstance.breakEven). It is 0 when the instance can
+	// never ride the packed replay (SortWords, a packed-unprofitable or
+	// faulted instance, degraded service).
+	BreakEven int
 }
 
 // Stats snapshots the plan-set counters. Each field is atomically read,
@@ -110,6 +139,17 @@ func (p *PlanSet) Stats() Stats {
 	}
 	for i := range st.Latency {
 		st.Latency[i] = p.stats.latency[i].Load()
+	}
+	for kind := range st.Paths {
+		c := &p.stats.paths[kind]
+		st.Paths[kind] = PathStats{
+			Packed:     c.packed.Load(),
+			PerRequest: c.perRequest.Load(),
+			Carried:    c.carried.Load(),
+		}
+		if inst := p.loadInst(Kind(kind)); inst != nil && inst.packable(Kind(kind)) {
+			st.Paths[kind].BreakEven = inst.breakEven()
+		}
 	}
 	st.Submitted = p.stats.submitted.Load()
 	st.InFlight = st.Submitted - st.Completed
