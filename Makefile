@@ -69,8 +69,10 @@
 # benchmark: scripts/bench_ab.py checks AB_BASE (default HEAD) out into
 # a git worktree under .bench_build/, runs perfbench on it and on the
 # working tree in alternating order for AB_ROUNDS rounds of AB_SECONDS
-# seconds, and prints the median, interquartile range and win count of
-# every end-to-end metric. It writes nothing under perfbench/.
+# seconds, and prints the median, interquartile range, win count and
+# verdict (ok / worse / unresolved, from BENCHMARK.json's bound and
+# better) of every end-to-end metric; it fails on any worse verdict. It
+# writes nothing under perfbench/.
 
 GO ?= go
 

@@ -45,9 +45,15 @@ func NewServer(fd *FrontDoor, addr string) (*Server, error) {
 // Addr returns the bound listen address.
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
+// closeWriteGrace is how long Close lets each connection keep writing
+// responses: a peer that stops reading would otherwise block its
+// connection's writer, and with it the drain, forever.
+const closeWriteGrace = 2 * time.Second
+
 // Close stops accepting, wakes every connection's reader, waits for
-// in-flight requests to resolve and their responses to flush, and
-// closes the connections. Idempotent.
+// in-flight requests to resolve and their responses to flush (for at
+// most closeWriteGrace per connection), and closes the connections.
+// Idempotent.
 func (s *Server) Close() {
 	s.mu.Lock()
 	first := !s.closed
@@ -61,9 +67,12 @@ func (s *Server) Close() {
 		s.ln.Close()
 		// A read deadline in the past stops each reader at the next frame
 		// boundary; the per-connection drain (pending responses, writer
-		// flush) then runs its normal course — writes are unaffected.
+		// flush) then runs its normal course until the write deadline,
+		// after which the writer discards what is left.
+		grace := time.Now().Add(closeWriteGrace)
 		for _, c := range conns {
 			c.SetReadDeadline(time.Unix(0, 1))
+			c.SetWriteDeadline(grace)
 		}
 	}
 	s.wg.Wait()
@@ -76,17 +85,25 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
+		if !s.serveConn(conn) {
 			return
 		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go s.handle(conn)
 	}
+}
+
+// serveConn registers conn with the drain and starts its handler; after
+// Close it closes conn instead and reports false.
+func (s *Server) serveConn(conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		conn.Close()
+		return false
+	}
+	s.conns[conn] = struct{}{}
+	s.wg.Add(1)
+	go s.handle(conn)
+	return true
 }
 
 // handle runs one connection: the calling goroutine reads frames and
@@ -143,10 +160,14 @@ func (s *Server) handle(conn net.Conn) {
 func (s *Server) dispatch(f *frame, out chan<- *frame, pending *sync.WaitGroup) {
 	if f.kind == kindRegister {
 		resp := &frame{reqID: f.reqID, kind: f.kind, tenant: f.tenant, n: f.n}
-		if len(f.words) != registerWords {
+		switch {
+		case len(f.words) != registerWords:
 			resp.status = statusError
 			resp.errMsg = fmt.Sprintf("frontdoor: register payload %d words, want %d", len(f.words), registerWords)
-		} else {
+		case f.n > maxWireN:
+			resp.status = statusError
+			resp.errMsg = fmt.Sprintf("frontdoor: register width n=%d exceeds %d", f.n, maxWireN)
+		default:
 			spec := TenantSpec{
 				N:        int(f.n),
 				Engine:   Engine(f.words[0]),
@@ -200,10 +221,10 @@ func (s *Server) dispatch(f *frame, out chan<- *frame, pending *sync.WaitGroup) 
 	}()
 }
 
-// maxWireN is the widest network a routing frame can address: a Permute
-// or SortWords payload carries one word per input, so no frame can hold
-// more than MaxFrameBytes/8 of them.
-const maxWireN = MaxFrameBytes / 8
+// maxWireN is the widest network the wire serves: the largest response,
+// a Concentrate's 1 + n words, still fits one frame beside the longest
+// tenant id (65535 bytes). Among powers of two that is n = 2^21.
+const maxWireN = (MaxFrameBytes-bodyHeaderBytes-0xFFFF)/8 - 1
 
 // requestFromFrame converts a decoded routing frame into a
 // serve.Request, copying out of the pooled words. A width beyond

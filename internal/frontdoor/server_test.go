@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -337,5 +339,70 @@ func TestWireSortWordsMatchesLocal(t *testing.T) {
 		if viaWire[i] != local.Keys[i] {
 			t.Fatalf("wire[%d]=%d != local %d", i, viaWire[i], local.Keys[i])
 		}
+	}
+}
+
+// TestCloseWithNonReadingPeer pins that Close returns when a peer
+// pipelines requests and never reads a response: the connection's
+// writer blocks on the first flush, so the drain can only end once the
+// closeWriteGrace write deadline fails the writer. Over net.Pipe, which
+// buffers nothing, the writer blocks deterministically.
+func TestCloseWithNonReadingPeer(t *testing.T) {
+	fd, srv := startServer(t, Config{QueueDepth: 64, IdleTTL: time.Hour, AdaptEvery: time.Hour})
+	const n = 64
+	if err := fd.Register("r", TenantSpec{N: n, Engine: concentrator.MuxMerger}); err != nil {
+		t.Fatal(err)
+	}
+	peer, conn := net.Pipe()
+	defer peer.Close()
+	if !srv.serveConn(conn) {
+		t.Fatal("server refused the connection before Close")
+	}
+	go func() { // pipeline requests, never read; ends when the server hangs up
+		rng := rand.New(rand.NewSource(5))
+		for i := uint64(1); ; i++ {
+			dest := rng.Perm(n)
+			words := make([]uint64, n)
+			for j, d := range dest {
+				words[j] = uint64(d)
+			}
+			if writeFrame(peer, &frame{reqID: i, kind: kindPermute, tenant: "r", n: n, words: words}) != nil {
+				return
+			}
+		}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); fd.Stats().Completed == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no request completed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan struct{})
+	start := time.Now()
+	go func() { srv.Close(); close(closed) }()
+	select {
+	case <-closed:
+		t.Logf("Close returned after %v", time.Since(start))
+	case <-time.After(closeWriteGrace + 10*time.Second):
+		t.Fatal("Close did not return: the writer is still blocked on a peer that never reads")
+	}
+}
+
+// TestRegisterWidthCap pins the server-side width cap: a Register frame
+// wider than maxWireN is refused before any plan set is compiled.
+func TestRegisterWidthCap(t *testing.T) {
+	fd, srv := startServer(t, Config{QueueDepth: 8, IdleTTL: time.Hour, AdaptEvery: time.Hour})
+	cl, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	err = cl.Register("wide", TenantSpec{N: 1 << 22, Engine: concentrator.MuxMerger})
+	var re *RemoteError
+	if !errors.As(err, &re) || !strings.Contains(re.Msg, "exceeds") {
+		t.Fatalf("Register at n=2^22: %v, want a width RemoteError", err)
+	}
+	if ids := fd.Tenants(); len(ids) != 0 {
+		t.Fatalf("tenants %v registered, want none", ids)
 	}
 }

@@ -212,3 +212,20 @@ func TestRequestFromFrameWidthCap(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxWireNResponseFits pins the width cap's arithmetic: at maxWireN
+// the largest response — a Concentrate's 1 + n words beside a
+// 65535-byte tenant id — fits one frame and one input more does not, so
+// the widest power-of-two network the wire serves is 2^21.
+func TestMaxWireNResponseFits(t *testing.T) {
+	body := func(n int) int { return bodyHeaderBytes + 0xFFFF + 8*(1+n) }
+	if b := body(maxWireN); b > MaxFrameBytes {
+		t.Fatalf("Concentrate response at n=%d is %d bytes, over MaxFrameBytes %d", maxWireN, b, MaxFrameBytes)
+	}
+	if b := body(maxWireN + 1); b <= MaxFrameBytes {
+		t.Fatalf("n=%d still fits (%d bytes): maxWireN is not the widest", maxWireN+1, b)
+	}
+	if maxWireN < 1<<21 || maxWireN >= 1<<22 {
+		t.Fatalf("maxWireN = %d, want the widest power of two served to be 2^21", maxWireN)
+	}
+}

@@ -388,7 +388,7 @@ func (p *ShardedRoutePlan) routePackedAt(out [][]int, dests [][]int, base int) (
 
 // RoutePacked routes up to MaxPackedLanes destination assignments
 // through the sharded plan on the caller's goroutine — the sharded
-// counterpart of RoutePlan.RoutePacked, used by burst drains that
+// counterpart of RoutePlan.RoutePacked, used by serve's packed runs that
 // already own a worker. Groups wider than one packed replay (gbMax
 // requests) chunk sequentially; below the packed break-even every
 // request routes on the scalar composition. The validation contract

@@ -1,7 +1,7 @@
 package serve
 
-// Tests of the burst drain's measured packing threshold: the break-even
-// width k*, bursts of every interesting width routed bit-identically to
+// Tests of the run rule's measured packing threshold: the break-even
+// width k*, runs of every interesting width routed bit-identically to
 // the per-request path, the per-path counters, and recovery re-learning
 // the cost cells.
 
@@ -367,10 +367,11 @@ func TestRecoveryRelearnsCosts(t *testing.T) {
 	}
 }
 
-// TestCarriedTailHonoursCancel checks that carrying a tail does not
-// exempt it from its context: a deadline-free Permute tail whose context
-// is cancelled while the Concentrate burst ahead of it replays resolves
-// with the cancellation, unrouted, and Close still drains everything.
+// TestCarriedTailHonoursCancel checks that a request queued behind a
+// packed run still honours its context when its turn comes: a Permute
+// whose context is cancelled while the Concentrate run ahead of it
+// replays resolves with the cancellation, unrouted, and Close still
+// drains everything.
 func TestCarriedTailHonoursCancel(t *testing.T) {
 	const n = 64
 	s, err := New(Config{N: n, Engine: concentrator.MuxMerger, Workers: 1, QueueDepth: 64})
@@ -381,7 +382,7 @@ func TestCarriedTailHonoursCancel(t *testing.T) {
 	tailCtx, cancel := context.WithCancel(context.Background())
 	s.testOnBurst = func(kind Kind, size int) {
 		if kind == Concentrate {
-			cancel() // the tail is carried, not yet routed
+			cancel() // the Permute is still queued, not yet routed
 		}
 	}
 	rng := rand.New(rand.NewSource(31))
@@ -411,9 +412,9 @@ func TestCarriedTailHonoursCancel(t *testing.T) {
 		}
 	}
 	if _, err := tailFut.Result(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled carried tail resolved with %v, want context.Canceled", err)
+		t.Fatalf("cancelled queued permute resolved with %v, want context.Canceled", err)
 	}
-	if p := s.Stats().Paths[Permute]; p.Carried != 1 || p.Packed != 0 || p.PerRequest != 1 {
-		t.Fatalf("permute paths %+v, want the tail carried once and resolved per request", p)
+	if p := s.Stats().Paths; p[Concentrate].Packed != 30 || p[Permute].Packed != 0 || p[Permute].PerRequest != 1 {
+		t.Fatalf("paths %+v, want the 30 concentrates packed and the permute resolved per request", p)
 	}
 }

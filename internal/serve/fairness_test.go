@@ -1,7 +1,7 @@
 package serve
 
 // Regression tests for the serve bugfix sweep: the torn-snapshot stats
-// invariant, burst-drain fairness across request kinds, the
+// invariant, the admission-order run rule across request kinds, the
 // Submit-during-Close backpressure race, and Future.Wait's
 // resolution-beats-cancellation guarantee.
 
@@ -113,233 +113,77 @@ func pinBreakEven(s *Service, kind Kind, k int) {
 	inst.packedWordNs.Store(int64(k))
 }
 
-// burstTailSetup queues, behind one held worker, concs Concentrate
-// requests and then one Permute — the drain's tail — with the given
-// deadline, followed by perms more Permutes. It returns the released
-// service's futures.
-func burstTailSetup(t *testing.T, s *Service, rng *rand.Rand, concs, perms int, deadline time.Time) (
-	concFuts []*Future, tailFut *Future, permFuts []*Future, release func()) {
-	t.Helper()
-	n := s.N()
-	h := newWorkerHold(s)
-	h.hold(t)
-	ctx := context.Background()
-	submit := func(req Request) *Future {
-		fut, err := s.Submit(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fut
-	}
-	for i := 0; i < concs; i++ {
-		marked := make([]bool, n)
-		for j := range marked {
-			marked[j] = rng.Intn(2) == 0
-		}
-		concFuts = append(concFuts, submit(Request{Kind: Concentrate, Marked: marked}))
-	}
-	tailFut = submit(Request{Kind: Permute, Dest: rng.Perm(n), Deadline: deadline})
-	for i := 0; i < perms; i++ {
-		permFuts = append(permFuts, submit(Request{Kind: Permute, Dest: rng.Perm(n)}))
-	}
-	return concFuts, tailFut, permFuts, h.unhold
-}
-
-// TestBurstTailNotStarved pins the drain-fairness rule for a tail with
-// a deadline: the other-kind task that ends a greedy same-kind drain
-// must execute BEFORE the burst's packed replay, not after it. A single
-// held worker makes the schedule deterministic: 200 Concentrate
-// requests queue up behind a scalar hold task, a lone Permute with a
-// deadline lands behind them, and on release the worker must resolve
-// the Permute (the drain's tail) while every burst Concentrate is still
-// unresolved. TestBurstCarriedTailPacks covers a tail without one.
-func TestBurstTailNotStarved(t *testing.T) {
+// TestRunsTakenInAdmissionOrder pins the run rule: a worker takes the
+// queue's leading same-kind run when it reaches k* (pinned here at
+// MinPackedLanes), otherwise the head alone, so no request is claimed
+// ahead of one admitted before it. Behind one held worker queue 200
+// Concentrates, one Permute with a deadline, 30 more Permutes and 10
+// Concentrates: the worker must replay the 200 Concentrates, then all
+// 31 Permutes as one run, and route the last 10 Concentrates (fewer
+// than k*) one by one.
+func TestRunsTakenInAdmissionOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	const concs = 200 // below burstLanes so the drain reaches the Permute
-	s, err := New(Config{N: 64, Engine: concentrator.MuxMerger, Workers: 1, QueueDepth: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	burstGate := make(chan struct{})
-	var gateOnce sync.Once
-	openGate := func() { gateOnce.Do(func() { close(burstGate) }) }
-	defer openGate()
+	const n, concs, perms, trailing = 64, 200, 30, 10
+	s := newTestService(t, Config{N: n, Engine: concentrator.MuxMerger, Workers: 1, QueueDepth: 512})
+	pinBreakEven(s, Permute, concentrator.MinPackedLanes)
+	pinBreakEven(s, Concentrate, concentrator.MinPackedLanes)
 	type burstInfo struct {
 		kind Kind
 		size int
 	}
-	burstCh := make(chan burstInfo, 4)
-	s.testOnBurst = func(kind Kind, size int) {
-		burstCh <- burstInfo{kind, size}
-		<-burstGate // park the worker between the tail and the replay
-	}
-	concFuts, tailFut, _, release := burstTailSetup(t, s, rng, concs, 0, time.Now().Add(time.Hour))
-
-	ctx := context.Background()
-	release()
-	if _, err := tailFut.Wait(ctx); err != nil {
-		t.Fatalf("tail permute: %v", err)
-	}
-	// Receiving from burstCh synchronizes with the worker, which is now
-	// parked in testOnBurst: the tail has run, the burst replay has not.
-	// Every burst Concentrate must still be pending.
-	burst := <-burstCh
-	resolved := 0
-	for _, fut := range concFuts {
-		select {
-		case <-fut.Done():
-			resolved++
-		default:
-		}
-	}
-	if resolved != 0 {
-		t.Errorf("%d/%d burst concentrates resolved before the drain's tail", resolved, concs)
-	}
-	if burst.kind != Concentrate || burst.size != concs {
-		t.Errorf("burst = (%v, %d), want (%v, %d)", burst.kind, burst.size, Concentrate, concs)
-	}
-	openGate()
-	for i, fut := range concFuts {
-		if _, err := fut.Wait(ctx); err != nil {
-			t.Fatalf("concentrate %d: %v", i, err)
-		}
-	}
-	if c := s.Stats().Paths[Permute].Carried; c != 0 {
-		t.Errorf("deadline tail carried (%d carried), want it run before the replay", c)
-	}
-}
-
-// TestBurstCarriedTailPacks pins the rule for a tail without a deadline:
-// it is carried to the head of the worker's next drain and resolves
-// inside its own kind's burst. Behind one held worker, 200 Concentrates
-// are followed by a deadline-free Permute and 30 more Permutes: the
-// worker must run the Concentrate burst with the tail still pending,
-// then one Permute burst of all 31.
-func TestBurstCarriedTailPacks(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const concs, perms = 200, 30
-	s, err := New(Config{N: 64, Engine: concentrator.MuxMerger, Workers: 1, QueueDepth: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	pinBreakEven(s, Permute, concentrator.MinPackedLanes)
-
-	type burstInfo struct {
-		kind        Kind
-		size        int
-		tailPending bool
-	}
 	var mu sync.Mutex
 	var bursts []burstInfo
-	var tailFut *Future
 	s.testOnBurst = func(kind Kind, size int) {
-		pending := true
-		select {
-		case <-tailFut.Done():
-			pending = false
-		default:
-		}
 		mu.Lock()
-		bursts = append(bursts, burstInfo{kind, size, pending})
+		bursts = append(bursts, burstInfo{kind, size})
 		mu.Unlock()
 	}
-	concFuts, tailFut, permFuts, release := burstTailSetup(t, s, rng, concs, perms, time.Time{})
-
+	h := newWorkerHold(s)
+	holdFut := h.hold(t)
 	ctx := context.Background()
-	release()
-	for i, fut := range append(append(concFuts, tailFut), permFuts...) {
+	var futs []*Future
+	submit := func(req Request) {
+		fut, err := s.Submit(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		futs = append(futs, fut)
+	}
+	conc := func() {
+		marked := make([]bool, n)
+		for j := range marked {
+			marked[j] = rng.Intn(2) == 0
+		}
+		submit(Request{Kind: Concentrate, Marked: marked})
+	}
+	for i := 0; i < concs; i++ {
+		conc()
+	}
+	submit(Request{Kind: Permute, Dest: rng.Perm(n), Deadline: time.Now().Add(time.Hour)})
+	for i := 0; i < perms; i++ {
+		submit(Request{Kind: Permute, Dest: rng.Perm(n)})
+	}
+	for i := 0; i < trailing; i++ {
+		conc()
+	}
+	h.unhold()
+	for i, fut := range append(futs, holdFut) {
 		if _, err := fut.Wait(ctx); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	want := []burstInfo{{Concentrate, concs, true}, {Permute, perms + 1, true}}
+	want := []burstInfo{{Concentrate, concs}, {Permute, perms + 1}}
 	if len(bursts) != len(want) || bursts[0] != want[0] || bursts[1] != want[1] {
 		t.Fatalf("bursts %+v, want %+v", bursts, want)
 	}
 	st := s.Stats()
-	if p := st.Paths[Permute]; p.Carried != 1 || p.Packed != perms+1 || p.PerRequest != 0 {
-		t.Fatalf("permute paths %+v, want 1 carried, %d packed, 0 per request", p, perms+1)
+	if p := st.Paths[Concentrate]; p.Packed != concs || p.PerRequest != trailing {
+		t.Fatalf("concentrate paths %+v, want %d packed, %d per request", p, concs, trailing)
 	}
-}
-
-// TestBurstConsecutiveKindCap pins the sustained-stream fairness bound:
-// after maxConsecBursts consecutive full-width same-kind bursts, further
-// same-kind drains are capped at one lane word until the streak breaks.
-// A pre-filled queue, a single worker and a break-even width pinned at
-// MinPackedLanes make the burst sequence exact. The trailing 20 requests
-// are fewer than k*, so they route per request and form no burst.
-func TestBurstConsecutiveKindCap(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	n := 64
-	total := maxConsecBursts*burstLanes + 4*concentrator.PackedLanes + 20
-	s, err := New(Config{N: n, Engine: concentrator.MuxMerger, Workers: 1, QueueDepth: total + 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	pinBreakEven(s, Concentrate, concentrator.MinPackedLanes)
-
-	release := make(chan struct{})
-	var held atomic.Bool
-	s.testBeforeExec = func() {
-		if held.CompareAndSwap(false, true) {
-			<-release
-		}
-	}
-	var mu sync.Mutex
-	var sizes []int
-	s.testOnBurst = func(kind Kind, size int) {
-		mu.Lock()
-		sizes = append(sizes, size)
-		mu.Unlock()
-	}
-
-	ctx := context.Background()
-	keys := make([]uint64, n)
-	holdFut, err := s.Submit(ctx, Request{Kind: SortWords, Keys: keys})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for !held.Load() {
-		time.Sleep(time.Millisecond)
-	}
-	futs := make([]*Future, total)
-	for i := range futs {
-		marked := make([]bool, n)
-		for j := range marked {
-			marked[j] = rng.Intn(2) == 0
-		}
-		if futs[i], err = s.Submit(ctx, Request{Kind: Concentrate, Marked: marked}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(release)
-	for i, fut := range futs {
-		if _, err := fut.Wait(ctx); err != nil {
-			t.Fatalf("concentrate %d: %v", i, err)
-		}
-	}
-	if _, err := holdFut.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	want := []int{burstLanes, burstLanes, burstLanes, burstLanes,
-		concentrator.PackedLanes, concentrator.PackedLanes,
-		concentrator.PackedLanes, concentrator.PackedLanes}
-	if len(sizes) != len(want) {
-		t.Fatalf("burst sizes %v, want %v", sizes, want)
-	}
-	for i := range want {
-		if sizes[i] != want[i] {
-			t.Fatalf("burst %d: size %d, want %d (full sequence %v)", i, sizes[i], want[i], sizes)
-		}
+	if p := st.Paths[Permute]; p.Packed != perms+1 || p.PerRequest != 0 {
+		t.Fatalf("permute paths %+v, want %d packed, 0 per request", p, perms+1)
 	}
 }
 

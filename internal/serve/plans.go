@@ -3,7 +3,7 @@
 // fault recovery (fault.go) and the stats counters (stats.go), and runs
 // requests synchronously through Exec on the caller's goroutine. A
 // Service is a PlanSet plus an admission queue, a worker pool and the
-// burst drain; the multi-tenant front door runs each tenant on a bare
+// packed-run rule; the multi-tenant front door runs each tenant on a bare
 // PlanSet from its own dispatchers.
 package serve
 

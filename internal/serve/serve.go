@@ -34,33 +34,28 @@
 // caller.
 //
 // Under a request burst the service additionally matches the packed
-// batch pipelines: when at least k* requests are on hand, a worker that
-// picks up a Concentrate or Permute request greedily drains further
-// queued requests of the same kind (never blocking) and, when the
-// drained group is at least k* wide, routes the whole group through one
-// SWAR plan replay (ConcentratePacked / RoutePacked) — up to burstLanes
-// requests per replay, riding the packed engine's multi-word lane
-// planes. With fewer on hand each request routes on its own, so a group
-// too narrow to pay for packing never serializes on one worker. k* is
-// the break-even width measured on the kind's current plan instance:
+// batch pipelines. The queue is a FIFO a worker can look into, and a
+// worker always takes a prefix of it: the queue's leading run of
+// same-kind requests when that kind can ride a packed replay on its
+// current plan instance and the run is at least k* long (up to
+// burstLanes requests), otherwise the head alone. A run routes through
+// one SWAR plan replay (ConcentratePacked / RoutePacked), riding the
+// packed engine's multi-word lane planes; a shorter run leaves its
+// requests to be routed one by one, spread over the workers. k* is the
+// break-even width measured on the kind's current plan instance:
 // ⌈packed replay per lane word ÷ one per-request route⌉, both the
 // minimum wall time the workers have observed, clamped to [2, 64]; it
 // is MinPackedLanes until both costs have a sample, and a replacement
-// instance swapped in by fault recovery re-learns it. The drain is fair
-// across kinds: the other-kind request that ends a drain (its tail) is
-// carried to the head of the worker's next drain when it has no
-// deadline, so it packs with its own kind, and executes before the
-// burst's wide replay when it has one; a sustained single-kind stream
-// has its burst width capped after maxConsecBursts consecutive
-// full-width bursts, so no kind is starved past its deadline by another
-// kind's packing. Stats reports per kind how many requests were packed,
-// routed per request and carried, and the current k*. Results are
-// bit-for-bit identical to the per-request path,
-// and every drained task still honours its own context, deadline, and
+// instance swapped in by fault recovery re-learns it. Because every
+// claim is a prefix, requests are claimed in admission order: none is
+// ever taken ahead of one admitted before it. Stats reports per
+// kind how many requests were packed and routed per request, and the
+// current k*. Results are bit-for-bit identical to the per-request path,
+// and every task of a run still honours its own context, deadline, and
 // (for Concentrate) capacity check individually; a malformed permutation
-// in a Permute burst resolves alone with its own error and never poisons
-// its burst neighbours. The Ranking engine's Concentrate requests always
-// take the per-request path, exactly as ConcentrateBatch does.
+// in a Permute run resolves alone with its own error and never poisons
+// its neighbours. The Ranking engine's Concentrate requests always take
+// the per-request path, exactly as ConcentrateBatch does.
 //
 // The plan set additionally carries the paper's hardware fault model into
 // the serving regime (see fault.go): each request kind routes through a
@@ -87,24 +82,11 @@ import (
 // Engine selects the routing engine backing a plan set.
 type Engine = concentrator.Engine
 
-// burstLanes caps a worker's greedy same-kind drain: WideWords lane
+// burstLanes caps the run a worker takes off the queue: WideWords lane
 // words of requests ride one multi-word packed replay — the widest group
 // the auto-tuned batch pipelines use — while staying far below the
 // packed engines' MaxPackedLanes hard limit.
 const burstLanes = planner.WideWords * concentrator.PackedLanes
-
-// maxConsecBursts bounds how many consecutive FULL-WIDTH same-kind
-// bursts one worker may run before its drain is capped at a single lane
-// word (concentrator.PackedLanes): under a sustained single-kind stream
-// the greedy drain would otherwise claim burstLanes-deep stretches of
-// the queue back to back, and a request of another kind — claimed as the
-// drain's tail or waiting right behind the claimed stretch — would keep
-// paying a full wide-replay latency per cycle, long enough to blow its
-// deadline. Capped bursts still ride the packed replay (PackedLanes ≥
-// MinPackedLanes), so the fairness bound costs only the widening, not
-// the packing. The streak resets whenever another kind actually runs or
-// the queue goes idle.
-const maxConsecBursts = 4
 
 // Service errors.
 var (
@@ -275,35 +257,26 @@ type task struct {
 type Service struct {
 	PlanSet
 
-	// packed enables the concentrate burst fast path: drained groups of
-	// queued Concentrate requests ride one SWAR plan replay. Disabled for
-	// the Ranking engine (its single stable partition gains nothing from
-	// lane packing) and for the trivial n = 1 wire.
-	packed bool
-	// packedPerm enables the permute burst fast path: drained groups of
-	// queued Permute requests ride one packed fused-plan replay
-	// (permnet.RoutePacked). Unlike the concentrator, the permuter packs
-	// every engine — each radix level's rank runs lane-parallel — so only
-	// the trivial n = 1 wire disables it.
-	packedPerm bool
-
-	queue chan *task
+	// slots holds one token per admitted task still in the queue (or
+	// between admission and append), so at most QueueDepth are ever
+	// queued: Submit blocks on it, TrySubmit fails fast.
+	slots chan struct{}
 	quit  chan struct{} // closed by Close: wakes blocked submitters
 
-	mu         sync.Mutex // guards closed + submitters.Add
-	closed     bool
-	submitters sync.WaitGroup // Submits between admission check and send
-	workers    sync.WaitGroup
+	mu      sync.Mutex // guards queue and closed
+	ready   sync.Cond  // on mu: signalled when a task is queued or Close starts
+	queue   []*task    // admitted tasks in admission order
+	closed  bool
+	workers sync.WaitGroup
 
 	// testBeforeExec, when set (tests only), runs in the worker once per
-	// task taken off the queue (including tasks drained into a packed
-	// burst) before the task executes; it lets tests hold workers busy
+	// task taken off the queue (including every task of a packed run)
+	// before the task executes; it lets tests hold workers busy
 	// deterministically.
 	testBeforeExec func()
-	// testOnBurst, when set (tests only), runs in the worker after a
-	// drained group's tail (if any) has executed and before the group's
-	// replay, reporting the burst kind and width; it lets tests pin the
-	// drain-fairness behaviour deterministically.
+	// testOnBurst, when set (tests only), runs in the worker before a
+	// taken run's replay, reporting the run's kind and width; it lets
+	// tests pin the run rule deterministically.
 	testOnBurst func(kind Kind, size int)
 }
 
@@ -313,13 +286,12 @@ func New(cfg Config) (*Service, error) {
 	if err := s.init(cfg); err != nil {
 		return nil, err
 	}
-	cfg = s.cfg
-	s.packed = planner.PackedProfitable(cfg.Engine) && cfg.N > 1
-	s.packedPerm = cfg.N > 1
-	s.queue = make(chan *task, cfg.QueueDepth)
+	s.slots = make(chan struct{}, s.cfg.QueueDepth)
 	s.quit = make(chan struct{})
-	s.workers.Add(cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
+	s.ready.L = &s.mu
+	s.queue = make([]*task, 0, s.cfg.QueueDepth)
+	s.workers.Add(s.cfg.Workers)
+	for w := 0; w < s.cfg.Workers; w++ {
 		go s.worker()
 	}
 	return s, nil
@@ -329,7 +301,11 @@ func New(cfg Config) (*Service, error) {
 // current admission queue occupancy.
 func (s *Service) Workers() int    { return s.cfg.Workers }
 func (s *Service) QueueDepth() int { return s.cfg.QueueDepth }
-func (s *Service) QueueLen() int   { return len(s.queue) }
+func (s *Service) QueueLen() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.queue)
+}
 
 // Submit admits req, blocking while the queue is full. It returns a
 // Future that is always resolved, or an error when the request is
@@ -345,62 +321,54 @@ func (s *Service) TrySubmit(ctx context.Context, req Request) (*Future, error) {
 }
 
 func (s *Service) submit(ctx context.Context, req Request, block bool) (*Future, error) {
-	if err := s.cfg.CheckRequest(req); err != nil {
+	t, err := s.admit(ctx, req, block)
+	if err != nil {
 		s.stats.rejected.Add(1)
+		return nil, err
+	}
+	return t.fut, nil
+}
+
+// admit validates req, takes a queue slot and appends the task. Submitted
+// is counted under the queue mutex before the append: no worker can
+// resolve the task (incrementing Completed) before it is counted, so
+// every Stats snapshot keeps Submitted ≥ Completed + InFlight.
+func (s *Service) admit(ctx context.Context, req Request, block bool) (*task, error) {
+	if err := s.cfg.CheckRequest(req); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		s.stats.rejected.Add(1)
 		return nil, err
 	}
-	// Enter the submitter gate: Close waits for everyone inside it before
-	// closing the queue channel, so a send can never hit a closed channel.
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.stats.rejected.Add(1)
-		return nil, ErrClosed
-	}
-	s.submitters.Add(1)
-	s.mu.Unlock()
-	defer s.submitters.Done()
-
-	t := &task{
-		req:       req,
-		ctx:       ctx,
-		fut:       NewFuture(),
-		submitted: time.Now(),
-	}
-	// Count the admission BEFORE the queue send: a worker can take the
-	// task and resolve it (incrementing Completed) the instant it lands
-	// on the channel, so Submitted must already cover it or a torn Stats
-	// snapshot can observe Submitted < Completed + InFlight. A send that
-	// fails rolls the count back — the transient in between is a phantom
-	// admission (Submitted one high), which the invariant tolerates,
-	// never a missing one, which it would not.
-	s.stats.submitted.Add(1)
 	if block {
 		select {
-		case s.queue <- t:
+		case s.slots <- struct{}{}:
 		case <-ctx.Done():
-			s.stats.submitted.Add(-1)
-			s.stats.rejected.Add(1)
 			return nil, ctx.Err()
 		case <-s.quit:
-			s.stats.submitted.Add(-1)
-			s.stats.rejected.Add(1)
 			return nil, ErrClosed
 		}
 	} else {
 		select {
-		case s.queue <- t:
+		case s.slots <- struct{}{}:
+		case <-s.quit:
+			return nil, ErrClosed
 		default:
-			s.stats.submitted.Add(-1)
-			s.stats.rejected.Add(1)
 			return nil, ErrQueueFull
 		}
 	}
-	return t.fut, nil
+	t := &task{req: req, ctx: ctx, fut: NewFuture(), submitted: time.Now()}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		<-s.slots
+		return nil, ErrClosed
+	}
+	s.stats.submitted.Add(1)
+	s.queue = append(s.queue, t)
+	s.mu.Unlock()
+	s.ready.Signal()
+	return t, nil
 }
 
 // Close stops admission, drains every admitted request (each Future
@@ -413,161 +381,105 @@ func (s *Service) Close() {
 	s.mu.Unlock()
 	if first {
 		close(s.quit)       // wake submitters blocked on a full queue
-		s.submitters.Wait() // no Submit is mid-send any more
-		close(s.queue)      // workers drain the remainder and exit
+		s.ready.Broadcast() // idle workers see closed and exit once drained
 	}
 	s.workers.Wait()
 }
 
-// worker drains the admission queue until it is closed and empty. With
-// the matching packed fast path enabled and at least k* tasks on hand
-// (the picked one plus the queue; k* is the kind's measured break-even
-// width, see planInstance.breakEven), a Concentrate or Permute task
-// triggers a greedy non-blocking drain of further queued tasks of the
-// same kind so the group rides one SWAR plan replay; with fewer the task
-// runs per request, leaving the rest of the queue to the other workers
-// instead of serializing a group too narrow to pay for packing.
-//
-// The drain's other-kind tail is carried when it has no deadline (a
-// zero Request.Deadline and a context without one): it becomes the
-// head of this worker's next drain, so it packs with its own kind
-// instead of routing alone. A tail with a deadline executes BEFORE the
-// burst's packed replay (one scalar route delays the burst; a wide
-// replay could expire the tail's deadline). After maxConsecBursts
-// consecutive full-width same-kind bursts the drain is capped at one
-// lane word, so other-kind arrivals surface within PackedLanes tasks
-// instead of burstLanes.
+// worker takes runs off the queue until it is closed and empty. A run of
+// one routes per request; a longer run (see runLen) rides one packed
+// plan replay.
 func (s *Service) worker() {
 	defer s.workers.Done()
-	var burst []*task
-	var marked [][]bool
-	var dests [][]int
-	if s.packed || s.packedPerm {
-		burst = make([]*task, 0, burstLanes)
-	}
-	if s.packed {
-		marked = make([][]bool, 0, burstLanes)
-	}
-	if s.packedPerm {
-		dests = make([][]int, 0, burstLanes)
-	}
-	lastKind := Kind(255) // kind of the previous burst; 255 = no streak
-	consec := 0           // consecutive same-kind bursts, full width or capped
-	var carried *task     // the previous drain's carried tail
+	claimed := make([]*task, 0, burstLanes)
+	marked := make([][]bool, 0, burstLanes)
+	dests := make([][]int, 0, burstLanes)
 	for {
-		t := carried
-		carried = nil
-		if t == nil {
-			var ok bool
-			if t, ok = <-s.queue; !ok {
-				return
-			}
-			if s.testBeforeExec != nil {
+		if claimed = s.take(claimed); len(claimed) == 0 {
+			return
+		}
+		if s.testBeforeExec != nil {
+			for range claimed {
 				s.testBeforeExec()
 			}
 		}
-		kind := t.req.Kind
-		if !s.burstable(kind) || len(s.queue)+1 < s.loadInst(kind).breakEven() {
-			// Another kind, or too few tasks to pack: route this one alone
-			// and leave the rest of the queue to the other workers.
-			s.run(t)
-			lastKind, consec = Kind(255), 0 // streak over
+		if len(claimed) == 1 {
+			s.run(claimed[0])
 			continue
 		}
-		limit := burstLanes
-		if kind == lastKind && consec >= maxConsecBursts {
-			limit = concentrator.PackedLanes
-		}
-		burst = append(burst[:0], t)
-		tail := s.drainKind(kind, &burst, limit)
-		switch {
-		case tail == nil:
-		case carriable(tail):
-			carried = tail
-			s.stats.paths[tail.req.Kind].carried.Add(1)
-		default:
-			// Deadline protection: run the tail before the wide replay it
-			// is not part of, not after.
-			s.run(tail)
-		}
+		kind := claimed[0].req.Kind
 		if s.testOnBurst != nil {
-			s.testOnBurst(kind, len(burst))
+			s.testOnBurst(kind, len(claimed))
 		}
-		s.execBurst(kind, burst, marked, dests)
-		switch {
-		case tail != nil || len(burst) < limit:
-			// Another kind runs next, or the queue went idle mid-drain: no
-			// sustained single-kind pressure, reset the streak.
-			lastKind, consec = Kind(255), 0
-		case kind == lastKind:
-			consec++
-		default:
-			lastKind, consec = kind, 1
-		}
+		s.execBurst(kind, claimed, marked, dests)
 	}
 }
 
-// burstable reports whether tasks of kind may be drained into a packed
-// burst on this service.
-func (s *Service) burstable(kind Kind) bool {
-	return (kind == Concentrate && s.packed) || (kind == Permute && s.packedPerm)
-}
-
-// carriable reports whether a drain tail may wait for the next drain:
-// only a task with no deadline at all, neither its own nor its
-// context's.
-func carriable(t *task) bool {
-	_, ok := t.ctx.Deadline()
-	return !ok && t.req.Deadline.IsZero()
-}
-
-// drainKind greedily claims further queued tasks of the same kind up to
-// limit, never blocking: under a request burst the queue is hot and the
-// claimed group rides one packed plan replay; if the queue empties
-// under a racing worker the group may come out narrow and route on the
-// per-request path. Claim order matches queue order, so burst tasks
-// execute in FIFO order. The first other-kind task claimed, if any, ends
-// the drain and is returned as the drain's tail (see worker).
-func (s *Service) drainKind(kind Kind, burst *[]*task, limit int) *task {
-	for len(*burst) < limit {
-		select {
-		case nt, ok := <-s.queue:
-			if !ok {
-				return nil
-			}
-			if s.testBeforeExec != nil {
-				s.testBeforeExec()
-			}
-			if nt.req.Kind != kind {
-				return nt
-			}
-			*burst = append(*burst, nt)
-		default:
-			return nil
+// take blocks until the queue holds a task, then moves the next run
+// (runLen tasks off its front) into buf and frees their queue slots. It
+// returns an empty run once the service is closed and the queue drained.
+func (s *Service) take(buf []*task) []*task {
+	s.mu.Lock()
+	for len(s.queue) == 0 {
+		if s.closed {
+			s.mu.Unlock()
+			return buf[:0]
 		}
+		s.ready.Wait()
 	}
-	return nil
+	n := s.runLen()
+	buf = append(buf[:0], s.queue[:n]...)
+	rest := copy(s.queue, s.queue[n:])
+	clear(s.queue[rest:])
+	s.queue = s.queue[:rest]
+	s.mu.Unlock()
+	for range n {
+		<-s.slots
+	}
+	return buf
 }
 
-// execBurst resolves a drained group of same-kind tasks. Groups at
-// least k* wide (the current plan instance's break-even width) route
-// through one packed plan replay (ConcentratePacked / RoutePacked);
-// narrower groups take the per-request path (the packing overhead would
-// not pay for itself), as does any group whose current plan instance
-// cannot ride the packed replay — injected faults force the scalar
-// faulty path, a Concentrate fallback onto the Ranking engine gains
-// nothing from lane packing, and degraded (permuter-backed) service has
-// no concentrator plan at all. Each task is still pre-checked
-// individually — cancellation, deadline, and concentrator capacity — so
-// one dead or over-capacity request resolves alone with its own error
-// and never poisons its burst neighbours. The packed-group fallback is
-// reachable for Permute: admission validates only lengths, so a
-// non-permutation destination assignment surfaces inside RoutePacked —
-// the group then re-routes per request so each task gets its own
-// canonical result or error. A successful flat-plan replay feeds the
-// instance's packed cost cell; the sharded plan's replays do not (its
-// requests span shard lanes, not one lane each), so its k* stays at
-// MinPackedLanes.
+// runLen is the length of the next run, with s.mu held and the queue
+// non-empty: the queue's leading same-kind run, up to burstLanes, when
+// the head's kind can ride a packed replay on its current plan instance
+// and the run reaches the instance's break-even width k*; otherwise 1,
+// the head alone. A run shorter than k* is left to route per request,
+// one task per take, so it spreads over the workers instead of
+// serializing on one.
+func (s *Service) runLen() int {
+	kind := s.queue[0].req.Kind
+	inst := s.loadInst(kind)
+	if s.cfg.N < 2 || !inst.packable(kind) {
+		return 1
+	}
+	n := 1
+	for n < len(s.queue) && n < burstLanes && s.queue[n].req.Kind == kind {
+		n++
+	}
+	if n < inst.breakEven() {
+		return 1
+	}
+	return n
+}
+
+// execBurst resolves a run of same-kind tasks taken off the queue. A
+// run at least k* wide (the current plan instance's break-even width)
+// routes through one packed plan replay (ConcentratePacked /
+// RoutePacked). It takes the per-request path instead when recovery has
+// swapped in an instance since the take that cannot ride the packed
+// replay or has a wider k* — injected faults force the scalar faulty
+// path, a Concentrate fallback onto the Ranking engine gains nothing
+// from lane packing, and degraded (permuter-backed) service has no
+// concentrator plan at all. Each task is still pre-checked individually
+// — cancellation, deadline, and concentrator capacity — so one dead or
+// over-capacity request resolves alone with its own error and never
+// poisons its neighbours. The packed fallback is reachable for Permute:
+// admission validates only lengths, so a non-permutation destination
+// assignment surfaces inside RoutePacked — the run then re-routes per
+// request so each task gets its own canonical result or error. A
+// successful flat-plan replay feeds the instance's packed cost cell; the
+// sharded plan's replays do not (its requests span shard lanes, not one
+// lane each), so its k* stays at MinPackedLanes.
 func (s *Service) execBurst(kind Kind, burst []*task, marked [][]bool, dests [][]int) {
 	inst := s.loadInst(kind)
 	k := inst.breakEven()
@@ -615,7 +527,7 @@ func (s *Service) execBurst(kind Kind, burst []*task, marked [][]bool, dests [][
 			dests = append(dests, t.req.Dest)
 		}
 		if inst.sharded != nil {
-			// Shard-parallel drain: the burst routes in groups of requests
+			// Shard-parallel replay: the run routes in groups of requests
 			// per wide replay, each request spanning its w shard lanes.
 			err = inst.sharded.RoutePacked(perms, dests)
 		} else {
@@ -664,7 +576,7 @@ func (s *Service) routeOne(t *task) {
 }
 
 // routeEach resolves pre-checked tasks one by one on the per-request
-// path — the fallback of a burst that cannot ride the packed replay.
+// path — the fallback of a run that cannot ride the packed replay.
 func (s *Service) routeEach(ts []*task) {
 	for _, t := range ts {
 		s.routeOne(t)

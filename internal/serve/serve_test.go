@@ -246,7 +246,7 @@ func TestServePackedBurst(t *testing.T) {
 				}
 			}
 			defer releaseOnce() // a failing assertion must still unblock the worker
-			if !s.packed {
+			if !s.loadInst(Concentrate).packable(Concentrate) {
 				t.Fatalf("packed burst path disabled for %v", engine)
 			}
 			var held atomic.Bool
@@ -372,7 +372,7 @@ func TestServeRankingStaysScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n := 64
 	s := newTestService(t, Config{N: n, Engine: concentrator.Ranking, Workers: 2, QueueDepth: 128})
-	if s.packed {
+	if s.loadInst(Concentrate).packable(Concentrate) {
 		t.Fatal("packed burst path enabled for ranking engine")
 	}
 	conc := concentrator.New(n, n, concentrator.Ranking, 0)
@@ -439,7 +439,7 @@ func TestServePermutePackedBurst(t *testing.T) {
 				}
 			}
 			defer releaseOnce() // a failing assertion must still unblock the worker
-			if !s.packedPerm {
+			if !s.loadInst(Permute).packable(Permute) {
 				t.Fatalf("packed permute burst path disabled for %v", engine)
 			}
 			var held atomic.Bool

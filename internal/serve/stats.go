@@ -44,7 +44,7 @@ type statsCounters struct {
 
 // pathCounters counts how one request kind's completions were routed.
 type pathCounters struct {
-	packed, perRequest, carried atomic.Int64
+	packed, perRequest atomic.Int64
 }
 
 // observe records one completion latency.
@@ -101,16 +101,14 @@ type Stats struct {
 
 // PathStats is one request kind's routing-path breakdown.
 type PathStats struct {
-	// Packed counts completions resolved from a packed burst replay
+	// Packed counts completions resolved from a packed run replay
 	// (Service workers only); PerRequest counts every other completion —
-	// routed alone, including the burst fallbacks, or resolved with an
-	// error before routing. Carried counts drain tails of this kind a
-	// Service worker carried into its next drain instead of routing them
-	// ahead of the burst.
-	Packed, PerRequest, Carried int64
-	// BreakEven is the current plan instance's burst break-even width k*:
-	// a Service worker packs a burst of this kind once k* requests are on
-	// hand (see planInstance.breakEven). It is 0 when the instance can
+	// routed alone, including the packed-run fallbacks, or resolved with
+	// an error before routing.
+	Packed, PerRequest int64
+	// BreakEven is the current plan instance's break-even width k*: a
+	// Service worker packs a run of this kind once the queue leads with
+	// k* of them (see Service.runLen). It is 0 when the instance can
 	// never ride the packed replay (SortWords, a packed-unprofitable or
 	// faulted instance, degraded service).
 	BreakEven int
@@ -123,12 +121,12 @@ type PathStats struct {
 // updates. The documented invariant Submitted ≥ Completed + InFlight,
 // however, holds in EVERY snapshot, torn or not: Completed (monotone)
 // is loaded first and Submitted (monotone, and incremented at admission,
-// before the matching queue send or Exec's routing — see submit) last, so any resolution landing
-// mid-snapshot can only raise Submitted relative to the Completed
-// already read; InFlight is then derived from those same two loads
-// instead of being a third counter that could tear against them, and
-// clamped against the one transient that remains (a rolled-back
-// admission between the two loads).
+// before the task is queued or Exec routes it — see Service.admit) last,
+// so any resolution landing mid-snapshot can only raise Submitted
+// relative to the Completed already read; InFlight is then derived from
+// those same two loads instead of being a third counter that could tear
+// against them. Admission is never rolled back, so InFlight cannot go
+// negative; the clamp only guards counters set by hand.
 func (p *PlanSet) Stats() Stats {
 	st := Stats{
 		Completed:    p.stats.completed.Load(),
@@ -145,7 +143,6 @@ func (p *PlanSet) Stats() Stats {
 		st.Paths[kind] = PathStats{
 			Packed:     c.packed.Load(),
 			PerRequest: c.perRequest.Load(),
-			Carried:    c.carried.Load(),
 		}
 		if inst := p.loadInst(Kind(kind)); inst != nil && inst.packable(Kind(kind)) {
 			st.Paths[kind].BreakEven = inst.breakEven()

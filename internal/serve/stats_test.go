@@ -99,9 +99,8 @@ func TestApproxQuantileClamp(t *testing.T) {
 }
 
 // TestStatsInFlightClamp checks the derived in-flight count: Submitted −
-// Completed, clamped so the rolled-back-admission transient (Completed
-// momentarily ahead of Submitted between the snapshot's two loads) never
-// surfaces as a negative value.
+// Completed, clamped so counters with Completed ahead of Submitted never
+// surface as a negative value.
 func TestStatsInFlightClamp(t *testing.T) {
 	s := &Service{}
 	s.stats.submitted.Store(2)

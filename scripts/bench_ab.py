@@ -13,8 +13,17 @@ sides — for every workload BENCHMARK.json lists (or those named with
 --workload). Records go to .bench_build/ab-results/, never under
 perfbench/. It prints, per workload and end-to-end metric, the median
 and the interquartile range of each side, the change of the medians,
-and in how many rounds the working tree beat the base. The worktree is
-removed when the run ends.
+in how many rounds the working tree beat the base, and a verdict from
+the metric's BENCHMARK.json `bound` and `better`:
+
+    ok          the change's median is within the bound of the base's
+    worse       the change's median is past the bound (worse side)
+    unresolved  the base's IQR is wider than the bound and the change
+                does not win every round, so the runs cannot tell
+
+A side with more failed runs than the other is flagged. The worktree is
+removed when the run ends. The exit code is 1 when any verdict is
+`worse`, 2 on a usage or setup error, else 0.
 """
 
 import argparse
@@ -66,6 +75,50 @@ def spread(xs):
     return q2, q1, q3
 
 
+def verdict(b, c, bound, higher):
+    """ok / worse / unresolved for base values b and change values c."""
+    bm, bq1, bq3 = spread(b)
+    cm = spread(c)[0]
+    if (cm < bm * (1 - bound)) if higher else (cm > bm * (1 + bound)):
+        return "worse"
+    wins = sum(1 for x, y in zip(b, c) if (y > x if higher else y < x))
+    if bm and (bq3 - bq1) / abs(bm) > bound and wins < len(b):
+        return "unresolved"
+    return "ok"
+
+
+def report(vals, workloads, metrics, rounds):
+    """Prints the per-workload tables; returns the number of worse verdicts."""
+    worse = 0
+    for w in workloads:
+        fails = {s: sum(1 for v in vals[(w, s)] if v is None) for s in ("base", "change")}
+        pairs = [(b, c) for b, c in zip(vals[(w, "base")], vals[(w, "change")]) if b and c]
+        print(f"\n{w}: {len(pairs)} of {rounds} rounds completed on both sides")
+        if fails["base"] != fails["change"]:
+            side = max(fails, key=fails.get)
+            print(f"  FLAG: {side} had more failed runs (base {fails['base']}, change {fails['change']})")
+        if not pairs:
+            continue
+        print(f"  {'metric':<16} {'base':>10} {'IQR':>21} {'change':>10} {'IQR':>21} {'Δ median':>9} "
+              f"{'wins':>6} {'bound':>6}  verdict")
+        for m in metrics:
+            name, higher = m["name"], m["better"] == "higher"
+            b = [p[0][name] for p in pairs if name in p[0] and name in p[1]]
+            c = [p[1][name] for p in pairs if name in p[0] and name in p[1]]
+            if not b:
+                continue
+            bm, bq1, bq3 = spread(b)
+            cm, cq1, cq3 = spread(c)
+            wins = sum(1 for x, y in zip(b, c) if (y > x if higher else y < x))
+            delta = (cm - bm) / bm * 100 if bm else float("nan")
+            v = verdict(b, c, m["bound"], higher)
+            worse += v == "worse"
+            print(f"  {name:<16} {bm:>10.4g} {f'[{bq1:.4g}, {bq3:.4g}]':>21} "
+                  f"{cm:>10.4g} {f'[{cq1:.4g}, {cq3:.4g}]':>21} {delta:>+8.1f}% {wins:>3}/{len(b)} "
+                  f"{m['bound']:>6.2f}  {v}")
+    return worse
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", default="HEAD", help="commit to compare the working tree against")
@@ -105,24 +158,9 @@ def main():
         git("worktree", "prune")
 
     print(f"base {base[:12]} vs working tree: {args.rounds} interleaved rounds of {args.seconds} s")
-    for w in workloads:
-        pairs = [(b, c) for b, c in zip(vals[(w, "base")], vals[(w, "change")]) if b and c]
-        print(f"\n{w}: {len(pairs)} of {args.rounds} rounds completed on both sides")
-        if not pairs:
-            continue
-        print(f"  {'metric':<16} {'base':>10} {'IQR':>21} {'change':>10} {'IQR':>21} {'Δ median':>9} {'wins':>6}")
-        for m in metrics:
-            name, higher = m["name"], m["better"] == "higher"
-            b = [p[0][name] for p in pairs if name in p[0] and name in p[1]]
-            c = [p[1][name] for p in pairs if name in p[0] and name in p[1]]
-            if not b:
-                continue
-            bm, bq1, bq3 = spread(b)
-            cm, cq1, cq3 = spread(c)
-            wins = sum(1 for x, y in zip(b, c) if (y > x if higher else y < x))
-            delta = (cm - bm) / bm * 100 if bm else float("nan")
-            print(f"  {name:<16} {bm:>10.4g} {f'[{bq1:.4g}, {bq3:.4g}]':>21} "
-                  f"{cm:>10.4g} {f'[{cq1:.4g}, {cq3:.4g}]':>21} {delta:>+8.1f}% {wins:>3}/{len(b)}")
+    if report(vals, workloads, metrics, args.rounds):
+        sys.exit(1)
+
 
 if __name__ == "__main__":
     main()
