@@ -50,7 +50,11 @@
 # 64-lane perm-packed / conc-packed columns next to their 256-lane
 # counterparts). `make chaos` runs the
 # race-enabled fault drill: stuck-at faults wedged into a live service
-# under concurrent load, every admitted future must resolve correctly.
+# under concurrent load, every admitted future must resolve correctly —
+# and the front door's socket-to-socket drain: pipelining clients over
+# loopback while the server and then the front door close mid-stream,
+# every call verified or failed with a connection error, none hung, one
+# response frame written per admitted request.
 # `make lint` greps for engine switches that bypass the planner
 # registry; `make ci` runs it between vet and build.
 #
@@ -144,6 +148,7 @@ bench-ab:
 chaos:
 	$(GO) test -race -run 'TestChaosRecovery' -count=1 ./internal/serve
 	$(GO) test -race -run 'TestChaosDrill|TestRoutingServiceFaultPublic' -count=1 .
+	$(GO) test -race -run 'TestWireDrainInvariant' -count=1 ./internal/frontdoor
 
 clean:
 	$(GO) clean ./...

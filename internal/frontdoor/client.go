@@ -2,7 +2,9 @@
 // Every call writes one request frame and blocks on its response, but
 // calls from concurrent goroutines share the connection — a single read
 // loop matches out-of-order responses back to callers by reqID — so one
-// connection sustains many in-flight requests.
+// connection sustains many in-flight requests. Concurrent calls also
+// share writes: a caller that sees another waiting to write leaves its
+// frame buffered, and the last writer of the group flushes them all.
 package frontdoor
 
 import (
@@ -26,8 +28,9 @@ func (e *RemoteError) Error() string { return "frontdoor: remote: " + e.Msg }
 type Client struct {
 	conn net.Conn
 
-	wmu sync.Mutex // serializes frame writes
-	bw  *bufio.Writer
+	wmu     sync.Mutex // serializes frame writes
+	bw      *bufio.Writer
+	writers atomic.Int32 // callers waiting for or holding wmu
 
 	pmu     sync.Mutex
 	pending map[uint64]chan *frame
@@ -44,6 +47,11 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("frontdoor: dial: %w", err)
 	}
+	return newClient(conn), nil
+}
+
+// newClient starts a client on an established connection.
+func newClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:     conn,
 		bw:       bufio.NewWriterSize(conn, 64<<10),
@@ -51,7 +59,7 @@ func Dial(addr string) (*Client, error) {
 		readDone: make(chan struct{}),
 	}
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // Close tears the connection down. In-flight calls fail with the
@@ -97,13 +105,7 @@ func (c *Client) call(f *frame) (*frame, error) {
 	c.pending[f.reqID] = ch
 	c.pmu.Unlock()
 
-	c.wmu.Lock()
-	err := writeFrame(c.bw, f)
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	c.wmu.Unlock()
-	if err != nil {
+	if err := c.send(f); err != nil {
 		c.pmu.Lock()
 		delete(c.pending, f.reqID)
 		c.pmu.Unlock()
@@ -124,6 +126,32 @@ func (c *Client) call(f *frame) (*frame, error) {
 	case <-c.readDone:
 		return nil, c.readErr
 	}
+}
+
+// send writes one request frame. It flushes only when no other caller
+// is waiting to write: each writer raises writers before taking wmu and
+// checks it after buffering its frame, so the last writer of a group
+// always flushes. A write or flush error closes the connection — a
+// frame an earlier caller buffered may be lost with it — so every
+// pending call fails through readDone instead of waiting forever.
+func (c *Client) send(f *frame) error {
+	c.writers.Add(1)
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.writers.Add(-1)
+	buf, err := appendFrame(c.bw.AvailableBuffer(), f)
+	var werr error
+	if err == nil {
+		_, werr = c.bw.Write(buf)
+	}
+	if werr == nil && c.writers.Load() == 0 {
+		werr = c.bw.Flush()
+	}
+	if werr != nil {
+		c.conn.Close()
+		return werr
+	}
+	return err
 }
 
 // Register declares a tenant on the server. Re-registering an existing

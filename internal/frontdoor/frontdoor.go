@@ -123,11 +123,14 @@ type TenantSpec struct {
 // exactly once — never dropped, even across Close. It is serve's Future.
 type Future = serve.Future
 
-// job is the ingress-queue envelope of an admitted request.
+// job is the ingress-queue envelope of an admitted request. Its sink
+// receives the outcome exactly once, on the dispatcher that ran it:
+// Submit's sink resolves a Future, the server's encodes the response
+// straight onto the connection.
 type job struct {
-	req serve.Request
-	ctx context.Context
-	fut *Future
+	req  serve.Request
+	ctx  context.Context
+	sink func(serve.Result, error)
 }
 
 // tenant is one registered workload: its spec, its bounded ingress
@@ -303,37 +306,44 @@ func (fd *FrontDoor) Register(id string, spec TenantSpec) error {
 // tenant's adaptive depth bound returns ErrTenantQueueFull instead of
 // blocking. The returned Future is always resolved.
 func (fd *FrontDoor) Submit(ctx context.Context, tenantID string, req serve.Request) (*Future, error) {
+	fut := serve.NewFuture()
+	if err := fd.submit(ctx, tenantID, req, fut.Resolve); err != nil {
+		return nil, err
+	}
+	return fut, nil
+}
+
+// submit is Submit with the completion handed to sink instead of a
+// Future: an admitted request's sink runs exactly once, on the
+// dispatcher, after Exec returns; a refused one's never runs.
+func (fd *FrontDoor) submit(ctx context.Context, tenantID string, req serve.Request, sink func(serve.Result, error)) error {
 	fd.mu.Lock()
 	t, ok := fd.tenants[tenantID]
 	if !ok {
 		fd.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, tenantID)
+		return fmt.Errorf("%w: %q", ErrUnknownTenant, tenantID)
 	}
 	if fd.closed {
 		t.rejected++
 		fd.mu.Unlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	if err := t.cfg.CheckRequest(req); err != nil {
 		t.rejected++
 		fd.mu.Unlock()
-		return nil, err
+		return err
 	}
 	if err := ctx.Err(); err != nil {
 		t.rejected++
 		fd.mu.Unlock()
-		return nil, err
+		return err
 	}
 	if depth := t.depth; len(t.queue) >= depth {
 		t.rejected++
 		fd.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q at depth %d", ErrTenantQueueFull, tenantID, depth)
+		return fmt.Errorf("%w: %q at depth %d", ErrTenantQueueFull, tenantID, depth)
 	}
-	j := &job{
-		req: req,
-		ctx: ctx,
-		fut: serve.NewFuture(),
-	}
+	j := &job{req: req, ctx: ctx, sink: sink}
 	t.queue = append(t.queue, j)
 	t.submitted++
 	fd.queued++
@@ -343,7 +353,7 @@ func (fd *FrontDoor) Submit(ctx context.Context, tenantID string, req serve.Requ
 	}
 	fd.mu.Unlock()
 	fd.cond.Signal()
-	return j.fut, nil
+	return nil
 }
 
 // Close stops admission, drains every admitted request (each Future
@@ -441,7 +451,7 @@ func (fd *FrontDoor) pickLocked() (*job, *tenant) {
 // run executes one popped job end to end on the dispatcher's goroutine:
 // lazily instantiate the tenant's plan set, run the request through
 // Exec (which honours ctx and Deadline before routing), release the
-// tenant's dispatch slot, and resolve the Future. Exec's start is the
+// tenant's dispatch slot, and hand the outcome to the job's sink. Exec's start is the
 // dispatch time, taken once the plan set is live, so the latency
 // histogram the controller reads covers execution only — ingress wait
 // is the controller's depth signal, and a one-off instantiation is not
@@ -459,13 +469,18 @@ func (fd *FrontDoor) run(t *tenant, j *job) {
 		t.failed++
 	}
 	t.lastUse = time.Now()
+	drained := fd.closed && fd.queued == 0
 	fd.mu.Unlock()
-	// Count before resolving: a caller that has seen its Future resolve
+	// Count before completing: a caller that has seen its Future resolve
 	// also sees it in Stats.
-	j.fut.Resolve(res, err)
-	// A finished dispatch may unblock a share-capped tenant or the
-	// closed-and-drained exit condition; wake everyone.
-	fd.cond.Broadcast()
+	j.sink(res, err)
+	// The dispatch slot this run frees can make at most one queued job
+	// pickable, and this dispatcher goes straight back to next() to take
+	// it, so no other dispatcher needs waking — except on the
+	// closed-and-drained exit, which every waiting dispatcher must see.
+	if drained {
+		fd.cond.Broadcast()
+	}
 }
 
 // planSet returns the tenant's plan set, instantiating it on first use
@@ -523,6 +538,7 @@ func (fd *FrontDoor) janitorLoop() {
 func (fd *FrontDoor) adaptOnce(now time.Time) {
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
+	grown := false // a grown share can make queued jobs pickable
 	for _, t := range fd.tenants {
 		var cur serve.Stats
 		if p := t.plans.Load(); p != nil {
@@ -536,6 +552,7 @@ func (fd *FrontDoor) adaptOnce(now time.Time) {
 			t.depth = min(2*t.depth, fd.maxDepth)
 		case p99 > fd.target && t.share < fd.maxShare:
 			t.share++
+			grown = true
 		case p99 > fd.target:
 			t.depth = max(t.depth/2, fd.minDepth)
 		case rejDelta == 0 && compDelta == 0 && len(t.queue) == 0 && t.running == 0:
@@ -560,6 +577,9 @@ func (fd *FrontDoor) adaptOnce(now time.Time) {
 				t.evictions++
 			}
 		}
+	}
+	if grown {
+		fd.cond.Broadcast()
 	}
 }
 

@@ -390,10 +390,13 @@ func TestAdaptiveShareGrowthAndIdleDecay(t *testing.T) {
 
 // TestCloseDrains pins the drain guarantee: every admitted Future
 // resolves across Close, and post-Close Register/Submit fail typed.
+// With two dispatchers and the tenant's default share of one, the
+// second dispatcher waits with nothing pickable while the first drains
+// the backlog, so Close returns only if the drained exit wakes it.
 func TestCloseDrains(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 64
-	fd := New(testConfig(1, 32))
+	fd := New(testConfig(2, 32))
 	release, held := holdFirst(fd)
 	if err := fd.Register("t", TenantSpec{N: n, Engine: concentrator.MuxMerger}); err != nil {
 		t.Fatal(err)
@@ -417,8 +420,17 @@ func TestCloseDrains(t *testing.T) {
 	}
 	done := make(chan struct{})
 	go func() { fd.Close(); close(done) }()
+	for closed := false; !closed; time.Sleep(time.Millisecond) {
+		fd.mu.Lock()
+		closed = fd.closed
+		fd.mu.Unlock()
+	}
 	close(release)
-	<-done
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return: a waiting dispatcher missed the drained exit")
+	}
 	for i, f := range futs {
 		select {
 		case <-f.Done():

@@ -1,7 +1,10 @@
 // The front door's TCP server: one goroutine pair per connection (a
 // frame reader and a response writer) over the wire protocol of
-// wire.go, with graceful drain on Close — in-flight requests finish and
-// their responses flush before the connection drops.
+// wire.go. A request's dispatcher encodes its response straight into
+// the connection's pending buffer, and the writer sends everything that
+// has accumulated in one write. Close drains gracefully: in-flight
+// requests finish and their responses flush before the connection
+// drops.
 package frontdoor
 
 import (
@@ -11,9 +14,28 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"absort/internal/serve"
+)
+
+// Connection limits.
+const (
+	// maxConns caps the connections served at once; serveConn closes any
+	// connection past it.
+	maxConns = 1024
+	// maxConnInFlight caps the frames a connection has read whose
+	// responses are not yet written to the socket. At the cap the reader
+	// stops reading, so a peer that pipelines and never reads is pushed
+	// back by TCP instead of growing the pending buffer.
+	maxConnInFlight = 1024
+	// idleTimeout closes a connection that sends nothing for this long.
+	idleTimeout = 2 * time.Minute
+	// maxKeptWriteBuf is the largest write buffer a connection keeps for
+	// reuse; a larger one (a burst of wide responses) is dropped after
+	// its write.
+	maxKeptWriteBuf = 1 << 20
 )
 
 // Server serves a FrontDoor over TCP. The caller owns the FrontDoor:
@@ -23,10 +45,33 @@ type Server struct {
 	fd *FrontDoor
 	ln net.Listener
 
+	// idle and connCap are idleTimeout and maxConns; tests shorten them.
+	idle    time.Duration
+	connCap int
+
+	// responses counts response frames written to the sockets.
+	responses atomic.Int64
+
 	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
+	conns  map[net.Conn]*conn
 	closed bool
 	wg     sync.WaitGroup
+}
+
+// conn is one served connection. The reader (handle's goroutine)
+// decodes and dispatches frames; completion sinks on the dispatchers
+// append encoded responses to pending; the writer goroutine swaps
+// pending out and writes it whole.
+type conn struct {
+	nc   net.Conn
+	wake chan struct{} // capacity 1: pending has frames, or the reader stopped
+
+	mu       sync.Mutex
+	room     sync.Cond // signalled when inFlight drops
+	pending  []byte    // encoded responses not yet taken by the writer
+	frames   int       // responses in pending
+	inFlight int       // frames read whose responses are not yet written
+	eof      bool      // the reader has stopped
 }
 
 // NewServer listens on addr (e.g. "127.0.0.1:7420", ":0" for an
@@ -36,7 +81,7 @@ func NewServer(fd *FrontDoor, addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("frontdoor: listen: %w", err)
 	}
-	s := &Server{fd: fd, ln: ln, conns: make(map[net.Conn]struct{})}
+	s := &Server{fd: fd, ln: ln, idle: idleTimeout, connCap: maxConns, conns: make(map[net.Conn]*conn)}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -91,134 +136,228 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serveConn registers conn with the drain and starts its handler; after
-// Close it closes conn instead and reports false.
-func (s *Server) serveConn(conn net.Conn) bool {
+// serveConn registers nc with the drain and starts its handler; past
+// the connection cap it closes nc instead. After Close it closes nc and
+// reports false.
+func (s *Server) serveConn(nc net.Conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		conn.Close()
+		nc.Close()
 		return false
 	}
-	s.conns[conn] = struct{}{}
-	s.wg.Add(1)
-	go s.handle(conn)
+	if len(s.conns) >= s.connCap {
+		nc.Close()
+		return true
+	}
+	c := &conn{nc: nc, wake: make(chan struct{}, 1)}
+	c.room.L = &c.mu
+	s.conns[nc] = c
+	s.wg.Add(2)
+	go s.handle(c)
+	go func() {
+		defer s.wg.Done()
+		c.writeLoop(&s.responses)
+		s.mu.Lock()
+		delete(s.conns, nc)
+		s.mu.Unlock()
+	}()
 	return true
 }
 
-// handle runs one connection: the calling goroutine reads frames and
-// dispatches them; a paired writer goroutine serializes responses (which
-// complete out of order) back onto the wire, flushing whenever its
-// queue momentarily drains. On reader exit — clean EOF, protocol error,
-// or server Close — every in-flight request is awaited, the writer
-// drains and flushes, and only then does the connection close: no
-// admitted request ever loses its response to a teardown race.
-func (s *Server) handle(conn net.Conn) {
+// handle reads one connection's frames and dispatches them; responses
+// come back through the connection's writer in completion order,
+// matched by reqID. The reader stops at maxConnInFlight unwritten
+// responses until the writer catches up, and on a read error — clean
+// EOF, protocol error, idle timeout or server Close. It then marks the
+// connection done; the writer exits once every frame read has had its
+// response written (or discarded after a write error), and only then
+// does the connection close: no admitted request ever loses its
+// response to a teardown race.
+func (s *Server) handle(c *conn) {
 	defer s.wg.Done()
-	br := bufio.NewReaderSize(conn, 64<<10)
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	out := make(chan *frame, 128)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		for f := range out {
-			err := writeFrame(bw, f)
-			if f.words != nil {
-				putWords(f.words)
-			}
-			if err != nil {
-				continue // drain remaining frames, recycling their buffers
-			}
-			if len(out) == 0 {
-				bw.Flush()
+	br := bufio.NewReaderSize(c.nc, 64<<10)
+	var refreshed time.Time // when the idle read deadline was last pushed out
+	for {
+		if waited := c.acquire(); waited || br.Buffered() == 0 {
+			if !s.extendIdle(c.nc, &refreshed, waited) {
+				break
 			}
 		}
-		bw.Flush()
-	}()
-
-	var pending sync.WaitGroup
-	for {
 		var f frame
 		if err := readFrame(br, &f); err != nil {
-			break // EOF, deadline from Close, or protocol error
+			break // EOF, deadline, or protocol error
 		}
-		s.dispatch(&f, out, &pending)
+		s.dispatch(c, &f)
 	}
-	pending.Wait() // every accepted request has enqueued its response
-	close(out)
-	<-writerDone
-	conn.Close()
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
+	c.mu.Lock()
+	c.inFlight-- // the frame acquired for the failed read
+	c.eof = true
+	c.mu.Unlock()
+	c.notify()
 }
 
-// dispatch routes one decoded request frame: Register synchronously,
-// routing kinds through fd.Submit with the response enqueued by a
-// waiter goroutine when the Future resolves. The request frame's pooled
-// words are recycled here; response frames carry their own.
-func (s *Server) dispatch(f *frame, out chan<- *frame, pending *sync.WaitGroup) {
-	if f.kind == kindRegister {
-		resp := &frame{reqID: f.reqID, kind: f.kind, tenant: f.tenant, n: f.n}
-		switch {
-		case len(f.words) != registerWords:
-			resp.status = statusError
-			resp.errMsg = fmt.Sprintf("frontdoor: register payload %d words, want %d", len(f.words), registerWords)
-		case f.n > maxWireN:
-			resp.status = statusError
-			resp.errMsg = fmt.Sprintf("frontdoor: register width n=%d exceeds %d", f.n, maxWireN)
-		default:
-			spec := TenantSpec{
-				N:        int(f.n),
-				Engine:   Engine(f.words[0]),
-				K:        int(int64(f.words[1])),
-				M:        int(int64(f.words[2])),
-				WordBits: int(int64(f.words[3])),
-				Weight:   int(int64(f.words[4])),
-			}
-			// Re-registration of an existing id is idempotent success, so
-			// every connection of a tenant can register defensively.
-			if err := s.fd.Register(f.tenant, spec); err != nil && !errors.Is(err, ErrTenantExists) {
-				resp.status = statusError
-				resp.errMsg = err.Error()
-			}
-		}
-		putWords(f.words)
-		out <- resp
-		return
+// extendIdle pushes the read deadline idle ahead when the reader is
+// about to block, at most once per idle/2 unless force is set. It
+// reports false once the server is closing: the re-check after setting
+// the deadline keeps a refresh from overwriting Close's past deadline.
+func (s *Server) extendIdle(nc net.Conn, refreshed *time.Time, force bool) bool {
+	now := time.Now()
+	if !force && now.Sub(*refreshed) < s.idle/2 {
+		return true
 	}
+	*refreshed = now
+	nc.SetReadDeadline(now.Add(s.idle))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return !s.closed
+}
 
-	req, err := requestFromFrame(f)
-	if f.words != nil {
-		putWords(f.words)
+// acquire counts one more frame in flight, first waiting while the
+// connection is at maxConnInFlight; it reports whether it waited.
+func (c *conn) acquire() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	waited := false
+	for c.inFlight >= maxConnInFlight {
+		c.room.Wait()
+		waited = true
+	}
+	c.inFlight++
+	return waited
+}
+
+// notify wakes the writer without blocking.
+func (c *conn) notify() {
+	select {
+	case c.wake <- struct{}{}:
+	default:
+	}
+}
+
+// send appends one response frame to the connection's pending buffer
+// and wakes the writer. A response the wire cannot carry goes out as
+// an error frame instead, so every request read gets exactly one
+// response.
+func (c *conn) send(f *frame) {
+	c.mu.Lock()
+	var err error
+	if c.pending, err = appendFrame(c.pending, f); err != nil {
+		c.pending, _ = appendFrame(c.pending, &frame{reqID: f.reqID, kind: f.kind, n: f.n,
+			status: statusError, errMsg: err.Error()})
+	}
+	c.frames++
+	c.mu.Unlock()
+	c.notify()
+}
+
+// writeLoop writes the connection's responses: each wake it takes the
+// whole pending buffer and writes it in one Write, then releases those
+// frames' in-flight slots. After a write error it keeps releasing slots
+// but discards the bytes. It returns once the reader has stopped and
+// every frame read has been answered.
+func (c *conn) writeLoop(written *atomic.Int64) {
+	var out []byte // the buffer pending is swapped with
+	var werr error
+	for range c.wake {
+		c.mu.Lock()
+		out, c.pending = c.pending, out[:0]
+		frames := c.frames
+		c.frames = 0
+		c.mu.Unlock()
+		if len(out) > 0 && werr == nil {
+			if _, werr = c.nc.Write(out); werr == nil {
+				written.Add(int64(frames))
+			}
+		}
+		if cap(out) > maxKeptWriteBuf {
+			out = nil
+		}
+		c.mu.Lock()
+		c.inFlight -= frames
+		done := c.eof && c.inFlight == 0
+		c.mu.Unlock()
+		c.room.Signal()
+		if done {
+			c.nc.Close()
+			return
+		}
+	}
+}
+
+// dispatch handles one decoded request frame: Register synchronously,
+// routing kinds through the front door with a completion sink that
+// encodes the response onto the connection from the dispatcher. Refused
+// requests (malformed, unknown tenant, busy) are answered here. The
+// frame's pooled words are recycled here; the request slices decoded
+// from them are recycled by the sink once Exec has returned.
+func (s *Server) dispatch(c *conn, f *frame) {
+	defer putWords(f.words)
+	resp := frame{reqID: f.reqID, kind: f.kind, tenant: f.tenant, n: f.n}
+	var err error
+	if f.kind == kindRegister {
+		err = s.register(f)
+	} else if err = s.submit(c, f, resp); err == nil {
+		return // the sink answers
 	}
 	if err != nil {
-		out <- &frame{reqID: f.reqID, kind: f.kind, tenant: f.tenant, n: f.n,
-			status: statusError, errMsg: err.Error()}
-		return
-	}
-	fut, err := s.fd.Submit(context.Background(), f.tenant, req)
-	if err != nil {
-		st := uint8(statusError)
+		resp.status, resp.errMsg = statusError, err.Error()
 		if errors.Is(err, ErrTenantQueueFull) {
-			st = statusBusy
+			resp.status = statusBusy
 		}
-		out <- &frame{reqID: f.reqID, kind: f.kind, tenant: f.tenant, n: f.n,
-			status: st, errMsg: err.Error()}
-		return
 	}
-	resp := &frame{reqID: f.reqID, kind: f.kind, tenant: f.tenant, n: f.n}
-	pending.Add(1)
-	go func() {
-		defer pending.Done()
-		res, err := fut.Wait(context.Background())
-		if err != nil {
-			resp.status, resp.errMsg = statusError, err.Error()
-		} else {
-			resultToFrame(resp, res)
-		}
-		out <- resp
-	}()
+	c.send(&resp)
+}
+
+// submit admits a routing frame with a sink that answers it on c.
+func (s *Server) submit(c *conn, f *frame, resp frame) error {
+	req, err := requestFromFrame(f)
+	if err != nil {
+		return err
+	}
+	err = s.fd.submit(context.Background(), f.tenant, req, func(res serve.Result, err error) {
+		c.respond(resp, res, err)
+		recycleRequest(req)
+	})
+	if err != nil {
+		recycleRequest(req)
+	}
+	return err
+}
+
+// respond encodes an admitted request's outcome onto the connection.
+func (c *conn) respond(resp frame, res serve.Result, err error) {
+	if err != nil {
+		resp.status, resp.errMsg = statusError, err.Error()
+	} else {
+		resultToFrame(&resp, res)
+	}
+	c.send(&resp)
+	putWords(resp.words)
+}
+
+// register declares the tenant of a Register frame. Re-registration of
+// an existing id is idempotent success, so every connection of a tenant
+// can register defensively.
+func (s *Server) register(f *frame) error {
+	switch {
+	case len(f.words) != registerWords:
+		return fmt.Errorf("frontdoor: register payload %d words, want %d", len(f.words), registerWords)
+	case f.n > maxWireN:
+		return fmt.Errorf("frontdoor: register width n=%d exceeds %d", f.n, maxWireN)
+	}
+	spec := TenantSpec{
+		N:        int(f.n),
+		Engine:   Engine(f.words[0]),
+		K:        int(int64(f.words[1])),
+		M:        int(int64(f.words[2])),
+		WordBits: int(int64(f.words[3])),
+		Weight:   int(int64(f.words[4])),
+	}
+	if err := s.fd.Register(f.tenant, spec); err != nil && !errors.Is(err, ErrTenantExists) {
+		return err
+	}
+	return nil
 }
 
 // maxWireN is the widest network the wire serves: the largest response,
@@ -227,10 +366,11 @@ func (s *Server) dispatch(f *frame, out chan<- *frame, pending *sync.WaitGroup) 
 const maxWireN = (MaxFrameBytes-bodyHeaderBytes-0xFFFF)/8 - 1
 
 // requestFromFrame converts a decoded routing frame into a
-// serve.Request, copying out of the pooled words. A width beyond
-// maxWireN is rejected up front: a Concentrate bitmask packs 64 inputs
-// per word, so without the cap one frame could make the server allocate
-// 64 mask bytes for every payload byte it sent.
+// serve.Request, copying out of the frame's words into pooled slices
+// that recycleRequest returns. A width beyond maxWireN is rejected up
+// front: a Concentrate bitmask packs 64 inputs per word, so without the
+// cap one frame could make the server allocate 64 mask bytes for every
+// payload byte it sent.
 func requestFromFrame(f *frame) (serve.Request, error) {
 	n := int(f.n)
 	if n > maxWireN {
@@ -241,7 +381,7 @@ func requestFromFrame(f *frame) (serve.Request, error) {
 		if len(f.words) != n {
 			return serve.Request{}, fmt.Errorf("frontdoor: permute payload %d words, want n=%d", len(f.words), n)
 		}
-		dest := make([]int, n)
+		dest := intPool.get(n)
 		for i, w := range f.words {
 			dest[i] = int(int64(w))
 		}
@@ -251,7 +391,7 @@ func requestFromFrame(f *frame) (serve.Request, error) {
 			return serve.Request{}, fmt.Errorf("frontdoor: concentrate payload %d words, want %d for n=%d",
 				len(f.words), maskWords(n), n)
 		}
-		marked := make([]bool, n)
+		marked := boolPool.get(n)
 		for i := range marked {
 			marked[i] = f.words[i/64]>>(uint(i)%64)&1 == 1
 		}
@@ -260,11 +400,20 @@ func requestFromFrame(f *frame) (serve.Request, error) {
 		if len(f.words) != n {
 			return serve.Request{}, fmt.Errorf("frontdoor: sortwords payload %d words, want n=%d", len(f.words), n)
 		}
-		keys := make([]uint64, n)
+		keys := getWords(n)
 		copy(keys, f.words)
 		return serve.Request{Kind: serve.SortWords, Keys: keys}, nil
 	}
 	return serve.Request{}, fmt.Errorf("frontdoor: unknown frame kind %d", f.kind)
+}
+
+// recycleRequest returns the pooled slices of a request built by
+// requestFromFrame. Exec's results never alias the request, so it is
+// safe once Exec has returned.
+func recycleRequest(req serve.Request) {
+	intPool.put(req.Dest)
+	boolPool.put(req.Marked)
+	putWords(req.Keys)
 }
 
 // resultToFrame serializes a routing result into resp's pooled payload:

@@ -1,10 +1,15 @@
 package frontdoor
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"net"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -342,40 +347,69 @@ func TestWireSortWordsMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestCloseWithNonReadingPeer pins that Close returns when a peer
-// pipelines requests and never reads a response: the connection's
-// writer blocks on the first flush, so the drain can only end once the
-// closeWriteGrace write deadline fails the writer. Over net.Pipe, which
-// buffers nothing, the writer blocks deterministically.
+// TestCloseWithNonReadingPeer pins the bounds on a peer that pipelines
+// requests and never reads a response. Over net.Pipe, which buffers
+// nothing, the connection's writer blocks on its first write, so:
+//   - the reader stops at maxConnInFlight unwritten responses and the
+//     peer's writes block;
+//   - the pending response bytes stay within maxConnInFlight × the
+//     largest response frame;
+//   - Close still returns, once the closeWriteGrace write deadline
+//     fails the blocked writer.
 func TestCloseWithNonReadingPeer(t *testing.T) {
 	fd, srv := startServer(t, Config{QueueDepth: 64, IdleTTL: time.Hour, AdaptEvery: time.Hour})
 	const n = 64
 	if err := fd.Register("r", TenantSpec{N: n, Engine: concentrator.MuxMerger}); err != nil {
 		t.Fatal(err)
 	}
-	peer, conn := net.Pipe()
+	peer, nc := net.Pipe()
 	defer peer.Close()
-	if !srv.serveConn(conn) {
+	if !srv.serveConn(nc) {
 		t.Fatal("server refused the connection before Close")
 	}
+	srv.mu.Lock()
+	c := srv.conns[nc]
+	srv.mu.Unlock()
+	var sent atomic.Int64
 	go func() { // pipeline requests, never read; ends when the server hangs up
 		rng := rand.New(rand.NewSource(5))
+		var buf []byte
 		for i := uint64(1); ; i++ {
-			dest := rng.Perm(n)
-			words := make([]uint64, n)
-			for j, d := range dest {
-				words[j] = uint64(d)
-			}
-			if writeFrame(peer, &frame{reqID: i, kind: kindPermute, tenant: "r", n: n, words: words}) != nil {
+			buf, _ = appendFrame(buf[:0], permFrame(i, "r", rng.Perm(n)))
+			if _, err := peer.Write(buf); err != nil {
 				return
 			}
+			sent.Add(1)
 		}
 	}()
-	for deadline := time.Now().Add(10 * time.Second); fd.Stats().Completed == 0; {
+	inFlight := func() (int, int) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.inFlight, len(c.pending)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if k, _ := inFlight(); k == maxConnInFlight {
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatal("no request completed")
+			k, _ := inFlight()
+			t.Fatalf("reader did not reach the in-flight cap: %d of %d", k, maxConnInFlight)
 		}
 		time.Sleep(time.Millisecond)
+	}
+	// A request frame and a permute response frame have the same size.
+	respBytes := len(must(appendFrame(nil, permFrame(0, "r", make([]int, n)))))
+	// The reader's buffer may hold whole frames it has not acquired yet.
+	maxSent := int64(maxConnInFlight + 64<<10/respBytes + 1)
+	before := sent.Load()
+	time.Sleep(100 * time.Millisecond)
+	k, pending := inFlight()
+	if after := sent.Load(); after != before || after > maxSent || k != maxConnInFlight {
+		t.Fatalf("reader did not stop at the cap: peer wrote %d then %d frames (bound %d), %d in flight",
+			before, after, maxSent, k)
+	}
+	if pending > maxConnInFlight*respBytes {
+		t.Fatalf("pending responses %d bytes, over %d × %d", pending, maxConnInFlight, respBytes)
 	}
 	closed := make(chan struct{})
 	start := time.Now()
@@ -383,8 +417,386 @@ func TestCloseWithNonReadingPeer(t *testing.T) {
 	select {
 	case <-closed:
 		t.Logf("Close returned after %v", time.Since(start))
-	case <-time.After(closeWriteGrace + 10*time.Second):
+	case <-time.After(closeWriteGrace + 5*time.Second):
 		t.Fatal("Close did not return: the writer is still blocked on a peer that never reads")
+	}
+}
+
+// permFrame is a Permute request frame routing dest.
+func permFrame(reqID uint64, tenant string, dest []int) *frame {
+	words := make([]uint64, len(dest))
+	for i, d := range dest {
+		words[i] = uint64(d)
+	}
+	return &frame{reqID: reqID, kind: kindPermute, tenant: tenant, n: uint32(len(dest)), words: words}
+}
+
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// roundTripRegister registers tenant over a raw connection and checks
+// the response.
+func roundTripRegister(t *testing.T, rw net.Conn, br *bufio.Reader, reqID uint64, tenant string) {
+	t.Helper()
+	f := &frame{reqID: reqID, kind: kindRegister, tenant: tenant, n: 16,
+		words: []uint64{uint64(concentrator.MuxMerger), 0, 0, 0, 1}}
+	if _, err := rw.Write(must(appendFrame(nil, f))); err != nil {
+		t.Fatalf("write register %d: %v", reqID, err)
+	}
+	var resp frame
+	if err := readFrame(br, &resp); err != nil {
+		t.Fatalf("read register response %d: %v", reqID, err)
+	}
+	if resp.reqID != reqID || resp.status != statusOK {
+		t.Fatalf("register response %+v, want reqID %d ok", resp, reqID)
+	}
+}
+
+// setLimits shortens srv's idle timeout and connection cap. The handler
+// goroutines read them after taking srv.mu in serveConn.
+func setLimits(srv *Server, idle time.Duration, connCap int) {
+	srv.mu.Lock()
+	srv.idle, srv.connCap = idle, connCap
+	srv.mu.Unlock()
+}
+
+// checkIdleClose drives one connection through the idle read deadline:
+// frames sent well inside the timeout keep it open across several
+// timeouts' worth of time, then silence closes it within the timeout
+// plus slack.
+func checkIdleClose(t *testing.T, rw net.Conn, idle time.Duration) {
+	t.Helper()
+	br := bufio.NewReader(rw)
+	for i := uint64(1); i <= 12; i++ {
+		time.Sleep(idle / 4)
+		roundTripRegister(t, rw, br, i, "idle")
+	}
+	quiet := time.Now()
+	rw.SetReadDeadline(time.Now().Add(idle + 5*time.Second))
+	var f frame
+	err := readFrame(br, &f)
+	if ne, ok := err.(net.Error); err == nil || (ok && ne.Timeout()) {
+		t.Fatalf("idle connection still open %v after its last frame: %v", time.Since(quiet), err)
+	}
+	// The deadline was last pushed out at most idle/2 before the last
+	// frame, so the connection outlives it by about idle/2 at least.
+	if waited := time.Since(quiet); waited < idle/4 {
+		t.Fatalf("connection closed %v after its last frame, well inside the %v idle timeout", waited, idle)
+	}
+}
+
+// TestIdleTimeoutPipe pins the idle read deadline over net.Pipe.
+func TestIdleTimeoutPipe(t *testing.T) {
+	_, srv := startServer(t, Config{QueueDepth: 8, IdleTTL: time.Hour, AdaptEvery: time.Hour})
+	const idle = 200 * time.Millisecond
+	setLimits(srv, idle, maxConns)
+	peer, nc := net.Pipe()
+	defer peer.Close()
+	if !srv.serveConn(nc) {
+		t.Fatal("server refused the connection")
+	}
+	checkIdleClose(t, peer, idle)
+}
+
+// TestIdleTimeoutLoopback pins the idle read deadline over TCP.
+func TestIdleTimeoutLoopback(t *testing.T) {
+	_, srv := startServer(t, Config{QueueDepth: 8, IdleTTL: time.Hour, AdaptEvery: time.Hour})
+	const idle = 200 * time.Millisecond
+	setLimits(srv, idle, maxConns)
+	nc, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	checkIdleClose(t, nc, idle)
+}
+
+// TestConnectionCap pins the connection cap: serveConn closes the
+// connection past it, and the connections under it keep serving.
+func TestConnectionCap(t *testing.T) {
+	_, srv := startServer(t, Config{QueueDepth: 8, IdleTTL: time.Hour, AdaptEvery: time.Hour})
+	const connCap = 2
+	setLimits(srv, idleTimeout, connCap)
+	peers := make([]net.Conn, connCap+1)
+	for i := range peers {
+		var nc net.Conn
+		peers[i], nc = net.Pipe()
+		defer peers[i].Close()
+		if !srv.serveConn(nc) {
+			t.Fatal("server refused a connection before Close")
+		}
+	}
+	peers[connCap].SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := peers[connCap].Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("connection %d past the cap of %d: read %v, want EOF", connCap+1, connCap, err)
+	}
+	roundTripRegister(t, peers[0], bufio.NewReader(peers[0]), 1, "capped")
+}
+
+// TestNoPerRequestGoroutine pins the goroutine-free request path: with
+// 256 requests in flight on one connection (held behind the
+// dispatchers), the connection costs its reader and writer and nothing
+// per request. The held requests then all answer.
+func TestNoPerRequestGoroutine(t *testing.T) {
+	fd := New(Config{Workers: 2, QueueDepth: 512, IdleTTL: time.Hour, AdaptEvery: time.Hour})
+	defer fd.Close()
+	release := make(chan struct{})
+	fd.testBeforeRun = func() { <-release }
+	srv, err := NewServer(fd, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const n, inflight = 16, 256
+	if err := fd.Register("g", TenantSpec{N: n, Engine: concentrator.MuxMerger}); err != nil {
+		t.Fatal(err)
+	}
+	peer, nc := net.Pipe()
+	defer peer.Close()
+	base := runtime.NumGoroutine()
+	if !srv.serveConn(nc) {
+		t.Fatal("server refused the connection")
+	}
+	rng := rand.New(rand.NewSource(3))
+	dests := make(map[uint64][]int, inflight)
+	var buf []byte
+	for i := uint64(1); i <= inflight; i++ {
+		dests[i] = rng.Perm(n)
+		buf = must(appendFrame(buf, permFrame(i, "g", dests[i])))
+	}
+	if _, err := peer.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); fd.Stats().Submitted < inflight; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d/%d admitted", fd.Stats().Submitted, inflight)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	const perConn, slack = 2, 1 // reader + writer
+	if grown := runtime.NumGoroutine() - base; grown > perConn+slack {
+		t.Fatalf("%d requests in flight on one connection grew the goroutine count by %d, want ≤ %d",
+			inflight, grown, perConn+slack)
+	}
+	close(release)
+	br := bufio.NewReader(peer)
+	for i := 0; i < inflight; i++ {
+		var f frame
+		if err := readFrame(br, &f); err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		dest, ok := dests[f.reqID]
+		if !ok || f.status != statusOK || len(f.words) != n {
+			t.Fatalf("response %+v: unknown, repeated or failed", f)
+		}
+		delete(dests, f.reqID)
+		for in, d := range dest {
+			if f.words[d] != uint64(in) {
+				t.Fatalf("request %d: wrong permutation", f.reqID)
+			}
+		}
+	}
+}
+
+// TestWireDrainInvariant pins the socket-to-socket drain: 4 clients ×
+// 32 pipelining callers stream verified requests at 4 tenants while the
+// server and then the front door close mid-stream. Every call returns
+// either a response that verifies in full or a connection error, none
+// hangs, and the server writes exactly one response frame per admitted
+// request (plus one per registration).
+func TestWireDrainInvariant(t *testing.T) {
+	fd := New(Config{QueueDepth: 256, IdleTTL: time.Hour, AdaptEvery: time.Hour})
+	defer fd.Close()
+	srv, err := NewServer(fd, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	specs := []TenantSpec{
+		{N: 32, Engine: concentrator.PrefixAdder},
+		{N: 64, Engine: concentrator.MuxMerger},
+		{N: 128, Engine: concentrator.Fish},
+		{N: 16, Engine: concentrator.Ranking},
+	}
+	const callers = 32
+	var verified atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan error, len(specs)*callers)
+	for ci, spec := range specs {
+		id := fmt.Sprintf("drain%d", ci)
+		cl, err := Dial(srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		if err := cl.Register(id, spec); err != nil {
+			t.Fatal(err)
+		}
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for i := 0; ; i++ {
+					err := verifiedCall(cl, id, spec.N, i%3, rng)
+					if err == nil {
+						verified.Add(1)
+						continue
+					}
+					if !strings.Contains(err.Error(), "connection lost") && !strings.Contains(err.Error(), "send:") {
+						errs <- err
+					}
+					return
+				}
+			}(int64(ci*callers + g))
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); verified.Load() < 256; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d calls verified before Close", verified.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	srv.Close()
+	fd.Close()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a call hung across Close")
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	var submitted int64
+	for ci := range specs {
+		st, err := fd.TenantStats(fmt.Sprintf("drain%d", ci))
+		if err != nil {
+			t.Fatal(err)
+		}
+		submitted += st.Submitted
+	}
+	if got, want := srv.responses.Load(), submitted+int64(len(specs)); got != want {
+		t.Fatalf("server wrote %d response frames for %d admitted requests and %d registrations",
+			got, submitted, len(specs))
+	}
+	t.Logf("%d calls verified, %d admitted", verified.Load(), submitted)
+}
+
+// verifiedCall makes one call of the given kind (0 Permute, 1
+// Concentrate, 2 SortWords) with random input and verifies the
+// response in full: a Permute must realize dest, a Concentrate must be
+// a permutation whose first count entries are exactly the marked
+// inputs, a SortWords must equal the reference-sorted keys. A wrong
+// response is an error that names it.
+func verifiedCall(cl *Client, id string, n, kind int, rng *rand.Rand) error {
+	switch kind {
+	case 0:
+		dest := rng.Perm(n)
+		perm, err := cl.Permute(id, dest)
+		if err != nil {
+			return err
+		}
+		for in, d := range dest {
+			if len(perm) != n || perm[d] != in {
+				return errors.New("wrong permute response")
+			}
+		}
+	case 1:
+		marked := make([]bool, n)
+		want := 0
+		for i := range marked {
+			if marked[i] = rng.Intn(2) == 0; marked[i] {
+				want++
+			}
+		}
+		perm, count, err := cl.Concentrate(id, marked)
+		if err != nil {
+			return err
+		}
+		seen := make([]bool, n)
+		for _, src := range perm {
+			if src < 0 || src >= n || seen[src] {
+				return errors.New("concentrate response is not a permutation")
+			}
+			seen[src] = true
+		}
+		if len(perm) != n || count != want {
+			return errors.New("wrong concentrate count")
+		}
+		for _, src := range perm[:count] {
+			if !marked[src] {
+				return errors.New("concentrate response routes an unmarked input")
+			}
+		}
+	default:
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = rng.Uint64()
+		}
+		got, err := cl.SortWords(id, keys)
+		if err != nil {
+			return err
+		}
+		slices.Sort(keys)
+		if !slices.Equal(got, keys) {
+			return errors.New("wrong sortwords response")
+		}
+	}
+	return nil
+}
+
+// failingWrites is a connection whose writes all fail; its reads block
+// until it is closed.
+type failingWrites struct{ net.Conn }
+
+func (failingWrites) Write([]byte) (int, error) { return 0, errors.New("injected write failure") }
+
+// TestClientWriteErrorFailsPending pins the client's group commit on a
+// write error: a caller that left its frame buffered for a waiting
+// writer must not hang when that writer's flush fails — the failure
+// closes the connection and the buffered caller fails through the read
+// loop.
+func TestClientWriteErrorFailsPending(t *testing.T) {
+	peer, conn := net.Pipe()
+	defer peer.Close()
+	cl := newClient(failingWrites{conn})
+	defer cl.Close()
+	cl.writers.Add(1) // a writer "waiting": the first call leaves its frame unflushed
+	first := make(chan error, 1)
+	go func() {
+		_, err := cl.Permute("t", []int{1, 0})
+		first <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		cl.wmu.Lock()
+		buffered := cl.bw.Buffered()
+		cl.wmu.Unlock()
+		if buffered > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("first call did not buffer its frame")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cl.writers.Add(-1)
+	if _, err := cl.Permute("t", []int{0, 1}); err == nil {
+		t.Fatal("call over a failing connection succeeded")
+	}
+	select {
+	case err := <-first:
+		if err == nil {
+			t.Fatal("buffered call succeeded over a failing connection")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("buffered call hung after the flush failed")
 	}
 }
 

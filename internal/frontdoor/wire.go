@@ -22,10 +22,10 @@
 //
 // Responses may arrive out of request order — the reqID matches them
 // up — which is what lets one connection pipeline many in-flight
-// requests. Frame payload buffers are pooled: decode parses into pooled
-// []uint64 word slices and encode serializes from them through pooled
-// []byte scratch, so a steady request stream allocates no per-frame
-// buffers.
+// requests. Decode parses payloads into pooled []uint64 word slices
+// through pooled []byte scratch; encode appends whole frames to a
+// caller-owned byte buffer (appendFrame), so a steady request stream
+// allocates no per-frame buffers and many frames leave in one write.
 package frontdoor
 
 import (
@@ -33,6 +33,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -81,42 +82,43 @@ type frame struct {
 // pattern.
 func maskWords(n int) int { return (n + 63) / 64 }
 
-// Pooled buffers: word payloads and byte scratch. The pools hold
-// pointers to slices (one boxed pointer per Put instead of re-boxing
-// the slice header every time).
+// slicePool recycles slices of one element type. It holds pointers to
+// slices (one boxed pointer per Put instead of re-boxing the slice
+// header every time).
+type slicePool[T any] struct{ p sync.Pool }
+
+// get returns a pooled slice of length n; its contents are arbitrary.
+func (sp *slicePool[T]) get(n int) []T {
+	if p, _ := sp.p.Get().(*[]T); p != nil && cap(*p) >= n {
+		return (*p)[:n]
+	}
+	return make([]T, n)
+}
+
+// put recycles s. Callers must not touch s afterwards.
+func (sp *slicePool[T]) put(s []T) {
+	if cap(s) == 0 {
+		return
+	}
+	s = s[:0]
+	sp.p.Put(&s)
+}
+
+// Pooled buffers: frame word payloads, decode byte scratch, and the
+// server's request slices (see requestFromFrame).
 var (
-	wordPool = sync.Pool{New: func() any { s := make([]uint64, 0, 1024); return &s }}
-	bytePool = sync.Pool{New: func() any { s := make([]byte, 0, 8192); return &s }}
+	wordPool slicePool[uint64]
+	bytePool slicePool[byte]
+	intPool  slicePool[int]
+	boolPool slicePool[bool]
 )
 
 // getWords returns a pooled word slice of length n.
-func getWords(n int) []uint64 {
-	p := wordPool.Get().(*[]uint64)
-	if cap(*p) < n {
-		*p = make([]uint64, n)
-	}
-	return (*p)[:n]
-}
+func getWords(n int) []uint64 { return wordPool.get(n) }
 
-// putWords recycles a slice obtained from getWords. Callers must not
-// touch the slice afterwards.
-func putWords(s []uint64) {
-	s = s[:0]
-	wordPool.Put(&s)
-}
-
-func getBytes(n int) []byte {
-	p := bytePool.Get().(*[]byte)
-	if cap(*p) < n {
-		*p = make([]byte, n)
-	}
-	return (*p)[:n]
-}
-
-func putBytes(s []byte) {
-	s = s[:0]
-	bytePool.Put(&s)
-}
+// putWords recycles a slice obtained from getWords (nil is a no-op).
+// Callers must not touch the slice afterwards.
+func putWords(s []uint64) { wordPool.put(s) }
 
 // readFrame decodes one frame from r into f, parsing the payload into a
 // pooled word slice (f.words) or an error message (f.errMsg) depending
@@ -132,8 +134,8 @@ func readFrame(r *bufio.Reader, f *frame) error {
 		return fmt.Errorf("frontdoor: frame body %d bytes out of range [%d, %d]",
 			bodyLen, bodyHeaderBytes, MaxFrameBytes)
 	}
-	body := getBytes(bodyLen)
-	defer putBytes(body)
+	body := bytePool.get(bodyLen)
+	defer bytePool.put(body)
 	if _, err := io.ReadFull(r, body); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -165,10 +167,12 @@ func readFrame(r *bufio.Reader, f *frame) error {
 	return nil
 }
 
-// writeFrame encodes f and writes it as one contiguous frame. An error
-// frame (statusError/statusBusy) serializes f.errMsg; any other frame
-// serializes f.words.
-func writeFrame(w io.Writer, f *frame) error {
+// appendFrame appends f, encoded as one contiguous frame, to buf. An
+// error frame (statusError/statusBusy) serializes f.errMsg; any other
+// frame serializes f.words. A frame the wire cannot carry (tenant id
+// over 65535 bytes, body over MaxFrameBytes) is an error, and buf comes
+// back unchanged.
+func appendFrame(buf []byte, f *frame) ([]byte, error) {
 	payloadLen := 8 * len(f.words)
 	isErr := f.status == statusError || f.status == statusBusy
 	if isErr {
@@ -176,28 +180,24 @@ func writeFrame(w io.Writer, f *frame) error {
 	}
 	bodyLen := bodyHeaderBytes + len(f.tenant) + payloadLen
 	if len(f.tenant) > 0xFFFF {
-		return fmt.Errorf("frontdoor: tenant id %d bytes exceeds 65535", len(f.tenant))
+		return buf, fmt.Errorf("frontdoor: tenant id %d bytes exceeds 65535", len(f.tenant))
 	}
 	if bodyLen > MaxFrameBytes {
-		return fmt.Errorf("frontdoor: frame body %d bytes exceeds %d", bodyLen, MaxFrameBytes)
+		return buf, fmt.Errorf("frontdoor: frame body %d bytes exceeds %d", bodyLen, MaxFrameBytes)
 	}
-	buf := getBytes(4 + bodyLen)
-	defer putBytes(buf)
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(bodyLen))
-	binary.LittleEndian.PutUint64(buf[4:12], f.reqID)
-	buf[12] = f.kind
-	buf[13] = f.status
-	binary.LittleEndian.PutUint16(buf[14:16], uint16(len(f.tenant)))
-	binary.LittleEndian.PutUint32(buf[16:20], f.n)
-	copy(buf[20:], f.tenant)
-	p := buf[20+len(f.tenant):]
+	buf = slices.Grow(buf, 4+bodyLen)
+	le := binary.LittleEndian
+	buf = le.AppendUint32(buf, uint32(bodyLen))
+	buf = le.AppendUint64(buf, f.reqID)
+	buf = append(buf, f.kind, f.status)
+	buf = le.AppendUint16(buf, uint16(len(f.tenant)))
+	buf = le.AppendUint32(buf, f.n)
+	buf = append(buf, f.tenant...)
 	if isErr {
-		copy(p, f.errMsg)
-	} else {
-		for i, wd := range f.words {
-			binary.LittleEndian.PutUint64(p[8*i:], wd)
-		}
+		return append(buf, f.errMsg...), nil
 	}
-	_, err := w.Write(buf)
-	return err
+	for _, w := range f.words {
+		buf = le.AppendUint64(buf, w)
+	}
+	return buf, nil
 }

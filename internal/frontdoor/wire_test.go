@@ -10,12 +10,12 @@ import (
 
 func roundTrip(t *testing.T, in *frame) *frame {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, in); err != nil {
-		t.Fatalf("writeFrame: %v", err)
+	buf, err := appendFrame(nil, in)
+	if err != nil {
+		t.Fatalf("appendFrame: %v", err)
 	}
 	var out frame
-	if err := readFrame(bufio.NewReader(&buf), &out); err != nil {
+	if err := readFrame(bufio.NewReader(bytes.NewReader(buf)), &out); err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
 	return &out
@@ -90,16 +90,21 @@ func TestFrameRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestWriteFrameRejectsOversized pins the encoder-side caps.
-func TestWriteFrameRejectsOversized(t *testing.T) {
-	var buf bytes.Buffer
-	f := frame{kind: kindSortWords, tenant: "t", n: 1, words: make([]uint64, MaxFrameBytes/8+1)}
-	if err := writeFrame(&buf, &f); err == nil {
-		t.Error("oversized payload accepted")
-	}
-	f = frame{kind: kindRegister, tenant: strings.Repeat("x", 0x10000), n: 1}
-	if err := writeFrame(&buf, &f); err == nil {
-		t.Error("oversized tenant id accepted")
+// TestAppendFrameRejectsOversized pins the encoder-side caps: a frame
+// the wire cannot carry is refused and the buffer comes back unchanged.
+func TestAppendFrameRejectsOversized(t *testing.T) {
+	prefix := []byte("kept")
+	for _, f := range []frame{
+		{kind: kindSortWords, tenant: "t", n: 1, words: make([]uint64, MaxFrameBytes/8+1)},
+		{kind: kindRegister, tenant: strings.Repeat("x", 0x10000), n: 1},
+	} {
+		buf, err := appendFrame(prefix, &f)
+		if err == nil {
+			t.Errorf("oversized frame (tenant %d bytes, %d words) accepted", len(f.tenant), len(f.words))
+		}
+		if !bytes.Equal(buf, prefix) {
+			t.Errorf("refused frame changed the buffer to %d bytes", len(buf))
+		}
 	}
 }
 
@@ -116,11 +121,10 @@ func addFrameSeeds(f *testing.F) {
 		{reqID: 6, kind: kindSortWords, tenant: "b", n: 4, status: statusBusy, errMsg: "queue full"},
 		{reqID: 7, kind: kindRegister, n: 1},
 	} {
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, fr); err != nil {
+		seed, err := appendFrame(nil, fr)
+		if err != nil {
 			f.Fatal(err)
 		}
-		seed := buf.Bytes()
 		f.Add(seed)
 		f.Add(seed[:len(seed)-1])                                                          // truncated body
 		f.Add(seed[:3])                                                                    // truncated length prefix
@@ -141,12 +145,12 @@ func FuzzReadFrame(f *testing.F) {
 			return
 		}
 		consumed := len(data) - src.Len() - r.Buffered()
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, &fr); err != nil {
+		buf, err := appendFrame(nil, &fr)
+		if err != nil {
 			t.Fatalf("accepted frame does not re-encode: %v", err)
 		}
-		if !bytes.Equal(buf.Bytes(), data[:consumed]) {
-			t.Fatalf("re-encoded frame %x, consumed %x", buf.Bytes(), data[:consumed])
+		if !bytes.Equal(buf, data[:consumed]) {
+			t.Fatalf("re-encoded frame %x, consumed %x", buf, data[:consumed])
 		}
 		if fr.words != nil {
 			putWords(fr.words)
