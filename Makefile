@@ -54,7 +54,9 @@
 # and the front door's socket-to-socket drain: pipelining clients over
 # loopback while the server and then the front door close mid-stream,
 # every call verified or failed with a connection error, none hung, one
-# response frame written per admitted request.
+# response frame written per admitted request — and Close with a partial
+# run held behind a packed replay in flight: Close releases the run and
+# returns once the replay does, every future resolved.
 # `make lint` greps for engine switches that bypass the planner
 # registry; `make ci` runs it between vet and build.
 #
@@ -72,19 +74,24 @@
 # `make bench-ab` is the interleaved A/B run of the repository
 # benchmark: scripts/bench_ab.py checks AB_BASE (default HEAD) out into
 # a git worktree under .bench_build/, runs perfbench on it and on the
-# working tree in alternating order for AB_ROUNDS rounds of AB_SECONDS
-# seconds, and prints the median, interquartile range, win count and
-# verdict (ok / worse / unresolved, from BENCHMARK.json's bound and
-# better) of every end-to-end metric; it fails on any worse verdict. It
-# writes nothing under perfbench/.
+# working tree in alternating order for AB_ROUNDS (default 10) rounds of
+# AB_SECONDS seconds with workload seed AB_SEED (default 1), and prints
+# the median, interquartile range, win count, verdict (ok / worse /
+# unresolved, from BENCHMARK.json's bound and better) and claim of every
+# end-to-end metric; it fails on any worse verdict. The claim reads gain
+# when the working tree wins at least 9 of every 10 completed rounds and
+# its median beats the base's by more than the base's interquartile
+# range, so it needs ten rounds; re-check a claimed gain on a fresh
+# AB_SEED. It writes nothing under perfbench/.
 
 GO ?= go
 
 .PHONY: ci vet lint build test race serve-race bench bench-packed bench-permpacked bench-wide bench-shard bench-fault bench-frontdoor bench-zoo bench-ab chaos clean
 
 AB_BASE ?= HEAD
-AB_ROUNDS ?= 5
+AB_ROUNDS ?= 10
 AB_SECONDS ?= 10
+AB_SEED ?= 1
 
 ci: vet lint build race chaos bench
 
@@ -143,10 +150,10 @@ bench-zoo:
 	$(GO) test -run 'TestZooSpeedupFloor' -bench 'ZooEngines' -count=1 .
 
 bench-ab:
-	python3 scripts/bench_ab.py --base $(AB_BASE) --rounds $(AB_ROUNDS) --seconds $(AB_SECONDS)
+	python3 scripts/bench_ab.py --base $(AB_BASE) --rounds $(AB_ROUNDS) --seconds $(AB_SECONDS) --seed $(AB_SEED)
 
 chaos:
-	$(GO) test -race -run 'TestChaosRecovery' -count=1 ./internal/serve
+	$(GO) test -race -run 'TestChaosRecovery|TestCloseReleasesHeldRun' -count=1 ./internal/serve
 	$(GO) test -race -run 'TestChaosDrill|TestRoutingServiceFaultPublic' -count=1 .
 	$(GO) test -race -run 'TestWireDrainInvariant' -count=1 ./internal/frontdoor
 

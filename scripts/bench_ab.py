@@ -3,7 +3,7 @@
 
 Run from the repository root (or through `make bench-ab`):
 
-    python3 scripts/bench_ab.py --base HEAD --rounds 5 --seconds 10
+    python3 scripts/bench_ab.py --base HEAD --rounds 10 --seconds 10 --seed 1
 
 It checks the base commit out into a git worktree under
 .bench_build/ab-base, then runs perfbench/run.py on the base and on the
@@ -20,6 +20,13 @@ the metric's BENCHMARK.json `bound` and `better`:
     worse       the change's median is past the bound (worse side)
     unresolved  the base's IQR is wider than the bound and the change
                 does not win every round, so the runs cannot tell
+
+and a claim column from the gain rule:
+
+    gain        the change wins at least 9 of every 10 completed pairs
+                and its median beats the base's by more than the
+                base's IQR
+    -           otherwise
 
 A side with more failed runs than the other is flagged. The worktree is
 removed when the run ends. The exit code is 1 when any verdict is
@@ -75,16 +82,30 @@ def spread(xs):
     return q2, q1, q3
 
 
+def won(b, c, higher):
+    """Number of pairs in which the change beat the base."""
+    return sum(1 for x, y in zip(b, c) if (y > x if higher else y < x))
+
+
 def verdict(b, c, bound, higher):
     """ok / worse / unresolved for base values b and change values c."""
     bm, bq1, bq3 = spread(b)
     cm = spread(c)[0]
     if (cm < bm * (1 - bound)) if higher else (cm > bm * (1 + bound)):
         return "worse"
-    wins = sum(1 for x, y in zip(b, c) if (y > x if higher else y < x))
+    wins = won(b, c, higher)
     if bm and (bq3 - bq1) / abs(bm) > bound and wins < len(b):
         return "unresolved"
     return "ok"
+
+
+def claim(b, c, higher):
+    """gain / - for base values b and change values c."""
+    bm, bq1, bq3 = spread(b)
+    cm = spread(c)[0]
+    wins = won(b, c, higher)
+    beat = (cm - bm) if higher else (bm - cm)
+    return "gain" if wins * 10 >= len(b) * 9 and beat > bq3 - bq1 else "-"
 
 
 def report(vals, workloads, metrics, rounds):
@@ -100,7 +121,7 @@ def report(vals, workloads, metrics, rounds):
         if not pairs:
             continue
         print(f"  {'metric':<16} {'base':>10} {'IQR':>21} {'change':>10} {'IQR':>21} {'Δ median':>9} "
-              f"{'wins':>6} {'bound':>6}  verdict")
+              f"{'wins':>6} {'bound':>6}  {'verdict':<10}  claim")
         for m in metrics:
             name, higher = m["name"], m["better"] == "higher"
             b = [p[0][name] for p in pairs if name in p[0] and name in p[1]]
@@ -109,22 +130,22 @@ def report(vals, workloads, metrics, rounds):
                 continue
             bm, bq1, bq3 = spread(b)
             cm, cq1, cq3 = spread(c)
-            wins = sum(1 for x, y in zip(b, c) if (y > x if higher else y < x))
+            wins = won(b, c, higher)
             delta = (cm - bm) / bm * 100 if bm else float("nan")
             v = verdict(b, c, m["bound"], higher)
             worse += v == "worse"
             print(f"  {name:<16} {bm:>10.4g} {f'[{bq1:.4g}, {bq3:.4g}]':>21} "
                   f"{cm:>10.4g} {f'[{cq1:.4g}, {cq3:.4g}]':>21} {delta:>+8.1f}% {wins:>3}/{len(b)} "
-                  f"{m['bound']:>6.2f}  {v}")
+                  f"{m['bound']:>6.2f}  {v:<10}  {claim(b, c, higher)}")
     return worse
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", default="HEAD", help="commit to compare the working tree against")
-    ap.add_argument("--rounds", type=int, default=5)
+    ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--seconds", type=int, default=10, help="measured seconds per run")
-    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seed", type=int, default=1, help="workload seed of every run")
     ap.add_argument("--workload", action="append", help="workload to run (default: BENCHMARK.json's)")
     args = ap.parse_args()
     if not os.path.isfile(os.path.join(ROOT, "BENCHMARK.json")):
@@ -157,7 +178,8 @@ def main():
         git("worktree", "remove", "--force", BASE_TREE)
         git("worktree", "prune")
 
-    print(f"base {base[:12]} vs working tree: {args.rounds} interleaved rounds of {args.seconds} s")
+    print(f"base {base[:12]} vs working tree: {args.rounds} interleaved rounds of {args.seconds} s, "
+          f"seed {args.seed}")
     if report(vals, workloads, metrics, args.rounds):
         sys.exit(1)
 
