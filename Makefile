@@ -60,6 +60,12 @@
 # `make lint` greps for engine switches that bypass the planner
 # registry; `make ci` runs it between vet and build.
 #
+# `make floors` runs every Test*Floor timing gate alone (one package at
+# a time, -p 1) three times over and prints each run's logged ratio or
+# throughput line next to its PASS/FAIL verdict, so each floor's margin
+# is a recorded number rather than a bare pass; it fails if any of the
+# runs fails.
+#
 # The three packed speedup floors (TestPackedSpeedupFloor,
 # TestPermPackedSpeedupFloor, TestBenesPackedSpeedupFloor) measure
 # per-core throughput: both the packed and the planned side run on one
@@ -86,7 +92,7 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race serve-race bench bench-packed bench-permpacked bench-wide bench-shard bench-fault bench-frontdoor bench-zoo bench-ab chaos clean
+.PHONY: ci vet lint build test race serve-race bench floors bench-packed bench-permpacked bench-wide bench-shard bench-fault bench-frontdoor bench-zoo bench-ab chaos clean
 
 AB_BASE ?= HEAD
 AB_ROUNDS ?= 10
@@ -127,6 +133,11 @@ serve-race:
 
 bench:
 	$(GO) test -run 'TestWideSpeedupFloor|TestRouteSpeedupFloor|TestServeThroughputFloor|TestPackedSpeedupFloor|TestPermPackedSpeedupFloor|TestBenesPackedSpeedupFloor|TestWidePackedThroughputFloor|TestShardedSpeedupFloor|TestFaultCheckerOverheadFloor|TestFrontdoorThroughputFloor|TestZooSpeedupFloor' -bench 'EvalEngines|RouteEngines|ServeThroughput|ServeFault|ZooEngines' -benchtime 1x .
+
+floors:
+	@out=$$($(GO) test -p 1 -count=3 -v -run '^Test[A-Za-z0-9]*Floor$$' . 2>&1); status=$$?; \
+	printf '%s\n' "$$out" | grep -E -- '^ +[a-z_]+_test\.go:[0-9]+: |^--- |^(ok|FAIL)'; \
+	exit $$status
 
 bench-packed:
 	$(GO) test -run 'TestPackedSpeedupFloor$$' -bench 'RouteEngines/conc' -count=1 .

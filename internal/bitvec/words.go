@@ -3,8 +3,8 @@ package bitvec
 // Word-packed views of bit vectors. A Vector stores one byte per element
 // for ergonomic slicing (the paper's notation is all about contiguous
 // sub-blocks), but counting and bulk transport are word operations:
-// PackWords/UnpackWords convert between the two, and PopCount counts ones
-// 64 elements per machine instruction via math/bits.OnesCount64 instead of
+// PackWords packs vectors into words, and PopCountWords counts ones 64
+// elements per machine instruction via math/bits.OnesCount64 instead of
 // summing bits one at a time.
 
 import (
@@ -48,45 +48,6 @@ func PackWords(vs []Vector) []uint64 {
 		out = appendWords(out, v)
 	}
 	return out
-}
-
-// UnpackWords is the inverse of PackWords: it unpacks count n-bit vectors
-// from the flat packed form. Panics if words is too short.
-func UnpackWords(words []uint64, n, count int) []Vector {
-	stride := WordsPer(n)
-	if len(words) < stride*count {
-		panic(fmt.Sprintf("bitvec: UnpackWords needs %d words, got %d", stride*count, len(words)))
-	}
-	out := make([]Vector, count)
-	for j := 0; j < count; j++ {
-		v := make(Vector, n)
-		ws := words[j*stride:]
-		for i := 0; i < n; i++ {
-			v[i] = Bit((ws[i/64] >> uint(i%64)) & 1)
-		}
-		out[j] = v
-	}
-	return out
-}
-
-// PopCount returns the number of 1 elements of v, counted 64 elements at a
-// time on the packed form (no allocation: words are assembled on the fly).
-func (v Vector) PopCount() int {
-	total := 0
-	i := 0
-	for ; i+64 <= len(v); i += 64 {
-		var w uint64
-		chunk := v[i : i+64]
-		for j, b := range chunk {
-			w |= uint64(b&1) << uint(j)
-		}
-		total += bits.OnesCount64(w)
-	}
-	var w uint64
-	for j, b := range v[i:] {
-		w |= uint64(b&1) << uint(j)
-	}
-	return total + bits.OnesCount64(w)
 }
 
 // PopCountWords sums the ones of an already-packed word slice.

@@ -71,8 +71,8 @@ func parallelizeCmps(n int, cmps []Comparator) [][]Comparator {
 // one trailing OpPermute when the network's wirings leave a residual
 // output permutation. The builder's ambient tag layout applies — the
 // comparators order by whatever tag bit the surrounding program has
-// selected — so a network works both standalone (CompileNetwork) and as
-// one window of a larger engine lowering.
+// selected — so a network lowers as one window of a larger engine
+// lowering.
 func (nw *Network) LowerTo(b *planner.Builder, lo int32) {
 	cmps, final := nw.flatten()
 	for _, stage := range parallelizeCmps(nw.n, cmps) {
@@ -87,28 +87,6 @@ func (nw *Network) LowerTo(b *planner.Builder, lo int32) {
 		}
 		b.Permute(lo, lo+int32(nw.n), perm)
 	}
-}
-
-// ParallelDepth returns the stage count of the lowering's earliest-fit
-// re-packing — the depth the compiled program realizes, which can beat
-// the construction's explicit stage grouping.
-func (nw *Network) ParallelDepth() int {
-	cmps, _ := nw.flatten()
-	return len(parallelizeCmps(nw.n, cmps))
-}
-
-// CompileNetwork lowers the network to a standalone compiled program on
-// the concentrator tag layout (tag at packet-word bit 63). Widths that
-// are not powers of two pad up: the pad positions carry no steps and
-// ride through untouched, so callers slice the first n outputs.
-func CompileNetwork(nw *Network) *planner.Program {
-	pn := 1
-	for pn < nw.n {
-		pn *= 2
-	}
-	var b planner.Builder
-	nw.LowerTo(&b, 0)
-	return b.Compile(planner.Layout{N: pn, FrontPlanes: 1, TagShift: 63, TagPlane: 0})
 }
 
 // FromComparators builds a single-comparator-per-op network from a bare

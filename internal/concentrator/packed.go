@@ -2,8 +2,8 @@
 // tag patterns through one compiled routing plan in a single pass. The
 // bit-plane engine itself — position-major packed planes, masked-XOR
 // swaps under per-lane select masks, carry-save counters, plane-bound
-// analysis, cache-blocked multi-word lane groups, and the two-stage
-// transpose extraction — is the shared packed runner of internal/planner;
+// analysis, multi-word lane groups run one lane word at a time, and the
+// two-stage transpose extraction — is the shared packed runner of internal/planner;
 // this file contributes only the concentrator-specific surface: tag-lane
 // packing, the request-count/capacity validation, and the error messages
 // of the batch contract.

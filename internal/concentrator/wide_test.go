@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"absort/internal/planner"
 	"absort/internal/race"
 )
 
@@ -17,12 +18,13 @@ import (
 var wideLaneCounts = []int{63, 64, 65, 127, 128, 129, 192}
 
 // TestConcentrateWideDifferential checks multi-word packed
-// concentration against the scalar plan on every packable engine at
-// lane counts that straddle the 64-lane word boundaries.
+// concentration against the scalar plan on every registered engine that
+// routes the width, at lane counts that straddle the 64-lane word
+// boundaries.
 func TestConcentrateWideDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(70))
-	for _, engine := range []Engine{MuxMerger, PrefixAdder, Fish} {
-		n := 64
+	n := 64
+	for _, engine := range planner.EnginesFor(n) {
 		c := New(n, n/2, engine, 4)
 		for _, lanes := range wideLaneCounts {
 			batch := make([][]bool, lanes)

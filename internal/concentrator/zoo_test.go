@@ -91,7 +91,8 @@ func zooCases() []zooCase {
 // registry plan routes bit-for-bit identically to a direct replay of
 // the source network, across the scalar planned path (one lane), the
 // planned-parallel batch pipeline (7 patterns — below the packed
-// threshold), and the auto-packed SWAR batch path (64 patterns).
+// threshold), the auto-packed SWAR batch path (64 patterns and up), and
+// multi-word ConcentratePacked groups (65, 129 and 256 patterns).
 func TestZooDifferentialVsApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(1992))
 	for _, tc := range zooCases() {
@@ -126,9 +127,11 @@ func TestZooDifferentialVsApply(t *testing.T) {
 					}
 				}
 
-				// Batch pipelines: 7 lanes planned-parallel, 64 lanes packed.
+				// Batch pipelines: 7 lanes planned-parallel, 64 lanes packed;
+				// 65, 129 and 256 lanes also run as one multi-word
+				// ConcentratePacked group.
 				conc := New(n, n, tc.engine, 0)
-				for _, lanes := range []int{7, PackedLanes} {
+				for _, lanes := range []int{7, PackedLanes, 65, 129, 256} {
 					tagsBatch := make([]bitvec.Vector, lanes)
 					markedBatch := make([][]bool, lanes)
 					for i := range tagsBatch {
@@ -143,23 +146,36 @@ func TestZooDifferentialVsApply(t *testing.T) {
 					if err != nil {
 						t.Fatalf("ConcentrateBatch(%d lanes): %v", lanes, err)
 					}
-					for i, tags := range tagsBatch {
-						want := refApply(nw, tags, reps)
-						wantCount := 0
-						for _, m := range markedBatch[i] {
-							if m {
-								wantCount++
+					checkBatch := func(path string) {
+						t.Helper()
+						for i, tags := range tagsBatch {
+							want := refApply(nw, tags, reps)
+							wantCount := 0
+							for _, m := range markedBatch[i] {
+								if m {
+									wantCount++
+								}
+							}
+							if counts[i] != wantCount {
+								t.Fatalf("%s, %d lanes, pattern %d: count %d, want %d", path, lanes, i, counts[i], wantCount)
+							}
+							for j := range want {
+								if perms[i][j] != want[j] {
+									t.Fatalf("%s, %d lanes, pattern %d: route diverges from cmpnet.Apply at output %d: got %v, want %v",
+										path, lanes, i, j, perms[i], want)
+								}
 							}
 						}
-						if counts[i] != wantCount {
-							t.Fatalf("%d lanes, pattern %d: count %d, want %d", lanes, i, counts[i], wantCount)
+					}
+					checkBatch("batch")
+					if lanes > PackedLanes {
+						for i := range perms {
+							perms[i], counts[i] = make([]int, n), -1
 						}
-						for j := range want {
-							if perms[i][j] != want[j] {
-								t.Fatalf("%d lanes, pattern %d: batch route diverges from cmpnet.Apply at output %d: got %v, want %v",
-									lanes, i, j, perms[i], want)
-							}
+						if err := conc.ConcentratePacked(perms, counts, markedBatch); err != nil {
+							t.Fatalf("ConcentratePacked(%d lanes): %v", lanes, err)
 						}
+						checkBatch("packed")
 					}
 				}
 			})

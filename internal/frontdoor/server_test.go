@@ -387,7 +387,8 @@ func TestCloseWithNonReadingPeer(t *testing.T) {
 		defer c.mu.Unlock()
 		return c.inFlight, len(c.pending)
 	}
-	for deadline := time.Now().Add(10 * time.Second); ; {
+	deadline := time.Now().Add(10 * time.Second)
+	for {
 		if k, _ := inFlight(); k == maxConnInFlight {
 			break
 		}
@@ -396,6 +397,20 @@ func TestCloseWithNonReadingPeer(t *testing.T) {
 			t.Fatalf("reader did not reach the in-flight cap: %d of %d", k, maxConnInFlight)
 		}
 		time.Sleep(time.Millisecond)
+	}
+	// The peer counts a frame only after its Write returns, so the last
+	// count can land after the reader reaches the cap: wait until two
+	// samples 10 ms apart agree before taking the baseline.
+	for prev := sent.Load(); ; {
+		time.Sleep(10 * time.Millisecond)
+		cur := sent.Load()
+		if cur == prev {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("peer never stopped writing: %d then %d frames", prev, cur)
+		}
+		prev = cur
 	}
 	// A request frame and a permute response frame have the same size.
 	respBytes := len(must(appendFrame(nil, permFrame(0, "r", make([]int, n)))))

@@ -18,58 +18,6 @@ func (c *Circuit) EvalBatch(inputs []bitvec.Vector, workers int) []bitvec.Vector
 	return c.Compile().EvalBatch(inputs, workers)
 }
 
-// EvalBatchScalar is the legacy one-vector-at-a-time parallel sweep, kept
-// for engines-differential testing and as the reference point the wide
-// path is benchmarked against. Work is distributed by an atomic cursor in
-// grains of 16 inputs; each worker reuses a single wire-value scratch
-// buffer across all of its evaluations (via the compiled program's pool),
-// so the batch performs no per-evaluation allocation beyond the returned
-// vectors.
-func (c *Circuit) EvalBatchScalar(inputs []bitvec.Vector, workers int) []bitvec.Vector {
-	p := c.Compile()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(inputs) {
-		workers = len(inputs)
-	}
-	out := make([]bitvec.Vector, len(inputs))
-	flat := make(bitvec.Vector, len(inputs)*len(p.outWires))
-	for i := range out {
-		out[i] = flat[i*len(p.outWires) : (i+1)*len(p.outWires)]
-	}
-	if workers <= 1 {
-		for i, in := range inputs {
-			p.EvalInto(out[i], in)
-		}
-		return out
-	}
-	const grain = 16
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(next.Add(grain)) - grain
-				if lo >= len(inputs) {
-					return
-				}
-				hi := lo + grain
-				if hi > len(inputs) {
-					hi = len(inputs)
-				}
-				for i := lo; i < hi; i++ {
-					p.EvalInto(out[i], inputs[i])
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
 // EvalBatch evaluates many inputs through the packed wide engine: inputs
 // are packed 64 to a block, each block is evaluated in one branch-free
 // pass, and the results are unpacked in order. Blocks are distributed

@@ -194,10 +194,6 @@ func (p *Compiled) NumInputs() int { return len(p.inputWires) }
 // NumOutputs returns the number of output wires.
 func (p *Compiled) NumOutputs() int { return len(p.outWires) }
 
-// NumOps returns the length of the lowered instruction stream (inputs and
-// constants are preloads, not ops).
-func (p *Compiled) NumOps() int { return len(p.opcode) }
-
 func (p *Compiled) getScratch() *[]uint64 { return p.scratch.Get().(*[]uint64) }
 func (p *Compiled) putScratch(v *[]uint64) { p.scratch.Put(v) }
 

@@ -3,8 +3,8 @@
 // through one fused route plan in a single pass. The bit-plane engine —
 // lg n destination front planes whose per-level tag plane OpSetTag
 // selects, masked-XOR swaps under per-lane select masks, live-plane
-// analysis, cache-blocked multi-word lane groups, and the two-stage
-// transpose load/extract — is the shared packed runner of
+// analysis, multi-word lane groups run one lane word at a time, and the
+// two-stage transpose load/extract — is the shared packed runner of
 // internal/planner; this file contributes only the permuter-specific
 // surface: per-lane permutation validation and the error messages of the
 // batch contract; the batch policy is planner.Batch's.

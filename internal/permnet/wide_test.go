@@ -19,17 +19,41 @@ import (
 // and a three-word group.
 var wideLaneCounts = []int{63, 64, 65, 127, 128, 129, 192}
 
+// wideEngine is one engine configuration of the wide differential.
+type wideEngine struct {
+	name   string
+	engine concentrator.Engine
+	k      int
+}
+
+// wideEngines lists planEngines plus every other registered engine that
+// can route an n-wide radix permuter, whose windows run down to width 2.
+func wideEngines(n int) []wideEngine {
+	var es []wideEngine
+	seen := map[concentrator.Engine]bool{}
+	for _, cfg := range planEngines {
+		seen[cfg.engine] = true
+		if cfg.k <= n {
+			es = append(es, wideEngine{cfg.name, cfg.engine, cfg.k})
+		}
+	}
+	for _, e := range planner.EnginesFor(n) {
+		if !seen[e] && planner.CanRoute(e, 2) {
+			es = append(es, wideEngine{e.String(), e, 0})
+		}
+	}
+	return es
+}
+
 // TestRouteWideDifferential checks the multi-word packed permuter
-// against the scalar recursion on every engine at lane counts that
-// straddle the 64-lane word boundaries: each lane's permutation must be
-// bit-for-bit identical to the scalar route of that lane's assignment.
+// against the scalar recursion on every registered engine at lane counts
+// that straddle the 64-lane word boundaries: each lane's permutation
+// must be bit-for-bit identical to the scalar route of that lane's
+// assignment.
 func TestRouteWideDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
-	for _, cfg := range planEngines {
-		for _, n := range []int{16, 64} {
-			if cfg.k > n {
-				continue
-			}
+	for _, n := range []int{16, 64} {
+		for _, cfg := range wideEngines(n) {
 			rp := NewRadixPermuter(n, cfg.engine, cfg.k)
 			plan := rp.Compile()
 			for _, lanes := range wideLaneCounts {

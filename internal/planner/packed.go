@@ -1,38 +1,37 @@
 // SWAR lane-packed execution of routing-plan programs: W×64 independent
-// request patterns replay one compiled program in a single pass, one
-// uint64 bit lane per pattern and W contiguous words per bit plane — the
-// shared engine behind the concentrator's ConcentratePacked, the radix
-// permuter's packed RouteBatch path, the compiled Beneš replay's packed
-// settings playback, and the word sorter's end-to-end packed wide path.
+// request patterns replay one compiled program, one uint64 bit lane per
+// pattern — the shared engine behind the concentrator's
+// ConcentratePacked, the radix permuter's packed RouteBatch path, the
+// compiled Beneš replay's packed settings playback, and the word
+// sorter's end-to-end packed wide path.
 //
-//   - The working state is position-major bit-plane packed: each of the
-//     n network positions owns P = F + I consecutive plane rows of bw
-//     words each (bw ≤ W is the cache-block width, see below). The F
-//     front planes carry tag data (one plane of request tags for
-//     concentrator programs; the lg n destination-address bits for the
-//     fused radix permuter, whose per-level tag is just one of those
-//     planes, selected by OpSetTag). The I = lg n index planes carry the
-//     bits of the packet's origin index riding through the switches. Bit
-//     l of plane word w belongs to request lane 64w + l.
-//   - Every select decision becomes a per-lane mask word array: a
-//     compare-swap moves exactly the lanes whose tags order as (1, 0),
-//     four-way swappers decompose into masked quarter swaps under the
-//     three non-identity select masks, the prefix patch-up's running
-//     ones count lives in bit-sliced counter planes updated with
-//     carry-save adds, and preset-select programs (Beneš) read per-step
-//     lane masks flattened from the per-lane switch settings at load
-//     time (LoadSelBits) — no branches depend on tag data.
+//   - The working state is word-major, then position-major bit-plane
+//     packed: lane word w owns its own n × P plane array, and within it
+//     each of the n network positions owns P = F + I consecutive plane
+//     words, so plane b of position i in word w is
+//     val[(w·n + i)·P + b]. The F front planes carry tag data (one plane
+//     of request tags for concentrator programs; the lg n
+//     destination-address bits for the fused radix permuter, whose
+//     per-level tag is just one of those planes, selected by OpSetTag).
+//     The I = lg n index planes carry the bits of the packet's origin
+//     index riding through the switches. Bit l of word w's planes
+//     belongs to request lane 64w + l.
+//   - Every select decision becomes a per-lane mask word: a compare-swap
+//     moves exactly the lanes whose tags order as (1, 0), four-way
+//     swappers decompose into masked quarter swaps under the three
+//     non-identity select masks, the prefix patch-up's running ones
+//     count lives in bit-sliced counter planes updated with carry-save
+//     adds, and preset-select programs (Beneš) read per-step lane masks
+//     flattened from the per-lane switch settings at load time
+//     (LoadSelBits) — no branches depend on tag data.
 //   - Data movements touch only the live planes of each step: front
 //     planes above the current tag plane are consumed (window-constant)
 //     and the index planes above the window's origin-interval width are
 //     broadcast constants, so swaps and copies skip the dead middle —
-//     the compile-time analysis in planeBounds, applied per word.
-//   - Widths above one word are cache-blocked: the W lane words split
-//     into ⌈W/bw⌉ blocks of bw words each (the last padded with unused
-//     lanes), sized so one block's plane array stays near L2, and the
-//     step stream replays once per block — the step-decode and
-//     plane-bound overhead amortizes over bw words while the working
-//     set stays cache-resident.
+//     the compile-time analysis in planeBounds.
+//   - A W-word group runs as W single-word blocks: the step stream
+//     replays once per lane word over that word's own plane array, so
+//     every kernel has one single-word form.
 //
 // A Packed engine performs zero steady-state heap allocations: plane
 // array, copy scratch, select-mask replay buffer, preset select masks,
@@ -70,18 +69,6 @@ const WideWords = 4
 // replay for narrower remainders.
 const MinPackedLanes = 24
 
-// blockTargetWords bounds one cache block's plane-array footprint
-// (n × P × bw words): 4096 words = 32 KiB, sized to keep a block's
-// working set L1-resident across the whole step sweep — each block
-// replays every step before the next block starts, so a block that
-// spills L1 pays its misses once per step instead of once per pass.
-// The block width is all-or-nothing: when the full W-word group fits
-// the budget the pass runs flat (bw = W, one decode per step), and
-// otherwise it runs single-word blocks (bw = 1, the fast paths every
-// per-step kernel keeps for one-word strides) — intermediate widths
-// pay the generic multi-word loops without fitting L1 any better.
-const blockTargetWords = 4096
-
 // ErrNotPackable reports a program whose step stream contains an
 // operation the packed engine cannot replay. Program.Packed returns it
 // from the compile-time packability scan — callers fall back to planned
@@ -102,10 +89,7 @@ type Packed struct {
 	P      int     // planes per position: F front planes + I index planes
 	F      int     // front (tag-data) plane count
 	I      int     // index plane count (lg n)
-	W      int     // lane words per plane (64 lanes each)
-	bw     int     // words per cache block (uniform; last block padded)
-	nb     int     // cache blocks: ceil(W / bw)
-	wpad   int     // padded width nb*bw (≥ W; padding lanes are unused)
+	W      int     // lane words (64 lanes each)
 	wFront []int16 // per-step live front planes (current tag plane + 1)
 	wIdx   []int16 // per-step live index planes (origin-interval width)
 	hasRec bool    // program records/replays tag-driven selects
@@ -114,16 +98,14 @@ type Packed struct {
 }
 
 // PackedScratch is the per-execution state of a Packed engine. Val holds
-// the nb × n × P × bw block-major plane words; Tmp is copy scratch
-// clients may borrow between Get and Put (e.g. to stage packed tag
-// words).
+// the W × n × P word-major plane words; Tmp is copy scratch clients may
+// borrow between Get and Put (e.g. to stage packed tag words).
 type PackedScratch struct {
 	Val  []uint64
 	Tmp  []uint64
-	sel  []uint64 // select-mask record/replay buffer, 2×bw words per slot
-	psel []uint64 // preset select lane masks, wpad words per slot
-	cnt  []uint64 // bit-sliced per-lane ones counters, bw words per bit
-	msk  []uint64 // per-step mask staging, 4×bw words
+	sel  []uint64 // select-mask record/replay buffer, 2 words per slot
+	psel []uint64 // preset select lane masks, W words per slot
+	cnt  []uint64 // bit-sliced per-lane ones counters, one word per bit
 }
 
 // Packed returns the program's words×64-lane SWAR engine, building it on
@@ -172,12 +154,6 @@ func newPacked(p *Program, words int) *Packed {
 	F := p.layout.FrontPlanes
 	I := core.Lg(n)
 	pp := &Packed{prog: p, P: F + I, F: F, I: I, W: words}
-	pp.bw = 1
-	if n*pp.P*words <= blockTargetWords {
-		pp.bw = words
-	}
-	pp.nb = (words + pp.bw - 1) / pp.bw
-	pp.wpad = pp.nb * pp.bw
 	for _, st := range p.steps {
 		switch st.Op {
 		case OpFourIn, OpFourOut, OpCondIn, OpCondOut:
@@ -187,21 +163,20 @@ func newPacked(p *Program, words int) *Packed {
 		}
 	}
 	pp.planeBounds()
-	P, bw, wpad := pp.P, pp.bw, pp.wpad
+	P := pp.P
 	nsel := max(p.nsel, 1)
 	hasRec, hasPre := pp.hasRec, pp.hasPre
 	pp.pool.New = func() any {
 		sc := &PackedScratch{
-			Val: make([]uint64, n*P*wpad),
-			Tmp: make([]uint64, n*P*wpad),
-			cnt: make([]uint64, (I+2)*bw),
-			msk: make([]uint64, 4*bw),
+			Val: make([]uint64, n*P*words),
+			Tmp: make([]uint64, n*P*words),
+			cnt: make([]uint64, I+2),
 		}
 		if hasRec {
-			sc.sel = make([]uint64, 2*nsel*bw)
+			sc.sel = make([]uint64, 2*nsel)
 		}
 		if hasPre {
-			sc.psel = make([]uint64, nsel*wpad)
+			sc.psel = make([]uint64, nsel*words)
 		}
 		return sc
 	}
@@ -290,9 +265,6 @@ func (pp *Packed) N() int { return pp.prog.layout.N }
 // Words returns the lane-word width W of the engine.
 func (pp *Packed) Words() int { return pp.W }
 
-// Lanes returns the number of patterns evaluated per pass (64 W).
-func (pp *Packed) Lanes() int { return pp.W * PackedLanes }
-
 // Program returns the scalar program the packed engine replays.
 func (pp *Packed) Program() *Program { return pp.prog }
 
@@ -300,30 +272,20 @@ func (pp *Packed) Program() *Program { return pp.prog }
 func (pp *Packed) Get() *PackedScratch   { return pp.pool.Get().(*PackedScratch) }
 func (pp *Packed) Put(sc *PackedScratch) { pp.pool.Put(sc) }
 
-// word maps the global lane-word index w to its (block, in-block word)
-// coordinates.
-func (pp *Packed) word(w int) (blk, ws int) { return w / pp.bw, w % pp.bw }
-
 // LoadTagWords initializes the plane array for a single-tag program
 // (F = 1): position i starts with the packed tag lanes of word w —
 // tags[w*n+i], word-major — in plane 0 and the lane-broadcast bits of
 // index i in the index planes. Lane words beyond len(tags)/n are zeroed.
 func (pp *Packed) LoadTagWords(val, tags []uint64) {
-	P, bw := pp.P, pp.bw
+	P := pp.P
 	n := pp.prog.layout.N
 	tw := len(tags) / n
-	for w := 0; w < pp.wpad; w++ {
-		blk, ws := pp.word(w)
-		base := blk*n*P*bw + ws
-		if w < tw {
-			for i, t := range tags[w*n : (w+1)*n] {
-				val[base+i*P*bw] = t
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				val[base+i*P*bw] = 0
-			}
+	for r := 0; r < pp.W*n; r++ {
+		t := uint64(0)
+		if r < tw*n {
+			t = tags[r]
 		}
+		val[r*P] = t
 	}
 	pp.loadIndexBroadcast(val)
 }
@@ -334,35 +296,22 @@ func (pp *Packed) LoadTagWords(val, tags []uint64) {
 // (the word sorter's wide path) start from this state and supply routing
 // decisions through LoadSelBits or per-pass front-plane writes.
 func (pp *Packed) LoadIndexPlanes(val []uint64) {
-	P, F, bw := pp.P, pp.F, pp.bw
-	n := pp.prog.layout.N
-	for blk := 0; blk < pp.nb; blk++ {
-		base := blk * n * P * bw
-		for i := 0; i < n; i++ {
-			row := base + i*P*bw
-			for o := 0; o < F*bw; o++ {
-				val[row+o] = 0
-			}
-		}
+	P, F := pp.P, pp.F
+	for r := 0; r < pp.W*pp.prog.layout.N; r++ {
+		clear(val[r*P : r*P+F])
 	}
 	pp.loadIndexBroadcast(val)
 }
 
-// loadIndexBroadcast fills the index planes of every block: plane F+b of
-// position i broadcasts bit b of i to all lanes.
+// loadIndexBroadcast fills the index planes of every lane word: plane
+// F+b of position i broadcasts bit b of i to all lanes.
 func (pp *Packed) loadIndexBroadcast(val []uint64) {
-	P, F, bw := pp.P, pp.F, pp.bw
+	P, F := pp.P, pp.F
 	n := pp.prog.layout.N
-	for blk := 0; blk < pp.nb; blk++ {
-		base := blk * n * P * bw
-		for i := 0; i < n; i++ {
-			row := base + i*P*bw
-			for b := F; b < P; b++ {
-				v := -uint64(i >> uint(b-F) & 1) // 0 or all-ones broadcast
-				for w := 0; w < bw; w++ {
-					val[row+b*bw+w] = v
-				}
-			}
+	for r := 0; r < pp.W*n; r++ {
+		i := r % n
+		for b := F; b < P; b++ {
+			val[r*P+b] = -uint64(i >> uint(b-F) & 1) // 0 or all-ones broadcast
 		}
 	}
 }
@@ -374,22 +323,18 @@ func (pp *Packed) loadIndexBroadcast(val []uint64) {
 // through the same two transpose stages Extract uses in reverse — about
 // five word operations per packed destination.
 func (pp *Packed) LoadDestLanes(val []uint64, dests [][]int) {
-	P, F, bw := pp.P, pp.F, pp.bw
+	P, F := pp.P, pp.F
 	n := pp.prog.layout.N
 	if n < 64 || F > 16 {
 		pp.loadDestSlow(val, dests)
 		return
 	}
-	for w := 0; w < pp.wpad; w++ {
-		blk, ws := pp.word(w)
-		bbase := blk * n * P * bw
+	for w := 0; w < pp.W; w++ {
+		wbase := w * n * P
 		sub := dests[min(w*64, len(dests)):min((w+1)*64, len(dests))]
 		if len(sub) == 0 {
 			for i := 0; i < n; i++ {
-				row := bbase + i*P*bw + ws
-				for b := 0; b < F; b++ {
-					val[row+b*bw] = 0
-				}
+				clear(val[wbase+i*P : wbase+i*P+F])
 			}
 			continue
 		}
@@ -418,7 +363,7 @@ func (pp *Packed) LoadDestLanes(val []uint64, dests [][]int) {
 				bp := &lanePl[b]
 				Transpose64(bp)
 				for j := 0; j < 64; j++ {
-					val[bbase+(base+j)*P*bw+b*bw+ws] = bp[j]
+					val[wbase+(base+j)*P+b] = bp[j]
 				}
 			}
 		}
@@ -429,19 +374,18 @@ func (pp *Packed) LoadDestLanes(val []uint64, dests [][]int) {
 // loadDestSlow is the bit-scatter fallback of LoadDestLanes for programs
 // too narrow (or too wide) for the block-transpose fast path.
 func (pp *Packed) loadDestSlow(val []uint64, dests [][]int) {
-	P, F, bw := pp.P, pp.F, pp.bw
+	P, F := pp.P, pp.F
 	n := pp.prog.layout.N
-	for w := 0; w < pp.wpad; w++ {
-		blk, ws := pp.word(w)
+	for w := 0; w < pp.W; w++ {
 		sub := dests[min(w*64, len(dests)):min((w+1)*64, len(dests))]
 		for i := 0; i < n; i++ {
-			row := blk*n*P*bw + i*P*bw + ws
+			row := (w*n + i) * P
 			for b := 0; b < F; b++ {
 				wd := uint64(0)
 				for l, d := range sub {
 					wd |= uint64(d[i]>>uint(b)&1) << uint(l)
 				}
-				val[row+b*bw] = wd
+				val[row+b] = wd
 			}
 		}
 	}
@@ -461,14 +405,12 @@ func (pp *Packed) LoadSelBits(sc *PackedScratch, selBits [][]uint64) {
 	if nsel == 0 {
 		return
 	}
-	wpad := pp.wpad
+	W := pp.W
 	lw := (len(selBits) + 63) / 64
-	for w := 0; w < wpad; w++ {
-		blk, ws := pp.word(w)
-		gw := blk*pp.bw + ws
+	for w := 0; w < W; w++ {
 		if w >= lw {
 			for s := 0; s < nsel; s++ {
-				sc.psel[s*wpad+gw] = 0
+				sc.psel[s*W+w] = 0
 			}
 			continue
 		}
@@ -483,7 +425,7 @@ func (pp *Packed) LoadSelBits(sc *PackedScratch, selBits [][]uint64) {
 			Transpose64(&a)
 			hi := min(64, nsel-c*64)
 			for s := 0; s < hi; s++ {
-				sc.psel[(c*64+s)*wpad+gw] = a[s]
+				sc.psel[(c*64+s)*W+w] = a[s]
 			}
 		}
 	}
@@ -498,7 +440,7 @@ func (pp *Packed) LoadSelBits(sc *PackedScratch, selBits [][]uint64) {
 // step, evaluated 64 lanes per word operation). The index planes are
 // untouched, so a composed permutation riding there survives the write.
 func (pp *Packed) SplitFront(sc *PackedScratch, tags []uint64) {
-	P, F, bw := pp.P, pp.F, pp.bw
+	P, F := pp.P, pp.F
 	n := pp.prog.layout.N
 	val := sc.Val
 	// Counters borrow the head of the copy scratch: z counts zeros routed
@@ -508,20 +450,16 @@ func (pp *Packed) SplitFront(sc *PackedScratch, tags []uint64) {
 	z := sc.Tmp[:F+1]
 	s := sc.Tmp[F+1 : 2*F+2]
 	for w := 0; w < pp.W; w++ {
-		blk, ws := pp.word(w)
 		t := tags[w*n : (w+1)*n]
-		for b := range z {
-			z[b] = 0
-			s[b] = 0
-		}
+		clear(z)
+		clear(s)
 		for _, tw := range t { // sweep 1: s ← Z, the per-lane zero count
 			addCounter(s, ^tw)
 		}
-		base := blk*n*P*bw + ws
 		for i, tw := range t { // sweep 2: dest = tag ? s : z, then count
-			row := base + i*P*bw
+			row := (w*n + i) * P
 			for b := 0; b < F; b++ {
-				val[row+b*bw] = (z[b] &^ tw) | (s[b] & tw)
+				val[row+b] = (z[b] &^ tw) | (s[b] & tw)
 			}
 			addCounter(z, ^tw)
 			addCounter(s, tw)
@@ -548,7 +486,7 @@ func addCounter(c []uint64, m uint64) {
 // five word operations per extracted index, instead of one shift-mask-or
 // per (lane, position, plane).
 func (pp *Packed) Extract(out [][]int, val []uint64) {
-	P, F, I, bw := pp.P, pp.F, pp.I, pp.bw
+	P, F, I := pp.P, pp.F, pp.I
 	n := pp.prog.layout.N
 	if n < 64 || I == 0 || I > 16 {
 		// Ragged width (n < 64), the trivial 1-input program, or more
@@ -559,8 +497,7 @@ func (pp *Packed) Extract(out [][]int, val []uint64) {
 	}
 	var lanePl [16][64]uint64
 	for w := 0; w*64 < len(out); w++ {
-		blk, ws := pp.word(w)
-		bbase := blk * n * P * bw
+		wbase := w * n * P
 		sub := out[w*64 : min((w+1)*64, len(out))]
 		for base := 0; base < n; base += 64 {
 			// Stage 1: one transpose per index plane; lanePl[b][l] bit j is
@@ -568,7 +505,7 @@ func (pp *Packed) Extract(out [][]int, val []uint64) {
 			for b := 0; b < I; b++ {
 				bp := &lanePl[b]
 				for j := 0; j < 64; j++ {
-					bp[j] = val[bbase+(base+j)*P*bw+(F+b)*bw+ws]
+					bp[j] = val[wbase+(base+j)*P+F+b]
 				}
 				Transpose64(bp)
 			}
@@ -596,16 +533,15 @@ func (pp *Packed) Extract(out [][]int, val []uint64) {
 
 // extractSlow is the bit-gather fallback of Extract.
 func (pp *Packed) extractSlow(out [][]int, val []uint64) {
-	P, F, bw := pp.P, pp.F, pp.bw
+	P, F := pp.P, pp.F
 	n := pp.prog.layout.N
 	for l, o := range out {
-		blk, ws := pp.word(l / 64)
 		bit := uint(l % 64)
 		for j := 0; j < n; j++ {
-			row := blk*n*P*bw + j*P*bw + ws
+			row := ((l/64)*n + j) * P
 			v := 0
 			for b := F; b < P; b++ {
-				v |= int(val[row+b*bw]>>bit&1) << uint(b-F)
+				v |= int(val[row+b]>>bit&1) << uint(b-F)
 			}
 			o[j] = v
 		}
@@ -613,12 +549,11 @@ func (pp *Packed) extractSlow(out [][]int, val []uint64) {
 }
 
 // Run executes the step program over the packed plane array in sc, one
-// cache block of lane words at a time. Every movement op consults the
-// compile-time plane bounds (see planeBounds): dead front and index
-// planes are skipped.
+// lane word at a time. Every movement op consults the compile-time plane
+// bounds (see planeBounds): dead front and index planes are skipped.
 func (pp *Packed) Run(sc *PackedScratch) {
-	for blk := 0; blk < pp.nb; blk++ {
-		pp.runBlock(sc, blk, false)
+	for w := 0; w < pp.W; w++ {
+		pp.runBlock(sc, w, false)
 	}
 }
 
@@ -628,32 +563,29 @@ func (pp *Packed) Run(sc *PackedScratch) {
 // invalidates the identity-start assumption of the origin-interval
 // analysis; the front-plane bounds are data-independent and still apply.
 func (pp *Packed) RunFull(sc *PackedScratch) {
-	for blk := 0; blk < pp.nb; blk++ {
-		pp.runBlock(sc, blk, true)
+	for w := 0; w < pp.W; w++ {
+		pp.runBlock(sc, w, true)
 	}
 }
 
-// runBlock replays the step stream over one cache block of lane words.
-// The packability scan behind Program.Packed guarantees every opcode has
-// a case here, so the switch needs no failure arm.
-func (pp *Packed) runBlock(sc *PackedScratch, blk int, fullIdx bool) {
+// runBlock replays the step stream over lane word w's plane array.
+func (pp *Packed) runBlock(sc *PackedScratch, w int, fullIdx bool) {
 	for r, reps := 0, pp.prog.Repeats(); r < reps; r++ {
-		pp.runBlockPass(sc, blk, fullIdx, r*len(pp.prog.steps))
+		pp.runBlockPass(sc, w, fullIdx, r*len(pp.prog.steps))
 	}
 }
 
-// runBlockPass replays the step stream once over one cache block; bbase
+// runBlockPass replays the step stream once over lane word w; bbase
 // offsets into the per-executed-step plane bounds (pass r of a Repeat
-// program owns bounds [r·len(steps), (r+1)·len(steps))).
-func (pp *Packed) runBlockPass(sc *PackedScratch, blk int, fullIdx bool, bbase int) {
-	P, bw := pp.P, pp.bw
-	PW := P * bw
+// program owns bounds [r·len(steps), (r+1)·len(steps))). The packability
+// scan behind Program.Packed guarantees every opcode has a case here, so
+// the switch needs no failure arm.
+func (pp *Packed) runBlockPass(sc *PackedScratch, w int, fullIdx bool, bbase int) {
+	P := pp.P
 	n := pp.prog.layout.N
-	bval := sc.Val[blk*n*PW : (blk+1)*n*PW]
-	btmp := sc.Tmp[:n*PW]
+	bval := sc.Val[w*n*P : (w+1)*n*P]
+	btmp := sc.Tmp[:n*P]
 	cnt := sc.cnt
-	m1 := sc.msk[:bw]
-	gw := blk * bw // first global in-psel word of this block
 	for si, st := range pp.prog.steps {
 		lo, hi := int(st.Lo), int(st.Hi)
 		s := hi - lo
@@ -668,51 +600,24 @@ func (pp *Packed) runBlockPass(sc *PackedScratch, blk int, fullIdx bool, bbase i
 			// Inlined single-position masked swap: cmp-swaps are the most
 			// frequent step by far (every merge bottoms out in one), and a
 			// call per pair would cost more than the swap itself.
-			xo := lo * PW
-			if bw == 1 {
-				if m := bval[xo+tp] &^ bval[xo+P+tp]; m != 0 {
-					m1[0] = m
-					pp.swapPos(bval[xo:xo+PW], bval[xo+PW:xo+2*PW], m1, wf, wi)
-				}
-				break
-			}
-			any := uint64(0)
-			for w := 0; w < bw; w++ {
-				mw := bval[xo+tp*bw+w] &^ bval[xo+PW+tp*bw+w]
-				m1[w] = mw
-				any |= mw
-			}
-			if any != 0 {
-				pp.swapPos(bval[xo:xo+PW], bval[xo+PW:xo+2*PW], m1, wf, wi)
+			xo := lo * P
+			if m := bval[xo+tp] &^ bval[xo+P+tp]; m != 0 {
+				pp.swapPos(bval[xo:xo+P], bval[xo+P:xo+2*P], m, wf, wi)
 			}
 		case OpEndsSwap:
 			for i := 0; i < s/2; i++ {
-				xo, yo := (lo+i)*PW, (hi-1-i)*PW
-				any := uint64(0)
-				for w := 0; w < bw; w++ {
-					mw := bval[xo+tp*bw+w] &^ bval[yo+tp*bw+w]
-					m1[w] = mw
-					any |= mw
-				}
-				if any != 0 {
-					pp.swapPos(bval[xo:xo+PW], bval[yo:yo+PW], m1, wf, wi)
+				xo, yo := (lo+i)*P, (hi-1-i)*P
+				if m := bval[xo+tp] &^ bval[yo+tp]; m != 0 {
+					pp.swapPos(bval[xo:xo+P], bval[yo:yo+P], m, wf, wi)
 				}
 			}
 		case OpFourIn:
 			q := s / 4
-			m0 := sc.msk[bw : 2*bw]
-			m2 := sc.msk[2*bw : 3*bw]
-			m3 := sc.msk[3*bw : 4*bw]
-			sb := 2 * int(st.Aux) * bw
-			for w := 0; w < bw; w++ {
-				h1 := bval[(lo+q)*PW+tp*bw+w]
-				h2 := bval[(lo+3*q)*PW+tp*bw+w]
-				sc.sel[sb+w] = h1
-				sc.sel[sb+bw+w] = h2
-				m0[w] = ^h1 & ^h2
-				m2[w] = h1 & ^h2
-				m3[w] = h1 & h2
-			}
+			h1 := bval[(lo+q)*P+tp]
+			h2 := bval[(lo+3*q)*P+tp]
+			sb := 2 * int(st.Aux)
+			sc.sel[sb], sc.sel[sb+1] = h1, h2
+			m0, m2, m3 := ^h1&^h2, h1&^h2, h1&h2
 			// INSwap per select (see swapper.INSwap): sel 0 rotates the
 			// upper three quarters right, sel 1 is the identity, sel 2
 			// swaps the halves, sel 3 swaps the first two quarters.
@@ -722,15 +627,9 @@ func (pp *Packed) runBlockPass(sc *PackedScratch, blk int, fullIdx bool, bbase i
 			pp.maskedSwap(bval, lo, lo+q, q, m3, wf, wi)       // swap q0,q1
 		case OpFourOut:
 			q := s / 4
-			m0 := sc.msk[bw : 2*bw]
-			m3 := sc.msk[3*bw : 4*bw]
-			sb := 2 * int(st.Aux) * bw
-			for w := 0; w < bw; w++ {
-				h1 := sc.sel[sb+w]
-				h2 := sc.sel[sb+bw+w]
-				m0[w] = ^h1 & ^h2
-				m3[w] = h1 & h2
-			}
+			sb := 2 * int(st.Aux)
+			h1, h2 := sc.sel[sb], sc.sel[sb+1]
+			m0, m3 := ^h1&^h2, h1&h2
 			// OUTSwap per select: sel 0 rotates the upper three quarters
 			// right, sel 3 the lower three left; 1 and 2 are identities.
 			pp.maskedSwap(bval, lo+2*q, lo+3*q, q, m0, wf, wi) // rot right: swap q2,q3
@@ -745,51 +644,37 @@ func (pp *Packed) runBlockPass(sc *PackedScratch, blk int, fullIdx bool, bbase i
 			// Reset the bit-sliced ones counters and carry-save add every
 			// tag word of the window: amortized O(1) plane updates per
 			// word, exactly a 64-lane binary counter increment per word.
-			for b := range cnt {
-				cnt[b] = 0
-			}
+			clear(cnt)
 			for i := lo; i < hi; i++ {
-				for w := 0; w < bw; w++ {
-					c := bval[i*PW+tp*bw+w]
-					for b := w; c != 0; b += bw {
-						carry := cnt[b] & c
-						cnt[b] ^= c
-						c = carry
-					}
-				}
+				addCounter(cnt, bval[i*P+tp])
 			}
 		case OpUnshuffle:
 			pp.unshuffle(bval, btmp, lo, hi, wf, wi)
 		case OpCondIn:
 			pw := core.Lg(s)
-			sb := 2 * int(st.Aux) * bw
-			for w := 0; w < bw; w++ {
-				// Per-lane m ≥ s/2 ⇔ counter bit pw-1 or pw set (m ≤ s).
-				d := cnt[(pw-1)*bw+w] | cnt[pw*bw+w]
-				sc.sel[sb+w] = d
-				// m -= s/2 on the selected lanes: bit pw-1 becomes bit pw
-				// (1 only in the m = s case), bit pw clears.
-				cnt[(pw-1)*bw+w] = (cnt[(pw-1)*bw+w] &^ d) | (cnt[pw*bw+w] & d)
-				cnt[pw*bw+w] &^= d
-				m1[w] = d
-			}
-			pp.maskedSwap(bval, lo, lo+s/2, s/2, m1, wf, wi)
+			// Per-lane m ≥ s/2 ⇔ counter bit pw-1 or pw set (m ≤ s).
+			d := cnt[pw-1] | cnt[pw]
+			sc.sel[2*int(st.Aux)] = d
+			// m -= s/2 on the selected lanes: bit pw-1 becomes bit pw
+			// (1 only in the m = s case), bit pw clears.
+			cnt[pw-1] = (cnt[pw-1] &^ d) | (cnt[pw] & d)
+			cnt[pw] &^= d
+			pp.maskedSwap(bval, lo, lo+s/2, s/2, d, wf, wi)
 		case OpCondOut:
-			sb := 2 * int(st.Aux) * bw
-			pp.maskedSwap(bval, lo, lo+s/2, s/2, sc.sel[sb:sb+bw], wf, wi)
+			pp.maskedSwap(bval, lo, lo+s/2, s/2, sc.sel[2*int(st.Aux)], wf, wi)
 		case OpFishSplit:
 			k := int(st.Aux)
 			bs := s / k
 			half := bs / 2
-			copy(btmp[:s*PW], bval[lo*PW:hi*PW])
+			copy(btmp[:s*P], bval[lo*P:hi*P])
 			up, dn := lo, lo+s/2
 			for j := 0; j < k; j++ {
 				blo := j * bs // block offset within btmp
-				d := btmp[(blo+half)*PW+tp*bw : (blo+half)*PW+(tp+1)*bw]
+				d := btmp[(blo+half)*P+tp]
 				// Lanes in d send the upper (clean) half of the block up
 				// and the lower half down; the rest the reverse.
-				blendRange(bval[up*PW:], btmp[blo*PW:], btmp[(blo+half)*PW:], half*P, d, bw)
-				blendRange(bval[dn*PW:], btmp[(blo+half)*PW:], btmp[blo*PW:], half*P, d, bw)
+				blendRange(bval[up*P:], btmp[blo*P:], btmp[(blo+half)*P:], half*P, d)
+				blendRange(bval[dn*P:], btmp[(blo+half)*P:], btmp[blo*P:], half*P, d)
 				up += half
 				dn += half
 			}
@@ -803,10 +688,7 @@ func (pp *Packed) runBlockPass(sc *PackedScratch, blk int, fullIdx bool, bbase i
 			for round := 0; round < k; round++ {
 				for j := round & 1; j+1 < k; j += 2 {
 					a, b := lo+j*bs, lo+(j+1)*bs
-					for w := 0; w < bw; w++ {
-						m1[w] = bval[a*PW+tp*bw+w] &^ bval[b*PW+tp*bw+w]
-					}
-					pp.maskedSwap(bval, a, b, bs, m1, wf, wi)
+					pp.maskedSwap(bval, a, b, bs, bval[a*P+tp]&^bval[b*P+tp], wf, wi)
 				}
 			}
 		case OpRank:
@@ -821,27 +703,13 @@ func (pp *Packed) runBlockPass(sc *PackedScratch, blk int, fullIdx bool, bbase i
 			// Preset 2×2 switch: the per-step lane mask was flattened from
 			// the per-lane settings by LoadSelBits, so the replay is the
 			// same masked-XOR swap every tag-driven op uses.
-			pb := int(st.Aux)*pp.wpad + gw
-			pp.maskedSwap(bval, lo, lo+1, 1, sc.psel[pb:pb+bw], wf, wi)
+			pp.maskedSwap(bval, lo, lo+1, 1, sc.psel[int(st.Aux)*pp.W+w], wf, wi)
 		case OpCmpPair:
 			// Arbitrary-pair compare-exchange: lo and hi are both
 			// positions. Same masked single-position swap as OpCmpSwap.
-			xo, yo := lo*PW, hi*PW
-			if bw == 1 {
-				if m := bval[xo+tp] &^ bval[yo+tp]; m != 0 {
-					m1[0] = m
-					pp.swapPos(bval[xo:xo+PW], bval[yo:yo+PW], m1, wf, wi)
-				}
-				break
-			}
-			any := uint64(0)
-			for w := 0; w < bw; w++ {
-				mw := bval[xo+tp*bw+w] &^ bval[yo+tp*bw+w]
-				m1[w] = mw
-				any |= mw
-			}
-			if any != 0 {
-				pp.swapPos(bval[xo:xo+PW], bval[yo:yo+PW], m1, wf, wi)
+			xo, yo := lo*P, hi*P
+			if m := bval[xo+tp] &^ bval[yo+tp]; m != 0 {
+				pp.swapPos(bval[xo:xo+P], bval[yo:yo+P], m, wf, wi)
 			}
 		case OpPermute:
 			pp.permute(bval, btmp, lo, hi, pp.prog.perms[st.Aux:int(st.Aux)+s], wf, wi)
@@ -849,94 +717,62 @@ func (pp *Packed) runBlockPass(sc *PackedScratch, blk int, fullIdx bool, bbase i
 	}
 }
 
+// liveRuns folds a step's plane bounds into the two live runs every
+// movement kernel touches: the w1 leading planes and the wi planes at
+// offset F, merged into one leading run when the front planes are all
+// live and the runs abut.
+func (pp *Packed) liveRuns(wf, wi int) (int, int) {
+	if wf == pp.F {
+		return pp.F + wi, 0
+	}
+	return wf, wi
+}
+
 // permute applies a fixed receives-from permutation to the live planes of
 // [lo,hi): position lo+j receives position lo+π[j]. Like shuffle, dead
 // planes are window-constant, so copying only live planes preserves them.
 func (pp *Packed) permute(bval, btmp []uint64, lo, hi int, pm []int32, wf, wi int) {
-	P, F, bw := pp.P, pp.F, pp.bw
-	PW := P * bw
+	P, F := pp.P, pp.F
 	s := hi - lo
-	w1 := wf
-	if wf == F {
-		w1 = F + wi
-		wi = 0
-	}
+	w1, wi := pp.liveRuns(wf, wi)
 	if w1+wi+4 >= P { // same copy-overhead tradeoff as maskedSwap
-		copy(btmp[:s*PW], bval[lo*PW:hi*PW])
+		copy(btmp[:s*P], bval[lo*P:hi*P])
 		for j := 0; j < s; j++ {
 			src := int(pm[j])
-			copy(bval[(lo+j)*PW:(lo+j+1)*PW], btmp[src*PW:(src+1)*PW])
+			copy(bval[(lo+j)*P:(lo+j+1)*P], btmp[src*P:(src+1)*P])
 		}
 		return
 	}
 	for i := 0; i < s; i++ {
-		copyLive(btmp[i*PW:], bval[(lo+i)*PW:], w1, F, wi, bw)
+		copyLive(btmp[i*P:], bval[(lo+i)*P:], w1, F, wi)
 	}
 	for j := 0; j < s; j++ {
-		copyLive(bval[(lo+j)*PW:], btmp[int(pm[j])*PW:], w1, F, wi, bw)
+		copyLive(bval[(lo+j)*P:], btmp[int(pm[j])*P:], w1, F, wi)
 	}
 }
 
 // swapPos exchanges the live planes of two single positions on exactly
-// the lanes in m: the two live ranges are the wf leading front planes and
-// the wi leading index planes, merged into one run when they abut.
-func (pp *Packed) swapPos(x, y, m []uint64, wf, wi int) {
-	P, F, bw := pp.P, pp.F, pp.bw
-	w1 := wf
-	if wf == F {
-		w1 = F + wi
-		wi = 0
-	}
-	if bw == 1 {
-		m0 := m[0]
-		if w1+wi+4 >= P {
-			for p, xv := range x {
-				t := (xv ^ y[p]) & m0
-				x[p] = xv ^ t
-				y[p] ^= t
-			}
-			return
-		}
-		for p := 0; p < w1; p++ {
-			t := (x[p] ^ y[p]) & m0
-			x[p] ^= t
-			y[p] ^= t
-		}
-		for p := F; p < F+wi; p++ {
-			t := (x[p] ^ y[p]) & m0
-			x[p] ^= t
-			y[p] ^= t
-		}
-		return
-	}
+// the lanes in m.
+func (pp *Packed) swapPos(x, y []uint64, m uint64, wf, wi int) {
+	P, F := pp.P, pp.F
+	w1, wi := pp.liveRuns(wf, wi)
 	if w1+wi+4 >= P {
-		for o := 0; o < len(x); o += bw {
-			for w, mw := range m {
-				i := o + w
-				t := (x[i] ^ y[i]) & mw
-				x[i] ^= t
-				y[i] ^= t
-			}
+		for p, xv := range x {
+			t := (xv ^ y[p]) & m
+			x[p] = xv ^ t
+			y[p] ^= t
 		}
 		return
 	}
 	for p := 0; p < w1; p++ {
-		o := p * bw
-		for w, mw := range m {
-			i := o + w
-			t := (x[i] ^ y[i]) & mw
-			x[i] ^= t
-			y[i] ^= t
-		}
+		t := (x[p] ^ y[p]) & m
+		x[p] ^= t
+		y[p] ^= t
 	}
 	for p := F; p < F+wi; p++ {
-		o := p * bw
-		for w, mw := range m {
-			i := o + w
-			t := (x[i] ^ y[i]) & mw
-			x[i] ^= t
-			y[i] ^= t
-		}
+		t := (x[p] ^ y[p]) & m
+		x[p] ^= t
+		y[p] ^= t
 	}
 }
 
@@ -947,91 +783,43 @@ func (pp *Packed) swapPos(x, y, m []uint64, wf, wi int) {
 // across the step's window, so swapping them would be a no-op; see
 // planeBounds). When the live total approaches P the two ranges collapse
 // into one flat contiguous pass.
-func (pp *Packed) maskedSwap(bval []uint64, a, b, q int, m []uint64, wf, wi int) {
-	any := uint64(0)
-	for _, mw := range m {
-		any |= mw
-	}
-	if any == 0 {
+func (pp *Packed) maskedSwap(bval []uint64, a, b, q int, m uint64, wf, wi int) {
+	if m == 0 {
 		return
 	}
-	P, F, bw := pp.P, pp.F, pp.bw
-	PW := P * bw
-	w1 := wf
-	if wf == F {
-		w1 = F + wi
-		wi = 0
-	}
+	P, F := pp.P, pp.F
+	w1, wi := pp.liveRuns(wf, wi)
 	// Swapping a dead plane is a no-op, so running the contiguous flat
 	// pass over all P planes is always correct; the per-position bounded
 	// path only wins once it skips enough planes to repay its
 	// per-position loop setup (~4 word-ops).
 	if w1+wi+4 >= P {
-		x := bval[a*PW : (a+q)*PW]
-		y := bval[b*PW : (b+q)*PW]
-		if bw == 1 {
-			m0 := m[0]
-			for p, xv := range x {
-				t := (xv ^ y[p]) & m0
-				x[p] = xv ^ t
-				y[p] ^= t
-			}
-			return
-		}
-		for o := 0; o < len(x); o += bw {
-			for w, mw := range m {
-				i := o + w
-				t := (x[i] ^ y[i]) & mw
-				x[i] ^= t
-				y[i] ^= t
-			}
+		x := bval[a*P : (a+q)*P]
+		y := bval[b*P : (b+q)*P]
+		for p, xv := range x {
+			t := (xv ^ y[p]) & m
+			x[p] = xv ^ t
+			y[p] ^= t
 		}
 		return
 	}
-	ai, bi := a*PW, b*PW
-	if bw == 1 {
-		m0 := m[0]
-		for i := 0; i < q; i++ {
-			x := bval[ai : ai+w1]
-			y := bval[bi : bi+w1]
-			for p, xv := range x {
-				t := (xv ^ y[p]) & m0
-				x[p] = xv ^ t
-				y[p] ^= t
-			}
-			for p := F; p < F+wi; p++ {
-				xv, yv := bval[ai+p], bval[bi+p]
-				t := (xv ^ yv) & m0
-				bval[ai+p] = xv ^ t
-				bval[bi+p] = yv ^ t
-			}
-			ai += PW
-			bi += PW
-		}
-		return
-	}
+	ai, bi := a*P, b*P
 	for i := 0; i < q; i++ {
-		x := bval[ai : ai+w1*bw]
-		y := bval[bi : bi+w1*bw]
-		for o := 0; o < len(x); o += bw {
-			for w, mw := range m {
-				j := o + w
-				t := (x[j] ^ y[j]) & mw
-				x[j] ^= t
-				y[j] ^= t
-			}
+		x := bval[ai : ai+w1]
+		y := bval[bi : bi+w1]
+		for p, xv := range x {
+			t := (xv ^ y[p]) & m
+			x[p] = xv ^ t
+			y[p] ^= t
 		}
 		for p := F; p < F+wi; p++ {
-			o := p * bw
-			for w, mw := range m {
-				xv, yv := bval[ai+o+w], bval[bi+o+w]
-				t := (xv ^ yv) & mw
-				bval[ai+o+w] = xv ^ t
-				bval[bi+o+w] = yv ^ t
-			}
+			xv, yv := bval[ai+p], bval[bi+p]
+			t := (xv ^ yv) & m
+			bval[ai+p] = xv ^ t
+			bval[bi+p] = yv ^ t
 		}
-		ai += PW
-		bi += PW
+		ai += P
+		bi += P
 	}
 }
 
@@ -1039,66 +827,56 @@ func (pp *Packed) maskedSwap(bval []uint64, a, b, q int, m []uint64, wf, wi int)
 // goes to lo+2i, lo+h+i to lo+2i+1. Dead planes are window-constant, so
 // copying only live planes preserves them.
 func (pp *Packed) shuffle(bval, btmp []uint64, lo, hi, wf, wi int) {
-	P, F, bw := pp.P, pp.F, pp.bw
-	PW := P * bw
+	P, F := pp.P, pp.F
 	s := hi - lo
 	h := s / 2
-	w1 := wf
-	if wf == F {
-		w1 = F + wi
-		wi = 0
-	}
+	w1, wi := pp.liveRuns(wf, wi)
 	if w1+wi+4 >= P { // same copy-overhead tradeoff as maskedSwap
-		copy(btmp[:s*PW], bval[lo*PW:hi*PW])
+		copy(btmp[:s*P], bval[lo*P:hi*P])
 		for i := 0; i < h; i++ {
-			copy(bval[(lo+2*i)*PW:(lo+2*i+1)*PW], btmp[i*PW:(i+1)*PW])
-			copy(bval[(lo+2*i+1)*PW:(lo+2*i+2)*PW], btmp[(h+i)*PW:(h+i+1)*PW])
+			copy(bval[(lo+2*i)*P:(lo+2*i+1)*P], btmp[i*P:(i+1)*P])
+			copy(bval[(lo+2*i+1)*P:(lo+2*i+2)*P], btmp[(h+i)*P:(h+i+1)*P])
 		}
 		return
 	}
 	for i := 0; i < s; i++ {
-		copyLive(btmp[i*PW:], bval[(lo+i)*PW:], w1, F, wi, bw)
+		copyLive(btmp[i*P:], bval[(lo+i)*P:], w1, F, wi)
 	}
 	for i := 0; i < h; i++ {
-		copyLive(bval[(lo+2*i)*PW:], btmp[i*PW:], w1, F, wi, bw)
-		copyLive(bval[(lo+2*i+1)*PW:], btmp[(h+i)*PW:], w1, F, wi, bw)
+		copyLive(bval[(lo+2*i)*P:], btmp[i*P:], w1, F, wi)
+		copyLive(bval[(lo+2*i+1)*P:], btmp[(h+i)*P:], w1, F, wi)
 	}
 }
 
 // unshuffle inverts shuffle over [lo,hi): even positions gather into the
 // first half, odd into the second.
 func (pp *Packed) unshuffle(bval, btmp []uint64, lo, hi, wf, wi int) {
-	P, F, bw := pp.P, pp.F, pp.bw
-	PW := P * bw
+	P, F := pp.P, pp.F
 	s := hi - lo
 	h := s / 2
-	w1 := wf
-	if wf == F {
-		w1 = F + wi
-		wi = 0
-	}
+	w1, wi := pp.liveRuns(wf, wi)
 	if w1+wi+4 >= P {
-		copy(btmp[:s*PW], bval[lo*PW:hi*PW])
+		copy(btmp[:s*P], bval[lo*P:hi*P])
 		for i := 0; i < h; i++ {
-			copy(bval[(lo+i)*PW:(lo+i+1)*PW], btmp[2*i*PW:(2*i+1)*PW])
-			copy(bval[(lo+h+i)*PW:(lo+h+i+1)*PW], btmp[(2*i+1)*PW:(2*i+2)*PW])
+			copy(bval[(lo+i)*P:(lo+i+1)*P], btmp[2*i*P:(2*i+1)*P])
+			copy(bval[(lo+h+i)*P:(lo+h+i+1)*P], btmp[(2*i+1)*P:(2*i+2)*P])
 		}
 		return
 	}
 	for i := 0; i < s; i++ {
-		copyLive(btmp[i*PW:], bval[(lo+i)*PW:], w1, F, wi, bw)
+		copyLive(btmp[i*P:], bval[(lo+i)*P:], w1, F, wi)
 	}
 	for i := 0; i < h; i++ {
-		copyLive(bval[(lo+i)*PW:], btmp[2*i*PW:], w1, F, wi, bw)
-		copyLive(bval[(lo+h+i)*PW:], btmp[(2*i+1)*PW:], w1, F, wi, bw)
+		copyLive(bval[(lo+i)*P:], btmp[2*i*P:], w1, F, wi)
+		copyLive(bval[(lo+h+i)*P:], btmp[(2*i+1)*P:], w1, F, wi)
 	}
 }
 
 // copyLive copies one position's live planes: the w1 leading planes and
-// the wi planes at offset F, bw words each.
-func copyLive(dst, src []uint64, w1, F, wi, bw int) {
-	copy(dst[:w1*bw], src[:w1*bw])
-	for o := F * bw; o < (F+wi)*bw; o++ {
+// the wi planes at offset F.
+func copyLive(dst, src []uint64, w1, F, wi int) {
+	copy(dst[:w1], src[:w1])
+	for o := F; o < F+wi; o++ {
 		dst[o] = src[o]
 	}
 }
@@ -1108,61 +886,43 @@ func copyLive(dst, src []uint64, w1, F, wi, bw int) {
 // scratch in partition order and rewritten bit by bit. tp is the tag
 // plane.
 func (pp *Packed) rankLanes(bval, btmp []uint64, lo, hi, tp int) {
-	PW := pp.P * pp.bw
-	s := hi - lo
-	copy(btmp[lo*PW:hi*PW], bval[lo*PW:hi*PW])
-	for i := lo * PW; i < hi*PW; i++ {
-		bval[i] = 0
-	}
-	for w := 0; w < pp.bw; w++ {
-		to := tp*pp.bw + w
-		for l := uint(0); l < PackedLanes; l++ {
-			bit := uint64(1) << l
-			z := lo
-			for i := lo; i < lo+s; i++ { // 0-tagged packets keep order up front
-				if btmp[i*PW+to]&bit == 0 {
-					copyLane(bval[z*PW:(z+1)*PW], btmp[i*PW:(i+1)*PW], w, pp.bw, bit)
-					z++
-				}
+	P := pp.P
+	copy(btmp[lo*P:hi*P], bval[lo*P:hi*P])
+	clear(bval[lo*P : hi*P])
+	for l := uint(0); l < PackedLanes; l++ {
+		bit := uint64(1) << l
+		z := lo
+		for i := lo; i < hi; i++ { // 0-tagged packets keep order up front
+			if btmp[i*P+tp]&bit == 0 {
+				copyLane(bval[z*P:(z+1)*P], btmp[i*P:(i+1)*P], bit)
+				z++
 			}
-			for i := lo; i < lo+s; i++ { // 1-tagged packets keep order behind
-				if btmp[i*PW+to]&bit != 0 {
-					copyLane(bval[z*PW:(z+1)*PW], btmp[i*PW:(i+1)*PW], w, pp.bw, bit)
-					z++
-				}
+		}
+		for i := lo; i < hi; i++ { // 1-tagged packets keep order behind
+			if btmp[i*P+tp]&bit != 0 {
+				copyLane(bval[z*P:(z+1)*P], btmp[i*P:(i+1)*P], bit)
+				z++
 			}
 		}
 	}
 }
 
-// copyLane ORs the single lane selected by bit of word w from src into
-// dst across all planes (dst's lane bits start zeroed).
-func copyLane(dst, src []uint64, w, bw int, bit uint64) {
-	for o := w; o < len(dst); o += bw {
+// copyLane ORs the single lane selected by bit from src into dst across
+// all planes (dst's lane bits start zeroed).
+func copyLane(dst, src []uint64, bit uint64) {
+	for o := range dst {
 		dst[o] |= src[o] & bit
 	}
 }
 
-// blendRange writes u plane rows of dst as a per-lane select between two
-// sources: lanes in d read from src1, the rest from src0.
-func blendRange(dst, src0, src1 []uint64, u int, d []uint64, bw int) {
-	w := u * bw
-	dst = dst[:w]
-	src0 = src0[:w]
-	src1 = src1[:w]
-	if bw == 1 {
-		d0 := d[0]
-		for p, a := range src0 {
-			dst[p] = a ^ ((a ^ src1[p]) & d0)
-		}
-		return
-	}
-	for o := 0; o < w; o += bw {
-		for wi, dw := range d {
-			i := o + wi
-			a := src0[i]
-			dst[i] = a ^ ((a ^ src1[i]) & dw)
-		}
+// blendRange writes u plane words of dst as a per-lane select between
+// two sources: lanes in d read from src1, the rest from src0.
+func blendRange(dst, src0, src1 []uint64, u int, d uint64) {
+	dst = dst[:u]
+	src0 = src0[:u]
+	src1 = src1[:u]
+	for p, a := range src0 {
+		dst[p] = a ^ ((a ^ src1[p]) & d)
 	}
 }
 

@@ -245,17 +245,12 @@ func (b *Builder) patchUp(lo, hi int32) {
 	b.Emit(OpCondOut, lo, hi, id)
 }
 
-// FishKMerge lowers the time-multiplexed fish merge over [lo,hi) with k
-// groups: middle-bit block split, clean-block sort of the upper half, the
-// recursive merge of the lower half, and a final mux-merge of the window.
-func (b *Builder) FishKMerge(lo, hi, k int32) {
-	b.FishKMergeBase(lo, hi, k, (*Builder).MMSort)
-}
-
-// FishKMergeBase is FishKMerge with a pluggable base-case sorter: when
-// the recursion bottoms out at a k-wide window, base lowers the final
-// sort instead of the mux-merger — how optimal small-n kernels slot into
-// the fish recursion.
+// FishKMergeBase lowers the time-multiplexed fish merge over [lo,hi)
+// with k groups: middle-bit block split, clean-block sort of the upper
+// half, the recursive merge of the lower half, and a final mux-merge of
+// the window. When the recursion bottoms out at a k-wide window, base
+// lowers the final sort — the mux-merger for the paper's fish sorter, or
+// an optimal small-n kernel slotted into the fish recursion.
 func (b *Builder) FishKMergeBase(lo, hi, k int32, base func(*Builder, int32, int32)) {
 	s := hi - lo
 	if s == k {

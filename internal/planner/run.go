@@ -28,24 +28,6 @@ func (p *Program) RunScratch(sc *Scratch) {
 	p.run(sc.Val, sc.tmp, sc.sel, nil)
 }
 
-// RunSel executes the program in place over vals with a caller-provided
-// select buffer (len ≥ NumSel): the entry for preset-select programs —
-// the Beneš replay, whose switch settings come from the looping algorithm
-// rather than from tag data. Record/replay ops still work (they use the
-// same buffer).
-func (p *Program) RunSel(vals []uint64, sel []uint8) {
-	if len(vals) != p.layout.N {
-		panic(fmt.Sprintf("planner: Program(%d).RunSel over %d values", p.layout.N, len(vals)))
-	}
-	if len(sel) < p.nsel {
-		panic(fmt.Sprintf("planner: Program(%d).RunSel with %d select slots, need %d",
-			p.layout.N, len(sel), p.nsel))
-	}
-	sc := p.pool.Get().(*Scratch)
-	p.run(vals, sc.tmp, sel, nil) // tmp from the pool; sel from the caller
-	p.pool.Put(sc)
-}
-
 // run walks the step stream over the packed working array vals, using tmp
 // for copy scratch and sel for select record/replay. A non-empty faults
 // list wedges packet-word bits at fixed network positions — applied to the

@@ -15,12 +15,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"absort/internal/concentrator"
 	"absort/internal/core"
-	"absort/internal/permnet"
 	"absort/internal/planner"
 	"absort/internal/verify"
-	"absort/internal/wordsort"
 )
 
 // PlanSet is one compiled plan set — the Fig. 10 radix permuter's route
@@ -31,11 +28,6 @@ import (
 // concurrent use.
 type PlanSet struct {
 	cfg Config
-
-	// word is the initial word sorter of the plan set, kept for
-	// introspection; routing always goes through the per-kind plan
-	// instances below.
-	word *wordsort.Sorter
 
 	// inst holds the plan instance currently serving each request kind
 	// (indexed by Kind). An instance is one "hardware copy" of the
@@ -154,24 +146,14 @@ func (p *PlanSet) init(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	word, err := wordsort.New(cfg.N, cfg.WordBits, cfg.Engine)
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	permInst := &planInstance{engine: cfg.Engine}
-	if cfg.N >= permnet.ShardedAutoThreshold {
-		sharded, err := permnet.ShardedPlanFor(cfg.N, cfg.Engine, 0)
+	p.cfg = cfg
+	for kind := range p.inst {
+		inst, err := p.newInstanceLocked(Kind(kind), cfg.Engine)
 		if err != nil {
 			return fmt.Errorf("serve: %w", err)
 		}
-		permInst.sharded = sharded
-	} else {
-		permInst.perm = permnet.NewRadixPermuter(cfg.N, cfg.Engine, cfg.K).Compile()
+		p.inst[kind].Store(inst)
 	}
-	conc := concentrator.New(cfg.N, cfg.M, cfg.Engine, cfg.K)
-	conc.Compile()
-	p.cfg = cfg
-	p.word = word
 	p.checker = verify.NewLaneChecker(cfg.N)
 	p.checkStride = strideFor(cfg.CheckFraction)
 	switch {
@@ -180,9 +162,6 @@ func (p *PlanSet) init(cfg Config) error {
 	case cfg.Spares > 0:
 		p.spares = cfg.Spares
 	}
-	p.inst[Permute].Store(permInst)
-	p.inst[Concentrate].Store(&planInstance{engine: cfg.Engine, conc: conc})
-	p.inst[SortWords].Store(&planInstance{engine: cfg.Engine, word: word})
 	for kind := range p.rotation {
 		p.rotation[kind] = rotationFor(Kind(kind), cfg.N)
 	}

@@ -70,7 +70,7 @@ func TestServeDifferential(t *testing.T) {
 					for j := range keys {
 						keys[j] = uint64(rng.Intn(256))
 					}
-					ws := s.word
+					ws := s.loadInst(SortWords).word
 					wantK, wantP, err := ws.Sort(keys)
 					if err != nil {
 						t.Fatal(err)

@@ -683,18 +683,16 @@ func TestShardedSpeedupFloor(t *testing.T) {
 }
 
 // TestWidePackedThroughputFloor pins the multi-word engine's acceptance
-// criterion: at n=256 — where one cache block holds several lane words,
-// so a 256-lane group amortizes step decode across four words — routing
-// 1024 assignments as four 256-lane RoutePacked calls must match or beat
-// the same 1024 as sixteen 64-lane calls, on both the fused permuter and
-// the concentrator (ConcentratePacked). The calls run back to back on
-// one goroutine, so the ratio is the per-word cost of widening alone,
-// with no worker-pool effect. Widening never adds per-word work — below
-// the L1 block budget the pass runs flat and amortizes step decode,
-// above it the engine falls back to single-word blocks with identical
-// inner loops — so the structural expectation is parity or better; the
-// ratio is taken as the best of five trials to ride out scheduler noise
-// on a loaded CI box.
+// criterion: at n=256, routing 1024 assignments as four 256-lane
+// RoutePacked calls must match or beat the same 1024 as sixteen 64-lane
+// calls, on both the fused permuter and the concentrator
+// (ConcentratePacked). The calls run back to back on one goroutine, so
+// the ratio is the per-word cost of widening alone, with no worker-pool
+// effect. A W-word call runs as W single-word blocks through the same
+// inner loops a 64-lane call uses, so widening adds no per-word work and
+// parity is structural: the bar catches a wide path that gets measurably
+// slower. The ratio is taken as the best of five trials to ride out
+// scheduler noise on a loaded CI box.
 func TestWidePackedThroughputFloor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing floor skipped in -short mode")
