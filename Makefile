@@ -57,8 +57,9 @@
 # response frame written per admitted request — and Close with a partial
 # run held behind a packed replay in flight: Close releases the run and
 # returns once the replay does, every future resolved.
-# `make lint` greps for engine switches that bypass the planner
-# registry; `make ci` runs it between vet and build.
+# `make lint` fails when `gofmt -l .` lists any file and greps for
+# engine switches that bypass the planner registry; `make ci` runs it
+# between vet and build.
 #
 # `make floors` runs every Test*Floor timing gate alone (one package at
 # a time, -p 1) three times over and prints each run's logged ratio or
@@ -101,11 +102,18 @@ AB_SEED ?= 1
 
 ci: vet lint build race chaos bench
 
-# lint fails if any switch/case over engine identities survives outside
-# the registry (internal/planner): engine dispatch must go through
-# planner.Lookup / EngineSpec so newly registered engines reach every
-# layer. Test files are exempt (they pin specific engines on purpose).
+# lint fails if gofmt would reformat any file, or if any switch/case
+# over engine identities survives outside the registry
+# (internal/planner): engine dispatch must go through planner.Lookup /
+# EngineSpec so newly registered engines reach every layer. Test files
+# are exempt from the engine grep (they pin specific engines on purpose).
 lint:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "$$unformatted"; \
+		echo 'lint: gofmt -l lists the files above — run gofmt -w on them'; \
+		exit 1; \
+	fi
 	@matches=$$(grep -rn --include='*.go' --exclude='*_test.go' \
 		-E 'switch [a-zA-Z_.]*[Ee]ngine|case (concentrator|planner)\.(MuxMerger|PrefixAdder|Fish|Ranking)\b' \
 		. | grep -v 'internal/planner/' || true); \

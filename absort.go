@@ -86,17 +86,7 @@ func Lg(n int) int { return core.Lg(n) }
 // FishK returns the fish-sorter group count realizing the paper's
 // k = lg n choice under the model's power-of-two requirement: the largest
 // power of two ≤ max(2, lg n), capped at n.
-func FishK(n int) int {
-	lg := core.Lg(n)
-	k := 2
-	for k*2 <= lg {
-		k *= 2
-	}
-	if k > n {
-		k = n
-	}
-	return k
-}
+func FishK(n int) int { return planner.DefaultFishK(n) }
 
 // Engine selects the sorting network that routes a concentrator or
 // permuter. Engines live in an open registry (internal/planner): the

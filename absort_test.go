@@ -35,9 +35,9 @@ func TestPublicAPIConcentrator(t *testing.T) {
 	c := NewConcentrator(16, 8, EngineFish, 4)
 	marked := make([]bool, 16)
 	marked[3], marked[7], marked[12] = true, true, true
-	p, r, err := c.Plan(marked)
+	p, r, err := c.Concentrate(marked)
 	if err != nil || r != 3 {
-		t.Fatalf("Plan: r=%d err=%v", r, err)
+		t.Fatalf("Concentrate: r=%d err=%v", r, err)
 	}
 	for j := 0; j < r; j++ {
 		if !marked[p[j]] {
@@ -181,7 +181,7 @@ func TestPublicAPIFishK(t *testing.T) {
 func TestPublicAPIRankingEngine(t *testing.T) {
 	c := NewConcentrator(8, 8, EngineRanking, 0)
 	marked := []bool{true, false, true, false, false, true, false, false}
-	p, r, err := c.Plan(marked)
+	p, r, err := c.Concentrate(marked)
 	if err != nil || r != 3 {
 		t.Fatalf("r=%d err=%v", r, err)
 	}

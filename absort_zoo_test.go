@@ -154,7 +154,7 @@ func TestEdgeListEngineDifferential(t *testing.T) {
 			}
 			var perms [][]int
 			if lanes == 1 {
-				p, _, err := conc.Plan(markedBatch[0])
+				p, _, err := conc.Concentrate(markedBatch[0])
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -74,8 +74,8 @@ func (b *BatchPermuter) N() int { return b.rp.N() }
 // Engine returns the distribution engine.
 func (b *BatchPermuter) Engine() Engine { return b.rp.Engine() }
 
-// Permuter exposes the underlying radix permuter (for the scalar Route
-// and the cost/time models).
+// Permuter exposes the underlying radix permuter (for its Route, which
+// replays the same compiled plans, and the cost/time models).
 func (b *BatchPermuter) Permuter() *RadixPermuter { return b.rp }
 
 // Route computes, through the compiled plan (sharded above the
@@ -184,8 +184,8 @@ func (b *BatchConcentrator) M() int { return b.c.M() }
 // Engine returns the routing engine.
 func (b *BatchConcentrator) Engine() Engine { return b.c.Engine() }
 
-// Concentrator exposes the underlying concentrator (for the scalar Plan
-// method).
+// Concentrator exposes the underlying concentrator, whose Concentrate
+// replays the same compiled plan.
 func (b *BatchConcentrator) Concentrator() *Concentrator { return b.c }
 
 // Concentrate computes the routing for one request pattern through the

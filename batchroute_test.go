@@ -5,12 +5,43 @@ import (
 	"testing"
 
 	"absort"
+	"absort/internal/bitvec"
+	"absort/internal/concentrator"
 	"absort/internal/permnet"
+	"absort/internal/planner"
 	"absort/internal/race"
 )
 
+// inverse returns dest⁻¹: the permutation every radix permuter realizes
+// for the assignment dest (out[j] = in[dest⁻¹(j)]), whichever binary
+// sorter distributes it — the oracle independent of every router.
+func inverse(dest []int) []int {
+	inv := make([]int, len(dest))
+	for i, d := range dest {
+		inv[d] = i
+	}
+	return inv
+}
+
+// fishConcentrate routes a request pattern through the fish item replay
+// at the default k = lg n (the paper's sorter replayed packet by packet),
+// tagging unmarked inputs 1 exactly as the concentrator does — the
+// reference the compiled concentrator paths are checked against.
+func fishConcentrate(marked []bool) ([]int, int) {
+	tags := make(bitvec.Vector, len(marked))
+	r := 0
+	for i, m := range marked {
+		if m {
+			r++
+		} else {
+			tags[i] = 1
+		}
+	}
+	return concentrator.RouteFish(tags, planner.DefaultFishK(len(tags))), r
+}
+
 // TestBatchPermuterDifferential drives the public batch permuter against
-// the scalar radix-permuter route for every engine.
+// the inverse assignment for every engine.
 func TestBatchPermuterDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, engine := range []absort.Engine{
@@ -33,17 +64,14 @@ func TestBatchPermuterDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, dest := range dests {
-			want, err := bp.Permuter().Route(dest)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := inverse(dest)
 			single, err := bp.Route(dest)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for j := range want {
 				if batch[i][j] != want[j] || single[j] != want[j] {
-					t.Fatalf("%v request %d: batch %v single %v scalar %v",
+					t.Fatalf("%v request %d: batch %v single %v, want dest⁻¹ %v",
 						engine, i, batch[i], single, want)
 				}
 			}
@@ -80,7 +108,7 @@ func TestBatchPermuterRouteIntoAllocFree(t *testing.T) {
 }
 
 // TestBatchConcentratorDifferential drives the public batch concentrator
-// against the scalar Plan method.
+// against the fish item replay.
 func TestBatchConcentratorDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	n := 64
@@ -103,10 +131,7 @@ func TestBatchConcentratorDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, marked := range batch {
-		wantP, wantR, err := bc.Concentrator().Plan(marked)
-		if err != nil {
-			t.Fatal(err)
-		}
+		wantP, wantR := fishConcentrate(marked)
 		if rs[i] != wantR {
 			t.Fatalf("pattern %d: r=%d want %d", i, rs[i], wantR)
 		}

@@ -6,7 +6,7 @@
 //
 // With -batch, it switches to the throughput pipeline: the requested
 // number of random permutations is routed through the permuter's compiled
-// route plan across -workers goroutines, and scalar-seed vs planned vs
+// route plan across -workers goroutines, and planned vs
 // planned-parallel vs packed (SWAR) routing rates are reported, alongside
 // the compiled Beneš replay baseline both planned (benes-planned) and
 // lane-packed (benes-packed). Batches of 64 or more take the packed path,
@@ -217,9 +217,8 @@ func main() {
 	}
 }
 
-// runBatch drives the compiled routing pipeline: scalar-seed per-request
-// routing vs planned single-route vs planned-parallel batch routing vs
-// the SWAR packed engine, with the
+// runBatch drives the compiled routing pipeline: planned single-route vs
+// planned-parallel batch routing vs the SWAR packed engine, with the
 // compiled Beneš replay as the rearrangeable baseline in both its
 // planned and packed forms. With shards > 0 the batch is additionally
 // routed through the w-way sharded hierarchical plan and cross-checked
@@ -234,17 +233,8 @@ func runBatch(rp *permnet.RadixPermuter, rng *rand.Rand, batch, workers, shards 
 	fmt.Printf("batch pipeline: %d permutations, %d levels/plan, workers=%d (GOMAXPROCS %d)\n",
 		batch, plan.NumLevels(), workers, runtime.GOMAXPROCS(0))
 
-	t0 := time.Now()
-	for _, dest := range dests {
-		if _, err := rp.Route(dest); err != nil {
-			fmt.Fprintln(os.Stderr, "permroute:", err)
-			os.Exit(1)
-		}
-	}
-	scalar := time.Since(t0)
-
 	out := make([]int, n)
-	t0 = time.Now()
+	t0 := time.Now()
 	for _, dest := range dests {
 		if err := plan.RouteInto(out, dest); err != nil {
 			fmt.Fprintln(os.Stderr, "permroute:", err)
@@ -338,11 +328,9 @@ func runBatch(rp *permnet.RadixPermuter, rng *rand.Rand, batch, workers, shards 
 	perRoute := func(d time.Duration) time.Duration {
 		return d / time.Duration(batch)
 	}
-	fmt.Printf("  scalar seed      %12v/route   %10.0f routes/sec\n", perRoute(scalar), rate(scalar))
-	fmt.Printf("  planned          %12v/route   %10.0f routes/sec   (%.1f× scalar)\n",
-		perRoute(planned), rate(planned), scalar.Seconds()/planned.Seconds())
-	fmt.Printf("  planned-parallel %12v/route   %10.0f routes/sec   (%.1f× scalar)\n",
-		perRoute(parallel), rate(parallel), scalar.Seconds()/parallel.Seconds())
+	fmt.Printf("  planned          %12v/route   %10.0f routes/sec\n", perRoute(planned), rate(planned))
+	fmt.Printf("  planned-parallel %12v/route   %10.0f routes/sec   (%.1f× planned)\n",
+		perRoute(parallel), rate(parallel), planned.Seconds()/parallel.Seconds())
 	if batch >= permnet.PackedLanes {
 		fmt.Printf("  packed (SWAR)    %12v/route   %10.0f routes/sec   (%.1f× planned-parallel)\n",
 			perRoute(packed), rate(packed), parallel.Seconds()/packed.Seconds())

@@ -47,7 +47,7 @@ func ExampleNewFishSorter() {
 func ExampleNewConcentrator() {
 	c := absort.NewConcentrator(8, 4, absort.EngineMuxMerger, 0)
 	marked := []bool{false, true, false, false, true, false, true, false}
-	p, r, _ := c.Plan(marked)
+	p, r, _ := c.Concentrate(marked)
 	// The sorter-based concentrator is not order-preserving (use
 	// EngineRanking for a stable route).
 	fmt.Println("concentrated", r, "requests; first outputs fed from inputs", p[:r])

@@ -42,7 +42,7 @@ func main() {
 			}
 		}
 
-		perm, r, err := conc.Plan(marked)
+		perm, r, err := conc.Concentrate(marked)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func main() {
 	for i := 0; i < uplinks+1; i++ {
 		over[i] = true
 	}
-	if _, _, err := conc.Plan(over); err != nil {
+	if _, _, err := conc.Concentrate(over); err != nil {
 		fmt.Printf("\nover-subscribed frame rejected: %v\n", err)
 	}
 }

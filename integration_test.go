@@ -60,7 +60,7 @@ func TestIntegrationSwitchFabricPipeline(t *testing.T) {
 				active = append(active, i)
 			}
 		}
-		p1, r, err := conc.Plan(marked)
+		p1, r, err := conc.Concentrate(marked)
 		if err != nil {
 			t.Fatal(err)
 		}

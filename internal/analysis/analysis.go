@@ -11,6 +11,7 @@ import (
 	"math"
 
 	"absort/internal/core"
+	"absort/internal/planner"
 )
 
 // Lg returns lg n as a float for arbitrary positive n.
@@ -88,17 +89,7 @@ const (
 
 // KForSize returns the fish group count used at a distribution level of
 // size s: the largest power of two ≤ max(2, lg s), capped at s.
-func KForSize(s int) int {
-	lg := core.Lg(s)
-	k := 2
-	for k*2 <= lg {
-		k *= 2
-	}
-	if k > s {
-		k = s
-	}
-	return k
-}
+func KForSize(s int) int { return planner.DefaultFishK(s) }
 
 // fishSorterCost returns the exact fish-sorter switching cost at size s
 // with the KForSize group count (s ≥ 4); for s = 2 a single comparator.

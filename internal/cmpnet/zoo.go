@@ -43,7 +43,7 @@ func lowerNetwork(build func(n int) *Network) func(b *planner.Builder, lo, hi in
 		if hi-lo == 1 {
 			return
 		}
-		build(int(hi - lo)).LowerTo(b, lo)
+		build(int(hi-lo)).LowerTo(b, lo)
 	}
 }
 
@@ -83,7 +83,7 @@ func init() {
 			if hi-lo == 1 {
 				return
 			}
-			BalancedMergingBlock(int(hi - lo)).LowerTo(b, lo)
+			BalancedMergingBlock(int(hi-lo)).LowerTo(b, lo)
 		},
 		Periods: func(n int) int { return core.Lg(n) },
 	})

@@ -4,12 +4,19 @@
 // All that is needed is to tag the inputs to be concentrated with 0's and
 // tag the remaining inputs with 1's."
 //
-// Each routing engine replays the data movements of one of the paper's
-// adaptive binary sorters with the tag bits driving every decision, and
-// returns the packet permutation the network realizes, so arbitrary
-// payloads ride through the same switches (bit-level control, word-level
-// data). A ranking-based stable concentrator is included as the
-// O(n lg² n)-cost baseline the paper cites ([11], [13]).
+// Every production route runs a compiled plan (plan.go): each engine's
+// data movements lowered once into the step-program IR of
+// internal/planner, replayed per request or 64 lanes per word
+// (packed.go), with the tag bits driving every decision. The returned
+// packet permutation lets arbitrary payloads ride through the same
+// switches (bit-level control, word-level data). A ranking-based stable
+// concentrator is included as the O(n lg² n)-cost baseline the paper
+// cites ([11], [13]).
+//
+// RouteMuxMerger, RoutePrefix, RouteFish and RouteRanking replay the
+// paper's four sorters item by item. They route nothing in production:
+// they are the reference oracles the compiled plans, the fish hardware
+// model and the verifiers are tested against.
 package concentrator
 
 import (
@@ -68,6 +75,8 @@ const (
 
 // RouteMuxMerger returns the permutation (receives-from form: out[j] =
 // in[p[j]]) realized by the mux-merger binary sorter on the given tags.
+// It is a reference oracle for tests; production routes run the
+// compiled plan.
 func RouteMuxMerger(tags bitvec.Vector) []int {
 	if !core.IsPow2(len(tags)) {
 		panic(fmt.Sprintf("concentrator: RouteMuxMerger on %d tags", len(tags)))
@@ -112,7 +121,8 @@ func fourWay(v []item, perms swapper.QuarterPerms, sel int) []item {
 }
 
 // RoutePrefix returns the permutation realized by the prefix binary sorter
-// (Network 1) on the given tags.
+// (Network 1) on the given tags. It is a reference oracle for tests;
+// production routes run the compiled plan.
 func RoutePrefix(tags bitvec.Vector) []int {
 	if !core.IsPow2(len(tags)) {
 		panic(fmt.Sprintf("concentrator: RoutePrefix on %d tags", len(tags)))
@@ -174,7 +184,8 @@ func patchUpItems(x []item, m int) []item {
 }
 
 // RouteFish returns the permutation realized by the time-multiplexed fish
-// sorter with k groups on the given tags.
+// sorter with k groups on the given tags. It is a reference oracle for
+// tests; production routes run the compiled plan.
 func RouteFish(tags bitvec.Vector, k int) []int {
 	n := len(tags)
 	if n == 1 {
@@ -242,7 +253,8 @@ func fishCleanSort(u []item, k int) []item {
 
 // RouteRanking returns the stable baseline permutation: marked (tag-0)
 // packets keep their relative order, as a ranking-tree concentrator
-// ([11], [13]) would route them.
+// ([11], [13]) would route them. It is a reference oracle for tests;
+// production routes run the compiled plan.
 func RouteRanking(tags bitvec.Vector) []int {
 	p := make([]int, 0, len(tags))
 	for i, t := range tags {
@@ -277,23 +289,11 @@ func New(n, m int, engine Engine, k int) *Concentrator {
 	if !core.IsPow2(n) || m <= 0 || m > n {
 		panic(fmt.Sprintf("concentrator: New(%d, %d)", n, m))
 	}
-	spec, ok := planner.Lookup(engine)
-	if !ok {
-		panic(fmt.Sprintf("concentrator: New: unknown engine %v", engine))
+	kk, err := planner.ResolveK(engine, n, k)
+	if err != nil {
+		panic(fmt.Sprintf("concentrator: New(%d, %d, %v, k=%d): %v", n, m, engine, k, err))
 	}
-	if !planner.CanRoute(engine, n) {
-		panic(fmt.Sprintf("concentrator: New: engine %v cannot route width %d", engine, n))
-	}
-	if spec.CheckK == nil {
-		k = 0
-	} else {
-		kk, err := spec.CheckK(n, k)
-		if err != nil {
-			panic(fmt.Sprintf("concentrator: New(%d, %d, %v, k=%d): %v", n, m, engine, k, err))
-		}
-		k = kk
-	}
-	return &Concentrator{n: n, m: m, engine: engine, k: k}
+	return &Concentrator{n: n, m: m, engine: engine, k: kk}
 }
 
 // N returns the input count; M the output capacity.
@@ -304,74 +304,3 @@ func (c *Concentrator) M() int { return c.m }
 
 // Engine returns the routing engine.
 func (c *Concentrator) Engine() Engine { return c.engine }
-
-// Plan computes the routing for a request pattern: marked[i] set means
-// input i wants to be concentrated. It returns the permutation p
-// (out[j] = in[p[j]]) under which the r marked inputs occupy outputs
-// 0..r-1, and r. It fails if more than m inputs are marked.
-func (c *Concentrator) Plan(marked []bool) ([]int, int, error) {
-	if len(marked) != c.n {
-		return nil, 0, fmt.Errorf("concentrator: %d requests for %d inputs",
-			len(marked), c.n)
-	}
-	tags := make(bitvec.Vector, c.n)
-	r := 0
-	for i, m := range marked {
-		if m {
-			r++
-		} else {
-			tags[i] = 1
-		}
-	}
-	if r > c.m {
-		return nil, 0, fmt.Errorf("concentrator: %d requests exceed capacity %d", r, c.m)
-	}
-	p, err := RouteTags(c.engine, tags, c.k)
-	if err != nil {
-		return nil, 0, err
-	}
-	return p, r, nil
-}
-
-// scalarRoutes maps the paper's engines to their item-replay reference
-// routes — the seed implementations every compiled path differentials
-// against. Registry engines without an entry route through their
-// compiled plan's scalar replay instead (for a network lowered from an
-// edge list, the compiled program IS the reference).
-var scalarRoutes = map[Engine]func(tags bitvec.Vector, k int) []int{
-	MuxMerger:   func(tags bitvec.Vector, _ int) []int { return RouteMuxMerger(tags) },
-	PrefixAdder: func(tags bitvec.Vector, _ int) []int { return RoutePrefix(tags) },
-	Fish:        func(tags bitvec.Vector, k int) []int { return RouteFish(tags, k) },
-	Ranking:     func(tags bitvec.Vector, _ int) []int { return RouteRanking(tags) },
-}
-
-// RouteTags routes a tag vector through any registered engine, returning
-// the realized permutation (receives-from form). k ≤ 0 selects the
-// engine's default tuning parameter. The paper's engines dispatch to
-// their scalar reference replays; zoo engines run their compiled plan.
-func RouteTags(engine Engine, tags bitvec.Vector, k int) ([]int, error) {
-	n := len(tags)
-	if !core.IsPow2(n) {
-		return nil, fmt.Errorf("concentrator: RouteTags on %d tags: not a power of two", n)
-	}
-	spec, ok := planner.Lookup(engine)
-	if !ok {
-		return nil, fmt.Errorf("concentrator: unknown engine %v", engine)
-	}
-	if !planner.CanRoute(engine, n) {
-		return nil, fmt.Errorf("concentrator: engine %v cannot route width %d", engine, n)
-	}
-	if spec.CheckK == nil {
-		k = 0
-	} else {
-		kk, err := spec.CheckK(n, k)
-		if err != nil {
-			return nil, fmt.Errorf("concentrator: %v", err)
-		}
-		k = kk
-	}
-	if route, ok := scalarRoutes[engine]; ok {
-		return route(tags, k), nil
-	}
-	return PlanFor(n, engine, k).Route(tags)
-}

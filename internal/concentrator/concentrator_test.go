@@ -115,7 +115,7 @@ func TestConcentratorPlan(t *testing.T) {
 					r++
 				}
 			}
-			p, got, err := c.Plan(marked)
+			p, got, err := c.Concentrate(marked)
 			if err != nil {
 				t.Fatalf("%v: unexpected error %v", engine, err)
 			}
@@ -137,15 +137,21 @@ func TestConcentratorPlan(t *testing.T) {
 	}
 }
 
-// TestConcentratorOverCapacity checks the capacity error path.
+// TestConcentratorOverCapacity pins the texts of the capacity and
+// request-width errors.
 func TestConcentratorOverCapacity(t *testing.T) {
 	c := New(8, 2, MuxMerger, 0)
 	marked := []bool{true, true, true, false, false, false, false, false}
-	if _, _, err := c.Plan(marked); err == nil {
-		t.Fatal("Plan accepted 3 requests with capacity 2")
-	}
-	if _, _, err := c.Plan(make([]bool, 4)); err == nil {
-		t.Fatal("Plan accepted wrong request width")
+	for _, tc := range []struct {
+		marked []bool
+		want   string
+	}{
+		{marked, "concentrator: 3 requests exceed capacity 2"},
+		{make([]bool, 4), "concentrator: 4 requests for 8 inputs"},
+	} {
+		if _, _, err := c.Concentrate(tc.marked); err == nil || err.Error() != tc.want {
+			t.Errorf("Concentrate error %v, want %q", err, tc.want)
+		}
 	}
 }
 

@@ -51,22 +51,12 @@ func NewPlan(n int, engine Engine, k int) *Plan {
 	if !core.IsPow2(n) {
 		panic(fmt.Sprintf("concentrator: NewPlan(%d): n not a power of two", n))
 	}
-	spec, ok := planner.Lookup(engine)
-	if !ok {
-		panic(fmt.Sprintf("concentrator: NewPlan: unknown engine %v", engine))
+	kk, err := planner.ResolveK(engine, n, k)
+	if err != nil {
+		panic(fmt.Sprintf("concentrator: NewPlan(%d, %v, k=%d): %v", n, engine, k, err))
 	}
-	if !planner.CanRoute(engine, n) {
-		panic(fmt.Sprintf("concentrator: NewPlan(%d, %v): engine cannot route width %d", n, engine, n))
-	}
-	if spec.CheckK == nil {
-		k = 0
-	} else {
-		kk, err := spec.CheckK(n, k)
-		if err != nil {
-			panic(fmt.Sprintf("concentrator: NewPlan(%d, %v, k=%d): %v", n, engine, k, err))
-		}
-		k = kk
-	}
+	k = kk
+	spec, _ := planner.Lookup(engine)
 	var b planner.Builder
 	layout := planner.Layout{
 		N:           n,
@@ -136,20 +126,6 @@ func (p *Plan) Route(tags bitvec.Vector) ([]int, error) {
 	return out, nil
 }
 
-// RouteVals runs the compiled step program in place over vals, whose
-// TagBit carries each packet's routing tag while the low 63 bits ride
-// along as opaque payload — the low-level replay entry, with zero
-// steady-state allocations. len(vals) must equal N: unlike the validated
-// public entry points (RouteInto, RouteBatch, ConcentrateInto), this
-// hot-loop internal hook treats a length mismatch as a caller bug and
-// panics.
-func (p *Plan) RouteVals(vals []uint64) {
-	if len(vals) != p.n {
-		panic(fmt.Sprintf("concentrator: Plan(%d).RouteVals over %d values", p.n, len(vals)))
-	}
-	p.prog.Run(vals)
-}
-
 // PlanFor returns the shared compiled plan for (n, engine, k), lowering it
 // on first use. Parameterless engines normalize k to 0 so equivalent
 // requests share one entry. The backing store is the process-wide bounded
@@ -196,17 +172,8 @@ func (c *Concentrator) compileChecked() (*Plan, error) {
 	if !core.IsPow2(c.n) {
 		return nil, fmt.Errorf("concentrator: n=%d is not a positive power of two", c.n)
 	}
-	spec, ok := planner.Lookup(c.engine)
-	if !ok {
-		return nil, fmt.Errorf("concentrator: unknown engine %v", c.engine)
-	}
-	if !planner.CanRoute(c.engine, c.n) {
-		return nil, fmt.Errorf("concentrator: engine %v cannot route width %d", c.engine, c.n)
-	}
-	if spec.CheckK != nil && c.k > 0 {
-		if _, err := spec.CheckK(c.n, c.k); err != nil {
-			return nil, fmt.Errorf("concentrator: %v", err)
-		}
+	if _, err := planner.ResolveK(c.engine, c.n, c.k); err != nil {
+		return nil, fmt.Errorf("concentrator: %w", err)
 	}
 	p := PlanFor(c.n, c.engine, c.k)
 	if !c.plan.CompareAndSwap(nil, p) {
@@ -215,25 +182,11 @@ func (c *Concentrator) compileChecked() (*Plan, error) {
 	return p, nil
 }
 
-// fishGroups is the paper's k = lg n group-count choice rounded to the
-// model's power-of-two requirement (the same rule the radix permuter
-// applies per level).
-func fishGroups(n int) int {
-	lg := core.Lg(n)
-	k := 2
-	for k*2 <= lg {
-		k *= 2
-	}
-	if k > n {
-		k = n
-	}
-	return k
-}
-
-// ConcentrateInto is the planned, allocation-free equivalent of
-// Concentrator.Plan: it computes the routing for a request pattern into p
-// (out[j] = in[p[j]]) and returns the number of concentrated inputs r.
-// The r marked inputs occupy outputs 0..r-1. Malformed input — wrong
+// ConcentrateInto computes, allocation-free through the compiled plan,
+// the routing for a request pattern — marked[i] set means input i wants
+// to be concentrated — into p (out[j] = in[p[j]]) and returns the number
+// of concentrated inputs r. The r marked inputs occupy outputs 0..r-1;
+// more than m marked inputs is an error. Malformed input — wrong
 // lengths, over-capacity patterns, or a concentrator configuration that
 // cannot route — always returns a validated error, never a panic.
 func (c *Concentrator) ConcentrateInto(p []int, marked []bool) (int, error) {
@@ -269,8 +222,7 @@ func (c *Concentrator) ConcentrateInto(p []int, marked []bool) (int, error) {
 	return r, nil
 }
 
-// Concentrate is ConcentrateInto with a freshly allocated permutation —
-// the planned counterpart of the scalar Plan method.
+// Concentrate is ConcentrateInto with a freshly allocated permutation.
 func (c *Concentrator) Concentrate(marked []bool) ([]int, int, error) {
 	p := make([]int, c.n)
 	r, err := c.ConcentrateInto(p, marked)

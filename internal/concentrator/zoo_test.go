@@ -106,16 +106,6 @@ func TestZooDifferentialVsApply(t *testing.T) {
 				for trial := 0; trial < 32; trial++ {
 					tags := randTags(rng, n)
 					want := refApply(nw, tags, reps)
-					got, err := RouteTags(tc.engine, tags, 0)
-					if err != nil {
-						t.Fatalf("RouteTags: %v", err)
-					}
-					for j := range want {
-						if got[j] != want[j] {
-							t.Fatalf("RouteTags diverges from cmpnet.Apply at output %d: got %v, want %v (tags %v)",
-								j, got, want, tags)
-						}
-					}
 					planned, err := plan.Route(tags)
 					if err != nil {
 						t.Fatalf("Plan.Route: %v", err)
@@ -260,8 +250,10 @@ func TestZooGvV16Certified(t *testing.T) {
 // construction entry point reports the violation instead of lowering a
 // wrong-width program.
 func TestZooWidthLock(t *testing.T) {
-	if _, err := RouteTags(cmpnet.EngineGvV16, make(bitvec.Vector, 8), 0); err == nil {
-		t.Fatal("RouteTags(gvv16, n=8) succeeded; want width error")
+	c := &Concentrator{n: 8, m: 8, engine: cmpnet.EngineGvV16}
+	const want = "concentrator: engine gvv16 cannot route width 8"
+	if _, err := c.ConcentrateInto(make([]int, 8), make([]bool, 8)); err == nil || err.Error() != want {
+		t.Fatalf("ConcentrateInto(gvv16, n=8) error %v, want %q", err, want)
 	}
 	defer func() {
 		if recover() == nil {

@@ -194,7 +194,7 @@ func (p *Compiled) NumInputs() int { return len(p.inputWires) }
 // NumOutputs returns the number of output wires.
 func (p *Compiled) NumOutputs() int { return len(p.outWires) }
 
-func (p *Compiled) getScratch() *[]uint64 { return p.scratch.Get().(*[]uint64) }
+func (p *Compiled) getScratch() *[]uint64  { return p.scratch.Get().(*[]uint64) }
 func (p *Compiled) putScratch(v *[]uint64) { p.scratch.Put(v) }
 
 // run executes the instruction stream over the wire words in val. Every op

@@ -5,6 +5,14 @@
 // permuter of Fig. 10, which distributes packets on their leading
 // destination bit with an adaptive binary sorter and recurses on both
 // halves.
+//
+// The radix permuter routes only through its compiled plans: the flat
+// fused program (plan.go), its SWAR lane-packed replay (packed.go) and,
+// at or above ShardedAutoThreshold, the sharded plan (sharded.go).
+// Whichever binary sorter distributes the packets, the network realizes
+// out[j] = in[dest⁻¹(j)], so tests check every route against the
+// inverse assignment (VerifyRouting) rather than against a second
+// router.
 package permnet
 
 import (

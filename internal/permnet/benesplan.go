@@ -202,34 +202,19 @@ func (bp *BenesPlan) RoutePacked(out [][]int, dests [][]int) error {
 // (for error messages of grouped batch execution); it returns the global
 // index of the offending request alongside the error.
 func (bp *BenesPlan) routePackedAt(out [][]int, dests [][]int, base int) (int, error) {
+	bs := bp.spool.Get().(*benesScratch)
+	defer bp.spool.Put(bs)
+	if i, err := checkPackedGroup(bp.n, out, dests, base, bs.checkPerm); err != nil {
+		return i, err
+	}
 	lanes := len(dests)
-	if lanes == 0 || lanes > MaxPackedLanes {
-		return base, fmt.Errorf("permnet: RoutePacked: %d assignments, want 1..%d",
-			lanes, MaxPackedLanes)
-	}
-	if len(out) != lanes {
-		return base, fmt.Errorf("permnet: RoutePacked: %d outputs for %d assignments",
-			len(out), lanes)
-	}
 	words := (lanes + PackedLanes - 1) / PackedLanes
 	pp, err := bp.prog.Packed(words)
 	if err != nil {
 		return base, err
 	}
-	bs := bp.getScratch(lanes)
-	defer bp.spool.Put(bs)
+	bp.growSel(bs, lanes)
 	for l, dest := range dests {
-		if len(dest) != bp.n {
-			return base + l, fmt.Errorf("permnet: RouteInto with %d destinations, want %d",
-				len(dest), bp.n)
-		}
-		if len(out[l]) != bp.n {
-			return base + l, fmt.Errorf("permnet: RouteInto into %d outputs, want %d",
-				len(out[l]), bp.n)
-		}
-		if err := bs.checkPerm(dest); err != nil {
-			return base + l, err
-		}
 		for i, d := range dest {
 			bs.dst[i] = int32(d)
 		}
@@ -264,10 +249,9 @@ type benesScratch struct {
 	sel   [][]uint64 // lane views into bits
 }
 
-// getScratch borrows a pooled scratch with setting bitmaps for at least
-// lanes lanes.
-func (bp *BenesPlan) getScratch(lanes int) *benesScratch {
-	bs := bp.spool.Get().(*benesScratch)
+// growSel sizes a pooled scratch's setting bitmaps for at least lanes
+// lanes.
+func (bp *BenesPlan) growSel(bs *benesScratch, lanes int) {
 	if len(bs.sel) < lanes {
 		sw := bp.selWords
 		bs.bits = make([]uint64, lanes*sw)
@@ -276,7 +260,6 @@ func (bp *BenesPlan) getScratch(lanes int) *benesScratch {
 			bs.sel[l] = bs.bits[l*sw : (l+1)*sw]
 		}
 	}
-	return bs
 }
 
 // checkPerm is the allocation-free batch form of the package-level

@@ -34,6 +34,9 @@ func TestRouteIntoStuckNilMatchesClean(t *testing.T) {
 				t.Fatalf("%v: RouteIntoStuck(nil) diverges at %d: %v vs %v", eng, j, faulty, clean)
 			}
 		}
+		if !permEqual(faulty, inverse(dest)) {
+			t.Fatalf("%v: RouteIntoStuck(nil) %v is not dest⁻¹", eng, faulty)
+		}
 	}
 }
 

@@ -123,29 +123,10 @@ func (p *RoutePlan) RoutePacked(out [][]int, dests [][]int) error {
 // (for error messages of grouped batch execution); it returns the global
 // index of the offending request alongside the error.
 func (p *RoutePlan) routePackedAt(out [][]int, dests [][]int, base int) (int, error) {
-	lanes := len(dests)
-	if lanes == 0 || lanes > MaxPackedLanes {
-		return base, fmt.Errorf("permnet: RoutePacked: %d assignments, want 1..%d",
-			lanes, MaxPackedLanes)
+	if i, err := checkPackedGroup(p.n, out, dests, base, p.validate); err != nil {
+		return i, err
 	}
-	if len(out) != lanes {
-		return base, fmt.Errorf("permnet: RoutePacked: %d outputs for %d assignments",
-			len(out), lanes)
-	}
-	for l, dest := range dests {
-		if len(dest) != p.n {
-			return base + l, fmt.Errorf("permnet: RouteInto with %d destinations, want %d",
-				len(dest), p.n)
-		}
-		if len(out[l]) != p.n {
-			return base + l, fmt.Errorf("permnet: RouteInto into %d outputs, want %d",
-				len(out[l]), p.n)
-		}
-		if err := p.validate(dest); err != nil {
-			return base + l, err
-		}
-	}
-	words := (lanes + PackedLanes - 1) / PackedLanes
+	words := (len(dests) + PackedLanes - 1) / PackedLanes
 	pp, err := p.prog.Packed(words)
 	if err != nil {
 		return base, err
@@ -156,4 +137,37 @@ func (p *RoutePlan) routePackedAt(out [][]int, dests [][]int, base int) (int, er
 	pp.Extract(out, sc.Val)
 	pp.Put(sc)
 	return 0, nil
+}
+
+// checkPackedGroup is the one validation contract of every plan's packed
+// group (DESIGN §13), checked in this order before anything routes: the
+// group holds 1..MaxPackedLanes assignments, one output per assignment,
+// and each assignment l has n destinations, an n-slot output and passes
+// valid (the permutation check). It returns the global index of the
+// offending request (base + l, or base for a group-shape error)
+// alongside the error.
+func checkPackedGroup(n int, out, dests [][]int, base int, valid func([]int) error) (int, error) {
+	lanes := len(dests)
+	if lanes == 0 || lanes > MaxPackedLanes {
+		return base, fmt.Errorf("permnet: RoutePacked: %d assignments, want 1..%d",
+			lanes, MaxPackedLanes)
+	}
+	if len(out) != lanes {
+		return base, fmt.Errorf("permnet: RoutePacked: %d outputs for %d assignments",
+			len(out), lanes)
+	}
+	for l, dest := range dests {
+		if len(dest) != n {
+			return base + l, fmt.Errorf("permnet: RouteInto with %d destinations, want %d",
+				len(dest), n)
+		}
+		if len(out[l]) != n {
+			return base + l, fmt.Errorf("permnet: RouteInto into %d outputs, want %d",
+				len(out[l]), n)
+		}
+		if err := valid(dest); err != nil {
+			return base + l, err
+		}
+	}
+	return base, nil
 }

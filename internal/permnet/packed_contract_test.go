@@ -14,9 +14,9 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// TestRoutePackedErrorContract pins that the sharded plan's RoutePacked
-// honors the flat plan's validation contract byte-for-byte: the same
-// malformed group produces the same error message, in the same
+// TestRoutePackedErrorContract pins that the sharded and Beneš plans'
+// RoutePacked honor the flat plan's validation contract byte-for-byte:
+// the same malformed group produces the same error message, in the same
 // validation order, and nothing routes before validation completes. The
 // sharded path used to skip the lane-count bounds (a 0-assignment group
 // silently succeeded, an over-wide one silently chunked) and to route
@@ -40,6 +40,16 @@ func TestRoutePackedErrorContract(t *testing.T) {
 	if scalar.Packed() {
 		t.Fatalf("sharded plan at w=2 unexpectedly packed")
 	}
+	benes, err := CompileBenes(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := []struct {
+		name string
+		plan interface {
+			RoutePacked(out [][]int, dests [][]int) error
+		}
+	}{{"sharded", sharded}, {"scalar-fallback sharded", scalar}, {"Beneš", benes}}
 
 	ident := make([]int, n)
 	for i := range ident {
@@ -64,7 +74,7 @@ func TestRoutePackedErrorContract(t *testing.T) {
 		{"over-wide group", outs(MaxPackedLanes + 1), make([][]int, MaxPackedLanes+1)},
 		{"output count mismatch", outs(1), [][]int{ident, ident}},
 		{"short dest", outs(2), [][]int{ident, short}},
-		{"short out", [][]int{make([]int, n), make([]int, n - 1)}, [][]int{ident, ident}},
+		{"short out", [][]int{make([]int, n), make([]int, n-1)}, [][]int{ident, ident}},
 		{"non-permutation dest", outs(2), [][]int{ident, dup}},
 	}
 	for _, tc := range cases {
@@ -72,12 +82,10 @@ func TestRoutePackedErrorContract(t *testing.T) {
 		if want == "<nil>" {
 			t.Fatalf("%s: flat plan accepted the malformed group", tc.name)
 		}
-		for _, p := range []interface {
-			RoutePacked(out [][]int, dests [][]int) error
-		}{sharded, scalar} {
-			got := errString(p.RoutePacked(tc.out, tc.dests))
+		for _, p := range plans {
+			got := errString(p.plan.RoutePacked(tc.out, tc.dests))
 			if got != want {
-				t.Errorf("%s: sharded error %q, flat error %q", tc.name, got, want)
+				t.Errorf("%s: %s error %q, flat error %q", tc.name, p.name, got, want)
 			}
 		}
 	}
@@ -87,13 +95,12 @@ func TestRoutePackedErrorContract(t *testing.T) {
 	out := outs(2)
 	dests := [][]int{ident, short}
 	out[0][0] = -1
-	if err := sharded.RoutePacked(out, dests); err == nil {
-		t.Fatal("sharded plan accepted a short dest")
-	}
-	if err := scalar.RoutePacked(out, dests); err == nil {
-		t.Fatal("scalar-fallback sharded plan accepted a short dest")
-	}
-	if out[0][0] != -1 {
-		t.Fatal("RoutePacked routed request 0 before validating request 1")
+	for _, p := range plans {
+		if err := p.plan.RoutePacked(out, dests); err == nil {
+			t.Fatalf("%s plan accepted a short dest", p.name)
+		}
+		if out[0][0] != -1 {
+			t.Fatalf("%s RoutePacked routed request 0 before validating request 1", p.name)
+		}
 	}
 }

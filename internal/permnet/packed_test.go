@@ -9,13 +9,14 @@ import (
 	"testing"
 
 	"absort/internal/concentrator"
+	"absort/internal/planner"
 	"absort/internal/race"
 )
 
-// TestRoutePackedDifferential checks the packed permuter against the
-// scalar recursion on every engine, across widths and the lane counts
-// {1, 2, 7, 24, 63, 64}: each lane's permutation must be bit-for-bit
-// identical to the scalar route of that lane's assignment.
+// TestRoutePackedDifferential checks the packed permuter against dest⁻¹
+// on every engine, across widths and the lane counts
+// {1, 2, 7, 24, 63, 64}: each lane's permutation must be the inverse of
+// that lane's assignment.
 func TestRoutePackedDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	for _, cfg := range planEngines {
@@ -36,16 +37,9 @@ func TestRoutePackedDifferential(t *testing.T) {
 					t.Fatalf("%s n=%d lanes=%d: %v", cfg.name, n, lanes, err)
 				}
 				for l, dest := range dests {
-					want, err := rp.Route(dest)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !permEqual(out[l], want) {
-						t.Fatalf("%s n=%d lanes=%d lane %d dest=%v:\npacked %v\nscalar %v",
+					if want := inverse(dest); !permEqual(out[l], want) {
+						t.Fatalf("%s n=%d lanes=%d lane %d dest=%v:\npacked %v\ndest⁻¹ %v",
 							cfg.name, n, lanes, l, dest, out[l], want)
-					}
-					if !VerifyRouting(dest, out[l]) {
-						t.Fatalf("%s n=%d lane %d: packed route does not deliver", cfg.name, n, l)
 					}
 				}
 			}
@@ -54,8 +48,8 @@ func TestRoutePackedDifferential(t *testing.T) {
 }
 
 // TestRoutePackedExhaustive routes every permutation at n ∈ {2, 4, 8}
-// through the packed engine, 64 lanes at a time, against the scalar
-// recursion — the packed twin of TestPlannedExhaustiveSmall.
+// through the packed engine, 64 lanes at a time, against dest⁻¹ — the
+// packed twin of TestPlannedExhaustiveSmall.
 func TestRoutePackedExhaustive(t *testing.T) {
 	for _, cfg := range planEngines {
 		if cfg.k > 2 {
@@ -94,12 +88,8 @@ func TestRoutePackedExhaustive(t *testing.T) {
 					t.Fatalf("%s n=%d: %v", cfg.name, n, err)
 				}
 				for l, d := range batch {
-					want, err := rp.Route(d)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !permEqual(out[l], want) {
-						t.Fatalf("%s n=%d dest=%v: packed %v, scalar %v",
+					if want := inverse(d); !permEqual(out[l], want) {
+						t.Fatalf("%s n=%d dest=%v: packed %v, dest⁻¹ %v",
 							cfg.name, n, d, out[l], want)
 					}
 				}
@@ -255,7 +245,7 @@ func unfusedRoute(n int, engine concentrator.Engine, k int, dest []int) []int {
 			} else {
 				kk := k
 				if s < n || kk <= 0 {
-					kk = fishK(s)
+					kk = planner.DefaultFishK(s)
 				}
 				lv = concentrator.PlanFor(s, concentrator.Fish, kk)
 			}
@@ -271,7 +261,7 @@ func unfusedRoute(n int, engine concentrator.Engine, k int, dest []int) []int {
 					win[j] = v | tagBit
 				}
 			}
-			lv.RouteVals(win)
+			lv.Program().Run(win)
 			for j := 0; j < h; j++ {
 				win[h+j] = (win[h+j] &^ tagBit) - hh
 			}
@@ -417,9 +407,8 @@ func TestBenesPlanBatch(t *testing.T) {
 	}
 }
 
-// FuzzRoutePackedPerm fuzzes the packed permuter against the scalar
-// recursion: the fuzzer picks a width, an engine, a lane count, and a
-// permutation seed.
+// FuzzRoutePackedPerm fuzzes the packed permuter against dest⁻¹: the
+// fuzzer picks a width, an engine, a lane count, and a permutation seed.
 func FuzzRoutePackedPerm(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(0), uint8(17))
 	f.Add(int64(2), uint8(5), uint8(2), uint8(64))
@@ -445,12 +434,8 @@ func FuzzRoutePackedPerm(f *testing.F) {
 			t.Fatal(err)
 		}
 		for l, dest := range dests {
-			want, err := rp.Route(dest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !permEqual(out[l], want) {
-				t.Fatalf("%s n=%d lane %d dest=%v: packed %v, scalar %v",
+			if want := inverse(dest); !permEqual(out[l], want) {
+				t.Fatalf("%s n=%d lane %d dest=%v: packed %v, dest⁻¹ %v",
 					cfg.name, n, l, dest, out[l], want)
 			}
 		}

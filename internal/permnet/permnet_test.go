@@ -9,6 +9,7 @@ import (
 	"absort/internal/cmpnet"
 	"absort/internal/concentrator"
 	"absort/internal/core"
+	"absort/internal/planner"
 )
 
 func randPerm(rng *rand.Rand, n int) []int {
@@ -319,6 +320,31 @@ func TestRadixPermuterErrors(t *testing.T) {
 	NewRadixPermuter(12, concentrator.MuxMerger, 0)
 }
 
+// TestRouteShardedCutover routes one assignment through
+// RadixPermuter.Route at n = ShardedAutoThreshold: the result must be
+// dest⁻¹, reached through the sharded plan without compiling the flat
+// fused program — neither the permuter's own plan pointer nor the shared
+// plan cache may hold a flat KindPermuter plan at that width.
+func TestRouteShardedCutover(t *testing.T) {
+	n := ShardedAutoThreshold
+	rp := NewRadixPermuter(n, concentrator.MuxMerger, 0)
+	dest := rand.New(rand.NewSource(73)).Perm(n)
+	p, err := rp.Route(dest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !permEqual(p, inverse(dest)) {
+		t.Fatal("Route at the sharded cut-over does not realize dest⁻¹")
+	}
+	if rp.plan.Load() != nil {
+		t.Error("Route compiled the permuter's flat plan at the sharded cut-over")
+	}
+	key := planner.PlanKey{Kind: planner.KindPermuter, N: n, Engine: int8(concentrator.MuxMerger)}
+	if _, ok := planner.Shared.Get(key); ok {
+		t.Errorf("flat KindPermuter plan at n=%d landed in planner.Shared", n)
+	}
+}
+
 func TestVerifyRouting(t *testing.T) {
 	if !VerifyRouting([]int{1, 0}, []int{1, 0}) {
 		t.Error("valid routing rejected")
@@ -328,49 +354,6 @@ func TestVerifyRouting(t *testing.T) {
 	}
 	if VerifyRouting([]int{0}, []int{0, 1}) {
 		t.Error("length mismatch accepted")
-	}
-}
-
-func TestFishK(t *testing.T) {
-	for _, tc := range []struct{ s, want int }{
-		{4, 2}, {8, 2}, {16, 4}, {256, 8}, {1024, 8}, {65536, 16},
-	} {
-		if got := fishK(tc.s); got != tc.want {
-			t.Errorf("fishK(%d) = %d, want %d", tc.s, got, tc.want)
-		}
-	}
-}
-
-// TestRouteParallelMatchesRoute: the goroutine-parallel route produces
-// byte-identical results to the sequential one.
-func TestRouteParallelMatchesRoute(t *testing.T) {
-	rng := rand.New(rand.NewSource(241))
-	for _, eng := range []concentrator.Engine{concentrator.MuxMerger, concentrator.Fish} {
-		r := NewRadixPermuter(512, eng, 0)
-		for trial := 0; trial < 15; trial++ {
-			dest := randPerm(rng, 512)
-			a, err := r.Route(dest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := r.RouteParallel(dest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j := range a {
-				if a[j] != b[j] {
-					t.Fatalf("%v: parallel route differs at %d", eng, j)
-				}
-			}
-			realizes(t, "parallel", dest, b)
-		}
-	}
-	r := NewRadixPermuter(8, concentrator.MuxMerger, 0)
-	if _, err := r.RouteParallel([]int{0, 1}); err == nil {
-		t.Error("accepted wrong width")
-	}
-	if _, err := r.RouteParallel([]int{0, 0, 1, 2, 3, 4, 5, 6}); err == nil {
-		t.Error("accepted non-permutation")
 	}
 }
 

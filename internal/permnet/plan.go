@@ -95,13 +95,13 @@ func planFor(n int, engine concentrator.Engine, k int) *RoutePlan {
 }
 
 // newRoutePlan lowers the whole n-input radix permuter over the given
-// engine into one fused program, mirroring routeLevel's engine selection
-// exactly: the registered Sort lowering runs over every window, with the
-// configured k applied only at the top level (deeper levels pass k = 0,
-// which each parameterized engine resolves to its own per-level default
-// — the fish family's paper k = lg s choice). Before each level below
-// the top an OpSetTag retargets the tag read to the destination bit that
-// level consumes — the only inter-level "work" in the program.
+// engine into one fused program: the registered Sort lowering runs over
+// every window of every level, with the configured k applied only at the
+// top level (deeper levels pass k = 0, which each parameterized engine
+// resolves to its own per-level default — the fish family's paper
+// k = lg s choice). Before each level below the top an OpSetTag
+// retargets the tag read to the destination bit that level consumes —
+// the only inter-level "work" in the program.
 func newRoutePlan(n int, engine concentrator.Engine, k int) *RoutePlan {
 	if !core.IsPow2(n) {
 		panic(fmt.Sprintf("permnet: newRoutePlan(%d)", n))

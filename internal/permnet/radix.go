@@ -2,9 +2,7 @@ package permnet
 
 import (
 	"fmt"
-	"sync"
 
-	"absort/internal/bitvec"
 	"absort/internal/cmpnet"
 	"absort/internal/concentrator"
 	"absort/internal/core"
@@ -42,91 +40,27 @@ func (r *RadixPermuter) N() int { return r.n }
 // Engine returns the distribution engine.
 func (r *RadixPermuter) Engine() concentrator.Engine { return r.engine }
 
-// fishK returns the group count used at a level of size s: the largest
-// power of two ≤ max(2, lg s), the paper's k = lg n choice rounded to the
-// model's power-of-two requirement.
-func fishK(s int) int {
-	lg := core.Lg(s)
-	k := 2
-	for k*2 <= lg {
-		k *= 2
-	}
-	if k > s {
-		k = s
-	}
-	return k
-}
-
 // Route computes the permutation realized by the network for the
 // assignment "input i goes to output dest[i]": it returns p with
 // out[j] = in[p[j]], so p is the inverse assignment. The routing is
 // self-routing: every switching decision is derived from destination
-// address bits flowing with the packets.
+// address bits flowing with the packets. Route replays the compiled
+// plan — the flat fused program below ShardedAutoThreshold, the sharded
+// plan at or above it, so a huge permuter never compiles the flat
+// program.
 func (r *RadixPermuter) Route(dest []int) ([]int, error) {
 	if len(dest) != r.n {
 		return nil, fmt.Errorf("permnet: Route with %d destinations, want %d",
 			len(dest), r.n)
 	}
-	if err := checkPerm(dest); err != nil {
-		return nil, err
-	}
-	idx := make([]int, r.n)
-	local := make([]int, r.n)
-	for i := range idx {
-		idx[i] = i
-		local[i] = dest[i]
-	}
-	r.routeLevel(idx, local)
-	return idx, nil
-}
-
-// routeLevel sorts the packets in idx by the leading bit of their local
-// destinations and recurses; local[j] is the destination of packet idx[j]
-// within the current window of size len(idx).
-func (r *RadixPermuter) routeLevel(idx, local []int) {
-	s := len(idx)
-	if s == 1 {
-		return
-	}
-	tags := make(bitvec.Vector, s)
-	for j, d := range local {
-		if d >= s/2 {
-			tags[j] = 1
+	if r.n >= ShardedAutoThreshold {
+		sp, err := r.Sharded(0)
+		if err != nil {
+			return nil, err
 		}
+		return sp.Route(dest)
 	}
-	p := r.routeWindow(tags)
-	newIdx := make([]int, s)
-	newLocal := make([]int, s)
-	for j, x := range p {
-		newIdx[j] = idx[x]
-		newLocal[j] = local[x]
-	}
-	copy(idx, newIdx)
-	copy(local, newLocal)
-	for j := 0; j < s/2; j++ {
-		local[s/2+j] -= s / 2
-	}
-	r.routeLevel(idx[:s/2], local[:s/2])
-	r.routeLevel(idx[s/2:], local[s/2:])
-}
-
-// routeWindow routes one level window's tags through the permuter's
-// engine via the registry dispatch: the configured k applies only at the
-// top level (full-width windows); deeper windows pass k = 0, which each
-// parameterized engine resolves to its own per-level default — the fish
-// family's paper k = lg s choice. An engine that cannot route the window
-// is a constructor-contract violation and panics, matching the historical
-// unknown-engine behavior.
-func (r *RadixPermuter) routeWindow(tags bitvec.Vector) []int {
-	k := 0
-	if len(tags) == r.n {
-		k = r.k
-	}
-	p, err := concentrator.RouteTags(r.engine, tags, k)
-	if err != nil {
-		panic(fmt.Sprintf("permnet: %v", err))
-	}
-	return p
+	return r.Compile().Route(dest)
 }
 
 // RouteBatcher routes a permutation by sorting destination addresses
@@ -167,64 +101,4 @@ func VerifyRouting(dest, p []int) bool {
 		}
 	}
 	return true
-}
-
-// RouteParallel is Route with the two independent half-size recursions of
-// each level dispatched to goroutines down to a size cutoff, exploiting
-// the radix permuter's natural parallel structure. Results are identical
-// to Route.
-func (r *RadixPermuter) RouteParallel(dest []int) ([]int, error) {
-	if len(dest) != r.n {
-		return nil, fmt.Errorf("permnet: RouteParallel with %d destinations, want %d",
-			len(dest), r.n)
-	}
-	if err := checkPerm(dest); err != nil {
-		return nil, err
-	}
-	idx := make([]int, r.n)
-	local := make([]int, r.n)
-	for i := range idx {
-		idx[i] = i
-		local[i] = dest[i]
-	}
-	r.routeLevelParallel(idx, local)
-	return idx, nil
-}
-
-// parallelCutoff is the level size below which recursion stays on the
-// caller's goroutine.
-const parallelCutoff = 64
-
-func (r *RadixPermuter) routeLevelParallel(idx, local []int) {
-	s := len(idx)
-	if s <= parallelCutoff {
-		r.routeLevel(idx, local)
-		return
-	}
-	tags := make(bitvec.Vector, s)
-	for j, d := range local {
-		if d >= s/2 {
-			tags[j] = 1
-		}
-	}
-	p := r.routeWindow(tags)
-	newIdx := make([]int, s)
-	newLocal := make([]int, s)
-	for j, x := range p {
-		newIdx[j] = idx[x]
-		newLocal[j] = local[x]
-	}
-	copy(idx, newIdx)
-	copy(local, newLocal)
-	for j := 0; j < s/2; j++ {
-		local[s/2+j] -= s / 2
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		r.routeLevelParallel(idx[:s/2], local[:s/2])
-	}()
-	r.routeLevelParallel(idx[s/2:], local[s/2:])
-	wg.Wait()
 }

@@ -367,23 +367,24 @@ func (p *ShardedRoutePlan) routeGroup(out [][]int, dests [][]int, sc *shardScrat
 // batch offset (for error messages); it returns the global index of the
 // offending request alongside the error.
 func (p *ShardedRoutePlan) routePackedAt(out [][]int, dests [][]int, base int) (int, error) {
-	for l, dest := range dests {
-		if len(dest) != p.n {
-			return base + l, fmt.Errorf("permnet: RouteInto with %d destinations, want %d",
-				len(dest), p.n)
-		}
-		if len(out[l]) != p.n {
-			return base + l, fmt.Errorf("permnet: RouteInto into %d outputs, want %d",
-				len(out[l]), p.n)
-		}
-		if err := p.validate(dest); err != nil {
-			return base + l, err
+	if i, err := checkPackedGroup(p.n, out, dests, base, p.validate); err != nil {
+		return i, err
+	}
+	return base, p.routeGroups(out, dests)
+}
+
+// routeGroups routes pre-validated assignments in groups of up to gbMax
+// requests, one packed sub-replay per group.
+func (p *ShardedRoutePlan) routeGroups(out [][]int, dests [][]int) error {
+	sc := p.gpool.Get().(*shardScratch)
+	defer p.gpool.Put(sc)
+	for lo := 0; lo < len(dests); lo += p.gbMax {
+		hi := min(lo+p.gbMax, len(dests))
+		if err := p.routeGroup(out[lo:hi], dests[lo:hi], sc); err != nil {
+			return err
 		}
 	}
-	sc := p.gpool.Get().(*shardScratch)
-	err := p.routeGroup(out, dests, sc)
-	p.gpool.Put(sc)
-	return base, err
+	return nil
 }
 
 // RoutePacked routes up to MaxPackedLanes destination assignments
@@ -396,27 +397,8 @@ func (p *ShardedRoutePlan) routePackedAt(out [][]int, dests [][]int, base int) (
 // messages; see DESIGN §13): a malformed assignment returns a validated
 // error naming the earliest offending request before any routing starts.
 func (p *ShardedRoutePlan) RoutePacked(out [][]int, dests [][]int) error {
-	lanes := len(dests)
-	if lanes == 0 || lanes > MaxPackedLanes {
-		return fmt.Errorf("permnet: RoutePacked: %d assignments, want 1..%d",
-			lanes, MaxPackedLanes)
-	}
-	if len(out) != lanes {
-		return fmt.Errorf("permnet: RoutePacked: %d outputs for %d assignments",
-			len(out), lanes)
-	}
-	for l, dest := range dests {
-		if len(dest) != p.n {
-			return fmt.Errorf("permnet: RouteInto with %d destinations, want %d",
-				len(dest), p.n)
-		}
-		if len(out[l]) != p.n {
-			return fmt.Errorf("permnet: RouteInto into %d outputs, want %d",
-				len(out[l]), p.n)
-		}
-		if err := p.validate(dest); err != nil {
-			return err
-		}
+	if _, err := checkPackedGroup(p.n, out, dests, 0, p.validate); err != nil {
+		return err
 	}
 	if !p.Packed() {
 		for i := range dests {
@@ -426,13 +408,7 @@ func (p *ShardedRoutePlan) RoutePacked(out [][]int, dests [][]int) error {
 		}
 		return nil
 	}
-	for lo := 0; lo < lanes; lo += p.gbMax {
-		hi := min(lo+p.gbMax, lanes)
-		if _, err := p.routePackedAt(out[lo:hi], dests[lo:hi], lo); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.routeGroups(out, dests)
 }
 
 // RouteBatch routes every destination assignment through the sharded

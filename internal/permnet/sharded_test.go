@@ -89,7 +89,7 @@ func TestRouteShardedExhaustive(t *testing.T) {
 						if err := sp.RouteInto(got, dest); err != nil {
 							t.Fatalf("%s n=%d w=%d dest=%v: %v", cfg.name, n, w, dest, err)
 						}
-						if !permEqual(got, want) {
+						if !permEqual(got, want) || !VerifyRouting(dest, got) {
 							t.Fatalf("%s n=%d w=%d dest=%v:\nsharded %v\nflat    %v",
 								cfg.name, n, w, dest, got, want)
 						}
@@ -285,6 +285,9 @@ func FuzzRouteSharded(f *testing.F) {
 		}
 		if !permEqual(got, want) {
 			t.Fatalf("n=%d w=%d engine=%v: sharded route differs from flat", n, w, engine)
+		}
+		if !permEqual(got, inverse(dest)) {
+			t.Fatalf("n=%d w=%d engine=%v: sharded route is not dest⁻¹", n, w, engine)
 		}
 	})
 }

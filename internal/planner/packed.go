@@ -98,8 +98,9 @@ type Packed struct {
 }
 
 // PackedScratch is the per-execution state of a Packed engine. Val holds
-// the W × n × P word-major plane words; Tmp is copy scratch clients may
-// borrow between Get and Put (e.g. to stage packed tag words).
+// the W × n × P word-major plane words; Tmp is copy scratch of
+// max(n·max(P, W), 2F+2) words that clients may borrow between Get and
+// Put (e.g. to stage W·n packed tag words).
 type PackedScratch struct {
 	Val  []uint64
 	Tmp  []uint64
@@ -166,10 +167,14 @@ func newPacked(p *Program, words int) *Packed {
 	P := pp.P
 	nsel := max(p.nsel, 1)
 	hasRec, hasPre := pp.hasRec, pp.hasPre
+	// Copy scratch serves three borrowers, one at a time: a replay's
+	// shuffle copies one lane word's block (n·P), the concentrator stages
+	// W·n packed tag words, and SplitFront's two counters take 2F+2.
+	tmp := max(n*max(P, words), 2*F+2)
 	pp.pool.New = func() any {
 		sc := &PackedScratch{
 			Val: make([]uint64, n*P*words),
-			Tmp: make([]uint64, n*P*words),
+			Tmp: make([]uint64, tmp),
 			cnt: make([]uint64, I+2),
 		}
 		if hasRec {

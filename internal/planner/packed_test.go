@@ -61,3 +61,45 @@ func TestTranspose16x4(t *testing.T) {
 		t.Fatal("Transpose16x4 is not an involution")
 	}
 }
+
+// TestPackedTmpSize pins the copy scratch at what its borrowers touch,
+// max(n·max(P, W), 2F+2) words: a replay's shuffle copies one lane word's
+// n·P block and the concentrator stages W·n tag words, so a wide
+// permuter engine is sized by its planes and a wide concentrator engine
+// by its lane words — not n·P·W for either.
+func TestPackedTmpSize(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		n, front, w   int
+		wantP, wantTm int
+	}{
+		// Permuter layout at n=4096: lg n front planes, P = 24.
+		{"permuter n=4096 W=4", 4096, 12, 4, 24, 4096 * 24},
+		// Concentrator layout at n=16: one tag plane, P = 5 < W.
+		{"concentrator n=16 W=16", 16, 1, 16, 5, 16 * 16},
+	} {
+		var b Builder
+		b.MMSort(0, int32(tc.n))
+		prog := b.Compile(Layout{
+			N:           tc.n,
+			FrontPlanes: tc.front,
+			TagShift:    uint(31 + tc.front - 1),
+			TagPlane:    tc.front - 1,
+		})
+		pp, err := prog.Packed(tc.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pp.P != tc.wantP {
+			t.Fatalf("%s: P = %d, want %d", tc.name, pp.P, tc.wantP)
+		}
+		sc := pp.Get()
+		if len(sc.Tmp) != tc.wantTm {
+			t.Errorf("%s: len(Tmp) = %d words, want %d", tc.name, len(sc.Tmp), tc.wantTm)
+		}
+		if len(sc.Val) != tc.n*tc.wantP*tc.w {
+			t.Errorf("%s: len(Val) = %d words, want n·P·W = %d", tc.name, len(sc.Val), tc.n*tc.wantP*tc.w)
+		}
+		pp.Put(sc)
+	}
+}

@@ -135,7 +135,7 @@ type Program struct {
 	layout Layout
 	steps  []Step
 	nsel   int
-	perms  []int32 // flat OpPermute table storage, indexed by Step.Aux
+	perms  []int32   // flat OpPermute table storage, indexed by Step.Aux
 	pool   sync.Pool // *Scratch
 	packed sync.Map  // lane-word width → *Packed, built lazily per width
 }

@@ -260,6 +260,25 @@ func CheckFishK(n, k int) (int, error) {
 	return k, nil
 }
 
+// ResolveK is the one engine-shape check: e must be registered and able
+// to route width n, and k must pass e's CheckK. It returns the resolved
+// tuning parameter — the engine default for k ≤ 0, always 0 for
+// parameterless engines. The errors carry no package prefix; each caller
+// adds its own (or panics, for constructors).
+func ResolveK(e Engine, n, k int) (int, error) {
+	spec, ok := Lookup(e)
+	if !ok {
+		return 0, fmt.Errorf("unknown engine %v", e)
+	}
+	if !CanRoute(e, n) {
+		return 0, fmt.Errorf("engine %v cannot route width %d", e, n)
+	}
+	if spec.CheckK == nil {
+		return 0, nil
+	}
+	return spec.CheckK(n, k)
+}
+
 // init registers the paper's four engines in their historical enum order,
 // pinning MuxMerger..Ranking to values 0..3.
 func init() {

@@ -67,23 +67,14 @@ func (c Config) Resolve() (Config, error) {
 	if !core.IsPow2(c.N) {
 		return c, fmt.Errorf("serve: n=%d is not a positive power of two", c.N)
 	}
-	spec, ok := planner.Lookup(c.Engine)
-	if !ok {
-		return c, fmt.Errorf("serve: unknown engine %v", c.Engine)
-	}
-	if !planner.CanRoute(c.Engine, c.N) {
-		return c, fmt.Errorf("serve: engine %v cannot route width %d", c.Engine, c.N)
+	if _, err := planner.ResolveK(c.Engine, c.N, c.K); err != nil {
+		return c, fmt.Errorf("serve: %w", err)
 	}
 	if c.N >= 2 && !planner.CanRoute(c.Engine, 2) {
 		// The permuter and word-sorter plans recurse through every level
 		// width n, n/2, …, 2, so a width-locked kernel cannot back them.
 		return c, fmt.Errorf("serve: engine %v cannot route the permuter's level widths 2..%d",
 			c.Engine, c.N)
-	}
-	if spec.CheckK != nil && c.K > 0 {
-		if _, err := spec.CheckK(c.N, c.K); err != nil {
-			return c, fmt.Errorf("serve: %v", err)
-		}
 	}
 	if c.M <= 0 {
 		c.M = c.N

@@ -3,7 +3,8 @@ package absort_test
 // BenchmarkRouteEngines measures per-route throughput of the Fig. 10 radix
 // permuter's routing paths on the fish engine at n ∈ {64, 256, 1024, 4096}:
 //
-//   - scalar:           the seed's recursive per-level router (Route)
+//   - scalar:           the seed's recursive per-level fish router
+//     (scalarFishRoute, a test-local copy of the retired recursion)
 //   - planned:          the compiled route plan, one request per call
 //   - planned-parallel: the batch pipeline over the same compiled plan
 //
@@ -40,9 +41,11 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 
+	"absort/internal/bitvec"
 	"absort/internal/concentrator"
 	"absort/internal/permnet"
 	"absort/internal/planner"
@@ -102,9 +105,7 @@ func BenchmarkRouteEngines(b *testing.B) {
 		b.Run(fmt.Sprintf("scalar/n=%d", n), func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := rp.Route(dests[i%routeBenchBatch]); err != nil {
-					b.Fatal(err)
-				}
+				scalarSink = scalarFishRoute(dests[i%routeBenchBatch])
 			}
 			b.StopTimer()
 			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
@@ -339,10 +340,62 @@ func BenchmarkRouteEnginesSharded(b *testing.B) {
 	}
 }
 
+// scalarFishRoute is the seed's scalar radix-permuter router on the fish
+// engine, kept here only as the baseline of TestRouteSpeedupFloor and
+// BenchmarkRouteEngines/scalar: per level, each window's tags (the
+// leading local destination bit) route through the fish item replay at
+// k = lg s, the packets and their local destinations are gathered into
+// the routed order, the lower half is rebased, and both halves recurse.
+// dest must be a permutation of a power-of-two width. It returns p with
+// out[j] = in[p[j]].
+func scalarFishRoute(dest []int) []int {
+	n := len(dest)
+	idx := make([]int, n)
+	local := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+		local[i] = dest[i]
+	}
+	scalarFishLevel(idx, local)
+	return idx
+}
+
+func scalarFishLevel(idx, local []int) {
+	s := len(idx)
+	if s == 1 {
+		return
+	}
+	tags := make(bitvec.Vector, s)
+	for j, d := range local {
+		if d >= s/2 {
+			tags[j] = 1
+		}
+	}
+	p := concentrator.RouteFish(tags, planner.DefaultFishK(s))
+	newIdx := make([]int, s)
+	newLocal := make([]int, s)
+	for j, x := range p {
+		newIdx[j] = idx[x]
+		newLocal[j] = local[x]
+	}
+	copy(idx, newIdx)
+	copy(local, newLocal)
+	for j := 0; j < s/2; j++ {
+		local[s/2+j] -= s / 2
+	}
+	scalarFishLevel(idx[:s/2], local[:s/2])
+	scalarFishLevel(idx[s/2:], local[s/2:])
+}
+
+// scalarSink keeps the benchmarked scalarFishRoute calls live.
+var scalarSink []int
+
 // TestRouteSpeedupFloor pins the acceptance criterion: the compiled route
 // plan must deliver at least 5× the scalar router's per-route throughput on
-// the n=4096 fish permuter. Measured inline (not via the benchmark harness)
-// so `go test` enforces it on every run, mirroring TestWideSpeedupFloor.
+// the n=4096 fish permuter. The scalar side is scalarFishRoute, the seed's
+// recursion, whose results the test also checks against the plan's.
+// Measured inline (not via the benchmark harness) so `go test` enforces it
+// on every run, mirroring TestWideSpeedupFloor.
 func TestRouteSpeedupFloor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing floor skipped in -short mode")
@@ -362,11 +415,18 @@ func TestRouteSpeedupFloor(t *testing.T) {
 	}
 	out := make([]int, n)
 
+	for _, dest := range dests {
+		if err := plan.RouteInto(out, dest); err != nil {
+			t.Fatal(err)
+		}
+		if want := scalarFishRoute(dest); !slices.Equal(out, want) {
+			t.Fatal("scalar baseline and compiled plan route differently")
+		}
+	}
+
 	scalar := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := rp.Route(dests[i&3]); err != nil {
-				b.Fatal(err)
-			}
+			scalarSink = scalarFishRoute(dests[i&3])
 		}
 	})
 	planned := testing.Benchmark(func(b *testing.B) {
