@@ -89,7 +89,10 @@
 # when the working tree wins at least 9 of every 10 completed rounds and
 # its median beats the base's by more than the base's interquartile
 # range, so it needs ten rounds; re-check a claimed gain on a fresh
-# AB_SEED. It writes nothing under perfbench/.
+# AB_SEED. AB_TRACE=1 compares the traced per-layer metrics instead
+# (the planner.packed.* probes among them): median, interquartile range,
+# change and wins, with no verdict or claim. It writes nothing under
+# perfbench/.
 
 GO ?= go
 
@@ -99,6 +102,7 @@ AB_BASE ?= HEAD
 AB_ROUNDS ?= 10
 AB_SECONDS ?= 10
 AB_SEED ?= 1
+AB_TRACE ?= 0
 
 ci: vet lint build race chaos bench
 
@@ -169,7 +173,8 @@ bench-zoo:
 	$(GO) test -run 'TestZooSpeedupFloor' -bench 'ZooEngines' -count=1 .
 
 bench-ab:
-	python3 scripts/bench_ab.py --base $(AB_BASE) --rounds $(AB_ROUNDS) --seconds $(AB_SECONDS) --seed $(AB_SEED)
+	python3 scripts/bench_ab.py --base $(AB_BASE) --rounds $(AB_ROUNDS) --seconds $(AB_SECONDS) --seed $(AB_SEED) \
+		--trace $(AB_TRACE)
 
 chaos:
 	$(GO) test -race -run 'TestChaosRecovery|TestCloseReleasesHeldRun' -count=1 ./internal/serve

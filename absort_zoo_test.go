@@ -84,7 +84,8 @@ func TestEdgeListEngineRegistration(t *testing.T) {
 // width-locked registry engines: the error-returning constructors must
 // reject a kernel engine outside its width window with a validated
 // error (matching serve/frontdoor), never a panic from deep in the
-// stack — and still accept it at its native width.
+// stack — and still accept it at its native width. RadixPermuter.Route
+// returns the same rejection as an error.
 func TestFacadeWidthLockErrors(t *testing.T) {
 	gvv, ok := absort.EngineByName("gvv16")
 	if !ok {
@@ -95,6 +96,13 @@ func TestFacadeWidthLockErrors(t *testing.T) {
 	}
 	if _, err := absort.NewBatchPermuter(16, gvv); err == nil {
 		t.Fatal("NewBatchPermuter(16, gvv16) accepted an engine that cannot route level widths 2..8")
+	}
+	ident := make([]int, 16)
+	for i := range ident {
+		ident[i] = i
+	}
+	if _, err := absort.NewRadixPermuter(16, gvv).Route(ident); err == nil {
+		t.Fatal("NewRadixPermuter(16, gvv16).Route routed with an engine that cannot route level widths 2..8")
 	}
 	if _, err := absort.NewWordSorter(16, 8, gvv); err == nil {
 		t.Fatal("NewWordSorter(16, 8, gvv16) accepted an engine that cannot route level widths 2..8")

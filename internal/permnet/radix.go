@@ -6,6 +6,7 @@ import (
 	"absort/internal/cmpnet"
 	"absort/internal/concentrator"
 	"absort/internal/core"
+	"absort/internal/planner"
 )
 
 // RadixPermuter is the permutation network of Fig. 10: at each level, a
@@ -47,11 +48,16 @@ func (r *RadixPermuter) Engine() concentrator.Engine { return r.engine }
 // address bits flowing with the packets. Route replays the compiled
 // plan — the flat fused program below ShardedAutoThreshold, the sharded
 // plan at or above it, so a huge permuter never compiles the flat
-// program.
+// program. An engine that cannot route every level width 2..n (a
+// width-locked kernel) is an error, not a panic in the lowering.
 func (r *RadixPermuter) Route(dest []int) ([]int, error) {
 	if len(dest) != r.n {
 		return nil, fmt.Errorf("permnet: Route with %d destinations, want %d",
 			len(dest), r.n)
+	}
+	if !planner.CanRoute(r.engine, r.n) || !planner.CanRoute(r.engine, 2) {
+		return nil, fmt.Errorf("permnet: Route: engine %v cannot route the permuter's level widths 2..%d",
+			r.engine, r.n)
 	}
 	if r.n >= ShardedAutoThreshold {
 		sp, err := r.Sharded(0)

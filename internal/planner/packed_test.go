@@ -1,12 +1,16 @@
 package planner
 
 // Pins for the bit-block transposes the packed runner's load/extract
-// stages depend on. Both transposes are involutions, which is what lets
-// LoadDestLanes and Extract share them in opposite directions.
+// stages depend on (both are involutions, which is what lets
+// LoadDestLanes and Extract share them in opposite directions), for the
+// packed runner's scratch sizing, and for its kernels against the scalar
+// runner lane by lane.
 
 import (
 	"math/rand"
 	"testing"
+
+	"absort/internal/core"
 )
 
 // TestTranspose64 pins the 64×64 bit-block transpose convention: after
@@ -101,5 +105,109 @@ func TestPackedTmpSize(t *testing.T) {
 			t.Errorf("%s: len(Val) = %d words, want n·P·W = %d", tc.name, len(sc.Val), tc.n*tc.wantP*tc.w)
 		}
 		pp.Put(sc)
+	}
+}
+
+// radixLevels lowers a radix permuter's levels with sort as the
+// distribution sorter: level d retargets the tag to destination bit
+// lg n−1−d (scalar bit 31+lg n−1−d, packed front plane lg n−1−d) and
+// sorts every window of size n>>d — the dest-riding layout whose shrinking
+// live front drives the packed kernels' bounded live-run branch.
+func radixLevels(b *Builder, n int, sort func(b *Builder, lo, hi int32)) {
+	lg := core.Lg(n)
+	for d := 0; d < lg; d++ {
+		b.SetTag(uint(31+lg-1-d), int32(lg-1-d))
+		for lo, s := 0, n>>d; lo < n; lo += s {
+			sort(b, int32(lo), int32(lo+s))
+		}
+	}
+}
+
+// fishOrMM lowers the fish sorter at its default group count, or the
+// mux-merger below the fish sorter's smallest width.
+func fishOrMM(b *Builder, lo, hi int32) {
+	if s := int(hi - lo); s >= 4 {
+		b.FishSort(lo, hi, int32(DefaultFishK(s)))
+		return
+	}
+	b.MMSort(lo, hi)
+}
+
+// TestPackedMatchesScalarLanes replays mux-merger and fish programs
+// packed and checks every lane against the scalar Program.Run of the same
+// request, on the single-tag layout and on the dest-riding layout (lg n
+// front planes retargeted by OpSetTag), so the quarter kernels run both
+// their flat pass and their bounded live-run pass, at lane counts that
+// fill, split and overflow a lane word.
+func TestPackedMatchesScalarLanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, sorter := range []struct {
+		name string
+		sort func(b *Builder, lo, hi int32)
+	}{
+		{"mux-merger", (*Builder).MMSort},
+		{"fish", fishOrMM},
+	} {
+		for _, n := range []int{4, 8, 64, 256} {
+			lg := core.Lg(n)
+			for _, dest := range []bool{false, true} {
+				var b Builder
+				layout := Layout{N: n, FrontPlanes: 1, TagShift: 63}
+				if dest {
+					radixLevels(&b, n, sorter.sort)
+					layout = Layout{N: n, FrontPlanes: lg, TagShift: uint(31 + lg - 1), TagPlane: lg - 1}
+				} else {
+					sorter.sort(&b, 0, int32(n))
+				}
+				prog := b.Compile(layout)
+				for _, lanes := range []int{1, 7, 64, 65, 256} {
+					words := (lanes + 63) / 64
+					pp, err := prog.Packed(words)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sc := pp.Get()
+					want := make([][]uint64, lanes) // per-lane scalar packet words
+					if dest {
+						dests := make([][]int, lanes)
+						for l := range dests {
+							dests[l] = rng.Perm(n)
+							want[l] = make([]uint64, n)
+							for i, d := range dests[l] {
+								want[l][i] = uint64(d)<<31 | uint64(i)
+							}
+						}
+						pp.LoadDestLanes(sc.Val, dests)
+					} else {
+						tags := make([]uint64, words*n)
+						for l := range want {
+							want[l] = make([]uint64, n)
+							for i := range want[l] {
+								tag := uint64(rng.Intn(2))
+								tags[l/64*n+i] |= tag << uint(l%64)
+								want[l][i] = tag<<63 | uint64(i)
+							}
+						}
+						pp.LoadTagWords(sc.Val, tags)
+					}
+					pp.Run(sc)
+					got := make([][]int, lanes)
+					for l := range got {
+						got[l] = make([]int, n)
+					}
+					pp.Extract(got, sc.Val)
+					pp.Put(sc)
+					for l, w := range want {
+						prog.Run(w)
+						for j, v := range w {
+							if origin := int(v & (1<<31 - 1)); got[l][j] != origin {
+								t.Fatalf("%s n=%d dest=%v lanes=%d: lane %d position %d holds origin %d packed, %d scalar",
+									sorter.name, n, dest, lanes, l, j, got[l][j], origin)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

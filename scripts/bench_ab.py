@@ -31,6 +31,17 @@ and a claim column from the gain rule:
 A side with more failed runs than the other is flagged. The worktree is
 removed when the run ends. The exit code is 1 when any verdict is
 `worse`, 2 on a usage or setup error, else 0.
+
+--trace 1 runs perfbench's traced mode instead and reports, for every
+per-layer metric BENCHMARK.json lists (the `planner.packed.*` probes,
+per-layer CPU and allocations, ...), the same median, IQR, change of
+the medians and win count, with no verdict or claim: the layer metrics
+carry no bounds, and a traced run measures where time goes rather than
+the end-to-end rates. Its exit code is 0 unless a setup error occurs.
+
+--base-tree DIR compares against an existing checkout of the base (for
+example a `git clone` of it) instead of a worktree; --base is then
+ignored and DIR is left in place.
 """
 
 import argparse
@@ -56,11 +67,11 @@ def git(*args):
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
 
 
-def run_once(tree, side, workload, seed, seconds):
+def run_once(tree, side, workload, seed, seconds, trace):
     """One perfbench run; returns its metrics, or None if it failed."""
     out = subprocess.run(
         ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0",
+         "--seconds", str(seconds), "--trace", str(trace),
          "--results", os.path.join(RESULTS, side)],
         cwd=tree, capture_output=True, text=True, timeout=1200)
     lines = out.stdout.strip().splitlines()
@@ -108,8 +119,11 @@ def claim(b, c, higher):
     return "gain" if wins * 10 >= len(b) * 9 and beat > bq3 - bq1 else "-"
 
 
-def report(vals, workloads, metrics, rounds):
-    """Prints the per-workload tables; returns the number of worse verdicts."""
+def report(vals, workloads, metrics, rounds, judge):
+    """Prints the per-workload tables; returns the number of worse verdicts.
+
+    Without judge (the traced layer metrics) the verdict and claim columns
+    are left out."""
     worse = 0
     for w in workloads:
         fails = {s: sum(1 for v in vals[(w, s)] if v is None) for s in ("base", "change")}
@@ -120,8 +134,9 @@ def report(vals, workloads, metrics, rounds):
             print(f"  FLAG: {side} had more failed runs (base {fails['base']}, change {fails['change']})")
         if not pairs:
             continue
-        print(f"  {'metric':<16} {'base':>10} {'IQR':>21} {'change':>10} {'IQR':>21} {'Δ median':>9} "
-              f"{'wins':>6} {'bound':>6}  {'verdict':<10}  claim")
+        width = max(16, *(len(m["name"]) for m in metrics))
+        print(f"  {'metric':<{width}} {'base':>10} {'IQR':>21} {'change':>10} {'IQR':>21} {'Δ median':>9} "
+              f"{'wins':>6}" + (f" {'bound':>6}  {'verdict':<10}  claim" if judge else ""))
         for m in metrics:
             name, higher = m["name"], m["better"] == "higher"
             b = [p[0][name] for p in pairs if name in p[0] and name in p[1]]
@@ -132,11 +147,13 @@ def report(vals, workloads, metrics, rounds):
             cm, cq1, cq3 = spread(c)
             wins = won(b, c, higher)
             delta = (cm - bm) / bm * 100 if bm else float("nan")
-            v = verdict(b, c, m["bound"], higher)
-            worse += v == "worse"
-            print(f"  {name:<16} {bm:>10.4g} {f'[{bq1:.4g}, {bq3:.4g}]':>21} "
-                  f"{cm:>10.4g} {f'[{cq1:.4g}, {cq3:.4g}]':>21} {delta:>+8.1f}% {wins:>3}/{len(b)} "
-                  f"{m['bound']:>6.2f}  {v:<10}  {claim(b, c, higher)}")
+            row = (f"  {name:<{width}} {bm:>10.4g} {f'[{bq1:.4g}, {bq3:.4g}]':>21} "
+                   f"{cm:>10.4g} {f'[{cq1:.4g}, {cq3:.4g}]':>21} {delta:>+8.1f}% {wins:>3}/{len(b)}")
+            if judge:
+                v = verdict(b, c, m["bound"], higher)
+                worse += v == "worse"
+                row += f" {m['bound']:>6.2f}  {v:<10}  {claim(b, c, higher)}"
+            print(row)
     return worse
 
 
@@ -147,40 +164,52 @@ def main():
     ap.add_argument("--seconds", type=int, default=10, help="measured seconds per run")
     ap.add_argument("--seed", type=int, default=1, help="workload seed of every run")
     ap.add_argument("--workload", action="append", help="workload to run (default: BENCHMARK.json's)")
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                    help="1 compares the traced per-layer metrics, without verdicts")
+    ap.add_argument("--base-tree", help="existing checkout of the base to use instead of a worktree")
     args = ap.parse_args()
     if not os.path.isfile(os.path.join(ROOT, "BENCHMARK.json")):
         fail("run from the repository root (BENCHMARK.json must exist)")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    metrics = bench["end_to_end"]
+    metrics = bench["per_layer" if args.trace else "end_to_end"]
 
-    rev = git("rev-parse", "--verify", args.base + "^{commit}")
-    if rev.returncode != 0:
-        fail(f"unknown base commit {args.base!r}")
-    base = rev.stdout.strip()
-    git("worktree", "remove", "--force", BASE_TREE)
-    shutil.rmtree(BASE_TREE, ignore_errors=True)
-    git("worktree", "prune")
-    add = git("worktree", "add", "--detach", BASE_TREE, base)
-    if add.returncode != 0:
-        fail("git worktree add failed: " + add.stderr.strip())
+    if args.base_tree:
+        tree = os.path.abspath(args.base_tree)
+        if not os.path.isfile(os.path.join(tree, "perfbench", "run.py")):
+            fail(f"{tree} is not a checkout of the repository")
+        rev = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True, text=True)
+        base = rev.stdout.strip() or tree
+    else:
+        tree = BASE_TREE
+        rev = git("rev-parse", "--verify", args.base + "^{commit}")
+        if rev.returncode != 0:
+            fail(f"unknown base commit {args.base!r}")
+        base = rev.stdout.strip()
+        git("worktree", "remove", "--force", BASE_TREE)
+        shutil.rmtree(BASE_TREE, ignore_errors=True)
+        git("worktree", "prune")
+        add = git("worktree", "add", "--detach", BASE_TREE, base)
+        if add.returncode != 0:
+            fail("git worktree add failed: " + add.stderr.strip())
     try:
-        sides = {"base": BASE_TREE, "change": ROOT}
+        sides = {"base": tree, "change": ROOT}
         vals = {(w, s): [] for w in workloads for s in sides}
         for r in range(args.rounds):
             order = ["base", "change"] if r % 2 == 0 else ["change", "base"]
             for w in workloads:
                 for s in order:
                     print(f"round {r + 1}/{args.rounds}: {w} on {s}", file=sys.stderr)
-                    vals[(w, s)].append(run_once(sides[s], s, w, args.seed, args.seconds))
+                    vals[(w, s)].append(run_once(sides[s], s, w, args.seed, args.seconds, args.trace))
     finally:
-        git("worktree", "remove", "--force", BASE_TREE)
-        git("worktree", "prune")
+        if not args.base_tree:
+            git("worktree", "remove", "--force", BASE_TREE)
+            git("worktree", "prune")
 
     print(f"base {base[:12]} vs working tree: {args.rounds} interleaved rounds of {args.seconds} s, "
-          f"seed {args.seed}")
-    if report(vals, workloads, metrics, args.rounds):
+          f"seed {args.seed}" + (", traced" if args.trace else ""))
+    if report(vals, workloads, metrics, args.rounds, judge=not args.trace):
         sys.exit(1)
 
 
