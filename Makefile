@@ -58,8 +58,11 @@
 # run held behind a packed replay in flight: Close releases the run and
 # returns once the replay does, every future resolved.
 # `make lint` fails when `gofmt -l .` lists any file and greps for
-# engine switches that bypass the planner registry; `make ci` runs it
-# between vet and build.
+# engine switches that bypass the planner registry, and vets the tree
+# for arm64 so the pure-Go path of the packed runner's AVX2 kernels
+# (internal/planner/kernels_amd64.s) keeps compiling; `make ci` runs it
+# between vet and build. `make vet`'s asmdecl check pins the kernels'
+# frame layouts to their Go declarations.
 #
 # `make floors` runs every Test*Floor timing gate alone (one package at
 # a time, -p 1) three times over and prints each run's logged ratio or
@@ -111,6 +114,7 @@ ci: vet lint build race chaos bench
 # (internal/planner): engine dispatch must go through planner.Lookup /
 # EngineSpec so newly registered engines reach every layer. Test files
 # are exempt from the engine grep (they pin specific engines on purpose).
+# The arm64 vet builds every package without the amd64 assembly.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -126,6 +130,7 @@ lint:
 		echo 'lint: engine switch outside the planner registry — dispatch through planner.Lookup instead'; \
 		exit 1; \
 	fi
+	GOARCH=arm64 $(GO) vet ./...
 
 vet:
 	$(GO) vet ./...

@@ -85,7 +85,8 @@ func TestEdgeListEngineRegistration(t *testing.T) {
 // reject a kernel engine outside its width window with a validated
 // error (matching serve/frontdoor), never a panic from deep in the
 // stack — and still accept it at its native width. RadixPermuter.Route
-// returns the same rejection as an error.
+// and RadixPermuter.Sharded (permnet.ShardedPlanFor) return the same
+// rejection as an error.
 func TestFacadeWidthLockErrors(t *testing.T) {
 	gvv, ok := absort.EngineByName("gvv16")
 	if !ok {
@@ -103,6 +104,11 @@ func TestFacadeWidthLockErrors(t *testing.T) {
 	}
 	if _, err := absort.NewRadixPermuter(16, gvv).Route(ident); err == nil {
 		t.Fatal("NewRadixPermuter(16, gvv16).Route routed with an engine that cannot route level widths 2..8")
+	}
+	for _, w := range []int{0, 2, 8} {
+		if _, err := absort.NewRadixPermuter(16, gvv).Sharded(w); err == nil {
+			t.Fatalf("NewRadixPermuter(16, gvv16).Sharded(%d) planned shards its engine cannot route", w)
+		}
 	}
 	if _, err := absort.NewWordSorter(16, 8, gvv); err == nil {
 		t.Fatal("NewWordSorter(16, 8, gvv16) accepted an engine that cannot route level widths 2..8")

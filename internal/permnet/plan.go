@@ -63,6 +63,10 @@ type validScratch struct {
 // (RadixPermuter is immutable, so the plan is shared safely). Plans are
 // drawn from the process-wide bounded plan cache of internal/planner, so
 // permuters over the same (n, engine, k) share one program.
+//
+// Compile requires an engine that can route every level width 2..n
+// (planner.CanRoute at both ends) and panics otherwise; Route and Sharded
+// check that and return an error instead.
 func (r *RadixPermuter) Compile() *RoutePlan {
 	if p := r.plan.Load(); p != nil {
 		return p

@@ -55,9 +55,8 @@ func (r *RadixPermuter) Route(dest []int) ([]int, error) {
 		return nil, fmt.Errorf("permnet: Route with %d destinations, want %d",
 			len(dest), r.n)
 	}
-	if !planner.CanRoute(r.engine, r.n) || !planner.CanRoute(r.engine, 2) {
-		return nil, fmt.Errorf("permnet: Route: engine %v cannot route the permuter's level widths 2..%d",
-			r.engine, r.n)
+	if err := checkLevelWidths(r.engine, r.n); err != nil {
+		return nil, fmt.Errorf("permnet: Route: %w", err)
 	}
 	if r.n >= ShardedAutoThreshold {
 		sp, err := r.Sharded(0)
@@ -67,6 +66,18 @@ func (r *RadixPermuter) Route(dest []int) ([]int, error) {
 		return sp.Route(dest)
 	}
 	return r.Compile().Route(dest)
+}
+
+// checkLevelWidths reports an error unless engine can route every level
+// width 2..n of an n-input radix permuter — the precondition of lowering
+// its fused program (Compile) or a sharded plan over n-input shards.
+// Registered widths are intervals, so the two ends decide it.
+func checkLevelWidths(engine concentrator.Engine, n int) error {
+	if !planner.CanRoute(engine, n) || !planner.CanRoute(engine, 2) {
+		return fmt.Errorf("engine %v cannot route the level widths 2..%d of a %d-input permuter",
+			engine, n, n)
+	}
+	return nil
 }
 
 // RouteBatcher routes a permutation by sorting destination addresses

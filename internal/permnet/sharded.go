@@ -159,7 +159,8 @@ func crossFor(n, w int) *planner.Program {
 // count plays no role in a sharded plan — the levels it would steer are
 // exactly the ones the rank-lowered exchange replaces, and sub-windows
 // always use the paper's k = lg s default — so every k shares one entry
-// per (n, engine, w).
+// per (n, engine, w). An engine that cannot route the sub-programs'
+// level widths 2..n/w is an error.
 func ShardedPlanFor(n int, engine concentrator.Engine, w int) (*ShardedRoutePlan, error) {
 	if !core.IsPow2(n) || n < 4 {
 		return nil, fmt.Errorf("permnet: ShardedPlanFor(%d): n must be a power of two ≥ 4", n)
@@ -174,6 +175,9 @@ func ShardedPlanFor(n int, engine concentrator.Engine, w int) (*ShardedRoutePlan
 	key := planner.PlanKey{Kind: planner.KindSharded, N: n, Engine: int8(engine), Shards: w}
 	if p, ok := planner.Shared.Get(key); ok {
 		return p.(*ShardedRoutePlan), nil
+	}
+	if err := checkLevelWidths(engine, n/w); err != nil {
+		return nil, fmt.Errorf("permnet: ShardedPlanFor(%d, %d shards): %w", n, w, err)
 	}
 	// Compile outside the cache lock (see planFor); a racing duplicate is
 	// resolved LoadOrStore-style by Add.

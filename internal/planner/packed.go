@@ -32,6 +32,12 @@
 //   - A W-word group runs as W single-word blocks: the step stream
 //     replays once per lane word over that word's own plane array, so
 //     every kernel has one single-word form.
+//   - Every data movement bottoms out in four plane-run kernels
+//     (swapWords, blendIn, blendOut, blendRange), each walking runs of
+//     plane words at a fixed stride. On amd64 CPUs with AVX2 they move
+//     four plane words per instruction (kernels_amd64.s), chosen once at
+//     package init; the Go loops are the reference and run the 0–3-word
+//     tails, or everything elsewhere.
 //
 // A Packed engine performs zero steady-state heap allocations: plane
 // array, copy scratch, select-mask replay buffer, preset select masks,
@@ -608,7 +614,7 @@ func (pp *Packed) runBlockPass(sc *PackedScratch, w int, fullIdx bool, bbase int
 			xo := lo * P
 			if m := bval[xo+tp] &^ bval[xo+P+tp]; m != 0 {
 				n0, n1 := pp.posRuns(wf, wi)
-				pp.swapPos(bval[xo:xo+P], bval[xo+P:xo+2*P], m, n0, n1)
+				pp.swapPos(bval[xo:xo+P], bval[xo+P:xo+2*P], m, 1, n0, n1)
 			}
 		case OpEndsSwap:
 			// The prefix patch-up's opposite-ends stage, and every folded
@@ -617,7 +623,7 @@ func (pp *Packed) runBlockPass(sc *PackedScratch, w int, fullIdx bool, bbase int
 			n0, n1 := pp.posRuns(wf, wi)
 			for xo, yo := lo*P, (hi-1)*P; xo < yo; xo, yo = xo+P, yo-P {
 				if m := bval[xo+tp] &^ bval[yo+tp]; m != 0 {
-					pp.swapPos(bval[xo:xo+P], bval[yo:yo+P], m, n0, n1)
+					pp.swapPos(bval[xo:xo+P], bval[yo:yo+P], m, 1, n0, n1)
 				}
 			}
 		case OpFourIn:
@@ -706,7 +712,7 @@ func (pp *Packed) runBlockPass(sc *PackedScratch, w int, fullIdx bool, bbase int
 			xo, yo := lo*P, hi*P
 			if m := bval[xo+tp] &^ bval[yo+tp]; m != 0 {
 				n0, n1 := pp.posRuns(wf, wi)
-				pp.swapPos(bval[xo:xo+P], bval[yo:yo+P], m, n0, n1)
+				pp.swapPos(bval[xo:xo+P], bval[yo:yo+P], m, 1, n0, n1)
 			}
 		case OpPermute:
 			pp.permute(bval, btmp, lo, hi, pp.prog.perms[st.Aux:int(st.Aux)+s], wf, wi)
@@ -755,25 +761,49 @@ func (pp *Packed) posRuns(wf, wi int) (n0, n1 int) {
 	return n0, n1
 }
 
-// swapPos exchanges the plane runs [0, n0) and [F, F+n1) of two single
-// positions (see posRuns) on exactly the lanes in m. It stays out of
-// runBlockPass: called there, the periodic permuter's packed replay at
-// n=4096 ran ~15% faster than with the swap loops inlined into it.
-func (pp *Packed) swapPos(x, y []uint64, m uint64, n0, n1 int) {
-	swapWords(x[:n0], y, m)
+// swapPos exchanges the plane runs [0, n0) and [F, F+n1) (see posRuns)
+// of npos consecutive positions at x with those at y on exactly the lanes
+// in m. It stays out of runBlockPass: called there, the periodic
+// permuter's packed replay at n=4096 ran ~15% faster than with the swap
+// loops inlined into it.
+func (pp *Packed) swapPos(x, y []uint64, m uint64, npos, n0, n1 int) {
+	swapWords(x, y, n0, npos, pp.P, m)
 	if n1 > 0 {
-		swapWords(x[pp.F:pp.F+n1], y[pp.F:], m)
+		swapWords(x[pp.F:], y[pp.F:], n1, npos, pp.P, m)
 	}
 }
 
-// swapWords exchanges x with the first len(x) words of y on exactly the
-// lanes in m.
-func swapWords(x, y []uint64, m uint64) {
-	y = y[:len(x)]
-	for p, xv := range x {
-		t := (xv ^ y[p]) & m
-		x[p] = xv ^ t
-		y[p] ^= t
+// The plane-run kernels below — swapWords, blendIn, blendOut and
+// blendRange — are where every data-moving op spends its time. Each walks
+// npos runs of n plane words, stride words apart (blendRange: one run),
+// over runs that never overlap one another. Where the CPU has AVX2
+// (useAVX2), each first hands the leading n&^3 words of every run to its
+// assembly form in kernels_amd64.s, after an index expression has checked
+// that the last word the assembly touches lies inside every slice; the Go
+// loop, the semantic reference, does the 0–3-word tail, or everything.
+
+// useAVX2 selects the AVX2 kernels. It is fixed at package init from the
+// CPU's capability; only tests change it, to run both paths.
+var useAVX2 = cpuHasAVX2()
+
+// swapWords exchanges the run of n words at x with the one at y on
+// exactly the lanes in m, at npos positions stride words apart.
+func swapWords(x, y []uint64, n, npos, stride int, m uint64) {
+	k := 0
+	if useAVX2 && n >= 4 && npos > 0 {
+		k = n &^ 3
+		last := (npos-1)*stride + k - 1
+		_, _ = x[last], y[last]
+		swapWordsAVX2(&x[0], &y[0], k, npos, stride, m)
+	}
+	for j := 0; k < n && j < npos; j++ {
+		lo, hi := j*stride+k, j*stride+n
+		x, y := x[lo:hi], y[lo:hi]
+		for p, xv := range x {
+			t := (xv ^ y[p]) & m
+			x[p] = xv ^ t
+			y[p] ^= t
+		}
 	}
 }
 
@@ -787,22 +817,15 @@ func (pp *Packed) maskedSwap(bval []uint64, a, b, q int, m uint64, wf, wi int) {
 	if m == 0 {
 		return
 	}
-	P := pp.P
-	n0, n1 := pp.posRuns(wf, wi)
-	if n0 == P {
-		swapWords(bval[a*P:(a+q)*P], bval[b*P:], m)
-		return
-	}
-	for ai, bi := a*P, b*P; ai < (a+q)*P; ai, bi = ai+P, bi+P {
-		pp.swapPos(bval[ai:ai+P], bval[bi:bi+P], m, n0, n1)
-	}
+	npos, n0, n1 := pp.rangeRuns(q, wf, wi)
+	pp.swapPos(bval[a*pp.P:], bval[b*pp.P:], m, npos, n0, n1)
 }
 
-// quarterRuns returns how a quarter kernel walks the live planes of a
-// window with quarter size q: npos positions P words apart, each covering
-// the runs posRuns returns — or, when that is all P planes, one
-// contiguous run of q·P words (npos = 1, n1 = 0).
-func (pp *Packed) quarterRuns(q, wf, wi int) (npos, n0, n1 int) {
+// rangeRuns returns how a kernel walks the live planes of q-position
+// ranges: npos positions P words apart, each covering the runs posRuns
+// returns — or, when that is all P planes, one contiguous run of q·P
+// words (npos = 1, n1 = 0).
+func (pp *Packed) rangeRuns(q, wf, wi int) (npos, n0, n1 int) {
 	if n0, n1 = pp.posRuns(wf, wi); n0 == pp.P {
 		return 1, q * pp.P, 0
 	}
@@ -821,14 +844,13 @@ func (pp *Packed) fourIn(bval []uint64, lo, q int, m0, m2, m3 uint64, wf, wi int
 	if m0|m2|m3 == 0 {
 		return
 	}
-	P, F, qw := pp.P, pp.F, q*pp.P
-	npos, n0, n1 := pp.quarterRuns(q, wf, wi)
-	for o, end := lo*P, (lo+npos)*P; o < end; o += P {
-		blendIn(bval[o:o+n0], bval[o+qw:], bval[o+2*qw:], bval[o+3*qw:], m0, m2, m3)
-		if n1 > 0 {
-			f := o + F
-			blendIn(bval[f:f+n1], bval[f+qw:], bval[f+2*qw:], bval[f+3*qw:], m0, m2, m3)
-		}
+	P, qw := pp.P, q*pp.P
+	npos, n0, n1 := pp.rangeRuns(q, wf, wi)
+	o := lo * P
+	blendIn(bval[o:], bval[o+qw:], bval[o+2*qw:], bval[o+3*qw:], n0, npos, P, m0, m2, m3)
+	if n1 > 0 {
+		o += pp.F
+		blendIn(bval[o:], bval[o+qw:], bval[o+2*qw:], bval[o+3*qw:], n1, npos, P, m0, m2, m3)
 	}
 }
 
@@ -839,42 +861,59 @@ func (pp *Packed) fourOut(bval []uint64, lo, q int, m0, m3 uint64, wf, wi int) {
 	if m0|m3 == 0 {
 		return
 	}
-	P, F, qw := pp.P, pp.F, q*pp.P
-	npos, n0, n1 := pp.quarterRuns(q, wf, wi)
-	for o, end := lo*P, (lo+npos)*P; o < end; o += P {
-		blendOut(bval[o:o+n0], bval[o+qw:], bval[o+2*qw:], bval[o+3*qw:], m0, m3)
-		if n1 > 0 {
-			f := o + F
-			blendOut(bval[f:f+n1], bval[f+qw:], bval[f+2*qw:], bval[f+3*qw:], m0, m3)
+	P, qw := pp.P, q*pp.P
+	npos, n0, n1 := pp.rangeRuns(q, wf, wi)
+	o := lo * P
+	blendOut(bval[o:], bval[o+qw:], bval[o+2*qw:], bval[o+3*qw:], n0, npos, P, m0, m3)
+	if n1 > 0 {
+		o += pp.F
+		blendOut(bval[o:], bval[o+qw:], bval[o+2*qw:], bval[o+3*qw:], n1, npos, P, m0, m3)
+	}
+}
+
+// blendIn is fourIn's kernel: a, b, c, d are the same run of n plane
+// words in the four quarters, at npos positions stride words apart.
+func blendIn(a, b, c, d []uint64, n, npos, stride int, m0, m2, m3 uint64) {
+	k := 0
+	if useAVX2 && n >= 4 && npos > 0 {
+		k = n &^ 3
+		last := (npos-1)*stride + k - 1
+		_, _, _, _ = a[last], b[last], c[last], d[last]
+		blendInAVX2(&a[0], &b[0], &c[0], &d[0], k, npos, stride, m0, m2, m3)
+	}
+	m02 := m0 | m2
+	for j := 0; k < n && j < npos; j++ {
+		lo, hi := j*stride+k, j*stride+n
+		a, b, c, d := a[lo:hi], b[lo:hi], c[lo:hi], d[lo:hi]
+		for p, av := range a {
+			bv, cv, dv := b[p], c[p], d[p]
+			a[p] = av ^ (av^cv)&m2 ^ (av^bv)&m3
+			b[p] = bv ^ (bv^dv)&m02 ^ (bv^av)&m3
+			c[p] = cv ^ (cv^bv)&m0 ^ (cv^av)&m2
+			d[p] = dv ^ (dv^cv)&m0 ^ (dv^bv)&m2
 		}
 	}
 }
 
-// blendIn is fourIn's kernel over one run of plane words: a, b, c, d are
-// the same run in the four quarters (b, c, d at least len(a) long).
-// Kept out of line: the fish permuter at n=4096 ran ~8% faster than with
-// the loop written into fourIn's position loop.
-func blendIn(a, b, c, d []uint64, m0, m2, m3 uint64) {
-	b, c, d = b[:len(a)], c[:len(a)], d[:len(a)]
-	m02 := m0 | m2
-	for p, av := range a {
-		bv, cv, dv := b[p], c[p], d[p]
-		a[p] = av ^ (av^cv)&m2 ^ (av^bv)&m3
-		b[p] = bv ^ (bv^dv)&m02 ^ (bv^av)&m3
-		c[p] = cv ^ (cv^bv)&m0 ^ (cv^av)&m2
-		d[p] = dv ^ (dv^cv)&m0 ^ (dv^bv)&m2
+// blendOut is fourOut's kernel, walking its runs as blendIn does.
+func blendOut(a, b, c, d []uint64, n, npos, stride int, m0, m3 uint64) {
+	k := 0
+	if useAVX2 && n >= 4 && npos > 0 {
+		k = n &^ 3
+		last := (npos-1)*stride + k - 1
+		_, _, _, _ = a[last], b[last], c[last], d[last]
+		blendOutAVX2(&a[0], &b[0], &c[0], &d[0], k, npos, stride, m0, m3)
 	}
-}
-
-// blendOut is fourOut's kernel over one run of plane words.
-func blendOut(a, b, c, d []uint64, m0, m3 uint64) {
-	b, c, d = b[:len(a)], c[:len(a)], d[:len(a)]
-	for p, av := range a {
-		bv, cv, dv := b[p], c[p], d[p]
-		a[p] = av ^ (av^bv)&m3
-		b[p] = bv ^ (bv^dv)&m0 ^ (bv^cv)&m3
-		c[p] = cv ^ (cv^bv)&m0 ^ (cv^av)&m3
-		d[p] = dv ^ (dv^cv)&m0
+	for j := 0; k < n && j < npos; j++ {
+		lo, hi := j*stride+k, j*stride+n
+		a, b, c, d := a[lo:hi], b[lo:hi], c[lo:hi], d[lo:hi]
+		for p, av := range a {
+			bv, cv, dv := b[p], c[p], d[p]
+			a[p] = av ^ (av^bv)&m3
+			b[p] = bv ^ (bv^dv)&m0 ^ (bv^cv)&m3
+			c[p] = cv ^ (cv^bv)&m0 ^ (cv^av)&m3
+			d[p] = dv ^ (dv^cv)&m0
+		}
 	}
 }
 
@@ -976,6 +1015,10 @@ func blendRange(dst, src0, src1 []uint64, u int, d uint64) {
 	dst = dst[:u]
 	src0 = src0[:u]
 	src1 = src1[:u]
+	if k := u &^ 3; useAVX2 && k > 0 {
+		blendRangeAVX2(&dst[0], &src0[0], &src1[0], k, d)
+		dst, src0, src1 = dst[k:], src0[k:], src1[k:]
+	}
 	for p, a := range src0 {
 		dst[p] = a ^ ((a ^ src1[p]) & d)
 	}

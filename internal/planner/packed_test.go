@@ -138,8 +138,16 @@ func fishOrMM(b *Builder, lo, hi int32) {
 // request, on the single-tag layout and on the dest-riding layout (lg n
 // front planes retargeted by OpSetTag), so the quarter kernels run both
 // their flat pass and their bounded live-run pass, at lane counts that
-// fill, split and overflow a lane word.
+// fill, split and overflow a lane word — once per kernel path the CPU
+// can run (the Go loops, and the AVX2 kernels where present).
 func TestPackedMatchesScalarLanes(t *testing.T) {
+	for _, vec := range vectorPaths() {
+		setVector(t, vec)
+		checkPackedMatchesScalarLanes(t)
+	}
+}
+
+func checkPackedMatchesScalarLanes(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, sorter := range []struct {
 		name string
@@ -201,8 +209,8 @@ func TestPackedMatchesScalarLanes(t *testing.T) {
 						prog.Run(w)
 						for j, v := range w {
 							if origin := int(v & (1<<31 - 1)); got[l][j] != origin {
-								t.Fatalf("%s n=%d dest=%v lanes=%d: lane %d position %d holds origin %d packed, %d scalar",
-									sorter.name, n, dest, lanes, l, j, got[l][j], origin)
+								t.Fatalf("%s n=%d dest=%v lanes=%d avx2=%v: lane %d position %d holds origin %d packed, %d scalar",
+									sorter.name, n, dest, lanes, useAVX2, l, j, got[l][j], origin)
 							}
 						}
 					}
