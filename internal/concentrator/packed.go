@@ -1,17 +1,18 @@
 // SWAR lane-packed routing: evaluate up to MaxPackedLanes independent
 // tag patterns through one compiled routing plan in a single pass. The
 // bit-plane engine itself — position-major packed planes, masked-XOR
-// swaps under per-lane select masks, carry-save counters, plane-bound
-// analysis, multi-word lane groups run one lane word at a time, and the
-// two-stage transpose extraction — is the shared packed runner of internal/planner;
+// swaps under per-lane select masks, carry-save counters, multi-word
+// lane groups run one lane word at a time, and the two-stage transpose
+// extraction — is the shared packed runner of internal/planner;
 // this file contributes only the concentrator-specific surface: tag-lane
 // packing, the request-count/capacity validation, and the error messages
 // of the batch contract.
 //
-// Throughput: one packed pass costs roughly live-plane word operations
-// where the scalar plan costs 64 packet-word moves per lane word, so a
-// 64-wide batch routes ≥ 3× faster than the planned pipeline on the same
-// core (see TestPackedSpeedupFloor).
+// Throughput: one packed pass costs roughly P = 1 + lg n plane-word
+// operations per data movement where the scalar plan costs 64
+// packet-word moves per lane word, so a 64-wide batch routes ≥ 3×
+// faster than the planned pipeline on the same core (see
+// TestPackedSpeedupFloor).
 package concentrator
 
 import (

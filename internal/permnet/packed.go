@@ -2,15 +2,15 @@
 // up to MaxPackedLanes independent destination assignments evaluate
 // through one fused route plan in a single pass. The bit-plane engine —
 // lg n destination front planes whose per-level tag plane OpSetTag
-// selects, masked-XOR swaps under per-lane select masks, live-plane
-// analysis, multi-word lane groups run one lane word at a time, and the
-// two-stage transpose load/extract — is the shared packed runner of
-// internal/planner; this file contributes only the permuter-specific
-// surface: per-lane permutation validation and the error messages of the
-// batch contract; the batch policy is planner.Batch's.
+// selects, masked-XOR swaps under per-lane select masks, multi-word
+// lane groups run one lane word at a time, and the two-stage transpose
+// load/extract — is the shared packed runner of internal/planner; this
+// file contributes only the permuter-specific surface: per-lane
+// permutation validation and the error messages of the batch contract;
+// the batch policy is planner.Batch's.
 //
-// Throughput: one packed pass costs roughly live-plane word operations
-// per lane word (2 lg n − d planes at level d) where the planned path
+// Throughput: one packed pass costs roughly P = 2 lg n plane-word
+// operations per data movement and lane word where the planned path
 // pays 64 packet moves, so wide batches route ≥ 2× faster than the
 // planned-parallel pipeline (see BENCH_route.json and
 // TestPermPackedSpeedupFloor); groups wider than one word additionally

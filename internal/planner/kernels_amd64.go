@@ -25,13 +25,13 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 //go:noescape
-func blendInAVX2(a, b, c, d *uint64, n, npos, stride int, m0, m2, m3 uint64)
+func blendInAVX2(a, b, c, d *uint64, n int, m0, m2, m3 uint64)
 
 //go:noescape
-func blendOutAVX2(a, b, c, d *uint64, n, npos, stride int, m0, m3 uint64)
+func blendOutAVX2(a, b, c, d *uint64, n int, m0, m3 uint64)
 
 //go:noescape
-func swapWordsAVX2(x, y *uint64, n, npos, stride int, m uint64)
+func swapWordsAVX2(x, y *uint64, n int, m uint64)
 
 //go:noescape
 func blendRangeAVX2(dst, src0, src1 *uint64, n int, d uint64)

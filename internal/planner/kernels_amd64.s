@@ -1,11 +1,11 @@
 #include "textflag.h"
 
 // AVX2 forms of the packed runner's plane-run kernels (packed.go). Each
-// moves four plane words per instruction over n words of each of npos
-// runs stride words apart (blendRange: one run), n a positive multiple
-// of 4 and npos ≥ 1, computing its Go loop's XOR/AND expressions bit for
-// bit. A 4-word block is loaded whole before it is stored, which matches
-// the Go loop's word-at-a-time order because the runs never overlap.
+// moves four plane words per instruction over one run of n words per
+// operand, n a positive multiple of 4, computing its Go loop's XOR/AND
+// expressions bit for bit. A 4-word block is loaded whole before it is
+// stored, which matches the Go loop's word-at-a-time order because the
+// runs never overlap.
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -26,23 +26,18 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func blendInAVX2(a, b, c, d *uint64, n, npos, stride int, m0, m2, m3 uint64)
-TEXT ·blendInAVX2(SB), NOSPLIT, $0-80
+// func blendInAVX2(a, b, c, d *uint64, n int, m0, m2, m3 uint64)
+TEXT ·blendInAVX2(SB), NOSPLIT, $0-64
 	MOVQ a+0(FP), AX
 	MOVQ b+8(FP), BX
 	MOVQ c+16(FP), CX
 	MOVQ d+24(FP), DX
 	MOVQ n+32(FP), SI
-	MOVQ npos+40(FP), R8
-	MOVQ stride+48(FP), R9
-	SHLQ $3, R9
-	VPBROADCASTQ m0+56(FP), Y0
-	VPBROADCASTQ m2+64(FP), Y1
-	VPBROADCASTQ m3+72(FP), Y2
+	VPBROADCASTQ m0+40(FP), Y0
+	VPBROADCASTQ m2+48(FP), Y1
+	VPBROADCASTQ m3+56(FP), Y2
 	VPOR         Y0, Y1, Y3 // m02
-
-blendInPos:
-	XORQ DI, DI
+	XORQ         DI, DI
 
 blendInLoop:
 	VMOVDQU (AX)(DI*8), Y4 // a
@@ -85,30 +80,19 @@ blendInLoop:
 	ADDQ    $4, DI
 	CMPQ    DI, SI
 	JLT     blendInLoop
-	ADDQ    R9, AX
-	ADDQ    R9, BX
-	ADDQ    R9, CX
-	ADDQ    R9, DX
-	DECQ    R8
-	JNZ     blendInPos
 	VZEROUPPER
 	RET
 
-// func blendOutAVX2(a, b, c, d *uint64, n, npos, stride int, m0, m3 uint64)
-TEXT ·blendOutAVX2(SB), NOSPLIT, $0-72
+// func blendOutAVX2(a, b, c, d *uint64, n int, m0, m3 uint64)
+TEXT ·blendOutAVX2(SB), NOSPLIT, $0-56
 	MOVQ a+0(FP), AX
 	MOVQ b+8(FP), BX
 	MOVQ c+16(FP), CX
 	MOVQ d+24(FP), DX
 	MOVQ n+32(FP), SI
-	MOVQ npos+40(FP), R8
-	MOVQ stride+48(FP), R9
-	SHLQ $3, R9
-	VPBROADCASTQ m0+56(FP), Y0
-	VPBROADCASTQ m3+64(FP), Y2
-
-blendOutPos:
-	XORQ DI, DI
+	VPBROADCASTQ m0+40(FP), Y0
+	VPBROADCASTQ m3+48(FP), Y2
+	XORQ         DI, DI
 
 blendOutLoop:
 	VMOVDQU (AX)(DI*8), Y4 // a
@@ -149,27 +133,16 @@ blendOutLoop:
 	ADDQ    $4, DI
 	CMPQ    DI, SI
 	JLT     blendOutLoop
-	ADDQ    R9, AX
-	ADDQ    R9, BX
-	ADDQ    R9, CX
-	ADDQ    R9, DX
-	DECQ    R8
-	JNZ     blendOutPos
 	VZEROUPPER
 	RET
 
-// func swapWordsAVX2(x, y *uint64, n, npos, stride int, m uint64)
-TEXT ·swapWordsAVX2(SB), NOSPLIT, $0-48
+// func swapWordsAVX2(x, y *uint64, n int, m uint64)
+TEXT ·swapWordsAVX2(SB), NOSPLIT, $0-32
 	MOVQ x+0(FP), AX
 	MOVQ y+8(FP), BX
 	MOVQ n+16(FP), SI
-	MOVQ npos+24(FP), R8
-	MOVQ stride+32(FP), R9
-	SHLQ $3, R9
-	VPBROADCASTQ m+40(FP), Y0
-
-swapPos:
-	XORQ DI, DI
+	VPBROADCASTQ m+24(FP), Y0
+	XORQ         DI, DI
 
 swapLoop:
 	VMOVDQU (AX)(DI*8), Y4
@@ -183,10 +156,6 @@ swapLoop:
 	ADDQ    $4, DI
 	CMPQ    DI, SI
 	JLT     swapLoop
-	ADDQ    R9, AX
-	ADDQ    R9, BX
-	DECQ    R8
-	JNZ     swapPos
 	VZEROUPPER
 	RET
 

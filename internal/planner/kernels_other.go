@@ -9,10 +9,10 @@ func cpuHasAVX2() bool { return false }
 
 const noKernels = "planner: no AVX2 kernels on this architecture"
 
-func blendInAVX2(a, b, c, d *uint64, n, npos, stride int, m0, m2, m3 uint64) { panic(noKernels) }
+func blendInAVX2(a, b, c, d *uint64, n int, m0, m2, m3 uint64) { panic(noKernels) }
 
-func blendOutAVX2(a, b, c, d *uint64, n, npos, stride int, m0, m3 uint64) { panic(noKernels) }
+func blendOutAVX2(a, b, c, d *uint64, n int, m0, m3 uint64) { panic(noKernels) }
 
-func swapWordsAVX2(x, y *uint64, n, npos, stride int, m uint64) { panic(noKernels) }
+func swapWordsAVX2(x, y *uint64, n int, m uint64) { panic(noKernels) }
 
 func blendRangeAVX2(dst, src0, src1 *uint64, n int, d uint64) { panic(noKernels) }

@@ -66,33 +66,35 @@ func TestVectorPathMatchesCPU(t *testing.T) {
 // kernelCase is one kernel call over a fresh copy of a random buffer.
 type kernelCase struct {
 	name string
-	run  func(v []uint64, n, npos, stride int, m [3]uint64)
+	run  func(v []uint64, n int, m [3]uint64)
 }
 
+// Each kernel's operands are n-word runs span = n+5 words apart, so a
+// kernel that writes past its run lands on a dead word between them.
 var kernelCases = []kernelCase{
-	{"swapWords", func(v []uint64, n, npos, stride int, m [3]uint64) {
-		span := npos * stride
-		swapWords(v, v[span:], n, npos, stride, m[0])
+	{"swapWords", func(v []uint64, n int, m [3]uint64) {
+		span := n + 5
+		swapWords(v[:n], v[span:], m[0])
 	}},
-	{"blendIn", func(v []uint64, n, npos, stride int, m [3]uint64) {
-		span := npos * stride
-		blendIn(v, v[span:], v[2*span:], v[3*span:], n, npos, stride, m[0], m[1], m[2])
+	{"blendIn", func(v []uint64, n int, m [3]uint64) {
+		span := n + 5
+		blendIn(v[:n], v[span:], v[2*span:], v[3*span:], m[0], m[1], m[2])
 	}},
-	{"blendOut", func(v []uint64, n, npos, stride int, m [3]uint64) {
-		span := npos * stride
-		blendOut(v, v[span:], v[2*span:], v[3*span:], n, npos, stride, m[0], m[2])
+	{"blendOut", func(v []uint64, n int, m [3]uint64) {
+		span := n + 5
+		blendOut(v[:n], v[span:], v[2*span:], v[3*span:], m[0], m[2])
 	}},
-	{"blendRange", func(v []uint64, n, npos, stride int, m [3]uint64) {
-		span := npos * stride
-		blendRange(v, v[span:], v[2*span:], n, m[0])
+	{"blendRange", func(v []uint64, n int, m [3]uint64) {
+		span := n + 5
+		blendRange(v[:n], v[span:], v[2*span:], m[0])
 	}},
 }
 
 // TestKernelsMatchGoLoops compares each AVX2 kernel with its Go loop at
-// every run length 0..67, on one run and on three strided runs with dead
-// words between them, under random masks and under the disjoint select
-// masks fourIn/fourOut pass (m0 = ¬h1¬h2, m2 = h1¬h2, m3 = h1h2). The whole
-// buffer must match, so a kernel that writes past its runs fails too.
+// every run length 0..67, under random masks and under the disjoint
+// select masks fourIn/fourOut pass (m0 = ¬h1¬h2, m2 = h1¬h2, m3 = h1h2).
+// The whole buffer must match, so a kernel that writes past its runs
+// fails too.
 func TestKernelsMatchGoLoops(t *testing.T) {
 	if !cpuHasAVX2() {
 		t.Skip("CPU has no AVX2 kernels")
@@ -101,31 +103,28 @@ func TestKernelsMatchGoLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, kc := range kernelCases {
 		for n := 0; n <= 67; n++ {
-			for _, npos := range []int{1, 3} {
-				stride := n + 5
-				for trial := 0; trial < 4; trial++ {
-					var m [3]uint64
-					if trial%2 == 0 {
-						m = [3]uint64{rng.Uint64(), rng.Uint64(), rng.Uint64()}
-					} else {
-						h1, h2 := rng.Uint64(), rng.Uint64()
-						m = [3]uint64{^h1 &^ h2, h1 &^ h2, h1 & h2}
-					}
-					orig := make([]uint64, 4*npos*stride+3)
-					for i := range orig {
-						orig[i] = rng.Uint64()
-					}
-					want := append([]uint64(nil), orig...)
-					got := append([]uint64(nil), orig...)
-					useAVX2 = false
-					kc.run(want, n, npos, stride, m)
-					useAVX2 = true
-					kc.run(got, n, npos, stride, m)
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%s n=%d npos=%d masks %x: word %d = %x with AVX2, %x with the Go loop",
-								kc.name, n, npos, m, i, got[i], want[i])
-						}
+			for trial := 0; trial < 4; trial++ {
+				var m [3]uint64
+				if trial%2 == 0 {
+					m = [3]uint64{rng.Uint64(), rng.Uint64(), rng.Uint64()}
+				} else {
+					h1, h2 := rng.Uint64(), rng.Uint64()
+					m = [3]uint64{^h1 &^ h2, h1 &^ h2, h1 & h2}
+				}
+				orig := make([]uint64, 4*(n+5)+3)
+				for i := range orig {
+					orig[i] = rng.Uint64()
+				}
+				want := append([]uint64(nil), orig...)
+				got := append([]uint64(nil), orig...)
+				useAVX2 = false
+				kc.run(want, n, m)
+				useAVX2 = true
+				kc.run(got, n, m)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s n=%d masks %x: word %d = %x with AVX2, %x with the Go loop",
+							kc.name, n, m, i, got[i], want[i])
 					}
 				}
 			}

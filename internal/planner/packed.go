@@ -24,18 +24,19 @@
 //     adds, and preset-select programs (Beneš) read per-step lane masks
 //     flattened from the per-lane switch settings at load time
 //     (LoadSelBits) — no branches depend on tag data.
-//   - Data movements touch only the live planes of each step: front
-//     planes above the current tag plane are consumed (window-constant)
-//     and the index planes above the window's origin-interval width are
-//     broadcast constants, so swaps and copies skip the dead middle —
-//     the compile-time analysis in planeBounds.
+//   - A packet moves whole: every data movement carries all P planes of
+//     each position it moves, as a switch carries the whole packet and
+//     the scalar runner the whole packet word. The tag plane is a
+//     runner register, retargeted by OpSetTag, as the scalar runner's
+//     tag shift is.
 //   - A W-word group runs as W single-word blocks: the step stream
 //     replays once per lane word over that word's own plane array, so
 //     every kernel has one single-word form.
 //   - Every data movement bottoms out in four plane-run kernels
-//     (swapWords, blendIn, blendOut, blendRange), each walking runs of
-//     plane words at a fixed stride. On amd64 CPUs with AVX2 they move
-//     four plane words per instruction (kernels_amd64.s), chosen once at
+//     (swapWords, blendIn, blendOut, blendRange), each over one
+//     contiguous run of plane words: P words for a single position, q·P
+//     for a q-position range. On amd64 CPUs with AVX2 they move four
+//     plane words per instruction (kernels_amd64.s), chosen once at
 //     package init; the Go loops are the reference and run the 0–3-word
 //     tails, or everything elsewhere.
 //
@@ -46,7 +47,6 @@ package planner
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 
 	"absort/internal/core"
@@ -67,10 +67,10 @@ const MaxPackedWidth = 16
 const WideWords = 4
 
 // MinPackedLanes is the batch-width threshold at which packed replay
-// overtakes per-request scalar replay: a packed pass costs about
-// live-planes word operations per data movement regardless of how many
-// lanes are occupied, while the scalar program pays one packet-word move
-// per request, so the crossover sits near the live-plane count with the
+// overtakes per-request scalar replay: a packed pass costs about P plane
+// word operations per data movement regardless of how many lanes are
+// occupied, while the scalar program pays one packet-word move per
+// request, so the crossover sits near the plane count with the
 // masked-swap constant folded in. Batch paths fall back to per-request
 // replay for narrower remainders.
 const MinPackedLanes = 24
@@ -92,14 +92,12 @@ func (e *ErrNotPackable) Error() string {
 // execution draws its working state from an internal pool.
 type Packed struct {
 	prog   *Program
-	P      int     // planes per position: F front planes + I index planes
-	F      int     // front (tag-data) plane count
-	I      int     // index plane count (lg n)
-	W      int     // lane words (64 lanes each)
-	wFront []int16 // per-step live front planes (current tag plane + 1)
-	wIdx   []int16 // per-step live index planes (origin-interval width)
-	hasRec bool    // program records/replays tag-driven selects
-	hasPre bool    // program reads preset selects (OpSelSwap)
+	P      int  // planes per position: F front planes + I index planes
+	F      int  // front (tag-data) plane count
+	I      int  // index plane count (lg n)
+	W      int  // lane words (64 lanes each)
+	hasRec bool // program records/replays tag-driven selects
+	hasPre bool // program reads preset selects (OpSelSwap)
 	pool   sync.Pool
 }
 
@@ -169,7 +167,6 @@ func newPacked(p *Program, words int) *Packed {
 			pp.hasPre = true
 		}
 	}
-	pp.planeBounds()
 	P := pp.P
 	nsel := max(p.nsel, 1)
 	hasRec, hasPre := pp.hasRec, pp.hasPre
@@ -192,82 +189,6 @@ func newPacked(p *Program, words int) *Packed {
 		return sc
 	}
 	return pp
-}
-
-// planeBounds computes, per step, which planes the step's data movement
-// must touch. Two independent analyses:
-//
-// Front planes: the tag plane of a radix-permuter level d is destination
-// bit lg(n)−1−d, and once a level has routed, that bit is constant across
-// every deeper window (all packets of a window share their destination
-// prefix), so only planes [0, tagPlane] are live. The bound follows the
-// OpSetTag stream: wFront = current tag plane + 1. Single-tag programs
-// (F = 1) always carry exactly their one tag plane.
-//
-// Index planes: every step moves packets only within its window, so a
-// packet's origin index is confined to the union of the windows it has
-// passed through. Index bits above that union's common prefix are
-// broadcast constants — identical words at every position of the window —
-// and a masked swap or copy of equal words is a no-op, so those planes
-// can be skipped. The analysis tracks one origin interval per position
-// (movement preserves intervalness: each step replaces its window's
-// intervals with their union) and bounds each step at the number of index
-// bits varying over the union. The early small windows of a sorter — most
-// of its data movement — touch only a few planes, which is where the
-// packed engine's throughput margin over scalar replay comes from.
-//
-// The interval analysis assumes the index planes start as the identity
-// (position i carries index i). Composition-mode clients that preload a
-// composed permutation instead must run with RunFull, which keeps the
-// front-plane bounds (those are data-independent) but treats every index
-// plane as live.
-func (pp *Packed) planeBounds() {
-	p := pp.prog
-	n := p.layout.N
-	olo := make([]int32, n)
-	ohi := make([]int32, n)
-	for i := range olo {
-		olo[i] = int32(i)
-		ohi[i] = int32(i + 1)
-	}
-	// One bounds entry per executed step: Repeat replays widen the arrays
-	// so each pass gets its own bounds — the origin intervals keep growing
-	// across passes while the front-plane tracker re-arms per pass,
-	// matching the scalar runner's per-pass tag-register reset.
-	reps := p.Repeats()
-	pp.wFront = make([]int16, len(p.steps)*reps)
-	pp.wIdx = make([]int16, len(p.steps)*reps)
-	for r := 0; r < reps; r++ {
-		base := r * len(p.steps)
-		fl := int16(p.layout.TagPlane + 1)
-		for si, st := range p.steps {
-			if st.Op == OpSetTag {
-				fl = int16(st.Aux + 1)
-				continue // moves no data; bounds stay zero
-			}
-			var uLo, uHi int32
-			if st.Op == OpCmpPair {
-				// The pair's two positions are arbitrary, not a window:
-				// union exactly those two origin intervals.
-				a, b := st.Lo, st.Hi
-				uLo = min(olo[a], olo[b])
-				uHi = max(ohi[a], ohi[b])
-				olo[a], ohi[a] = uLo, uHi
-				olo[b], ohi[b] = uLo, uHi
-			} else {
-				uLo, uHi = olo[st.Lo], ohi[st.Lo]
-				for i := st.Lo + 1; i < st.Hi; i++ {
-					uLo = min(uLo, olo[i])
-					uHi = max(uHi, ohi[i])
-				}
-				for i := st.Lo; i < st.Hi; i++ {
-					olo[i], ohi[i] = uLo, uHi
-				}
-			}
-			pp.wFront[base+si] = fl
-			pp.wIdx[base+si] = int16(min(int32(bits.Len32(uint32(uLo^(uHi-1)))), int32(pp.I)))
-		}
-	}
 }
 
 // N returns the input width of the packed engine.
@@ -560,52 +481,34 @@ func (pp *Packed) extractSlow(out [][]int, val []uint64) {
 }
 
 // Run executes the step program over the packed plane array in sc, one
-// lane word at a time. Every movement op consults the compile-time plane
-// bounds (see planeBounds): dead front and index planes are skipped.
+// lane word at a time, Layout.Repeat passes per word. Every data
+// movement carries all P planes of the positions it moves, so the
+// result depends only on the plane array Run starts from: clients may
+// preload any front and index planes, and the word sorter's wide path
+// runs it again over the permutation its previous pass composed.
 func (pp *Packed) Run(sc *PackedScratch) {
 	for w := 0; w < pp.W; w++ {
-		pp.runBlock(sc, w, false)
+		for r, reps := 0, pp.prog.Repeats(); r < reps; r++ {
+			pp.runBlockPass(sc, w)
+		}
 	}
 }
 
-// RunFull is Run with the index-plane bounds disabled: every index plane
-// is treated as live. Composition-mode clients (the word sorter's wide
-// path) preload a composed permutation into the index planes, which
-// invalidates the identity-start assumption of the origin-interval
-// analysis; the front-plane bounds are data-independent and still apply.
-func (pp *Packed) RunFull(sc *PackedScratch) {
-	for w := 0; w < pp.W; w++ {
-		pp.runBlock(sc, w, true)
-	}
-}
-
-// runBlock replays the step stream over lane word w's plane array.
-func (pp *Packed) runBlock(sc *PackedScratch, w int, fullIdx bool) {
-	for r, reps := 0, pp.prog.Repeats(); r < reps; r++ {
-		pp.runBlockPass(sc, w, fullIdx, r*len(pp.prog.steps))
-	}
-}
-
-// runBlockPass replays the step stream once over lane word w; bbase
-// offsets into the per-executed-step plane bounds (pass r of a Repeat
-// program owns bounds [r·len(steps), (r+1)·len(steps))). The packability
-// scan behind Program.Packed guarantees every opcode has a case here, so
-// the switch needs no failure arm.
-func (pp *Packed) runBlockPass(sc *PackedScratch, w int, fullIdx bool, bbase int) {
+// runBlockPass replays the step stream once over lane word w. The tag
+// plane tp is a register of the pass: it starts at Layout.TagPlane and
+// OpSetTag retargets it, as runOnce re-arms and retargets the scalar tag
+// shift. The packability scan behind Program.Packed guarantees every
+// opcode has a case here, so the switch needs no failure arm.
+func (pp *Packed) runBlockPass(sc *PackedScratch, w int) {
 	P := pp.P
 	n := pp.prog.layout.N
 	bval := sc.Val[w*n*P : (w+1)*n*P]
 	btmp := sc.Tmp[:n*P]
 	cnt := sc.cnt
-	for si, st := range pp.prog.steps {
+	tp := pp.prog.layout.TagPlane
+	for _, st := range pp.prog.steps {
 		lo, hi := int(st.Lo), int(st.Hi)
 		s := hi - lo
-		wf := int(pp.wFront[bbase+si])
-		wi := int(pp.wIdx[bbase+si])
-		if fullIdx {
-			wi = pp.I
-		}
-		tp := wf - 1
 		switch st.Op {
 		case OpCmpSwap:
 			// Cmp-swaps are the most frequent step by far (every merge
@@ -613,17 +516,14 @@ func (pp *Packed) runBlockPass(sc *PackedScratch, w int, fullIdx bool, bbase int
 			// only for a pair some lane exchanges.
 			xo := lo * P
 			if m := bval[xo+tp] &^ bval[xo+P+tp]; m != 0 {
-				n0, n1 := pp.posRuns(wf, wi)
-				pp.swapPos(bval[xo:xo+P], bval[xo+P:xo+2*P], m, 1, n0, n1)
+				swapWords(bval[xo:xo+P], bval[xo+P:xo+2*P], m)
 			}
 		case OpEndsSwap:
 			// The prefix patch-up's opposite-ends stage, and every folded
-			// comparator stage of a balanced merging block (see foldEnds):
-			// the plane runs are fixed for the whole step.
-			n0, n1 := pp.posRuns(wf, wi)
+			// comparator stage of a balanced merging block (see foldEnds).
 			for xo, yo := lo*P, (hi-1)*P; xo < yo; xo, yo = xo+P, yo-P {
 				if m := bval[xo+tp] &^ bval[yo+tp]; m != 0 {
-					pp.swapPos(bval[xo:xo+P], bval[yo:yo+P], m, 1, n0, n1)
+					swapWords(bval[xo:xo+P], bval[yo:yo+P], m)
 				}
 			}
 		case OpFourIn:
@@ -632,14 +532,14 @@ func (pp *Packed) runBlockPass(sc *PackedScratch, w int, fullIdx bool, bbase int
 			h2 := bval[(lo+3*q)*P+tp]
 			sb := 2 * int(st.Aux)
 			sc.sel[sb], sc.sel[sb+1] = h1, h2
-			pp.fourIn(bval, lo, q, ^h1&^h2, h1&^h2, h1&h2, wf, wi)
+			pp.fourIn(bval, lo, q, ^h1&^h2, h1&^h2, h1&h2)
 		case OpFourOut:
 			q := s / 4
 			sb := 2 * int(st.Aux)
 			h1, h2 := sc.sel[sb], sc.sel[sb+1]
-			pp.fourOut(bval, lo, q, ^h1&^h2, h1&h2, wf, wi)
+			pp.fourOut(bval, lo, q, ^h1&^h2, h1&h2)
 		case OpShuffleCount, OpShuffle:
-			pp.shuffle(bval, btmp, lo, hi, wf, wi)
+			pp.shuffle(bval, btmp, lo, hi)
 			if st.Op == OpShuffle {
 				break
 			}
@@ -651,7 +551,7 @@ func (pp *Packed) runBlockPass(sc *PackedScratch, w int, fullIdx bool, bbase int
 				addCounter(cnt, bval[i*P+tp])
 			}
 		case OpUnshuffle:
-			pp.unshuffle(bval, btmp, lo, hi, wf, wi)
+			pp.unshuffle(bval, btmp, lo, hi)
 		case OpCondIn:
 			pw := core.Lg(s)
 			// Per-lane m ≥ s/2 ⇔ counter bit pw-1 or pw set (m ≤ s).
@@ -661,9 +561,9 @@ func (pp *Packed) runBlockPass(sc *PackedScratch, w int, fullIdx bool, bbase int
 			// (1 only in the m = s case), bit pw clears.
 			cnt[pw-1] = (cnt[pw-1] &^ d) | (cnt[pw] & d)
 			cnt[pw] &^= d
-			pp.maskedSwap(bval, lo, lo+s/2, s/2, d, wf, wi)
+			pp.maskedSwap(bval, lo, lo+s/2, s/2, d)
 		case OpCondOut:
-			pp.maskedSwap(bval, lo, lo+s/2, s/2, sc.sel[2*int(st.Aux)], wf, wi)
+			pp.maskedSwap(bval, lo, lo+s/2, s/2, sc.sel[2*int(st.Aux)])
 		case OpFishSplit:
 			k := int(st.Aux)
 			bs := s / k
@@ -675,8 +575,8 @@ func (pp *Packed) runBlockPass(sc *PackedScratch, w int, fullIdx bool, bbase int
 				d := btmp[(blo+half)*P+tp]
 				// Lanes in d send the upper (clean) half of the block up
 				// and the lower half down; the rest the reverse.
-				blendRange(bval[up*P:], btmp[blo*P:], btmp[(blo+half)*P:], half*P, d)
-				blendRange(bval[dn*P:], btmp[(blo+half)*P:], btmp[blo*P:], half*P, d)
+				blendRange(bval[up*P:(up+half)*P], btmp[blo*P:], btmp[(blo+half)*P:], d)
+				blendRange(bval[dn*P:(dn+half)*P], btmp[(blo+half)*P:], btmp[blo*P:], d)
 				up += half
 				dn += half
 			}
@@ -690,7 +590,7 @@ func (pp *Packed) runBlockPass(sc *PackedScratch, w int, fullIdx bool, bbase int
 			for round := 0; round < k; round++ {
 				for j := round & 1; j+1 < k; j += 2 {
 					a, b := lo+j*bs, lo+(j+1)*bs
-					pp.maskedSwap(bval, a, b, bs, bval[a*P+tp]&^bval[b*P+tp], wf, wi)
+					pp.maskedSwap(bval, a, b, bs, bval[a*P+tp]&^bval[b*P+tp])
 				}
 			}
 		case OpRank:
@@ -699,279 +599,158 @@ func (pp *Packed) runBlockPass(sc *PackedScratch, w int, fullIdx bool, bbase int
 			// lane. Only the Ranking baseline engine emits this op.
 			pp.rankLanes(bval, btmp, lo, hi, tp)
 		case OpSetTag:
-			// Tag retargeting is folded into the per-step bounds at
-			// compile time; nothing to execute.
+			tp = int(st.Aux)
 		case OpSelSwap:
 			// Preset 2×2 switch: the per-step lane mask was flattened from
 			// the per-lane settings by LoadSelBits, so the replay is the
 			// same masked-XOR swap every tag-driven op uses.
-			pp.maskedSwap(bval, lo, lo+1, 1, sc.psel[int(st.Aux)*pp.W+w], wf, wi)
+			pp.maskedSwap(bval, lo, lo+1, 1, sc.psel[int(st.Aux)*pp.W+w])
 		case OpCmpPair:
 			// Arbitrary-pair compare-exchange: lo and hi are both
 			// positions. Same masked single-position swap as OpCmpSwap.
 			xo, yo := lo*P, hi*P
 			if m := bval[xo+tp] &^ bval[yo+tp]; m != 0 {
-				n0, n1 := pp.posRuns(wf, wi)
-				pp.swapPos(bval[xo:xo+P], bval[yo:yo+P], m, 1, n0, n1)
+				swapWords(bval[xo:xo+P], bval[yo:yo+P], m)
 			}
 		case OpPermute:
-			pp.permute(bval, btmp, lo, hi, pp.prog.perms[st.Aux:int(st.Aux)+s], wf, wi)
+			pp.permute(bval, btmp, lo, hi, pp.prog.perms[st.Aux:int(st.Aux)+s])
 		}
 	}
 }
 
-// permute applies a fixed receives-from permutation to the live planes of
-// [lo,hi): position lo+j receives position lo+π[j]. Like shuffle, dead
-// planes are window-constant, so copying only live planes preserves them.
-func (pp *Packed) permute(bval, btmp []uint64, lo, hi int, pm []int32, wf, wi int) {
-	P, F := pp.P, pp.F
-	s := hi - lo
-	w1, wi := pp.posRuns(wf, wi)
-	if w1 == P {
-		copy(btmp[:s*P], bval[lo*P:hi*P])
-		for j := 0; j < s; j++ {
-			src := int(pm[j])
-			copy(bval[(lo+j)*P:(lo+j+1)*P], btmp[src*P:(src+1)*P])
-		}
-		return
-	}
-	for i := 0; i < s; i++ {
-		copyLive(btmp[i*P:], bval[(lo+i)*P:], w1, F, wi)
-	}
-	for j := 0; j < s; j++ {
-		copyLive(bval[(lo+j)*P:], btmp[int(pm[j])*P:], w1, F, wi)
-	}
-}
-
-// posRuns folds a step's plane bounds into the runs every per-position
-// kernel touches: [0, n0) — the wf leading front planes, merged with the
-// wi index planes at offset F when the front planes are all live and the
-// runs abut — and [F, F+n1). Once the live planes come within ~4
-// word-ops of P, skipping the dead middle no longer repays the second
-// run's setup, so it returns all P planes as one run (n1 = 0): moving a
-// dead plane is a no-op, so that is always correct.
-func (pp *Packed) posRuns(wf, wi int) (n0, n1 int) {
-	n0, n1 = wf, wi
-	if wf == pp.F {
-		n0, n1 = pp.F+wi, 0
-	}
-	if n0+n1+4 >= pp.P {
-		return pp.P, 0
-	}
-	return n0, n1
-}
-
-// swapPos exchanges the plane runs [0, n0) and [F, F+n1) (see posRuns)
-// of npos consecutive positions at x with those at y on exactly the lanes
-// in m. It stays out of runBlockPass: called there, the periodic
-// permuter's packed replay at n=4096 ran ~15% faster than with the swap
-// loops inlined into it.
-func (pp *Packed) swapPos(x, y []uint64, m uint64, npos, n0, n1 int) {
-	swapWords(x, y, n0, npos, pp.P, m)
-	if n1 > 0 {
-		swapWords(x[pp.F:], y[pp.F:], n1, npos, pp.P, m)
+// permute applies a fixed receives-from permutation to [lo,hi): position
+// lo+j receives position lo+π[j].
+func (pp *Packed) permute(bval, btmp []uint64, lo, hi int, pm []int32) {
+	P := pp.P
+	copy(btmp[:(hi-lo)*P], bval[lo*P:hi*P])
+	for j, src := range pm {
+		copy(bval[(lo+j)*P:(lo+j+1)*P], btmp[int(src)*P:(int(src)+1)*P])
 	}
 }
 
 // The plane-run kernels below — swapWords, blendIn, blendOut and
-// blendRange — are where every data-moving op spends its time. Each walks
-// npos runs of n plane words, stride words apart (blendRange: one run),
-// over runs that never overlap one another. Where the CPU has AVX2
-// (useAVX2), each first hands the leading n&^3 words of every run to its
-// assembly form in kernels_amd64.s, after an index expression has checked
-// that the last word the assembly touches lies inside every slice; the Go
-// loop, the semantic reference, does the 0–3-word tail, or everything.
+// blendRange — are where every data-moving op spends its time. Each
+// covers one contiguous run of plane words, as long as its first
+// operand, and its operands never overlap. The other operands are
+// resliced to that length first, so a short one panics in Go. Where the
+// CPU has AVX2 (useAVX2), each then hands the leading len&^3 words to
+// its assembly form in kernels_amd64.s; the Go loop, the semantic
+// reference, does the 0–3-word tail, or everything.
 
 // useAVX2 selects the AVX2 kernels. It is fixed at package init from the
 // CPU's capability; only tests change it, to run both paths.
 var useAVX2 = cpuHasAVX2()
 
-// swapWords exchanges the run of n words at x with the one at y on
-// exactly the lanes in m, at npos positions stride words apart.
-func swapWords(x, y []uint64, n, npos, stride int, m uint64) {
-	k := 0
-	if useAVX2 && n >= 4 && npos > 0 {
-		k = n &^ 3
-		last := (npos-1)*stride + k - 1
-		_, _ = x[last], y[last]
-		swapWordsAVX2(&x[0], &y[0], k, npos, stride, m)
+// swapWords exchanges x and y on exactly the lanes in m.
+func swapWords(x, y []uint64, m uint64) {
+	y = y[:len(x)]
+	if k := len(x) &^ 3; useAVX2 && k > 0 {
+		swapWordsAVX2(&x[0], &y[0], k, m)
+		x, y = x[k:], y[k:]
 	}
-	for j := 0; k < n && j < npos; j++ {
-		lo, hi := j*stride+k, j*stride+n
-		x, y := x[lo:hi], y[lo:hi]
-		for p, xv := range x {
-			t := (xv ^ y[p]) & m
-			x[p] = xv ^ t
-			y[p] ^= t
-		}
+	for p, xv := range x {
+		t := (xv ^ y[p]) & m
+		x[p] = xv ^ t
+		y[p] ^= t
 	}
 }
 
 // maskedSwap exchanges the q-position ranges at a and b on exactly the
 // lanes in m — three XOR passes per plane word, no branches on tag data —
-// touching only the runs of live planes posRuns returns (dead planes hold
-// broadcast constants across the step's window, so swapping them would
-// be a no-op; see planeBounds). When those runs are all P planes, the two
-// ranges are swapped as one flat contiguous pass.
-func (pp *Packed) maskedSwap(bval []uint64, a, b, q int, m uint64, wf, wi int) {
+// as one run of q·P words.
+func (pp *Packed) maskedSwap(bval []uint64, a, b, q int, m uint64) {
 	if m == 0 {
 		return
 	}
-	npos, n0, n1 := pp.rangeRuns(q, wf, wi)
-	pp.swapPos(bval[a*pp.P:], bval[b*pp.P:], m, npos, n0, n1)
-}
-
-// rangeRuns returns how a kernel walks the live planes of q-position
-// ranges: npos positions P words apart, each covering the runs posRuns
-// returns — or, when that is all P planes, one contiguous run of q·P
-// words (npos = 1, n1 = 0).
-func (pp *Packed) rangeRuns(q, wf, wi int) (npos, n0, n1 int) {
-	if n0, n1 = pp.posRuns(wf, wi); n0 == pp.P {
-		return 1, q * pp.P, 0
-	}
-	return q, n0, n1
+	P := pp.P
+	swapWords(bval[a*P:(a+q)*P], bval[b*P:(b+q)*P], m)
 }
 
 // fourIn applies the IN-SWAP quarter permutation (see swapper.INSwap) to
-// the window of quarter size q at lo in one pass over the live planes of
-// its quarters a, b, c, d. The disjoint select masks name the lanes of
-// select 0 (m0: rotate b, c, d right), 2 (m2: swap the halves) and 3 (m3:
-// swap a and b); select 1 is the identity. Each output word is a masked
-// blend of the four input words, so each quarter position costs 4 loads
-// and 4 stores per live plane, where the same permutation as masked block
-// swaps (a rotation is two) cost 10 of each (OUT-SWAP: 8).
-func (pp *Packed) fourIn(bval []uint64, lo, q int, m0, m2, m3 uint64, wf, wi int) {
+// the window of quarter size q at lo in one pass over its quarters a, b,
+// c, d. The disjoint select masks name the lanes of select 0 (m0: rotate
+// b, c, d right), 2 (m2: swap the halves) and 3 (m3: swap a and b);
+// select 1 is the identity. Each output word is a masked blend of the
+// four input words, so each quarter position costs 4 loads and 4 stores
+// per plane, where the same permutation as masked block swaps (a
+// rotation is two) cost 10 of each (OUT-SWAP: 8).
+func (pp *Packed) fourIn(bval []uint64, lo, q int, m0, m2, m3 uint64) {
 	if m0|m2|m3 == 0 {
 		return
 	}
-	P, qw := pp.P, q*pp.P
-	npos, n0, n1 := pp.rangeRuns(q, wf, wi)
-	o := lo * P
-	blendIn(bval[o:], bval[o+qw:], bval[o+2*qw:], bval[o+3*qw:], n0, npos, P, m0, m2, m3)
-	if n1 > 0 {
-		o += pp.F
-		blendIn(bval[o:], bval[o+qw:], bval[o+2*qw:], bval[o+3*qw:], n1, npos, P, m0, m2, m3)
-	}
+	qw := q * pp.P
+	o := lo * pp.P
+	blendIn(bval[o:o+qw], bval[o+qw:], bval[o+2*qw:], bval[o+3*qw:], m0, m2, m3)
 }
 
 // fourOut applies the OUT-SWAP quarter permutation (see swapper.OUTSwap)
 // the way fourIn applies IN-SWAP: select 0 (m0) rotates b, c, d right,
 // select 3 (m3) rotates a, b, c left, selects 1 and 2 are identities.
-func (pp *Packed) fourOut(bval []uint64, lo, q int, m0, m3 uint64, wf, wi int) {
+func (pp *Packed) fourOut(bval []uint64, lo, q int, m0, m3 uint64) {
 	if m0|m3 == 0 {
 		return
 	}
-	P, qw := pp.P, q*pp.P
-	npos, n0, n1 := pp.rangeRuns(q, wf, wi)
-	o := lo * P
-	blendOut(bval[o:], bval[o+qw:], bval[o+2*qw:], bval[o+3*qw:], n0, npos, P, m0, m3)
-	if n1 > 0 {
-		o += pp.F
-		blendOut(bval[o:], bval[o+qw:], bval[o+2*qw:], bval[o+3*qw:], n1, npos, P, m0, m3)
-	}
+	qw := q * pp.P
+	o := lo * pp.P
+	blendOut(bval[o:o+qw], bval[o+qw:], bval[o+2*qw:], bval[o+3*qw:], m0, m3)
 }
 
-// blendIn is fourIn's kernel: a, b, c, d are the same run of n plane
-// words in the four quarters, at npos positions stride words apart.
-func blendIn(a, b, c, d []uint64, n, npos, stride int, m0, m2, m3 uint64) {
-	k := 0
-	if useAVX2 && n >= 4 && npos > 0 {
-		k = n &^ 3
-		last := (npos-1)*stride + k - 1
-		_, _, _, _ = a[last], b[last], c[last], d[last]
-		blendInAVX2(&a[0], &b[0], &c[0], &d[0], k, npos, stride, m0, m2, m3)
+// blendIn is fourIn's kernel: a, b, c, d are the four quarters' runs.
+func blendIn(a, b, c, d []uint64, m0, m2, m3 uint64) {
+	n := len(a)
+	b, c, d = b[:n], c[:n], d[:n]
+	if k := n &^ 3; useAVX2 && k > 0 {
+		blendInAVX2(&a[0], &b[0], &c[0], &d[0], k, m0, m2, m3)
+		a, b, c, d = a[k:], b[k:], c[k:], d[k:]
 	}
 	m02 := m0 | m2
-	for j := 0; k < n && j < npos; j++ {
-		lo, hi := j*stride+k, j*stride+n
-		a, b, c, d := a[lo:hi], b[lo:hi], c[lo:hi], d[lo:hi]
-		for p, av := range a {
-			bv, cv, dv := b[p], c[p], d[p]
-			a[p] = av ^ (av^cv)&m2 ^ (av^bv)&m3
-			b[p] = bv ^ (bv^dv)&m02 ^ (bv^av)&m3
-			c[p] = cv ^ (cv^bv)&m0 ^ (cv^av)&m2
-			d[p] = dv ^ (dv^cv)&m0 ^ (dv^bv)&m2
-		}
+	for p, av := range a {
+		bv, cv, dv := b[p], c[p], d[p]
+		a[p] = av ^ (av^cv)&m2 ^ (av^bv)&m3
+		b[p] = bv ^ (bv^dv)&m02 ^ (bv^av)&m3
+		c[p] = cv ^ (cv^bv)&m0 ^ (cv^av)&m2
+		d[p] = dv ^ (dv^cv)&m0 ^ (dv^bv)&m2
 	}
 }
 
-// blendOut is fourOut's kernel, walking its runs as blendIn does.
-func blendOut(a, b, c, d []uint64, n, npos, stride int, m0, m3 uint64) {
-	k := 0
-	if useAVX2 && n >= 4 && npos > 0 {
-		k = n &^ 3
-		last := (npos-1)*stride + k - 1
-		_, _, _, _ = a[last], b[last], c[last], d[last]
-		blendOutAVX2(&a[0], &b[0], &c[0], &d[0], k, npos, stride, m0, m3)
+// blendOut is fourOut's kernel, over its quarters' runs as blendIn.
+func blendOut(a, b, c, d []uint64, m0, m3 uint64) {
+	n := len(a)
+	b, c, d = b[:n], c[:n], d[:n]
+	if k := n &^ 3; useAVX2 && k > 0 {
+		blendOutAVX2(&a[0], &b[0], &c[0], &d[0], k, m0, m3)
+		a, b, c, d = a[k:], b[k:], c[k:], d[k:]
 	}
-	for j := 0; k < n && j < npos; j++ {
-		lo, hi := j*stride+k, j*stride+n
-		a, b, c, d := a[lo:hi], b[lo:hi], c[lo:hi], d[lo:hi]
-		for p, av := range a {
-			bv, cv, dv := b[p], c[p], d[p]
-			a[p] = av ^ (av^bv)&m3
-			b[p] = bv ^ (bv^dv)&m0 ^ (bv^cv)&m3
-			c[p] = cv ^ (cv^bv)&m0 ^ (cv^av)&m3
-			d[p] = dv ^ (dv^cv)&m0
-		}
+	for p, av := range a {
+		bv, cv, dv := b[p], c[p], d[p]
+		a[p] = av ^ (av^bv)&m3
+		b[p] = bv ^ (bv^dv)&m0 ^ (bv^cv)&m3
+		c[p] = cv ^ (cv^bv)&m0 ^ (cv^av)&m3
+		d[p] = dv ^ (dv^cv)&m0
 	}
 }
 
-// shuffle perfect-shuffles the live planes of [lo,hi): position lo+i
-// goes to lo+2i, lo+h+i to lo+2i+1. Dead planes are window-constant, so
-// copying only live planes preserves them.
-func (pp *Packed) shuffle(bval, btmp []uint64, lo, hi, wf, wi int) {
-	P, F := pp.P, pp.F
-	s := hi - lo
-	h := s / 2
-	w1, wi := pp.posRuns(wf, wi)
-	if w1 == P {
-		copy(btmp[:s*P], bval[lo*P:hi*P])
-		for i := 0; i < h; i++ {
-			copy(bval[(lo+2*i)*P:(lo+2*i+1)*P], btmp[i*P:(i+1)*P])
-			copy(bval[(lo+2*i+1)*P:(lo+2*i+2)*P], btmp[(h+i)*P:(h+i+1)*P])
-		}
-		return
-	}
-	for i := 0; i < s; i++ {
-		copyLive(btmp[i*P:], bval[(lo+i)*P:], w1, F, wi)
-	}
+// shuffle perfect-shuffles [lo,hi): position lo+i goes to lo+2i, lo+h+i
+// to lo+2i+1.
+func (pp *Packed) shuffle(bval, btmp []uint64, lo, hi int) {
+	P := pp.P
+	h := (hi - lo) / 2
+	copy(btmp[:(hi-lo)*P], bval[lo*P:hi*P])
 	for i := 0; i < h; i++ {
-		copyLive(bval[(lo+2*i)*P:], btmp[i*P:], w1, F, wi)
-		copyLive(bval[(lo+2*i+1)*P:], btmp[(h+i)*P:], w1, F, wi)
+		copy(bval[(lo+2*i)*P:(lo+2*i+1)*P], btmp[i*P:(i+1)*P])
+		copy(bval[(lo+2*i+1)*P:(lo+2*i+2)*P], btmp[(h+i)*P:(h+i+1)*P])
 	}
 }
 
 // unshuffle inverts shuffle over [lo,hi): even positions gather into the
 // first half, odd into the second.
-func (pp *Packed) unshuffle(bval, btmp []uint64, lo, hi, wf, wi int) {
-	P, F := pp.P, pp.F
-	s := hi - lo
-	h := s / 2
-	w1, wi := pp.posRuns(wf, wi)
-	if w1 == P {
-		copy(btmp[:s*P], bval[lo*P:hi*P])
-		for i := 0; i < h; i++ {
-			copy(bval[(lo+i)*P:(lo+i+1)*P], btmp[2*i*P:(2*i+1)*P])
-			copy(bval[(lo+h+i)*P:(lo+h+i+1)*P], btmp[(2*i+1)*P:(2*i+2)*P])
-		}
-		return
-	}
-	for i := 0; i < s; i++ {
-		copyLive(btmp[i*P:], bval[(lo+i)*P:], w1, F, wi)
-	}
+func (pp *Packed) unshuffle(bval, btmp []uint64, lo, hi int) {
+	P := pp.P
+	h := (hi - lo) / 2
+	copy(btmp[:(hi-lo)*P], bval[lo*P:hi*P])
 	for i := 0; i < h; i++ {
-		copyLive(bval[(lo+i)*P:], btmp[2*i*P:], w1, F, wi)
-		copyLive(bval[(lo+h+i)*P:], btmp[(2*i+1)*P:], w1, F, wi)
-	}
-}
-
-// copyLive copies one position's live planes: the w1 leading planes and
-// the wi planes at offset F.
-func copyLive(dst, src []uint64, w1, F, wi int) {
-	copy(dst[:w1], src[:w1])
-	for o := F; o < F+wi; o++ {
-		dst[o] = src[o]
+		copy(bval[(lo+i)*P:(lo+i+1)*P], btmp[2*i*P:(2*i+1)*P])
+		copy(bval[(lo+h+i)*P:(lo+h+i+1)*P], btmp[(2*i+1)*P:(2*i+2)*P])
 	}
 }
 
@@ -1009,13 +788,12 @@ func copyLane(dst, src []uint64, bit uint64) {
 	}
 }
 
-// blendRange writes u plane words of dst as a per-lane select between
-// two sources: lanes in d read from src1, the rest from src0.
-func blendRange(dst, src0, src1 []uint64, u int, d uint64) {
-	dst = dst[:u]
-	src0 = src0[:u]
-	src1 = src1[:u]
-	if k := u &^ 3; useAVX2 && k > 0 {
+// blendRange writes dst as a per-lane select between two sources: lanes
+// in d read from src1, the rest from src0.
+func blendRange(dst, src0, src1 []uint64, d uint64) {
+	n := len(dst)
+	src0, src1 = src0[:n], src1[:n]
+	if k := n &^ 3; useAVX2 && k > 0 {
 		blendRangeAVX2(&dst[0], &src0[0], &src1[0], k, d)
 		dst, src0, src1 = dst[k:], src0[k:], src1[k:]
 	}

@@ -111,8 +111,8 @@ func TestPackedTmpSize(t *testing.T) {
 // radixLevels lowers a radix permuter's levels with sort as the
 // distribution sorter: level d retargets the tag to destination bit
 // lg n−1−d (scalar bit 31+lg n−1−d, packed front plane lg n−1−d) and
-// sorts every window of size n>>d — the dest-riding layout whose shrinking
-// live front drives the packed kernels' bounded live-run branch.
+// sorts every window of size n>>d — the dest-riding layout, whose tag
+// plane OpSetTag moves down one front plane per level.
 func radixLevels(b *Builder, n int, sort func(b *Builder, lo, hi int32)) {
 	lg := core.Lg(n)
 	for d := 0; d < lg; d++ {
@@ -136,10 +136,9 @@ func fishOrMM(b *Builder, lo, hi int32) {
 // TestPackedMatchesScalarLanes replays mux-merger and fish programs
 // packed and checks every lane against the scalar Program.Run of the same
 // request, on the single-tag layout and on the dest-riding layout (lg n
-// front planes retargeted by OpSetTag), so the quarter kernels run both
-// their flat pass and their bounded live-run pass, at lane counts that
-// fill, split and overflow a lane word — once per kernel path the CPU
-// can run (the Go loops, and the AVX2 kernels where present).
+// front planes retargeted by OpSetTag), at lane counts that fill, split
+// and overflow a lane word — once per kernel path the CPU can run (the
+// Go loops, and the AVX2 kernels where present).
 func TestPackedMatchesScalarLanes(t *testing.T) {
 	for _, vec := range vectorPaths() {
 		setVector(t, vec)

@@ -266,8 +266,8 @@ func (r *batchSets) Packed() (*planner.Program, error) {
 //     writes each position's destination into the front planes, leaving
 //     the index planes untouched;
 //   - one packed replay routes the destinations, composing the pass's
-//     permutation onto the index planes (pass 0 starts from the identity
-//     and keeps the plane-bound analysis; later passes run RunFull);
+//     permutation onto the index planes (pass 0 starts from the
+//     identity);
 //   - Extract reads the composed permutation back for the next pass's
 //     gather.
 //
@@ -297,11 +297,7 @@ func (s *Sorter) sortGroupWide(pp *planner.Packed, outs [][]uint64, perms [][]in
 			}
 		}
 		pp.SplitFront(sc, tags)
-		if b == 0 {
-			pp.Run(sc)
-		} else {
-			pp.RunFull(sc)
-		}
+		pp.Run(sc)
 		pp.Extract(perms, sc.Val)
 	}
 	pp.Put(sc)
