@@ -5,11 +5,11 @@
 # which also refreshes BENCH_eval.json (ns/vector for the interpreter,
 # compiled, and wide engines at n ∈ {64, 256, 1024}), BENCH_route.json
 # (ns/route for scalar, planned, and planned-parallel routing, the
-# perm-planned-parallel vs perm-packed vs perm-packed256 permuter batch
-# paths, the benes-planned compiled Beneš replay baseline and its
-# benes-packed lane-packed replay, plus ns/pattern for the
-# conc-planned-parallel, conc-packed, and conc-packed256 SWAR batch
-# concentrator paths, all at n ∈ {64, 256, 1024, 4096}), and
+# perm-planned-parallel vs perm-packed permuter batch paths, the
+# benes-planned compiled Beneš replay baseline and its benes-packed
+# lane-packed replay, plus ns/pattern for the conc-planned-parallel and
+# conc-packed SWAR batch concentrator paths, all at
+# n ∈ {64, 256, 1024, 4096}), and
 # BENCH_serve.json (ns/request for the streaming service vs the
 # planned-parallel batch pipeline at n ∈ {256, 1024, 4096}). Only the
 # Benchmark* functions write those files; the Test*Floor gates never
@@ -27,10 +27,7 @@
 # TestBenesPackedSpeedupFloor: the packed Beneš replay must hold at
 # least 3× the planned replay's per-route throughput on 64-wide batches
 # at n=4096, one worker each (see the per-core note below) — and
-# TestWidePackedThroughputFloor: 256-lane RoutePacked/ConcentratePacked
-# calls must match or beat 64-lane calls on the same 1024 items, on both
-# the permuter and the concentrator at n=256 (no regression from
-# widening) — and TestShardedSpeedupFloor:
+# TestShardedSpeedupFloor:
 # the w-way sharded hierarchical router must hold at least 2× the flat
 # planned-parallel per-route throughput on 16-wide batches at n=65536
 # (BenchmarkRouteEnginesSharded records the route-sharded columns at
@@ -43,12 +40,11 @@
 # per-pattern throughput on 64-wide batches at n=4096
 # (BenchmarkZooEngines records the network-zoo engine matrix into
 # BENCH_zoo.json). `make bench-packed` / `make bench-permpacked` /
-# `make bench-wide` / `make bench-shard` / `make bench-fault` /
-# `make bench-frontdoor` / `make bench-zoo` run just those gates plus
-# their benchmark columns, with full calibration
-# instead of the one-iteration smoke (`make bench-wide` records the
-# 64-lane perm-packed / conc-packed columns next to their 256-lane
-# counterparts). `make chaos` runs the
+# `make bench-shard` / `make bench-fault` / `make bench-frontdoor` /
+# `make bench-zoo` run just those gates plus their benchmark columns,
+# with full calibration instead of the one-iteration smoke
+# (`make bench-permpacked` runs both the permuter and the Beneš packed
+# floors next to the perm and benes columns). `make chaos` runs the
 # race-enabled fault drill: stuck-at faults wedged into a live service
 # under concurrent load, every admitted future must resolve correctly —
 # and the front door's socket-to-socket drain: pipelining clients over
@@ -99,7 +95,7 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race serve-race bench floors bench-packed bench-permpacked bench-wide bench-shard bench-fault bench-frontdoor bench-zoo bench-ab chaos clean
+.PHONY: ci vet lint build test race serve-race bench floors bench-packed bench-permpacked bench-shard bench-fault bench-frontdoor bench-zoo bench-ab chaos clean
 
 AB_BASE ?= HEAD
 AB_ROUNDS ?= 10
@@ -149,7 +145,7 @@ serve-race:
 	$(GO) test -race -run 'TestRoutingService' -count=1 .
 
 bench:
-	$(GO) test -run 'TestWideSpeedupFloor|TestRouteSpeedupFloor|TestServeThroughputFloor|TestPackedSpeedupFloor|TestPermPackedSpeedupFloor|TestBenesPackedSpeedupFloor|TestWidePackedThroughputFloor|TestShardedSpeedupFloor|TestFaultCheckerOverheadFloor|TestFrontdoorThroughputFloor|TestZooSpeedupFloor' -bench 'EvalEngines|RouteEngines|ServeThroughput|ServeFault|ZooEngines' -benchtime 1x .
+	$(GO) test -run 'TestWideSpeedupFloor|TestRouteSpeedupFloor|TestServeThroughputFloor|TestPackedSpeedupFloor|TestPermPackedSpeedupFloor|TestBenesPackedSpeedupFloor|TestShardedSpeedupFloor|TestFaultCheckerOverheadFloor|TestFrontdoorThroughputFloor|TestZooSpeedupFloor' -bench 'EvalEngines|RouteEngines|ServeThroughput|ServeFault|ZooEngines' -benchtime 1x .
 
 floors:
 	@out=$$($(GO) test -p 1 -count=3 -v -run '^Test[A-Za-z0-9]*Floor$$' . 2>&1); status=$$?; \
@@ -160,10 +156,7 @@ bench-packed:
 	$(GO) test -run 'TestPackedSpeedupFloor$$' -bench 'RouteEngines/conc' -count=1 .
 
 bench-permpacked:
-	$(GO) test -run 'TestPermPackedSpeedupFloor' -bench 'RouteEngines/(perm|benes)' -count=1 .
-
-bench-wide:
-	$(GO) test -run 'TestBenesPackedSpeedupFloor|TestWidePackedThroughputFloor' -bench 'RouteEngines/(perm-packed|benes|conc-packed)' -count=1 .
+	$(GO) test -run 'TestPermPackedSpeedupFloor|TestBenesPackedSpeedupFloor' -bench 'RouteEngines/(perm|benes)' -count=1 .
 
 bench-shard:
 	$(GO) test -run 'TestShardedSpeedupFloor' -bench 'RouteEnginesSharded' -count=1 .

@@ -122,7 +122,7 @@ func EngineNames() []string { return planner.EngineNames() }
 // is lowered through the generic comparator-network→IR path
 // (internal/cmpnet), with comparators stage-parallelized by earliest
 // fit, so the new engine immediately rides the entire compiled stack:
-// scalar and 64-lane packed replay, wide and batch pipelines, stuck-at
+// scalar and 64-lane packed replay, batch pipelines, stuck-at
 // fault injection, the serving layer's recompile-around rotation, and
 // the bench matrix. minN and maxN bound the widths the engine accepts
 // (0 = unbounded); a width-locked kernel sets both to its size. The

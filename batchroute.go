@@ -115,10 +115,9 @@ func (b *BatchPermuter) Shards() int {
 // RouteBatch routes every assignment concurrently using workers
 // goroutines (≤ 0 means GOMAXPROCS). Results preserve input order.
 // Batches at least PackedLanes wide automatically route whole lane
-// groups per plan replay through the SWAR lane-packed engine — widened
-// up to 4×PackedLanes assignments per replay when the batch keeps every
-// worker busy anyway; results are bit-for-bit identical to the
-// per-assignment path.
+// groups of PackedLanes assignments per plan replay through the SWAR
+// lane-packed engine, spread over the workers; results are bit-for-bit
+// identical to the per-assignment path.
 func (b *BatchPermuter) RouteBatch(dests [][]int, workers int) ([][]int, error) {
 	if b.sharded != nil {
 		return b.sharded.RouteBatch(dests, workers)
@@ -133,7 +132,7 @@ func (b *BatchPermuter) RouteBatchPlanned(dests [][]int, workers int) ([][]int, 
 	return b.flatPlan().RouteBatchPlanned(dests, workers)
 }
 
-// RoutePacked routes up to MaxPackedLanes destination assignments
+// RoutePacked routes up to PackedLanes destination assignments
 // through one SWAR plan replay, writing the realized permutations into
 // out (one length-n slice per assignment). It is the explicit
 // single-lane-group form of RouteBatch's packed fast path.
@@ -204,22 +203,20 @@ func (b *BatchConcentrator) ConcentrateInto(p []int, marked []bool) (int, error)
 // ConcentrateBatch routes every request pattern concurrently using
 // workers goroutines (≤ 0 means GOMAXPROCS), returning the permutations
 // and request counts in input order. Batches at least PackedLanes wide
-// automatically route whole lane groups per plan replay through the SWAR
-// lane-packed engine — widened up to 4×PackedLanes patterns per replay
-// when the batch keeps every worker busy anyway (except on
-// EngineRanking, whose stable partition gains nothing from packing);
-// results are bit-for-bit identical to the per-pattern path.
+// automatically route whole lane groups of PackedLanes patterns per plan
+// replay through the SWAR lane-packed engine, spread over the workers
+// (except on EngineRanking, whose stable partition gains nothing from
+// packing); results are bit-for-bit identical to the per-pattern path.
 func (b *BatchConcentrator) ConcentrateBatch(marked [][]bool, workers int) ([][]int, []int, error) {
 	return b.c.ConcentrateBatch(marked, workers)
 }
 
 // Packed lane-group widths of the SWAR batch engine (see
-// internal/concentrator): one plane word carries PackedLanes patterns,
-// one replay carries up to MaxPackedLanes of them (multi-word planes),
-// and groups narrower than MinPackedLanes route per-pattern.
+// internal/concentrator): one replay carries one plane word of
+// PackedLanes patterns, and groups narrower than MinPackedLanes route
+// per-pattern.
 const (
 	PackedLanes    = concentrator.PackedLanes
-	MaxPackedLanes = concentrator.MaxPackedLanes
 	MinPackedLanes = concentrator.MinPackedLanes
 )
 
@@ -241,7 +238,7 @@ type PlanCacheStats = planner.CacheStats
 // SharedPlanCacheStats snapshots the process-wide plan cache counters.
 func SharedPlanCacheStats() PlanCacheStats { return planner.Shared.Stats() }
 
-// ConcentratePacked routes up to MaxPackedLanes request patterns through
+// ConcentratePacked routes up to PackedLanes request patterns through
 // one SWAR plan replay, writing the permutations into perms and the
 // request counts into counts (all length n, one per pattern). It is the
 // explicit single-lane-group form of ConcentrateBatch's packed fast

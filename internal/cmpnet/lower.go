@@ -2,8 +2,8 @@
 // one handed in as a bare edge list — compiles to the same replayable
 // step programs the paper's adaptive engines lower to, and from there
 // rides every execution path the repository has built on the IR: scalar
-// replay, the 64-lane packed SWAR engine, multi-word wide lanes, batch
-// pipelines, stuck-at fault injection, and the serving layer.
+// replay, the 64-lane packed SWAR engine, batch pipelines, stuck-at
+// fault injection, and the serving layer.
 //
 // The lowering first folds the network's interleaved wiring connections
 // away (comparators are rewritten into the physical positions their

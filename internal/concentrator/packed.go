@@ -1,18 +1,18 @@
-// SWAR lane-packed routing: evaluate up to MaxPackedLanes independent
-// tag patterns through one compiled routing plan in a single pass. The
+// SWAR lane-packed routing: evaluate up to PackedLanes independent tag
+// patterns through one compiled routing plan in a single pass. The
 // bit-plane engine itself — position-major packed planes, masked-XOR
-// swaps under per-lane select masks, carry-save counters, multi-word
-// lane groups run one lane word at a time, and the two-stage transpose
-// extraction — is the shared packed runner of internal/planner;
+// swaps under per-lane select masks, carry-save counters, and the
+// two-stage transpose extraction — is the shared packed runner of internal/planner;
 // this file contributes only the concentrator-specific surface: tag-lane
 // packing, the request-count/capacity validation, and the error messages
 // of the batch contract.
 //
 // Throughput: one packed pass costs roughly P = 1 + lg n plane-word
 // operations per data movement where the scalar plan costs 64
-// packet-word moves per lane word, so a 64-wide batch routes ≥ 3×
-// faster than the planned pipeline on the same core (see
-// TestPackedSpeedupFloor).
+// packet-word moves, so a 64-wide batch routes ≥ 3× faster than the
+// planned pipeline on the same core (see TestPackedSpeedupFloor). A
+// batch wider than one lane word runs one replay per 64 patterns,
+// spread over the batch driver's workers.
 package concentrator
 
 import (
@@ -22,13 +22,10 @@ import (
 	"absort/internal/planner"
 )
 
-// PackedLanes is the number of request patterns one plane word carries:
-// one bit lane of every plane word per pattern.
+// PackedLanes is the number of request patterns one plane word carries —
+// one bit lane of every plane word per pattern — and so the widest group
+// one packed pass evaluates.
 const PackedLanes = planner.PackedLanes
-
-// MaxPackedLanes is the widest pattern group one packed pass evaluates:
-// MaxPackedWidth lane words of 64 patterns each.
-const MaxPackedLanes = planner.MaxPackedWidth * planner.PackedLanes
 
 // MinPackedLanes is the batch-width threshold at which the packed engine
 // overtakes per-request planned routing: a packed pass costs about
@@ -41,9 +38,9 @@ const MaxPackedLanes = planner.MaxPackedWidth * planner.PackedLanes
 // narrower remainders.
 const MinPackedLanes = planner.MinPackedLanes
 
-// ConcentratePacked routes up to MaxPackedLanes request patterns through
+// ConcentratePacked routes up to PackedLanes request patterns through
 // the concentrator's compiled plan in one SWAR pass: pattern l's tags
-// occupy bit lane l of plane word l/64. It writes, pattern by pattern,
+// occupy bit lane l of the plane words. It writes, pattern by pattern,
 // the realized permutations into perms and the request counts into
 // counts — exactly the results len(markedBatch) ConcentrateInto calls
 // would produce, at a fraction of the data movement. A malformed or
@@ -52,9 +49,9 @@ const MinPackedLanes = planner.MinPackedLanes
 // any routing starts; it never panics.
 func (c *Concentrator) ConcentratePacked(perms [][]int, counts []int, markedBatch [][]bool) error {
 	lanes := len(markedBatch)
-	if lanes == 0 || lanes > MaxPackedLanes {
+	if lanes == 0 || lanes > PackedLanes {
 		return fmt.Errorf("concentrator: ConcentratePacked: %d patterns, want 1..%d",
-			lanes, MaxPackedLanes)
+			lanes, PackedLanes)
 	}
 	if len(perms) != lanes || len(counts) != lanes {
 		return fmt.Errorf("concentrator: ConcentratePacked: %d permutations and %d counts for %d patterns",
@@ -86,9 +83,7 @@ func (c *Concentrator) concentrateGroup(plan *Plan, perms [][]int, counts []int,
 			return l, fmt.Errorf("concentrator: permutation buffer of %d for %d inputs", len(perms[l]), c.n)
 		}
 	}
-	lanes := len(markedBatch)
-	words := (lanes + PackedLanes - 1) / PackedLanes
-	eng, err := plan.prog.Packed(words)
+	eng, err := plan.prog.Packed()
 	if err != nil {
 		return -1, err
 	}
@@ -96,9 +91,9 @@ func (c *Concentrator) concentrateGroup(plan *Plan, perms [][]int, counts []int,
 	// request counts double as the capacity check, validated before any
 	// routing is spent on a poisoned batch.
 	sc := eng.Get()
-	tw := sc.Tmp[:words*c.n] // borrow copy scratch for the packed tag words
+	tw := sc.Tmp[:c.n] // borrow copy scratch for the packed tag words
 	packTags(tw, counts, markedBatch, c.n)
-	for l, r := range counts[:lanes] {
+	for l, r := range counts[:len(markedBatch)] {
 		if r > c.m {
 			eng.Put(sc)
 			return l, fmt.Errorf("concentrator: %d requests exceed capacity %d", r, c.m)
@@ -111,34 +106,27 @@ func (c *Concentrator) concentrateGroup(plan *Plan, perms [][]int, counts []int,
 	return 0, nil
 }
 
-// packTags writes the packed tag words of markedBatch into tw — word w's
-// position i at tw[w*n+i], lane l%PackedLanes of word l/PackedLanes set
-// when pattern l leaves input i unmarked — and each pattern's request
-// count into counts. It works in 64×64 bit blocks: per lane, 64
-// positions' tag bits gather into one register word (markBits), and one
-// Transpose64 turns the 64 lane words into 64 position words, so no tag
-// word is read back and rewritten once per lane.
+// packTags writes the packed tag words of up to PackedLanes patterns
+// into tw — position i at tw[i], lane l set when pattern l leaves input
+// i unmarked — and each pattern's request count into counts. It works in
+// 64×64 bit blocks: per lane, 64 positions' tag bits gather into one
+// register word (markBits), and one Transpose64 turns the 64 lane words
+// into 64 position words, so no tag word is read back and rewritten once
+// per lane.
 func packTags(tw []uint64, counts []int, markedBatch [][]bool, n int) {
 	var blk [PackedLanes]uint64
-	for w := 0; w*PackedLanes < len(markedBatch); w++ {
-		group := markedBatch[w*PackedLanes : min((w+1)*PackedLanes, len(markedBatch))]
-		cnt := counts[w*PackedLanes:]
-		row := tw[w*n : (w+1)*n]
-		for l := range group {
-			cnt[l] = 0
+	clear(counts[:len(markedBatch)])
+	for base := 0; base < n; base += 64 {
+		end := min(base+64, n)
+		valid := ^uint64(0) >> (64 - uint(end-base)) // the block's live positions
+		for l, marked := range markedBatch {
+			m := markBits(marked[base:end])
+			counts[l] += bits.OnesCount64(m)
+			blk[l] = ^m & valid
 		}
-		for base := 0; base < n; base += 64 {
-			end := min(base+64, n)
-			valid := ^uint64(0) >> (64 - uint(end-base)) // the block's live positions
-			for l, marked := range group {
-				m := markBits(marked[base:end])
-				cnt[l] += bits.OnesCount64(m)
-				blk[l] = ^m & valid
-			}
-			clear(blk[len(group):])
-			planner.Transpose64(&blk)
-			copy(row[base:end], blk[:end-base])
-		}
+		clear(blk[len(markedBatch):])
+		planner.Transpose64(&blk)
+		copy(tw[base:end], blk[:end-base])
 	}
 }
 

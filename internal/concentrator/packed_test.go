@@ -49,12 +49,12 @@ func makeBatchResults(batch, n int) ([][]int, []int) {
 }
 
 // TestRoutePackedDifferential checks the SWAR engine against the scalar
-// plan on every engine, across widths and lane counts up to two words
-// (ragged final words included): each lane's permutation must be
+// plan on every engine, across widths and lane counts up to one word
+// (ragged words included): each lane's permutation must be
 // bit-for-bit identical to the scalar route of that lane's tags.
 func TestRoutePackedDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	lanesSweep := []int{1, 2, 7, 24, 63, 64, 65, 128}
+	lanesSweep := []int{1, 2, 7, 24, 63, 64}
 	for _, cfg := range planConfigs(64) {
 		p := NewPlan(cfg.n, cfg.engine, cfg.k)
 		for _, lanes := range lanesSweep {
@@ -245,9 +245,9 @@ func TestPackedErrors(t *testing.T) {
 	if err := c.ConcentratePacked(perms, counts, nil); err == nil {
 		t.Error("ConcentratePacked accepted 0 patterns")
 	}
-	if err := c.ConcentratePacked(make([][]int, MaxPackedLanes+1), make([]int, MaxPackedLanes+1),
-		make([][]bool, MaxPackedLanes+1)); err == nil {
-		t.Error("ConcentratePacked accepted more than MaxPackedLanes patterns")
+	if err := c.ConcentratePacked(make([][]int, PackedLanes+1), make([]int, PackedLanes+1),
+		make([][]bool, PackedLanes+1)); err == nil {
+		t.Error("ConcentratePacked accepted more than PackedLanes patterns")
 	}
 	if err := c.ConcentratePacked(perms, counts[:0], [][]bool{make([]bool, n)}); err == nil {
 		t.Error("ConcentratePacked accepted a short counts slice")
@@ -337,13 +337,13 @@ func TestPackedAllocFree(t *testing.T) {
 // ConcentratePacked and cross-checks every lane against the scalar plan.
 func FuzzRoutePacked(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(3), uint8(17))
-	f.Add(int64(2), uint8(1), uint8(5), uint8(64))
+	f.Add(int64(2), uint8(1), uint8(5), uint8(63))
 	f.Add(int64(3), uint8(2), uint8(6), uint8(1))
 	f.Add(int64(4), uint8(3), uint8(4), uint8(33))
 	f.Fuzz(func(t *testing.T, seed int64, eng, lgN, lanes8 uint8) {
 		engine := Engine(eng % 4)
 		n := 1 << (lgN % 9) // 1..256
-		lanes := int(lanes8)%(2*PackedLanes) + 1
+		lanes := int(lanes8)%PackedLanes + 1
 		k := 0
 		if engine == Fish && n > 1 {
 			rngK := rand.New(rand.NewSource(seed))

@@ -92,7 +92,7 @@ func zooCases() []zooCase {
 // the source network, across the scalar planned path (one lane), the
 // planned-parallel batch pipeline (7 patterns — below the packed
 // threshold), the auto-packed SWAR batch path (64 patterns and up), and
-// multi-word ConcentratePacked groups (65, 129 and 256 patterns).
+// the same patterns through ConcentratePacked calls of up to 64.
 func TestZooDifferentialVsApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(1992))
 	for _, tc := range zooCases() {
@@ -117,9 +117,9 @@ func TestZooDifferentialVsApply(t *testing.T) {
 					}
 				}
 
-				// Batch pipelines: 7 lanes planned-parallel, 64 lanes packed;
-				// 65, 129 and 256 lanes also run as one multi-word
-				// ConcentratePacked group.
+				// Batch pipelines: 7 lanes planned-parallel, 64 lanes and up
+				// packed; every count also runs through ConcentratePacked,
+				// one call per lane word.
 				conc := New(n, n, tc.engine, 0)
 				for _, lanes := range []int{7, PackedLanes, 65, 129, 256} {
 					tagsBatch := make([]bitvec.Vector, lanes)
@@ -158,15 +158,16 @@ func TestZooDifferentialVsApply(t *testing.T) {
 						}
 					}
 					checkBatch("batch")
-					if lanes > PackedLanes {
-						for i := range perms {
-							perms[i], counts[i] = make([]int, n), -1
-						}
-						if err := conc.ConcentratePacked(perms, counts, markedBatch); err != nil {
-							t.Fatalf("ConcentratePacked(%d lanes): %v", lanes, err)
-						}
-						checkBatch("packed")
+					for i := range perms {
+						perms[i], counts[i] = make([]int, n), -1
 					}
+					for lo := 0; lo < lanes; lo += PackedLanes {
+						hi := min(lo+PackedLanes, lanes)
+						if err := conc.ConcentratePacked(perms[lo:hi], counts[lo:hi], markedBatch[lo:hi]); err != nil {
+							t.Fatalf("ConcentratePacked(lanes %d..%d): %v", lo, hi, err)
+						}
+					}
+					checkBatch("packed")
 				}
 			})
 		}

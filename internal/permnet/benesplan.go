@@ -13,7 +13,7 @@
 // settings with an allocation-free looping pass directly into per-lane
 // setting bitmaps, flattens them into per-switch lane masks
 // (planner.LoadSelBits), and replays the whole network once for up to
-// MaxPackedLanes assignments — the benes-packed engine of the route
+// PackedLanes assignments — the benes-packed engine of the route
 // benchmarks, ≥ 3× the planned replay's batch throughput (see
 // TestBenesPackedSpeedupFloor).
 package permnet
@@ -60,6 +60,7 @@ func CompileBenes(n int) (*BenesPlan, error) {
 			color: make([]int8, n),
 			dst:   make([]int32, rows*n),
 			seen:  make([]uint64, n),
+			sel:   planner.Rows[uint64](PackedLanes, bp.selWords),
 		}
 	}
 	return planner.Shared.Add(key, bp).(*BenesPlan), nil
@@ -185,7 +186,7 @@ func (bp *BenesPlan) RouteBatchPlanned(dests [][]int, workers int) ([][]int, err
 	return routeBatch(bp, nil, 0, dests, workers)
 }
 
-// RoutePacked routes up to MaxPackedLanes destination assignments
+// RoutePacked routes up to PackedLanes destination assignments
 // through the Beneš network in one SWAR replay: per lane, the looping
 // algorithm writes the switch settings straight into a pooled setting
 // bitmap (no per-subnetwork allocation), the bitmaps flatten into
@@ -207,13 +208,10 @@ func (bp *BenesPlan) routePackedAt(out [][]int, dests [][]int, base int) (int, e
 	if i, err := checkPackedGroup(bp.n, out, dests, base, bs.checkPerm); err != nil {
 		return i, err
 	}
-	lanes := len(dests)
-	words := (lanes + PackedLanes - 1) / PackedLanes
-	pp, err := bp.prog.Packed(words)
+	pp, err := bp.prog.Packed()
 	if err != nil {
 		return base, err
 	}
-	bp.growSel(bs, lanes)
 	for l, dest := range dests {
 		for i, d := range dest {
 			bs.dst[i] = int32(d)
@@ -226,7 +224,7 @@ func (bp *BenesPlan) routePackedAt(out [][]int, dests [][]int, base int) (int, e
 	}
 	sc := pp.Get()
 	pp.LoadIndexPlanes(sc.Val)
-	pp.LoadSelBits(sc, bs.sel[:lanes])
+	pp.LoadSelBits(sc, bs.sel[:len(dests)])
 	pp.Run(sc)
 	pp.Extract(out, sc.Val)
 	pp.Put(sc)
@@ -245,21 +243,7 @@ type benesScratch struct {
 	dst   []int32  // lg n rows of n: row d holds the depth-d subproblems
 	seen  []uint64 // permutation validator, epoch-stamped
 	epoch uint64
-	bits  []uint64   // flat per-lane setting bitmaps, selWords each
-	sel   [][]uint64 // lane views into bits
-}
-
-// growSel sizes a pooled scratch's setting bitmaps for at least lanes
-// lanes.
-func (bp *BenesPlan) growSel(bs *benesScratch, lanes int) {
-	if len(bs.sel) < lanes {
-		sw := bp.selWords
-		bs.bits = make([]uint64, lanes*sw)
-		bs.sel = make([][]uint64, lanes)
-		for l := range bs.sel {
-			bs.sel[l] = bs.bits[l*sw : (l+1)*sw]
-		}
-	}
+	sel   [][]uint64 // per-lane setting bitmaps, selWords each
 }
 
 // checkPerm is the allocation-free batch form of the package-level

@@ -1,20 +1,19 @@
 // SWAR lane-packed permutation routing and the batch pipeline riding it:
-// up to MaxPackedLanes independent destination assignments evaluate
+// up to PackedLanes independent destination assignments evaluate
 // through one fused route plan in a single pass. The bit-plane engine —
 // lg n destination front planes whose per-level tag plane OpSetTag
-// selects, masked-XOR swaps under per-lane select masks, multi-word
-// lane groups run one lane word at a time, and the two-stage transpose
-// load/extract — is the shared packed runner of internal/planner; this
+// selects, masked-XOR swaps under per-lane select masks, and the
+// two-stage transpose load/extract — is the shared packed runner of internal/planner; this
 // file contributes only the permuter-specific surface: per-lane
 // permutation validation and the error messages of the batch contract;
 // the batch policy is planner.Batch's.
 //
 // Throughput: one packed pass costs roughly P = 2 lg n plane-word
-// operations per data movement and lane word where the planned path
-// pays 64 packet moves, so wide batches route ≥ 2× faster than the
-// planned-parallel pipeline (see BENCH_route.json and
-// TestPermPackedSpeedupFloor); groups wider than one word additionally
-// amortize the step-decode overhead (TestWidePackedThroughputFloor).
+// operations per data movement where the planned path pays 64 packet
+// moves, so wide batches route ≥ 2× faster than the planned-parallel
+// pipeline (see BENCH_route.json and TestPermPackedSpeedupFloor). A
+// batch wider than one lane word runs one replay per 64 assignments,
+// spread over the batch driver's workers.
 package permnet
 
 import (
@@ -24,12 +23,8 @@ import (
 )
 
 // PackedLanes is the number of destination assignments one plane word
-// carries.
+// carries, and so the widest group one packed pass evaluates.
 const PackedLanes = planner.PackedLanes
-
-// MaxPackedLanes is the widest assignment group one packed pass
-// evaluates: MaxPackedWidth lane words of 64 assignments each.
-const MaxPackedLanes = planner.MaxPackedWidth * planner.PackedLanes
 
 // MinPackedLanes is the batch-width threshold at which the packed engine
 // overtakes per-request planned routing; narrower batch remainders fall
@@ -107,9 +102,9 @@ func routeBatch(plan batchPlan, prog *planner.Program, width int, dests [][]int,
 	return r.out, nil
 }
 
-// RoutePacked routes up to MaxPackedLanes destination assignments
+// RoutePacked routes up to PackedLanes destination assignments
 // through the fused plan in one SWAR pass: assignment l's destination
-// bits ride bit lane l of plane word l/64. It writes, assignment by
+// bits ride bit lane l of the plane words. It writes, assignment by
 // assignment, the realized permutations into out — exactly the results
 // len(dests) RouteInto calls would produce, at a fraction of the data
 // movement. A malformed assignment returns a validated error naming the
@@ -126,8 +121,7 @@ func (p *RoutePlan) routePackedAt(out [][]int, dests [][]int, base int) (int, er
 	if i, err := checkPackedGroup(p.n, out, dests, base, p.validate); err != nil {
 		return i, err
 	}
-	words := (len(dests) + PackedLanes - 1) / PackedLanes
-	pp, err := p.prog.Packed(words)
+	pp, err := p.prog.Packed()
 	if err != nil {
 		return base, err
 	}
@@ -141,16 +135,16 @@ func (p *RoutePlan) routePackedAt(out [][]int, dests [][]int, base int) (int, er
 
 // checkPackedGroup is the one validation contract of every plan's packed
 // group (DESIGN §13), checked in this order before anything routes: the
-// group holds 1..MaxPackedLanes assignments, one output per assignment,
+// group holds 1..PackedLanes assignments, one output per assignment,
 // and each assignment l has n destinations, an n-slot output and passes
 // valid (the permutation check). It returns the global index of the
 // offending request (base + l, or base for a group-shape error)
 // alongside the error.
 func checkPackedGroup(n int, out, dests [][]int, base int, valid func([]int) error) (int, error) {
 	lanes := len(dests)
-	if lanes == 0 || lanes > MaxPackedLanes {
+	if lanes == 0 || lanes > PackedLanes {
 		return base, fmt.Errorf("permnet: RoutePacked: %d assignments, want 1..%d",
-			lanes, MaxPackedLanes)
+			lanes, PackedLanes)
 	}
 	if len(out) != lanes {
 		return base, fmt.Errorf("permnet: RoutePacked: %d outputs for %d assignments",

@@ -71,7 +71,7 @@ func TestRoutePackedErrorContract(t *testing.T) {
 		dests [][]int
 	}{
 		{"empty group", nil, nil},
-		{"over-wide group", outs(MaxPackedLanes + 1), make([][]int, MaxPackedLanes+1)},
+		{"over-wide group", outs(PackedLanes + 1), make([][]int, PackedLanes+1)},
 		{"output count mismatch", outs(1), [][]int{ident, ident}},
 		{"short dest", outs(2), [][]int{ident, short}},
 		{"short out", [][]int{make([]int, n), make([]int, n-1)}, [][]int{ident, ident}},

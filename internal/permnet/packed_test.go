@@ -146,8 +146,8 @@ func TestRoutePackedErrors(t *testing.T) {
 	if err := plan.RoutePacked(nil, nil); err == nil {
 		t.Error("RoutePacked accepted 0 assignments")
 	}
-	if err := plan.RoutePacked(make([][]int, MaxPackedLanes+1), make([][]int, MaxPackedLanes+1)); err == nil {
-		t.Error("RoutePacked accepted more than MaxPackedLanes assignments")
+	if err := plan.RoutePacked(make([][]int, PackedLanes+1), make([][]int, PackedLanes+1)); err == nil {
+		t.Error("RoutePacked accepted more than PackedLanes assignments")
 	}
 	if err := plan.RoutePacked(good, [][]int{{0, 1, 2}}); err == nil {
 		t.Error("RoutePacked accepted a short assignment")

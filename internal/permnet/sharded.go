@@ -28,8 +28,9 @@
 // routes shard-parallel on the SWAR engine: shard s's window-local
 // destinations ride bit lane s of one packed replay of the sub-program —
 // w lanes of data-parallelism from one request, where the flat plan had
-// none. Batches pick the replay width up further: groups of g requests
-// route g·w lanes per replay through the wide multi-word runner. Below
+// none; a plan with more than 64 shards spans several replays per
+// request. Batches of narrower requests fill the lane word further:
+// groups of g requests route g·w ≤ 64 lanes per replay. Below
 // the packed break-even the plan falls back to the scalar
 // planner.ShardedProgram composition, whose per-window replays distribute
 // across workers with per-shard pooled scratch.
@@ -90,7 +91,7 @@ type ShardedRoutePlan struct {
 	cross   *planner.Program        // n-input OpRank exchange (top lg w levels)
 	sub     *RoutePlan              // flat fused plan at n/w (shared, KindPermuter)
 	sp      *planner.ShardedProgram // scalar composition of the two
-	packed  bool                    // sub-program packs and w fits a replay
+	packed  bool                    // sub-program packs
 	gbMax   int                     // requests per wide batch group (≥ 1)
 	pool    sync.Pool               // *shardScratch, w lanes (single request)
 	gpool   sync.Pool               // *shardScratch, gbMax·w lanes (batch groups)
@@ -199,20 +200,9 @@ func newShardedRoutePlan(n int, engine concentrator.Engine, w int) (*ShardedRout
 		return nil, err
 	}
 	p := &ShardedRoutePlan{n: n, m: m, w: w, engine: engine, cross: cross, sub: sub, sp: sp}
-	if _, perr := sub.prog.Packed(1); perr == nil && w <= MaxPackedLanes {
-		p.packed = true
-	}
-	p.gbMax = 1
-	if p.packed {
-		gb := MaxPackedLanes / w
-		if budget := shardGroupBudget / n; gb > budget {
-			gb = budget
-		}
-		if gb < 1 {
-			gb = 1
-		}
-		p.gbMax = gb
-	}
+	_, perr := sub.prog.Packed()
+	p.packed = perr == nil
+	p.gbMax = max(1, min(PackedLanes/w, shardGroupBudget/n))
 	p.pool.New = func() any { return newShardScratch(w, m) }
 	p.gpool.New = func() any { return newShardScratch(p.gbMax*w, m) }
 	p.vpool.New = func() any { return &validScratch{seen: make([]int32, n)} }
@@ -312,12 +302,13 @@ func (p *ShardedRoutePlan) routeScalar(out []int, dest []int) error {
 	return nil
 }
 
-// routeGroup routes g = len(dests) pre-validated assignments through one
-// packed sub-replay of g·w lanes: per request, the scalar cross exchange
-// fans packets into shard windows and the window-local destinations and
-// origins peel off into lane scratch; one LoadDestLanes/Run/Extract pass
-// then routes every window of every request at once, and the origins
-// compose the global permutations. sc must hold at least g·w lanes.
+// routeGroup routes g = len(dests) pre-validated assignments through
+// packed sub-replays of their g·w lanes: per request, the scalar cross
+// exchange fans packets into shard windows and the window-local
+// destinations and origins peel off into lane scratch; one
+// LoadDestLanes/Run/Extract pass per lane word (64 windows) then routes
+// them, and the origins compose the global permutations. sc must hold
+// at least g·w lanes.
 func (p *ShardedRoutePlan) routeGroup(out [][]int, dests [][]int, sc *shardScratch) error {
 	g := len(dests)
 	m, w := p.m, p.w
@@ -341,15 +332,17 @@ func (p *ShardedRoutePlan) routeGroup(out [][]int, dests [][]int, sc *shardScrat
 	}
 	p.cross.Put(csc)
 
-	words := (lanes + PackedLanes - 1) / PackedLanes
-	pp, err := p.sub.prog.Packed(words)
+	pp, err := p.sub.prog.Packed()
 	if err != nil {
 		return err // unreachable after the construction-time probe
 	}
 	psc := pp.Get()
-	pp.LoadDestLanes(psc.Val, sc.dests[:lanes])
-	pp.Run(psc)
-	pp.Extract(sc.out[:lanes], psc.Val)
+	for lo := 0; lo < lanes; lo += PackedLanes {
+		hi := min(lo+PackedLanes, lanes)
+		pp.LoadDestLanes(psc.Val, sc.dests[lo:hi])
+		pp.Run(psc)
+		pp.Extract(sc.out[lo:hi], psc.Val)
+	}
 	pp.Put(psc)
 
 	for r := 0; r < g; r++ {
@@ -378,7 +371,7 @@ func (p *ShardedRoutePlan) routePackedAt(out [][]int, dests [][]int, base int) (
 }
 
 // routeGroups routes pre-validated assignments in groups of up to gbMax
-// requests, one packed sub-replay per group.
+// requests, one routeGroup each.
 func (p *ShardedRoutePlan) routeGroups(out [][]int, dests [][]int) error {
 	sc := p.gpool.Get().(*shardScratch)
 	defer p.gpool.Put(sc)
@@ -391,7 +384,7 @@ func (p *ShardedRoutePlan) routeGroups(out [][]int, dests [][]int) error {
 	return nil
 }
 
-// RoutePacked routes up to MaxPackedLanes destination assignments
+// RoutePacked routes up to PackedLanes destination assignments
 // through the sharded plan on the caller's goroutine — the sharded
 // counterpart of RoutePlan.RoutePacked, used by serve's packed runs that
 // already own a worker. Groups wider than one packed replay (gbMax
@@ -417,8 +410,8 @@ func (p *ShardedRoutePlan) RoutePacked(out [][]int, dests [][]int) error {
 
 // RouteBatch routes every destination assignment through the sharded
 // plan, workers goroutines wide (≤ 0 means GOMAXPROCS). When the packed
-// sub-replay is available, requests route in groups of up to gbMax per
-// replay — g·w SWAR lanes each, the wide multi-word runner — and
+// sub-replay is available, requests route in groups of up to gbMax —
+// g·w SWAR lanes each, one replay per lane word — and
 // otherwise per request on the scalar composition. Results preserve
 // input order and match the flat plan bit-for-bit; a malformed
 // assignment fails the batch fast with err naming the earliest offending

@@ -20,8 +20,9 @@ import (
 // TestRouteShardedDifferential checks the sharded plan against the flat
 // fused plan on every engine at n ∈ {256, 1024, 4096}, across shard
 // counts on both sides of the packed break-even (w ∈ {2, 8} routes the
-// scalar composition, w ∈ {32, 64} the lane-packed sub-replay): every
-// routed permutation must be bit-for-bit identical.
+// scalar composition, w ∈ {32, 64, 128} the lane-packed sub-replay, at
+// w = 128 over two lane words per request): every routed permutation
+// must be bit-for-bit identical.
 func TestRouteShardedDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(70))
 	for _, cfg := range planEngines {
@@ -31,10 +32,13 @@ func TestRouteShardedDifferential(t *testing.T) {
 			}
 			rp := NewRadixPermuter(n, cfg.engine, cfg.k)
 			flat := rp.Compile()
-			for _, w := range []int{2, 8, 32, 64} {
+			for _, w := range []int{2, 8, 32, 64, 128} {
 				sp, err := rp.Sharded(w)
 				if err != nil {
 					t.Fatalf("%s n=%d w=%d: %v", cfg.name, n, w, err)
+				}
+				if sp.Packed() != (w >= MinPackedLanes) {
+					t.Fatalf("%s n=%d w=%d: Packed() = %v", cfg.name, n, w, sp.Packed())
 				}
 				for trial := 0; trial < 3; trial++ {
 					dest := rng.Perm(n)

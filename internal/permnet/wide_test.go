@@ -1,9 +1,9 @@
 package permnet
 
-// Tests for the multi-word wide packing: lane groups wider than one
-// 64-lane plane word, through both the fused radix plans and the
-// compiled Beneš replay, plus the zero-allocation steady-state pins for
-// the multi-word scratch.
+// Tests for packed calls of 1..64 lanes and for batches many lane words
+// wide, through both the fused radix plans and the compiled Beneš
+// replay, plus the zero-allocation steady-state pins of a full lane
+// word.
 
 import (
 	"math/rand"
@@ -14,10 +14,14 @@ import (
 	"absort/internal/race"
 )
 
-// wideLaneCounts straddles every word boundary the multi-word engine
-// cares about: one lane short of a word, exact words, one lane over,
-// and a three-word group.
-var wideLaneCounts = []int{63, 64, 65, 127, 128, 129, 192}
+// wideLaneCounts spans one packed call: a single lane, a ragged word
+// below and at the batch remainder threshold (MinPackedLanes), one lane
+// short of a word, and a full word.
+var wideLaneCounts = []int{1, 7, MinPackedLanes, 63, PackedLanes}
+
+// wideBatch is the batch-path request count of the wide differentials:
+// sixteen lane words, one packed replay each.
+const wideBatch = 1024
 
 // wideEngine is one engine configuration of the wide differential.
 type wideEngine struct {
@@ -45,10 +49,10 @@ func wideEngines(n int) []wideEngine {
 	return es
 }
 
-// TestRouteWideDifferential checks the multi-word packed permuter
-// against dest⁻¹ on every registered engine at lane counts that straddle
-// the 64-lane word boundaries: each lane's permutation must be the
-// inverse of that lane's assignment.
+// TestRouteWideDifferential checks the packed permuter against dest⁻¹
+// on every registered engine, in RoutePacked calls of 1..64 lanes and in
+// a 1024-request RouteBatch: each lane's permutation must be the inverse
+// of that lane's assignment.
 func TestRouteWideDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	for _, n := range []int{16, 64} {
@@ -72,13 +76,28 @@ func TestRouteWideDifferential(t *testing.T) {
 					}
 				}
 			}
+			dests := make([][]int, wideBatch)
+			for i := range dests {
+				dests[i] = rng.Perm(n)
+			}
+			got, err := plan.RouteBatch(dests, 2)
+			if err != nil {
+				t.Fatalf("%s n=%d batch: %v", cfg.name, n, err)
+			}
+			for i, dest := range dests {
+				if want := inverse(dest); !permEqual(got[i], want) {
+					t.Fatalf("%s n=%d batch request %d: packed %v, dest⁻¹ %v",
+						cfg.name, n, i, got[i], want)
+				}
+			}
 		}
 	}
 }
 
 // TestBenesPackedDifferential checks the packed Beneš replay — looping
 // and select-mask flattening fused into routeBenesBits — against the
-// per-request RouteInto across the word-boundary lane counts.
+// per-request RouteInto in calls of 1..64 lanes and in a 1024-request
+// RouteBatch.
 func TestBenesPackedDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, n := range []int{2, 16, 64} {
@@ -107,12 +126,29 @@ func TestBenesPackedDifferential(t *testing.T) {
 				}
 			}
 		}
+		dests := make([][]int, wideBatch)
+		for i := range dests {
+			dests[i] = rng.Perm(n)
+		}
+		got, err := bp.RouteBatch(dests, 2)
+		if err != nil {
+			t.Fatalf("n=%d batch: %v", n, err)
+		}
+		want := make([]int, n)
+		for i, dest := range dests {
+			if err := bp.RouteInto(want, dest); err != nil {
+				t.Fatal(err)
+			}
+			if !permEqual(got[i], want) {
+				t.Fatalf("n=%d batch request %d: packed %v, planned %v", n, i, got[i], want)
+			}
+		}
 	}
 }
 
-// TestRoutePackedWidths routes one batch in RoutePacked calls of 64,
-// 128, 256 and 1024 lanes (the last call of each width ragged) through
-// both the fused radix plan and the Beneš replay: every width must route
+// TestRoutePackedWidths routes one batch in RoutePacked calls of 1, 7,
+// 24, 63 and 64 lanes (the last call of each width ragged) through both
+// the fused radix plan and the Beneš replay: every width must route
 // bit-for-bit identically to the planned pipeline.
 func TestRoutePackedWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
@@ -123,7 +159,7 @@ func TestRoutePackedWidths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := 1100 // ragged at every width: 1100 = 17×64 + 12 = 4×256 + 76 = 1024 + 76
+	batch := 1100 // ragged at every width above 1: 1100 = 17×64 + 12
 	dests := make([][]int, batch)
 	for i := range dests {
 		dests[i] = rng.Perm(n)
@@ -136,7 +172,7 @@ func TestRoutePackedWidths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, width := range []int{64, 128, 256, MaxPackedLanes} {
+	for _, width := range wideLaneCounts {
 		got := planner.Rows[int](batch, n)
 		gotBenes := planner.Rows[int](batch, n)
 		for lo := 0; lo < batch; lo += width {
@@ -185,8 +221,8 @@ func TestBenesPackedErrors(t *testing.T) {
 	if err := bp.RoutePacked(nil, nil); err == nil {
 		t.Error("RoutePacked accepted zero assignments")
 	}
-	if out, dests := mk(MaxPackedLanes + 1); bp.RoutePacked(out, dests) == nil {
-		t.Error("RoutePacked accepted more than MaxPackedLanes assignments")
+	if out, dests := mk(PackedLanes + 1); bp.RoutePacked(out, dests) == nil {
+		t.Error("RoutePacked accepted more than PackedLanes assignments")
 	}
 	out, dests := mk(2)
 	if err := bp.RoutePacked(out[:1], dests); err == nil {
@@ -204,16 +240,16 @@ func TestBenesPackedErrors(t *testing.T) {
 }
 
 // TestWidePackedAllocFree pins the zero steady-state heap allocation
-// guarantee for multi-word lane groups: a 192-lane (three plane words)
-// packed route must not allocate once the scratch pools are warm, on
-// both the fused radix plan and the Beneš replay.
+// guarantee for a full lane word: a 64-lane packed route must not
+// allocate once the scratch pools are warm, on both the fused radix plan
+// and the Beneš replay.
 func TestWidePackedAllocFree(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation pin skipped under the race detector: sync.Pool drops a fraction of Puts when instrumented")
 	}
 	rng := rand.New(rand.NewSource(63))
 	n := 256
-	lanes := 3 * PackedLanes
+	lanes := PackedLanes
 	plan := NewRadixPermuter(n, concentrator.Fish, 0).Compile()
 	bp, err := CompileBenes(n)
 	if err != nil {

@@ -68,10 +68,10 @@ func (b *Batch) packing(n int, rq Requests) (width, minLanes int, err error) {
 	if prog == nil {
 		return 0, 0, nil
 	}
-	if _, err := prog.Packed(1); err != nil {
+	if _, err := prog.Packed(); err != nil {
 		return 0, 0, nil
 	}
-	return autoWideLanes(n, b.Workers), MinPackedLanes, nil
+	return PackedLanes, MinPackedLanes, nil
 }
 
 // Run routes requests 0..n-1 of rq: lane groups through Group and the
@@ -195,26 +195,6 @@ func runBatch(n, workers, grain int, fn func(i int) bool) {
 		}()
 	}
 	wg.Wait()
-}
-
-// autoWideLanes picks the lane-group width (a multiple of PackedLanes)
-// of a packed batch: groups widen toward WideWords×64 lanes only while
-// the batch still splits into at least two groups per worker, so wide
-// multi-word replay never starves the worker pool that parallel batch
-// execution depends on. workers ≤ 0 means GOMAXPROCS.
-func autoWideLanes(batch, workers int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	words := (batch + PackedLanes - 1) / PackedLanes
-	w := words / (2 * workers)
-	if w < 1 {
-		w = 1
-	}
-	if w > WideWords {
-		w = WideWords
-	}
-	return w * PackedLanes
 }
 
 // batchErr records the earliest failing request of a batch.

@@ -19,11 +19,11 @@ func testPrograms(t *testing.T) (packable, notPackable *Program) {
 	var nb Builder
 	nb.Emit(Op(255), 0, 4, 0)
 	notPackable = nb.Compile(layout)
-	if _, err := packable.Packed(1); err != nil {
+	if _, err := packable.Packed(); err != nil {
 		t.Fatal(err)
 	}
 	var np *ErrNotPackable
-	if _, err := notPackable.Packed(1); !errors.As(err, &np) {
+	if _, err := notPackable.Packed(); !errors.As(err, &np) {
 		t.Fatalf("Packed on an unknown opcode = %v, want *ErrNotPackable", err)
 	}
 	return packable, notPackable
@@ -73,9 +73,9 @@ func (tr *batchTrace) Packed() (*Program, error) {
 }
 
 // TestBatchPackingDecisions pins the batch driver's packing decision at
-// every threshold: batches enter packing at 64 requests, groups widen to
-// 128 or 256 lanes only while every worker keeps two groups, a remainder
-// packs from 24 requests up (so 87 routes its last 23 one by one and 88
+// every threshold: batches enter packing at 64 requests, every group is
+// one 64-lane word whatever the worker count, a remainder packs from 24
+// requests up (so 87 routes its last 23 one by one and 88
 // packs its last 24, while a 24..63-request batch never packs), and
 // engines marked packed-unprofitable or programs without a packed form
 // route every request through One.
@@ -92,8 +92,8 @@ func TestBatchPackingDecisions(t *testing.T) {
 		{65, [3]int{64, 64, 64}},
 		{87, [3]int{64, 64, 64}},
 		{88, [3]int{64, 64, 64}},
-		{257, [3]int{128, 64, 64}},
-		{1024, [3]int{256, 256, 64}},
+		{257, [3]int{64, 64, 64}},
+		{1024, [3]int{64, 64, 64}},
 	}
 	for _, mode := range []string{"packable", "unprofitable", "not-packable"} {
 		for _, tc := range table {

@@ -1,21 +1,19 @@
-// SWAR lane-packed execution of routing-plan programs: W×64 independent
-// request patterns replay one compiled program, one uint64 bit lane per
-// pattern — the shared engine behind the concentrator's
+// SWAR lane-packed execution of routing-plan programs: up to 64
+// independent request patterns replay one compiled program, one uint64
+// bit lane per pattern — the shared engine behind the concentrator's
 // ConcentratePacked, the radix permuter's packed RouteBatch path, the
 // compiled Beneš replay's packed settings playback, and the word
 // sorter's end-to-end packed wide path.
 //
-//   - The working state is word-major, then position-major bit-plane
-//     packed: lane word w owns its own n × P plane array, and within it
-//     each of the n network positions owns P = F + I consecutive plane
-//     words, so plane b of position i in word w is
-//     val[(w·n + i)·P + b]. The F front planes carry tag data (one plane
+//   - The working state is position-major bit-plane packed: each of the
+//     n network positions owns P = F + I consecutive plane words, so
+//     plane b of position i is val[i·P + b]. The F front planes carry tag data (one plane
 //     of request tags for concentrator programs; the lg n
 //     destination-address bits for the fused radix permuter, whose
 //     per-level tag is just one of those planes, selected by OpSetTag).
 //     The I = lg n index planes carry the bits of the packet's origin
-//     index riding through the switches. Bit l of word w's planes
-//     belongs to request lane 64w + l.
+//     index riding through the switches. Bit l of every plane word
+//     belongs to request lane l.
 //   - Every select decision becomes a per-lane mask word: a compare-swap
 //     moves exactly the lanes whose tags order as (1, 0), a four-way
 //     swapper blends its four quarters in one pass under the three
@@ -29,9 +27,9 @@
 //     the scalar runner the whole packet word. The tag plane is a
 //     runner register, retargeted by OpSetTag, as the scalar runner's
 //     tag shift is.
-//   - A W-word group runs as W single-word blocks: the step stream
-//     replays once per lane word over that word's own plane array, so
-//     every kernel has one single-word form.
+//   - A replay carries one lane word: its 64 lanes are the whole of its
+//     parallelism. Wider batches run more replays, which the batch
+//     driver (Batch.Run) spreads over its workers.
 //   - Every data movement bottoms out in four plane-run kernels
 //     (swapWords, blendIn, blendOut, blendRange), each over one
 //     contiguous run of plane words: P words for a single position, q·P
@@ -56,16 +54,6 @@ import (
 // one bit lane of every plane word per pattern.
 const PackedLanes = 64
 
-// MaxPackedWidth is the largest lane-word count a packed engine
-// evaluates per pass: Packed(words) accepts 1..MaxPackedWidth, i.e. up
-// to MaxPackedWidth×64 lanes.
-const MaxPackedWidth = 16
-
-// WideWords is the auto-switch policy cap on lane words per group:
-// batch paths widen groups up to WideWords×64 lanes when the batch has
-// enough groups left to keep every worker busy (see AutoWideLanes).
-const WideWords = 4
-
 // MinPackedLanes is the batch-width threshold at which packed replay
 // overtakes per-request scalar replay: a packed pass costs about P plane
 // word operations per data movement regardless of how many lanes are
@@ -87,7 +75,7 @@ func (e *ErrNotPackable) Error() string {
 	return fmt.Sprintf("planner: program not packable: op %d has no packed form", e.Op)
 }
 
-// Packed is the W×64-lane SWAR evaluation engine of a compiled Program.
+// Packed is the 64-lane SWAR evaluation engine of a compiled Program.
 // It is immutable after construction and safe for concurrent use: every
 // execution draws its working state from an internal pool.
 type Packed struct {
@@ -95,43 +83,35 @@ type Packed struct {
 	P      int  // planes per position: F front planes + I index planes
 	F      int  // front (tag-data) plane count
 	I      int  // index plane count (lg n)
-	W      int  // lane words (64 lanes each)
 	hasRec bool // program records/replays tag-driven selects
 	hasPre bool // program reads preset selects (OpSelSwap)
 	pool   sync.Pool
 }
 
 // PackedScratch is the per-execution state of a Packed engine. Val holds
-// the W × n × P word-major plane words; Tmp is copy scratch of
-// max(n·max(P, W), 2F+2) words that clients may borrow between Get and
-// Put (e.g. to stage W·n packed tag words).
+// the n × P position-major plane words; Tmp is copy scratch of
+// max(n·P, 2F+2) words that clients may borrow between Get and Put
+// (e.g. to stage n packed tag words).
 type PackedScratch struct {
 	Val  []uint64
 	Tmp  []uint64
 	sel  []uint64 // select-mask record/replay buffer, 2 words per slot
-	psel []uint64 // preset select lane masks, W words per slot
+	psel []uint64 // preset select lane masks, one word per slot
 	cnt  []uint64 // bit-sliced per-lane ones counters, one word per bit
 }
 
-// Packed returns the program's words×64-lane SWAR engine, building it on
-// first use and caching it per width (Programs are immutable, so engines
-// are shared safely). It returns a typed *ErrNotPackable — never a
-// panic — when the step stream contains an operation without a packed
-// form, and a validation error for widths outside 1..MaxPackedWidth;
-// callers fall back to planned per-request replay on error.
-func (p *Program) Packed(words int) (*Packed, error) {
-	if words < 1 || words > MaxPackedWidth {
-		return nil, fmt.Errorf("planner: Packed: width %d words, want 1..%d",
-			words, MaxPackedWidth)
-	}
-	if pp, ok := p.packed.Load(words); ok {
-		return pp.(*Packed), nil
-	}
-	if err := p.packable(); err != nil {
-		return nil, err
-	}
-	pp, _ := p.packed.LoadOrStore(words, newPacked(p, words))
-	return pp.(*Packed), nil
+// Packed returns the program's 64-lane SWAR engine, building it on first
+// use and caching it (Programs are immutable, so the engine is shared
+// safely). It returns a typed *ErrNotPackable — never a panic — when the
+// step stream contains an operation without a packed form; callers fall
+// back to planned per-request replay on error.
+func (p *Program) Packed() (*Packed, error) {
+	p.packOnce.Do(func() {
+		if p.packErr = p.packable(); p.packErr == nil {
+			p.packed = newPacked(p)
+		}
+	})
+	return p.packed, p.packErr
 }
 
 // packable is the compile-time packability scan: every operation of the
@@ -152,13 +132,12 @@ func (p *Program) packable() error {
 	return nil
 }
 
-// newPacked builds the packed engine of a compiled program at the given
-// lane-word width.
-func newPacked(p *Program, words int) *Packed {
+// newPacked builds the packed engine of a compiled program.
+func newPacked(p *Program) *Packed {
 	n := p.layout.N
 	F := p.layout.FrontPlanes
 	I := core.Lg(n)
-	pp := &Packed{prog: p, P: F + I, F: F, I: I, W: words}
+	pp := &Packed{prog: p, P: F + I, F: F, I: I}
 	for _, st := range p.steps {
 		switch st.Op {
 		case OpFourIn, OpFourOut, OpCondIn, OpCondOut:
@@ -171,12 +150,12 @@ func newPacked(p *Program, words int) *Packed {
 	nsel := max(p.nsel, 1)
 	hasRec, hasPre := pp.hasRec, pp.hasPre
 	// Copy scratch serves three borrowers, one at a time: a replay's
-	// shuffle copies one lane word's block (n·P), the concentrator stages
-	// W·n packed tag words, and SplitFront's two counters take 2F+2.
-	tmp := max(n*max(P, words), 2*F+2)
+	// shuffle copies the plane array (n·P), the concentrator stages n
+	// packed tag words, and SplitFront's two counters take 2F+2.
+	tmp := max(n*P, 2*F+2)
 	pp.pool.New = func() any {
 		sc := &PackedScratch{
-			Val: make([]uint64, n*P*words),
+			Val: make([]uint64, n*P),
 			Tmp: make([]uint64, tmp),
 			cnt: make([]uint64, I+2),
 		}
@@ -184,7 +163,7 @@ func newPacked(p *Program, words int) *Packed {
 			sc.sel = make([]uint64, 2*nsel)
 		}
 		if hasPre {
-			sc.psel = make([]uint64, nsel*words)
+			sc.psel = make([]uint64, nsel)
 		}
 		return sc
 	}
@@ -194,9 +173,6 @@ func newPacked(p *Program, words int) *Packed {
 // N returns the input width of the packed engine.
 func (pp *Packed) N() int { return pp.prog.layout.N }
 
-// Words returns the lane-word width W of the engine.
-func (pp *Packed) Words() int { return pp.W }
-
 // Program returns the scalar program the packed engine replays.
 func (pp *Packed) Program() *Program { return pp.prog }
 
@@ -205,19 +181,12 @@ func (pp *Packed) Get() *PackedScratch   { return pp.pool.Get().(*PackedScratch)
 func (pp *Packed) Put(sc *PackedScratch) { pp.pool.Put(sc) }
 
 // LoadTagWords initializes the plane array for a single-tag program
-// (F = 1): position i starts with the packed tag lanes of word w —
-// tags[w*n+i], word-major — in plane 0 and the lane-broadcast bits of
-// index i in the index planes. Lane words beyond len(tags)/n are zeroed.
+// (F = 1): position i starts with the packed tag lanes tags[i] in plane 0
+// and the lane-broadcast bits of index i in the index planes.
 func (pp *Packed) LoadTagWords(val, tags []uint64) {
 	P := pp.P
-	n := pp.prog.layout.N
-	tw := len(tags) / n
-	for r := 0; r < pp.W*n; r++ {
-		t := uint64(0)
-		if r < tw*n {
-			t = tags[r]
-		}
-		val[r*P] = t
+	for i, t := range tags[:pp.prog.layout.N] {
+		val[i*P] = t
 	}
 	pp.loadIndexBroadcast(val)
 }
@@ -229,21 +198,19 @@ func (pp *Packed) LoadTagWords(val, tags []uint64) {
 // decisions through LoadSelBits or per-pass front-plane writes.
 func (pp *Packed) LoadIndexPlanes(val []uint64) {
 	P, F := pp.P, pp.F
-	for r := 0; r < pp.W*pp.prog.layout.N; r++ {
-		clear(val[r*P : r*P+F])
+	for i := 0; i < pp.prog.layout.N; i++ {
+		clear(val[i*P : i*P+F])
 	}
 	pp.loadIndexBroadcast(val)
 }
 
-// loadIndexBroadcast fills the index planes of every lane word: plane
-// F+b of position i broadcasts bit b of i to all lanes.
+// loadIndexBroadcast fills the index planes: plane F+b of position i
+// broadcasts bit b of i to all lanes.
 func (pp *Packed) loadIndexBroadcast(val []uint64) {
 	P, F := pp.P, pp.F
-	n := pp.prog.layout.N
-	for r := 0; r < pp.W*n; r++ {
-		i := r % n
+	for i := 0; i < pp.prog.layout.N; i++ {
 		for b := F; b < P; b++ {
-			val[r*P+b] = -uint64(i >> uint(b-F) & 1) // 0 or all-ones broadcast
+			val[i*P+b] = -uint64(i >> uint(b-F) & 1) // 0 or all-ones broadcast
 		}
 	}
 }
@@ -251,9 +218,9 @@ func (pp *Packed) loadIndexBroadcast(val []uint64) {
 // LoadDestLanes initializes the plane array for a destination-riding
 // program (F = lg n front planes): front plane b of position i carries,
 // in lane l, bit b of dests[l][i]; the index planes broadcast i. Lanes
-// beyond len(dests) are zeroed. Positions are packed in 64-wide chunks
-// through the same two transpose stages Extract uses in reverse — about
-// five word operations per packed destination.
+// beyond len(dests) (at most PackedLanes) are zeroed. Positions are
+// packed in 64-wide chunks through the same two transpose stages Extract
+// uses in reverse — about five word operations per packed destination.
 func (pp *Packed) LoadDestLanes(val []uint64, dests [][]int) {
 	P, F := pp.P, pp.F
 	n := pp.prog.layout.N
@@ -261,42 +228,32 @@ func (pp *Packed) LoadDestLanes(val []uint64, dests [][]int) {
 		pp.loadDestSlow(val, dests)
 		return
 	}
-	for w := 0; w < pp.W; w++ {
-		wbase := w * n * P
-		sub := dests[min(w*64, len(dests)):min((w+1)*64, len(dests))]
-		if len(sub) == 0 {
-			for i := 0; i < n; i++ {
-				clear(val[wbase+i*P : wbase+i*P+F])
+	for base := 0; base < n; base += 64 {
+		// Stage 1 (inverse of Extract's stage 2): per lane, pack 64
+		// destination values into 16 words four-per-quarter and flip them
+		// into front-plane rows with the 16×16×4 block transpose.
+		var lanePl [16][64]uint64 // lanePl[b][l]: lane l's plane-b bits
+		for l, d := range dests {
+			var a [16]uint64
+			dd := d[base : base+64]
+			for i := 0; i < 16; i++ {
+				a[i] = uint64(uint16(dd[i])) |
+					uint64(uint16(dd[16+i]))<<16 |
+					uint64(uint16(dd[32+i]))<<32 |
+					uint64(uint16(dd[48+i]))<<48
 			}
-			continue
-		}
-		for base := 0; base < n; base += 64 {
-			// Stage 1 (inverse of Extract's stage 2): per lane, pack 64
-			// destination values into 16 words four-per-quarter and flip them
-			// into front-plane rows with the 16×16×4 block transpose.
-			var lanePl [16][64]uint64 // lanePl[b][l]: lane l's plane-b bits
-			for l, d := range sub {
-				var a [16]uint64
-				dd := d[base : base+64]
-				for i := 0; i < 16; i++ {
-					a[i] = uint64(uint16(dd[i])) |
-						uint64(uint16(dd[16+i]))<<16 |
-						uint64(uint16(dd[32+i]))<<32 |
-						uint64(uint16(dd[48+i]))<<48
-				}
-				Transpose16x4(&a)
-				for b := 0; b < F; b++ {
-					lanePl[b][l] = a[b]
-				}
-			}
-			// Stage 2 (inverse of Extract's stage 1): one 64×64 transpose per
-			// front plane turns 64 lane-words into 64 position-words.
+			Transpose16x4(&a)
 			for b := 0; b < F; b++ {
-				bp := &lanePl[b]
-				Transpose64(bp)
-				for j := 0; j < 64; j++ {
-					val[wbase+(base+j)*P+b] = bp[j]
-				}
+				lanePl[b][l] = a[b]
+			}
+		}
+		// Stage 2 (inverse of Extract's stage 1): one 64×64 transpose per
+		// front plane turns 64 lane-words into 64 position-words.
+		for b := 0; b < F; b++ {
+			bp := &lanePl[b]
+			Transpose64(bp)
+			for j := 0; j < 64; j++ {
+				val[(base+j)*P+b] = bp[j]
 			}
 		}
 	}
@@ -307,18 +264,13 @@ func (pp *Packed) LoadDestLanes(val []uint64, dests [][]int) {
 // too narrow (or too wide) for the block-transpose fast path.
 func (pp *Packed) loadDestSlow(val []uint64, dests [][]int) {
 	P, F := pp.P, pp.F
-	n := pp.prog.layout.N
-	for w := 0; w < pp.W; w++ {
-		sub := dests[min(w*64, len(dests)):min((w+1)*64, len(dests))]
-		for i := 0; i < n; i++ {
-			row := (w*n + i) * P
-			for b := 0; b < F; b++ {
-				wd := uint64(0)
-				for l, d := range sub {
-					wd |= uint64(d[i]>>uint(b)&1) << uint(l)
-				}
-				val[row+b] = wd
+	for i := 0; i < pp.prog.layout.N; i++ {
+		for b := 0; b < F; b++ {
+			wd := uint64(0)
+			for l, d := range dests {
+				wd |= uint64(d[i]>>uint(b)&1) << uint(l)
 			}
+			val[i*P+b] = wd
 		}
 	}
 	pp.loadIndexBroadcast(val)
@@ -326,46 +278,32 @@ func (pp *Packed) loadDestSlow(val []uint64, dests [][]int) {
 
 // LoadSelBits flattens per-lane preset switch settings into per-step
 // lane masks: selBits[l] is lane l's switch-setting bitmap in select-slot
-// order (bit s of word s/64 is slot s's setting), and after the load the
-// preset mask of slot s carries, in lane l of word w, the setting lane
-// 64w+l chose. The flattening runs one 64×64 bit-block transpose per
-// (lane word × 64 slots) — about one word operation per eight settings —
+// order (bit s of word s/64 is slot s's setting), at most PackedLanes
+// lanes, and after the load the preset mask of slot s carries, in lane l,
+// the setting lane l chose. The flattening runs one 64×64 bit-block
+// transpose per 64 slots — about one word operation per eight settings —
 // which is what turns the Beneš replay's per-request select buffers into
 // pure masked-XOR arithmetic.
 func (pp *Packed) LoadSelBits(sc *PackedScratch, selBits [][]uint64) {
-	nsel := pp.prog.nsel
-	if nsel == 0 {
-		return
+	if !pp.hasPre {
+		return // no OpSelSwap reads a preset mask
 	}
-	W := pp.W
-	lw := (len(selBits) + 63) / 64
-	for w := 0; w < W; w++ {
-		if w >= lw {
-			for s := 0; s < nsel; s++ {
-				sc.psel[s*W+w] = 0
-			}
-			continue
-		}
-		sub := selBits[w*64 : min((w+1)*64, len(selBits))]
-		for c := 0; c*64 < nsel; c++ {
-			var a [64]uint64
-			for r, sb := range sub {
-				if c < len(sb) {
-					a[r] = sb[c]
-				}
-			}
-			Transpose64(&a)
-			hi := min(64, nsel-c*64)
-			for s := 0; s < hi; s++ {
-				sc.psel[(c*64+s)*W+w] = a[s]
+	nsel := pp.prog.nsel
+	for c := 0; c*64 < nsel; c++ {
+		var a [64]uint64
+		for r, sb := range selBits {
+			if c < len(sb) {
+				a[r] = sb[c]
 			}
 		}
+		Transpose64(&a)
+		copy(sc.psel[c*64:min(nsel, (c+1)*64)], a[:])
 	}
 }
 
 // SplitFront bit-slices the word sorter's per-pass ranking across all
-// lanes: given the pass's tag lanes (tags[w*n+i] bit l is the tag of
-// lane 64w+l at position i), it writes each position's stable-split
+// lanes: given the pass's tag lanes (tags[i] bit l is the tag of lane l
+// at position i), it writes each position's stable-split
 // destination — zeros keep order up front, ones behind — into the F
 // front planes, per lane, in two carry-save counting sweeps over the
 // positions (the ones-counting prefix ladder of the paper's ranking
@@ -381,21 +319,18 @@ func (pp *Packed) SplitFront(sc *PackedScratch, tags []uint64) {
 	// increment. Tmp is otherwise dead between passes.
 	z := sc.Tmp[:F+1]
 	s := sc.Tmp[F+1 : 2*F+2]
-	for w := 0; w < pp.W; w++ {
-		t := tags[w*n : (w+1)*n]
-		clear(z)
-		clear(s)
-		for _, tw := range t { // sweep 1: s ← Z, the per-lane zero count
-			addCounter(s, ^tw)
+	clear(z)
+	clear(s)
+	t := tags[:n]
+	for _, tw := range t { // sweep 1: s ← Z, the per-lane zero count
+		addCounter(s, ^tw)
+	}
+	for i, tw := range t { // sweep 2: dest = tag ? s : z, then count
+		for b := 0; b < F; b++ {
+			val[i*P+b] = (z[b] &^ tw) | (s[b] & tw)
 		}
-		for i, tw := range t { // sweep 2: dest = tag ? s : z, then count
-			row := (w*n + i) * P
-			for b := 0; b < F; b++ {
-				val[row+b] = (z[b] &^ tw) | (s[b] & tw)
-			}
-			addCounter(z, ^tw)
-			addCounter(s, tw)
-		}
+		addCounter(z, ^tw)
+		addCounter(s, tw)
 	}
 }
 
@@ -410,8 +345,8 @@ func addCounter(c []uint64, m uint64) {
 }
 
 // Extract reads the per-lane permutations back out of the index planes:
-// out[l][j] is the origin index whose bits lane l carries at position j.
-// Positions are processed in 64-wide chunks through two transpose stages:
+// out[l][j] is the origin index whose bits lane l carries at position j,
+// for at most PackedLanes lanes. Positions are processed in 64-wide chunks through two transpose stages:
 // one 64×64 bit-block transpose per index plane turns 64 position-words
 // into 64 lane-words, then per lane a four-wide 16×16 SWAR transpose
 // turns up to 16 plane rows into 64 ready permutation values — about
@@ -428,36 +363,32 @@ func (pp *Packed) Extract(out [][]int, val []uint64) {
 		return
 	}
 	var lanePl [16][64]uint64
-	for w := 0; w*64 < len(out); w++ {
-		wbase := w * n * P
-		sub := out[w*64 : min((w+1)*64, len(out))]
-		for base := 0; base < n; base += 64 {
-			// Stage 1: one transpose per index plane; lanePl[b][l] bit j is
-			// lane l's plane-b bit at position base+j.
-			for b := 0; b < I; b++ {
-				bp := &lanePl[b]
-				for j := 0; j < 64; j++ {
-					bp[j] = val[wbase+(base+j)*P+F+b]
-				}
-				Transpose64(bp)
+	for base := 0; base < n; base += 64 {
+		// Stage 1: one transpose per index plane; lanePl[b][l] bit j is
+		// lane l's plane-b bit at position base+j.
+		for b := 0; b < I; b++ {
+			bp := &lanePl[b]
+			for j := 0; j < 64; j++ {
+				bp[j] = val[(base+j)*P+F+b]
 			}
-			// Stage 2: per lane, rows 0..I-1 hold index bit b across 64
-			// positions; the 16×16 block transpose flips them into 16-bit
-			// index values, four positions per word quarter.
-			for l := range sub {
-				var a [16]uint64
-				for b := 0; b < I; b++ {
-					a[b] = lanePl[b][l]
-				}
-				Transpose16x4(&a)
-				o := sub[l][base : base+64]
-				for i := 0; i < 16; i++ {
-					ai := a[i]
-					o[i] = int(ai & 0xFFFF)
-					o[16+i] = int(ai >> 16 & 0xFFFF)
-					o[32+i] = int(ai >> 32 & 0xFFFF)
-					o[48+i] = int(ai >> 48 & 0xFFFF)
-				}
+			Transpose64(bp)
+		}
+		// Stage 2: per lane, rows 0..I-1 hold index bit b across 64
+		// positions; the 16×16 block transpose flips them into 16-bit
+		// index values, four positions per word quarter.
+		for l, ol := range out {
+			var a [16]uint64
+			for b := 0; b < I; b++ {
+				a[b] = lanePl[b][l]
+			}
+			Transpose16x4(&a)
+			o := ol[base : base+64]
+			for i := 0; i < 16; i++ {
+				ai := a[i]
+				o[i] = int(ai & 0xFFFF)
+				o[16+i] = int(ai >> 16 & 0xFFFF)
+				o[32+i] = int(ai >> 32 & 0xFFFF)
+				o[48+i] = int(ai >> 48 & 0xFFFF)
 			}
 		}
 	}
@@ -468,42 +399,37 @@ func (pp *Packed) extractSlow(out [][]int, val []uint64) {
 	P, F := pp.P, pp.F
 	n := pp.prog.layout.N
 	for l, o := range out {
-		bit := uint(l % 64)
 		for j := 0; j < n; j++ {
-			row := ((l/64)*n + j) * P
 			v := 0
 			for b := F; b < P; b++ {
-				v |= int(val[row+b]>>bit&1) << uint(b-F)
+				v |= int(val[j*P+b]>>uint(l)&1) << uint(b-F)
 			}
 			o[j] = v
 		}
 	}
 }
 
-// Run executes the step program over the packed plane array in sc, one
-// lane word at a time, Layout.Repeat passes per word. Every data
-// movement carries all P planes of the positions it moves, so the
-// result depends only on the plane array Run starts from: clients may
-// preload any front and index planes, and the word sorter's wide path
-// runs it again over the permutation its previous pass composed.
+// Run executes the step program over the packed plane array in sc,
+// Layout.Repeat passes. Every data movement carries all P planes of the
+// positions it moves, so the result depends only on the plane array Run
+// starts from: clients may preload any front and index planes, and the
+// word sorter's wide path runs it again over the permutation its
+// previous pass composed.
 func (pp *Packed) Run(sc *PackedScratch) {
-	for w := 0; w < pp.W; w++ {
-		for r, reps := 0, pp.prog.Repeats(); r < reps; r++ {
-			pp.runBlockPass(sc, w)
-		}
+	for r, reps := 0, pp.prog.Repeats(); r < reps; r++ {
+		pp.runPass(sc)
 	}
 }
 
-// runBlockPass replays the step stream once over lane word w. The tag
+// runPass replays the step stream once over the plane array. The tag
 // plane tp is a register of the pass: it starts at Layout.TagPlane and
 // OpSetTag retargets it, as runOnce re-arms and retargets the scalar tag
 // shift. The packability scan behind Program.Packed guarantees every
 // opcode has a case here, so the switch needs no failure arm.
-func (pp *Packed) runBlockPass(sc *PackedScratch, w int) {
+func (pp *Packed) runPass(sc *PackedScratch) {
 	P := pp.P
-	n := pp.prog.layout.N
-	bval := sc.Val[w*n*P : (w+1)*n*P]
-	btmp := sc.Tmp[:n*P]
+	bval := sc.Val
+	btmp := sc.Tmp[:len(bval)]
 	cnt := sc.cnt
 	tp := pp.prog.layout.TagPlane
 	for _, st := range pp.prog.steps {
@@ -604,7 +530,7 @@ func (pp *Packed) runBlockPass(sc *PackedScratch, w int) {
 			// Preset 2×2 switch: the per-step lane mask was flattened from
 			// the per-lane settings by LoadSelBits, so the replay is the
 			// same masked-XOR swap every tag-driven op uses.
-			pp.maskedSwap(bval, lo, lo+1, 1, sc.psel[int(st.Aux)*pp.W+w])
+			pp.maskedSwap(bval, lo, lo+1, 1, sc.psel[st.Aux])
 		case OpCmpPair:
 			// Arbitrary-pair compare-exchange: lo and hi are both
 			// positions. Same masked single-position swap as OpCmpSwap.

@@ -66,21 +66,22 @@ func TestTranspose16x4(t *testing.T) {
 	}
 }
 
-// TestPackedTmpSize pins the copy scratch at what its borrowers touch,
-// max(n·max(P, W), 2F+2) words: a replay's shuffle copies one lane word's
-// n·P block and the concentrator stages W·n tag words, so a wide
-// permuter engine is sized by its planes and a wide concentrator engine
-// by its lane words — not n·P·W for either.
+// TestPackedTmpSize pins the plane array at n·P words and the copy
+// scratch at what its borrowers touch, max(n·P, 2F+2) words: a replay's
+// shuffle copies the n·P plane array, the concentrator stages n tag
+// words, and SplitFront's two counters take 2F+2.
 func TestPackedTmpSize(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
-		n, front, w   int
+		n, front      int
 		wantP, wantTm int
 	}{
 		// Permuter layout at n=4096: lg n front planes, P = 24.
-		{"permuter n=4096 W=4", 4096, 12, 4, 24, 4096 * 24},
-		// Concentrator layout at n=16: one tag plane, P = 5 < W.
-		{"concentrator n=16 W=16", 16, 1, 16, 5, 16 * 16},
+		{"permuter n=4096", 4096, 12, 24, 4096 * 24},
+		// Concentrator layout at n=16: one tag plane, P = 5.
+		{"concentrator n=16", 16, 1, 5, 16 * 5},
+		// The 1-input program: no index planes, so the counters dominate.
+		{"concentrator n=1", 1, 1, 1, 4},
 	} {
 		var b Builder
 		b.MMSort(0, int32(tc.n))
@@ -90,7 +91,7 @@ func TestPackedTmpSize(t *testing.T) {
 			TagShift:    uint(31 + tc.front - 1),
 			TagPlane:    tc.front - 1,
 		})
-		pp, err := prog.Packed(tc.w)
+		pp, err := prog.Packed()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,8 +102,8 @@ func TestPackedTmpSize(t *testing.T) {
 		if len(sc.Tmp) != tc.wantTm {
 			t.Errorf("%s: len(Tmp) = %d words, want %d", tc.name, len(sc.Tmp), tc.wantTm)
 		}
-		if len(sc.Val) != tc.n*tc.wantP*tc.w {
-			t.Errorf("%s: len(Val) = %d words, want n·P·W = %d", tc.name, len(sc.Val), tc.n*tc.wantP*tc.w)
+		if len(sc.Val) != tc.n*tc.wantP {
+			t.Errorf("%s: len(Val) = %d words, want n·P = %d", tc.name, len(sc.Val), tc.n*tc.wantP)
 		}
 		pp.Put(sc)
 	}
@@ -136,8 +137,8 @@ func fishOrMM(b *Builder, lo, hi int32) {
 // TestPackedMatchesScalarLanes replays mux-merger and fish programs
 // packed and checks every lane against the scalar Program.Run of the same
 // request, on the single-tag layout and on the dest-riding layout (lg n
-// front planes retargeted by OpSetTag), at lane counts that fill, split
-// and overflow a lane word — once per kernel path the CPU can run (the
+// front planes retargeted by OpSetTag), at lane counts that fill and
+// split a lane word — once per kernel path the CPU can run (the
 // Go loops, and the AVX2 kernels where present).
 func TestPackedMatchesScalarLanes(t *testing.T) {
 	for _, vec := range vectorPaths() {
@@ -167,9 +168,8 @@ func checkPackedMatchesScalarLanes(t *testing.T) {
 					sorter.sort(&b, 0, int32(n))
 				}
 				prog := b.Compile(layout)
-				for _, lanes := range []int{1, 7, 64, 65, 256} {
-					words := (lanes + 63) / 64
-					pp, err := prog.Packed(words)
+				for _, lanes := range []int{1, 7, 64} {
+					pp, err := prog.Packed()
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -186,12 +186,12 @@ func checkPackedMatchesScalarLanes(t *testing.T) {
 						}
 						pp.LoadDestLanes(sc.Val, dests)
 					} else {
-						tags := make([]uint64, words*n)
+						tags := make([]uint64, n)
 						for l := range want {
 							want[l] = make([]uint64, n)
 							for i := range want[l] {
 								tag := uint64(rng.Intn(2))
-								tags[l/64*n+i] |= tag << uint(l%64)
+								tags[i] |= tag << uint(l)
 								want[l][i] = tag<<63 | uint64(i)
 							}
 						}

@@ -138,7 +138,10 @@ type Program struct {
 	nsel   int
 	perms  []int32   // flat OpPermute table storage, indexed by Step.Aux
 	pool   sync.Pool // *Scratch
-	packed sync.Map  // lane-word width → *Packed, built lazily per width
+
+	packOnce sync.Once // builds packed (or packErr) on first Packed call
+	packed   *Packed
+	packErr  error
 }
 
 // Scratch is the per-execution state of a Program: the packed-word

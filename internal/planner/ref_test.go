@@ -6,8 +6,9 @@ package planner
 // takes one step at a time over plain packet words, builds every moved
 // window in a fresh slice, and replays Layout.Repeat by running the
 // stream again — no pooling, fusion or in-place tricks. The differential
-// below checks Run, RunStuck and the packed engine against it on random
-// well-formed programs, every plane of every position.
+// below checks Run, RunStuck, RunScratch and the packed engine against it
+// on random well-formed programs, every plane of every position, with
+// random per-lane preset select settings.
 
 import (
 	"fmt"
@@ -27,9 +28,13 @@ const refShift = 31
 // refRun executes p over vals with the semantics of each Op's comment:
 // Repeats() passes, the tag shift and the patch-up ones count re-armed
 // per pass, select slots recorded by FourIn/CondIn and replayed by
-// FourOut/CondOut.
-func refRun(p *Program, vals []uint64) {
+// FourOut/CondOut, and OpSelSwap reading its slot's preset setting from
+// presets (one per slot, or nil for none).
+func refRun(p *Program, vals []uint64, presets []uint8) {
 	sel := make([]int, p.nsel)
+	for s, v := range presets {
+		sel[s] = int(v)
+	}
 	for r := 0; r < p.Repeats(); r++ {
 		sh := p.layout.TagShift
 		m := 0 // ones count of the active patch-up chain
@@ -115,6 +120,10 @@ func refRun(p *Program, vals []uint64) {
 				from = refStable(lo, hi, 1, tag)
 			case OpSetTag:
 				sh = uint(st.Lo)
+			case OpSelSwap:
+				if sel[aux] == 1 {
+					from = []int{lo + 1, lo}
+				}
 			case OpPermute:
 				for _, src := range p.perms[aux : aux+s] {
 					from = append(from, lo+int(src))
@@ -164,7 +173,8 @@ func refStable(lo, hi, u int, tag func(int) int) []int {
 // front planes riding at refShift: sorter windows (MMSort, PrefixSort,
 // FishSort, Rank) at random offsets, single comparators and
 // opposite-ends comparator stages, fixed permutations, shuffles and
-// unshuffles, and tag retargets to any front plane, up or down.
+// unshuffles, tag retargets to any front plane, up or down, and columns
+// of preset 2×2 switches (OpSelSwap).
 func randProgram(rng *rand.Rand, n, front int) *Program {
 	var b Builder
 	lg := core.Lg(n)
@@ -174,7 +184,7 @@ func randProgram(rng *rand.Rand, n, front int) *Program {
 		s := int32(1) << lgs
 		lo := int32(rng.Intn(n - int(s) + 1))
 		hi := lo + s
-		switch rng.Intn(10) {
+		switch rng.Intn(11) {
 		case 0:
 			b.MMSort(lo, hi)
 		case 1:
@@ -204,6 +214,10 @@ func randProgram(rng *rand.Rand, n, front int) *Program {
 		case 9:
 			p := rng.Intn(front)
 			b.SetTag(uint(refShift+p), int32(p))
+		case 10:
+			for i := int32(0); i < s/2; i++ {
+				b.SelSwap(lo+2*i, b.NewSel())
+			}
 		}
 	}
 	return b.Compile(Layout{
@@ -215,16 +229,21 @@ func randProgram(rng *rand.Rand, n, front int) *Program {
 	})
 }
 
-// refLanes is the widest lane count the differential replays.
-const refLanes = 256
+// refLanes is the widest lane count the differential replays: one lane
+// word.
+const refLanes = PackedLanes
 
 // checkAgainstRef replays prog passes times over refLanes random lanes
-// with the reference interpreter, the scalar Run and RunStuck, and the
-// packed engine at every width in {1, 2, 4} words that holds the lane
-// count, for lane counts {1, 7, 64, 65, 256}. Every pass writes fresh
-// random front planes and keeps the index planes (composition: the
-// second pass starts from the first pass's permutation). Each runner
-// must leave every plane of every position as the reference does.
+// with the reference interpreter, the scalar runners and the packed
+// engine at lane counts {1, 7, 64}. Each lane draws a random setting for
+// every select slot: OpSelSwap reads it as the preset, and the recording
+// ops overwrite the slots they own. The reference reads the settings
+// directly, RunScratch through its preset select buffer and the packed
+// engine through LoadSelBits; Run and RunStuck take no presets, so they
+// run only programs without OpSelSwap. Every pass writes fresh random
+// front planes and keeps the index planes (composition: the second pass
+// starts from the first pass's permutation). Each runner must leave
+// every plane of every position as the reference does.
 func checkAgainstRef(t *testing.T, name string, prog *Program, passes int, rng *rand.Rand) {
 	t.Helper()
 	n, F := prog.layout.N, prog.layout.FrontPlanes
@@ -235,6 +254,18 @@ func checkAgainstRef(t *testing.T, name string, prog *Program, passes int, rng *
 			fronts[ps][l] = make([]int, n)
 			for i := range fronts[ps][l] {
 				fronts[ps][l][i] = rng.Intn(1 << F)
+			}
+		}
+	}
+	sets := make([][]uint8, refLanes)     // sets[lane][slot]
+	selBits := make([][]uint64, refLanes) // the same settings, bit-packed
+	for l := range sets {
+		sets[l] = make([]uint8, prog.nsel)
+		selBits[l] = make([]uint64, (prog.nsel+63)/64)
+		for s := range sets[l] {
+			if rng.Intn(2) == 1 {
+				sets[l][s] = 1
+				selBits[l][s/64] |= 1 << (s % 64)
 			}
 		}
 	}
@@ -252,10 +283,14 @@ func checkAgainstRef(t *testing.T, name string, prog *Program, passes int, rng *
 			for i, v := range want[l] {
 				want[l][i] = setFront(v, fronts[ps][l][i])
 			}
-			refRun(prog, want[l])
+			refRun(prog, want[l], sets[l])
 		}
 	}
-	for _, runner := range []string{"Run", "RunStuck"} {
+	runners := []string{"RunScratch"}
+	if !slices.ContainsFunc(prog.steps, func(st Step) bool { return st.Op == OpSelSwap }) {
+		runners = append(runners, "Run", "RunStuck")
+	}
+	for _, runner := range runners {
 		bad := 0
 		for l := range want {
 			got := make([]uint64, n)
@@ -266,10 +301,20 @@ func checkAgainstRef(t *testing.T, name string, prog *Program, passes int, rng *
 				for i, v := range got {
 					got[i] = setFront(v, fronts[ps][l][i])
 				}
-				if runner == "Run" {
+				switch runner {
+				case "Run":
 					prog.Run(got)
-				} else if err := prog.RunStuck(got, nil); err != nil {
-					t.Fatal(err)
+				case "RunStuck":
+					if err := prog.RunStuck(got, nil); err != nil {
+						t.Fatal(err)
+					}
+				case "RunScratch":
+					sc := prog.Get()
+					copy(sc.Sel(), sets[l])
+					copy(sc.Val, got)
+					prog.RunScratch(sc)
+					copy(got, sc.Val)
+					prog.Put(sc)
 				}
 			}
 			if !slices.Equal(got, want[l]) {
@@ -280,45 +325,39 @@ func checkAgainstRef(t *testing.T, name string, prog *Program, passes int, rng *
 			t.Errorf("%s: %s differs from the reference on %d of %d lanes", name, runner, bad, refLanes)
 		}
 	}
-	for _, lanes := range []int{1, 7, 64, 65, 256} {
-		for _, words := range []int{1, 2, 4} {
-			if words*PackedLanes < lanes {
-				continue
-			}
-			pp, err := prog.Packed(words)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc := pp.Get()
-			pp.LoadDestLanes(sc.Val, fronts[0][:lanes])
-			for ps := range fronts {
-				if ps > 0 {
-					refPackFront(pp, sc.Val, fronts[ps][:lanes])
-				}
-				pp.Run(sc)
-			}
-			if bad, misrouted, first := refPlaneMismatch(pp, sc.Val, want[:lanes]); bad > 0 {
-				t.Errorf("%s: Packed(%d) with %d lanes, avx2=%v: %d lanes differ from the reference, %d of them misrouted; first (lane, position, plane): %v",
-					name, words, lanes, useAVX2, bad, misrouted, first)
-			}
-			pp.Put(sc)
+	for _, lanes := range []int{1, 7, refLanes} {
+		pp, err := prog.Packed()
+		if err != nil {
+			t.Fatal(err)
 		}
+		sc := pp.Get()
+		pp.LoadDestLanes(sc.Val, fronts[0][:lanes])
+		pp.LoadSelBits(sc, selBits[:lanes])
+		for ps := range fronts {
+			if ps > 0 {
+				refPackFront(pp, sc.Val, fronts[ps][:lanes])
+			}
+			pp.Run(sc)
+		}
+		if bad, misrouted, first := refPlaneMismatch(pp, sc.Val, want[:lanes]); bad > 0 {
+			t.Errorf("%s: Packed with %d lanes, avx2=%v: %d lanes differ from the reference, %d of them misrouted; first (lane, position, plane): %v",
+				name, lanes, useAVX2, bad, misrouted, first)
+		}
+		pp.Put(sc)
 	}
 }
 
 // refPackFront overwrites the front planes of every position with the
 // lanes' front values, leaving the index planes as they are.
 func refPackFront(pp *Packed, val []uint64, fronts [][]int) {
-	n, P := pp.N(), pp.P
-	for w := 0; w < pp.W; w++ {
-		for i := 0; i < n; i++ {
-			for b := 0; b < pp.F; b++ {
-				wd := uint64(0)
-				for l := w * PackedLanes; l < min((w+1)*PackedLanes, len(fronts)); l++ {
-					wd |= uint64(fronts[l][i]>>b&1) << (l % PackedLanes)
-				}
-				val[(w*n+i)*P+b] = wd
+	P := pp.P
+	for i := 0; i < pp.N(); i++ {
+		for b := 0; b < pp.F; b++ {
+			wd := uint64(0)
+			for l, f := range fronts {
+				wd |= uint64(f[i]>>b&1) << l
 			}
+			val[i*P+b] = wd
 		}
 	}
 }
@@ -329,17 +368,16 @@ func refPackFront(pp *Packed, val []uint64, fronts [][]int) {
 // in any plane, the number whose index planes differ (misrouted
 // packets), and the first differing (lane, position, plane).
 func refPlaneMismatch(pp *Packed, val []uint64, want [][]uint64) (bad, misrouted int, first [3]int) {
-	n, P, F := pp.N(), pp.P, pp.F
+	P, F := pp.P, pp.F
 	for l, w := range want {
 		front, index := false, false
 		for j, v := range w {
-			row := ((l/PackedLanes)*n + j) * P
 			for b := 0; b < P; b++ {
 				bit := refShift + b
 				if b >= F {
 					bit = b - F
 				}
-				if val[row+b]>>(l%PackedLanes)&1 == v>>bit&1 {
+				if val[j*P+b]>>l&1 == v>>bit&1 {
 					continue
 				}
 				if !front && !index && bad == 0 {
@@ -385,7 +423,7 @@ func TestRefSorts(t *testing.T) {
 				for i := range vals {
 					vals[i] = uint64(rng.Intn(2))<<refShift | uint64(i)
 				}
-				refRun(prog, vals)
+				refRun(prog, vals, nil)
 				if !slices.IsSortedFunc(vals, func(a, b uint64) int { return int(a>>refShift) - int(b>>refShift) }) {
 					t.Fatalf("%s n=%d: reference left tags unsorted: %x", sorter.name, n, vals)
 				}
@@ -398,7 +436,8 @@ func TestRefSorts(t *testing.T) {
 // interpreter, once per kernel path the CPU can run: random well-formed
 // programs, plus the two shapes a bounded packed runner got wrong — a
 // tag retarget to a plane above the one the program sorted on, and a
-// second replay over the first replay's index planes.
+// second replay over the first replay's index planes — and a
+// Beneš-shaped preset-select program replayed twice per run.
 func TestRefDifferential(t *testing.T) {
 	for _, vec := range vectorPaths() {
 		setVector(t, vec)
@@ -419,6 +458,21 @@ func TestRefDifferential(t *testing.T) {
 		checkAgainstRef(t, "two-pass radix", radix.Compile(Layout{
 			N: 64, FrontPlanes: lg, TagShift: uint(refShift + lg - 1), TagPlane: lg - 1,
 		}), 2, rng)
+
+		// Preset switch columns around an unshuffle/shuffle pair, then a
+		// tag-driven sort, over two Layout.Repeat passes: the presets must
+		// hold across passes while the recorded slots are rewritten.
+		var benes Builder
+		for i := int32(0); i < 16; i += 2 {
+			benes.SelSwap(i, benes.NewSel())
+		}
+		benes.Unshuffle(0, 16)
+		for i := int32(0); i < 16; i += 2 {
+			benes.SelSwap(i, benes.NewSel())
+		}
+		benes.Shuffle(0, 16)
+		benes.MMSort(0, 16)
+		checkAgainstRef(t, "preset selects", benes.Compile(Layout{N: 16, FrontPlanes: 1, TagShift: refShift, Repeat: 2}), 1, rng)
 
 		for trial := 0; trial < 60; trial++ {
 			n := 4 << rng.Intn(5) // 4..64

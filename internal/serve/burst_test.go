@@ -54,10 +54,10 @@ func TestBreakEvenBoundaries(t *testing.T) {
 	pi.observeScalar(500 * time.Nanosecond)
 	pi.observeScalar(900 * time.Nanosecond) // not a new minimum
 	pi.observeScalar(400 * time.Nanosecond)
-	pi.observePacked(2000*time.Nanosecond, 64)  // one word: 2000 ns/word
-	pi.observePacked(3000*time.Nanosecond, 65)  // two words: 1500 ns/word
-	pi.observePacked(5000*time.Nanosecond, 200) // four words: 1250 ns/word
-	pi.observePacked(9000*time.Nanosecond, 2)   // one word: not a new minimum
+	pi.observePacked(2000 * time.Nanosecond)
+	pi.observePacked(1500 * time.Nanosecond)
+	pi.observePacked(1250 * time.Nanosecond)
+	pi.observePacked(9000 * time.Nanosecond) // not a new minimum
 	if s, p := pi.scalarNs.Load(), pi.packedWordNs.Load(); s != 400 || p != 1250 {
 		t.Fatalf("cost cells = (%d, %d) ns, want the minima (400, 1250)", s, p)
 	}
@@ -133,14 +133,16 @@ func sameOutcome(got, want Result, gotErr, wantErr error) string {
 // boundary width through a one-worker service whose break-even width is
 // pinned at 2, so every burst rides the packed replay, and checks each
 // response bit-for-bit against PlanSet.Exec on a reference plan set:
-// the widths straddle the old MinPackedLanes = 24 rule, one lane word
-// (64) and the first two-word group (65). Two further bursts take the
+// the widths straddle the old MinPackedLanes = 24 rule and one lane word
+// (64). A burst of 65 rides one packed replay of 64, and its 65th request
+// is taken alone on the next claim. Two further bursts take the
 // fallback paths: a Permute burst carrying a malformed permutation
 // (RoutePacked fails, the group re-routes per request) and a
 // Concentrate burst with over-capacity patterns on an (n, n/2)
 // concentrator (those resolve alone with the capacity error).
 func TestServeBurstWidthsDifferential(t *testing.T) {
 	widths := []int{2, 3, 7, 23, 24, 63, 64, 65}
+	const word = concentrator.PackedLanes
 	for _, engine := range []Engine{concentrator.Fish, cmpnet.EnginePeriodic, concentrator.MuxMerger} {
 		t.Run(engine.String(), func(t *testing.T) {
 			const n = 64
@@ -163,8 +165,9 @@ func TestServeBurstWidthsDifferential(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(engine) + 5))
 			ctx := context.Background()
 
-			// round queues reqs behind a held worker, releases them as one
-			// burst and checks every response against the reference.
+			// round queues reqs behind a held worker, releases them, and
+			// checks that the first lane word of them ran as one burst and
+			// every response matches the reference.
 			round := func(name string, reqs []Request) {
 				t.Helper()
 				mu.Lock()
@@ -190,8 +193,8 @@ func TestServeBurstWidthsDifferential(t *testing.T) {
 				}
 				mu.Lock()
 				defer mu.Unlock()
-				if len(bursts) != 1 || bursts[0] != len(reqs) {
-					t.Fatalf("%s: bursts %v, want one of %d", name, bursts, len(reqs))
+				if want := min(len(reqs), word); len(bursts) != 1 || bursts[0] != want {
+					t.Fatalf("%s: bursts %v, want one of %d", name, bursts, want)
 				}
 			}
 			perm := func() Request { return Request{Kind: Permute, Dest: rng.Perm(n)} }
@@ -213,9 +216,13 @@ func TestServeBurstWidthsDifferential(t *testing.T) {
 				round(fmt.Sprintf("permute ×%d", k), perms)
 				round(fmt.Sprintf("concentrate ×%d", k), concs)
 				after := s.Stats().Paths
+				packed := min(k, word)
 				for _, kind := range []Kind{Permute, Concentrate} {
-					if d := after[kind].Packed - before[kind].Packed; d != int64(k) {
-						t.Fatalf("%v ×%d: %d requests packed, want all %d", kind, k, d, k)
+					if d := after[kind].Packed - before[kind].Packed; d != int64(packed) {
+						t.Fatalf("%v ×%d: %d requests packed, want %d", kind, k, d, packed)
+					}
+					if d := after[kind].PerRequest - before[kind].PerRequest; d != int64(k-packed) {
+						t.Fatalf("%v ×%d: %d requests routed per request, want %d", kind, k, d, k-packed)
 					}
 					if d := after[kind].Replays - before[kind].Replays; d != 1 {
 						t.Fatalf("%v ×%d: %d replays counted, want 1", kind, k, d)
@@ -267,7 +274,7 @@ func TestServeBurstWidthsDifferential(t *testing.T) {
 // deadlines, bursts and lone requests — through a multi-worker service
 // and a bare plan set, and checks the per-path counters: summed over
 // kinds, Packed + PerRequest is Completed, every replay carried between
-// one and burstLanes packed requests, and BreakEven is reported only
+// one and PackedLanes packed requests, and BreakEven is reported only
 // for the packable kinds.
 func TestPathStatsAddUp(t *testing.T) {
 	const n = 64
@@ -319,9 +326,9 @@ func TestPathStatsAddUp(t *testing.T) {
 				name, sum, st.Completed, st.Paths)
 		}
 		for kind, p := range st.Paths {
-			if p.Replays > p.Packed || p.Packed > p.Replays*burstLanes {
+			if p.Replays > p.Packed || p.Packed > p.Replays*concentrator.PackedLanes {
 				t.Errorf("%s: %v paths %+v, want Replays ≤ Packed ≤ Replays × %d",
-					name, Kind(kind), p, burstLanes)
+					name, Kind(kind), p, concentrator.PackedLanes)
 			}
 		}
 		if st.Paths[SortWords].Packed != 0 || st.Paths[SortWords].BreakEven != 0 {

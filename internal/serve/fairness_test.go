@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -118,9 +119,10 @@ func pinBreakEven(s *Service, kind Kind, k int) {
 // MinPackedLanes), otherwise the head alone, so no request is claimed
 // ahead of one admitted before it. Behind one held worker queue 200
 // Concentrates, one Permute with a deadline, 30 more Permutes and 10
-// Concentrates: the worker must replay the 200 Concentrates, then all
-// 31 Permutes as one run, and route the last 10 Concentrates (fewer
-// than k*) one by one.
+// Concentrates: the worker must replay the first 192 Concentrates as
+// three one-word runs of 64, route the other 8 (fewer than k*) one by
+// one, then replay all 31 Permutes as one run, and route the last 10
+// Concentrates one by one.
 func TestRunsTakenInAdmissionOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n, concs, perms, trailing = 64, 200, 30, 10
@@ -174,13 +176,14 @@ func TestRunsTakenInAdmissionOrder(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	want := []burstInfo{{Concentrate, concs}, {Permute, perms + 1}}
-	if len(bursts) != len(want) || bursts[0] != want[0] || bursts[1] != want[1] {
+	const word = concentrator.PackedLanes
+	want := []burstInfo{{Concentrate, word}, {Concentrate, word}, {Concentrate, word}, {Permute, perms + 1}}
+	if !slices.Equal(bursts, want) {
 		t.Fatalf("bursts %+v, want %+v", bursts, want)
 	}
 	st := s.Stats()
-	if p := st.Paths[Concentrate]; p.Packed != concs || p.PerRequest != trailing {
-		t.Fatalf("concentrate paths %+v, want %d packed, %d per request", p, concs, trailing)
+	if p := st.Paths[Concentrate]; p.Packed != 3*word || p.PerRequest != concs-3*word+trailing {
+		t.Fatalf("concentrate paths %+v, want %d packed, %d per request", p, 3*word, concs-3*word+trailing)
 	}
 	if p := st.Paths[Permute]; p.Packed != perms+1 || p.PerRequest != 0 {
 		t.Fatalf("permute paths %+v, want %d packed, 0 per request", p, perms+1)

@@ -102,7 +102,7 @@ type planInstance struct {
 
 	// scalarNs and packedWordNs are the copy's two cost cells (0 =
 	// unobserved): the minimum observed wall time of one per-request
-	// route, and of one packed burst replay per lane word. A Service's
+	// route, and of one packed burst replay (one lane word). A Service's
 	// workers feed them from the routes they already run; breakEven
 	// turns them into the burst packing threshold. A replacement copy
 	// swapped in by recovery starts unobserved and re-learns them.
@@ -138,13 +138,9 @@ func (pi *planInstance) breakEven() int {
 // scalar cost cell.
 func (pi *planInstance) observeScalar(d time.Duration) { storeMin(&pi.scalarNs, d) }
 
-// observePacked feeds one packed replay of lanes requests into the
-// per-lane-word cost cell: a replay costs the same per word however
-// many of the word's lanes are live.
-func (pi *planInstance) observePacked(d time.Duration, lanes int) {
-	words := (lanes + concentrator.PackedLanes - 1) / concentrator.PackedLanes
-	storeMin(&pi.packedWordNs, d/time.Duration(words))
-}
+// observePacked feeds one packed replay's wall time into the packed
+// cost cell: a replay costs the same however many of its lanes are live.
+func (pi *planInstance) observePacked(d time.Duration) { storeMin(&pi.packedWordNs, d) }
 
 // storeMin lowers cell to d's nanoseconds when d is a new minimum (or
 // the cell is unobserved). The common no-new-minimum case is one load.

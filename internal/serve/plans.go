@@ -10,6 +10,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -87,6 +88,11 @@ func (c Config) Resolve() (Config, error) {
 	}
 	if c.WordBits > 64 {
 		return c, fmt.Errorf("serve: key width %d out of range [1,64]", c.WordBits)
+	}
+	if math.IsNaN(c.CheckFraction) {
+		// NaN fails every comparison in strideFor and would sample one
+		// response in 2^63: the checker, and recovery with it, off.
+		return c, fmt.Errorf("serve: check fraction %v is not a number", c.CheckFraction)
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)

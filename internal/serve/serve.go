@@ -37,13 +37,13 @@
 // batch pipelines. The queue is a FIFO a worker can look into, and a
 // worker always takes a prefix of it: the queue's leading run of
 // same-kind requests when that kind can ride a packed replay on its
-// current plan instance and the run is at least k* long (up to
-// burstLanes requests), otherwise the head alone. A run routes through
-// one SWAR plan replay (ConcentratePacked / RoutePacked), riding the
-// packed engine's multi-word lane planes; a shorter run leaves its
-// requests to be routed one by one, spread over the workers. k* is the
-// break-even width measured on the kind's current plan instance:
-// ⌈packed replay per lane word ÷ one per-request route⌉, both the
+// current plan instance and the run is at least k* long (up to one lane
+// word, PackedLanes requests), otherwise the head alone. A run routes
+// through one SWAR plan replay (ConcentratePacked / RoutePacked), one
+// request per bit lane; a shorter run leaves its requests to be routed
+// one by one, spread over the workers. k* is the break-even width
+// measured on the kind's current plan instance:
+// ⌈one packed replay ÷ one per-request route⌉, both the
 // minimum wall time the workers have observed, clamped to [2, 64]; it
 // is MinPackedLanes until both costs have a sample, and a replacement
 // instance swapped in by fault recovery re-learns it. Because every
@@ -65,9 +65,8 @@
 // checked when its run executes. Per-request routes never count as in
 // flight, so a run below k* still spreads over the workers, and a
 // single-worker service never holds. The sharded permuter (n ≥ 65536)
-// is never held: its replay routes a run in groups of requests that
-// each span several shard lanes (at most 16 a group at n = 65536), so
-// waiting for 64 fills no lane. Stats reports per kind how many
+// is never held: each request of its run spans w shard lanes of its own
+// (a whole lane word at n = 65536), so waiting for 64 fills no lane. Stats reports per kind how many
 // requests were packed and routed per request, how many packed replays
 // ran, and the current k*. Results are bit-for-bit identical to the
 // per-request path, and every task of a run still honours its own
@@ -101,12 +100,6 @@ import (
 
 // Engine selects the routing engine backing a plan set.
 type Engine = concentrator.Engine
-
-// burstLanes caps the run a worker takes off the queue: WideWords lane
-// words of requests ride one multi-word packed replay — the widest group
-// the auto-tuned batch pipelines use — while staying far below the
-// packed engines' MaxPackedLanes hard limit.
-const burstLanes = planner.WideWords * concentrator.PackedLanes
 
 // Service errors.
 var (
@@ -143,9 +136,9 @@ type Config struct {
 	// ones-conservation for Concentrate, sortedness for SortWords). 0
 	// selects the default 1/64 sampling; values ≥ 1 check every response;
 	// negative disables checking (and with it fault detection and
-	// recovery). Independent of the sampling rate, every response routed
-	// by a plan instance that has already failed one check is verified
-	// until recovery replaces the instance.
+	// recovery); NaN is rejected. Independent of the sampling rate, every
+	// response routed by a plan instance that has already failed one
+	// check is verified until recovery replaces the instance.
 	CheckFraction float64
 	// Spares is the number of same-engine spare plan instances recovery
 	// may allocate per request kind before quarantining the engine and
@@ -412,9 +405,9 @@ func (s *Service) Close() {
 // plan replay.
 func (s *Service) worker() {
 	defer s.workers.Done()
-	claimed := make([]*task, 0, burstLanes)
-	marked := make([][]bool, 0, burstLanes)
-	dests := make([][]int, 0, burstLanes)
+	claimed := make([]*task, 0, planner.PackedLanes)
+	marked := make([][]bool, 0, planner.PackedLanes)
+	dests := make([][]int, 0, planner.PackedLanes)
 	for {
 		if claimed = s.take(claimed); len(claimed) == 0 {
 			return
@@ -475,7 +468,7 @@ func (s *Service) take(buf []*task) []*task {
 }
 
 // runLen is the length of the next run, with s.mu held and the queue
-// non-empty: the queue's leading same-kind run, up to burstLanes, when
+// non-empty: the queue's leading same-kind run, up to PackedLanes, when
 // the head's kind can ride a packed replay on its current plan instance
 // and the run reaches the instance's break-even width k*; otherwise 1,
 // the head alone. A run shorter than k* is left to route per request,
@@ -491,7 +484,7 @@ func (s *Service) runLen() int {
 		return 1
 	}
 	n := 1
-	for n < len(s.queue) && n < burstLanes && s.queue[n].req.Kind == kind {
+	for n < len(s.queue) && n < planner.PackedLanes && s.queue[n].req.Kind == kind {
 		n++
 	}
 	if n < planner.PackedLanes && s.replays > 0 && !s.closed && inst.sharded == nil {
@@ -581,7 +574,7 @@ func (s *Service) execBurst(kind Kind, burst []*task, marked [][]bool, dests [][
 	}
 	s.stats.paths[kind].replays.Add(1)
 	if inst.sharded == nil {
-		inst.observePacked(time.Since(start), len(live))
+		inst.observePacked(time.Since(start))
 	}
 	for i, t := range live {
 		res := Result{Perm: perms[i]}

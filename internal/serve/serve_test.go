@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -133,6 +134,7 @@ func TestNewValidation(t *testing.T) {
 		{N: 16, Engine: concentrator.Fish, K: 32},
 		{N: 16, M: 17},
 		{N: 16, WordBits: 65},
+		{N: 16, CheckFraction: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if s, err := New(cfg); err == nil {

@@ -235,7 +235,7 @@ type batchSets struct {
 func (r *batchSets) One(i int) error { return r.s.SortInto(r.outs[i], r.perms[i], r.keySets[i]) }
 
 func (r *batchSets) Group(lo, hi int) (int, error) {
-	pp, err := r.prog.Packed((hi - lo + permnet.PackedLanes - 1) / permnet.PackedLanes)
+	pp, err := r.prog.Packed()
 	if err != nil {
 		return lo, err // unreachable: the driver probed the program
 	}
@@ -276,8 +276,7 @@ func (r *batchSets) Packed() (*planner.Program, error) {
 // only allocation, so batch allocations do not scale with the key width.
 func (s *Sorter) sortGroupWide(pp *planner.Packed, outs [][]uint64, perms [][]int, keySets [][]uint64) {
 	n := s.n
-	words := pp.Words()
-	tags := make([]uint64, words*n)
+	tags := make([]uint64, n)
 	sc := pp.Get()
 	pp.LoadIndexPlanes(sc.Val)
 	for _, pm := range perms {
@@ -290,10 +289,8 @@ func (s *Sorter) sortGroupWide(pp *planner.Packed, outs [][]uint64, perms [][]in
 			tags[i] = 0
 		}
 		for l, keys := range keySets {
-			row := tags[(l/permnet.PackedLanes)*n : (l/permnet.PackedLanes+1)*n]
-			bit := uint(l % permnet.PackedLanes)
 			for j, src := range perms[l] {
-				row[j] |= (keys[src] >> uint(b) & 1) << bit
+				tags[j] |= (keys[src] >> uint(b) & 1) << uint(l)
 			}
 		}
 		pp.SplitFront(sc, tags)

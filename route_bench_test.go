@@ -14,8 +14,6 @@ package absort_test
 //   - perm-planned-parallel: per-assignment planned batch routing
 //   - perm-packed:           the SWAR lane-packed fused-plan engine,
 //     64 assignments per plan replay
-//   - perm-packed256:        the multi-word wide engine, one 256-lane
-//     RoutePacked call (four lane words per plan replay)
 //   - benes-planned:         the compiled Beneš program, looping-routed
 //     switch settings replayed through preset selects
 //   - benes-packed:          the packed Beneš replay, 64 looping-routed
@@ -28,8 +26,6 @@ package absort_test
 //   - conc-planned-parallel: per-pattern planned batch routing
 //   - conc-packed:           the SWAR lane-packed engine, 64 patterns
 //     per plan replay
-//   - conc-packed256:        the multi-word wide engine, one 256-lane
-//     ConcentratePacked call
 //
 // Each sub-benchmark reports ns/route via b.ReportMetric; the collected
 // numbers are persisted to BENCH_route.json when the run completes so the
@@ -168,25 +164,6 @@ func BenchmarkRouteEngines(b *testing.B) {
 			b.ReportMetric(ns, "ns/route")
 			recordRouteBench("perm-packed", n, ns)
 		})
-		wideBatch := make([][]int, 4*permnet.PackedLanes)
-		for i := range wideBatch {
-			wideBatch[i] = rng.Perm(n)
-		}
-		b.Run(fmt.Sprintf("perm-packed256/n=%d", n), func(b *testing.B) {
-			// One 256-lane RoutePacked call: one multi-word (four plane
-			// words) fused-plan replay for the whole batch.
-			out := planner.Rows[int](len(wideBatch), n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := plan.RoutePacked(out, wideBatch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(len(wideBatch))
-			b.ReportMetric(ns, "ns/route")
-			recordRouteBench("perm-packed256", n, ns)
-		})
 
 		bp, err := permnet.CompileBenes(n)
 		if err != nil {
@@ -256,29 +233,6 @@ func BenchmarkRouteEngines(b *testing.B) {
 			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / concentrator.PackedLanes
 			b.ReportMetric(ns, "ns/pattern")
 			recordRouteBench("conc-packed", n, ns)
-		})
-		wideMarked := make([][]bool, 4*concentrator.PackedLanes)
-		for i := range wideMarked {
-			m := make([]bool, n)
-			for j := range m {
-				m[j] = rng.Intn(2) == 0
-			}
-			wideMarked[i] = m
-		}
-		b.Run(fmt.Sprintf("conc-packed256/n=%d", n), func(b *testing.B) {
-			// One 256-lane ConcentratePacked call: one multi-word plan
-			// replay for the whole batch.
-			perms, counts := planner.Rows[int](len(wideMarked), n), make([]int, len(wideMarked))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := conc.ConcentratePacked(perms, counts, wideMarked); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(len(wideMarked))
-			b.ReportMetric(ns, "ns/pattern")
-			recordRouteBench("conc-packed256", n, ns)
 		})
 	}
 }
@@ -740,101 +694,4 @@ func TestShardedSpeedupFloor(t *testing.T) {
 		t.Errorf("sharded route speedup %.1f× < 2× floor (planned-parallel %.0f ns/route, sharded %.0f ns/route)",
 			best, plannedNs, shardedNs)
 	}
-}
-
-// TestWidePackedThroughputFloor pins the multi-word engine's acceptance
-// criterion: at n=256, routing 1024 assignments as four 256-lane
-// RoutePacked calls must match or beat the same 1024 as sixteen 64-lane
-// calls, on both the fused permuter and the concentrator
-// (ConcentratePacked). The calls run back to back on one goroutine, so
-// the ratio is the per-word cost of widening alone, with no worker-pool
-// effect. A W-word call runs as W single-word blocks through the same
-// inner loops a 64-lane call uses, so widening adds no per-word work and
-// parity is structural: the bar catches a wide path that gets measurably
-// slower. The ratio is taken as the best of five trials to ride out
-// scheduler noise on a loaded CI box.
-func TestWidePackedThroughputFloor(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing floor skipped in -short mode")
-	}
-	if race.Enabled {
-		t.Skip("timing floor skipped under the race detector: instrumentation " +
-			"penalizes the packed engine's tight word loops, distorting the ratio")
-	}
-	n := 256
-	batch := 1024
-	rng := rand.New(rand.NewSource(1992))
-	plan := permnet.NewRadixPermuter(n, concentrator.Fish, 0).Compile()
-	dests := make([][]int, batch)
-	for i := range dests {
-		dests[i] = rng.Perm(n)
-	}
-	conc := concentrator.New(n, n, concentrator.Fish, 0)
-	conc.Compile()
-	marked := make([][]bool, batch)
-	for i := range marked {
-		m := make([]bool, n)
-		for j := range m {
-			m[j] = rng.Intn(2) == 0
-		}
-		marked[i] = m
-	}
-	out := planner.Rows[int](batch, n)
-	counts := make([]int, batch)
-	route := func(lanes int) error {
-		for lo := 0; lo < batch; lo += lanes {
-			if err := plan.RoutePacked(out[lo:lo+lanes], dests[lo:lo+lanes]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	concentrate := func(lanes int) error {
-		for lo := 0; lo < batch; lo += lanes {
-			if err := conc.ConcentratePacked(out[lo:lo+lanes], counts[lo:lo+lanes], marked[lo:lo+lanes]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// Warm both widths (packed program compilation per width, pooled scratch).
-	for _, lanes := range []int{permnet.PackedLanes, 4 * permnet.PackedLanes} {
-		if err := route(lanes); err != nil {
-			t.Fatal(err)
-		}
-		if err := concentrate(lanes); err != nil {
-			t.Fatal(err)
-		}
-	}
-	measure := func(name string, run func(lanes int) error) {
-		bench := func(lanes int) func(b *testing.B) {
-			return func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if err := run(lanes); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}
-		best := 0.0
-		var narrowNs, wideNs float64
-		for trial := 0; trial < 5; trial++ {
-			nb := testing.Benchmark(bench(permnet.PackedLanes))
-			wb := testing.Benchmark(bench(4 * permnet.PackedLanes))
-			speedup := float64(nb.NsPerOp()) / float64(wb.NsPerOp())
-			if speedup > best {
-				best = speedup
-				narrowNs = float64(nb.NsPerOp()) / float64(batch)
-				wideNs = float64(wb.NsPerOp()) / float64(batch)
-			}
-		}
-		t.Logf("%s n=%d, %d items: 64-lane calls %.0f ns/req, 256-lane calls %.0f ns/req, ratio %.2f×",
-			name, n, batch, narrowNs, wideNs, best)
-		if best < 1 {
-			t.Errorf("%s 256-lane calls %.2f× slower than 64-lane calls (64-lane %.0f ns/req, 256-lane %.0f ns/req)",
-				name, 1/best, narrowNs, wideNs)
-		}
-	}
-	measure("permuter", route)
-	measure("concentrator", concentrate)
 }
