@@ -24,10 +24,9 @@ var (
 	// (shuffle wirings + balanced merging blocks) — its lowering
 	// exercises the wiring-flattening OpPermute path.
 	EngineBalanced planner.Engine
-	// EnginePeriodic sorts with the periodic balanced network [8]: one
-	// balanced merging block compiled once and replayed lg n times
-	// through the fused level-replay (Layout.Repeat) when it is the
-	// whole program.
+	// EnginePeriodic sorts with the periodic balanced network [8]: lg n
+	// balanced merging blocks in cascade, each lowered straight to its
+	// lg n comparator stages (see periodicSort).
 	EnginePeriodic planner.Engine
 	// EngineFishGvV is the paper's fish sorter with the Green/van
 	// Voorhis 60-comparator kernel replacing the mux-merger at 16-wide
@@ -44,6 +43,20 @@ func lowerNetwork(build func(n int) *Network) func(b *planner.Builder, lo, hi in
 			return
 		}
 		build(int(hi-lo)).LowerTo(b, lo)
+	}
+}
+
+// periodicSort lowers PeriodicBalancedSort(hi−lo) over [lo, hi) without
+// building the Network: each of the lg s balanced merging blocks is
+// lg s stage ops, the stage of block size bs ends-swapping every
+// bs-block of the window — (lg s)² steps where the generic LowerTo path
+// emits (s/2)·(lg s)² comparators for Compile to fold back.
+func periodicSort(b *planner.Builder, lo, hi int32, _ int) {
+	s := hi - lo
+	for range core.Lg(int(s)) {
+		for bs := s; bs >= 2; bs /= 2 {
+			b.EndsStage(lo, hi, bs)
+		}
 	}
 }
 
@@ -79,13 +92,7 @@ func init() {
 	})
 	EnginePeriodic = planner.MustRegister(planner.EngineSpec{
 		Name: "periodic",
-		Period: func(b *planner.Builder, lo, hi int32) {
-			if hi-lo == 1 {
-				return
-			}
-			BalancedMergingBlock(int(hi-lo)).LowerTo(b, lo)
-		},
-		Periods: func(n int) int { return core.Lg(n) },
+		Sort: periodicSort,
 	})
 	EngineFishGvV = planner.MustRegister(planner.EngineSpec{
 		Name: "fish-gvv16",

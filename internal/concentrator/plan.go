@@ -42,10 +42,8 @@ type Plan struct {
 
 // NewPlan compiles the routing plan for an n-input concentrating sort
 // over any registered engine: the engine's Sort lowering runs over the
-// whole width — except constant-periodic engines, whose single period
-// compiles once and replays Periods(n) times through Layout.Repeat (the
-// fused level-replay). For engines with a tuning parameter, k ≤ 0
-// selects the engine's default; parameterless engines ignore it.
+// whole width. For engines with a tuning parameter, k ≤ 0 selects the
+// engine's default; parameterless engines ignore it.
 // Malformed arguments panic, matching the scalar Route* functions.
 func NewPlan(n int, engine Engine, k int) *Plan {
 	if !core.IsPow2(n) {
@@ -58,21 +56,9 @@ func NewPlan(n int, engine Engine, k int) *Plan {
 	k = kk
 	spec, _ := planner.Lookup(engine)
 	var b planner.Builder
-	layout := planner.Layout{
-		N:           n,
-		FrontPlanes: 1,
-		TagShift:    tagShift,
-		TagPlane:    0,
-	}
-	if spec.Period != nil {
-		if n > 1 {
-			spec.Period(&b, 0, int32(n))
-			layout.Repeat = spec.Periods(n)
-		}
-	} else {
-		spec.Sort(&b, 0, int32(n), k)
-	}
-	return &Plan{n: n, engine: engine, k: k, prog: b.Compile(layout)}
+	spec.Sort(&b, 0, int32(n), k)
+	prog := b.Compile(planner.Layout{N: n, FrontPlanes: 1, TagShift: tagShift})
+	return &Plan{n: n, engine: engine, k: k, prog: prog}
 }
 
 // N returns the input width of the plan.

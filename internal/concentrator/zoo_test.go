@@ -5,8 +5,8 @@ package concentrator
 // bit-for-bit like a direct replay of its network (cmpnet.Apply), on
 // the scalar planned path, the planned-parallel batch pipeline, and
 // the 64-lane packed SWAR engine — and the periodic and fish-gvv16
-// engines, whose lowering is structurally novel (fused level-replay,
-// kernel-based recursion), are additionally certified against the
+// engines, whose lowering is structurally novel (direct comparator-stage
+// ops, kernel-based recursion), are additionally certified against the
 // zero-one principle through the registry-lowered programs themselves.
 
 import (
@@ -176,9 +176,9 @@ func TestZooDifferentialVsApply(t *testing.T) {
 
 // TestZooPeriodicCertified certifies the constant-periodic engine by
 // the zero-one principle through the registry-lowered program itself:
-// one balanced merging block compiled once and replayed lg n times via
-// the fused level-replay must sort all 2^n binary tag vectors for
-// n ≤ 16, and a randomized sweep covers n = 32.
+// lg n balanced merging blocks lowered as comparator-stage ops must sort
+// all 2^n binary tag vectors for n ≤ 16, and a randomized sweep covers
+// n = 32.
 func TestZooPeriodicCertified(t *testing.T) {
 	for _, n := range []int{2, 4, 8, 16} {
 		plan := PlanFor(n, cmpnet.EnginePeriodic, 0)

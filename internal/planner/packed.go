@@ -121,7 +121,7 @@ func (p *Program) Packed() (*Packed, error) {
 func (p *Program) packable() error {
 	for _, st := range p.steps {
 		switch st.Op {
-		case OpCmpSwap, OpFourIn, OpFourOut, OpShuffleCount, OpEndsSwap,
+		case OpCmpSwap, OpFourIn, OpFourOut, OpShuffleCount, OpEndsStage,
 			OpCondIn, OpCondOut, OpFishSplit, OpFishClean, OpRank,
 			OpSetTag, OpShuffle, OpUnshuffle, OpSelSwap, OpCmpPair,
 			OpPermute:
@@ -409,24 +409,17 @@ func (pp *Packed) extractSlow(out [][]int, val []uint64) {
 	}
 }
 
-// Run executes the step program over the packed plane array in sc,
-// Layout.Repeat passes. Every data movement carries all P planes of the
-// positions it moves, so the result depends only on the plane array Run
-// starts from: clients may preload any front and index planes, and the
-// word sorter's wide path runs it again over the permutation its
-// previous pass composed.
+// Run executes the step program over the packed plane array in sc.
+// Every data movement carries all P planes of the positions it moves, so
+// the result depends only on the plane array Run starts from: clients
+// may preload any front and index planes, and the word sorter's wide
+// path runs it again over the permutation its previous pass composed.
+// The tag plane tp is a register of the replay: it starts at
+// Layout.TagPlane and OpSetTag retargets it, as the scalar runner
+// retargets its tag shift. The packability scan behind Program.Packed
+// guarantees every opcode has a case here, so the switch needs no
+// failure arm.
 func (pp *Packed) Run(sc *PackedScratch) {
-	for r, reps := 0, pp.prog.Repeats(); r < reps; r++ {
-		pp.runPass(sc)
-	}
-}
-
-// runPass replays the step stream once over the plane array. The tag
-// plane tp is a register of the pass: it starts at Layout.TagPlane and
-// OpSetTag retargets it, as runOnce re-arms and retargets the scalar tag
-// shift. The packability scan behind Program.Packed guarantees every
-// opcode has a case here, so the switch needs no failure arm.
-func (pp *Packed) runPass(sc *PackedScratch) {
 	P := pp.P
 	bval := sc.Val
 	btmp := sc.Tmp[:len(bval)]
@@ -444,12 +437,16 @@ func (pp *Packed) runPass(sc *PackedScratch) {
 			if m := bval[xo+tp] &^ bval[xo+P+tp]; m != 0 {
 				swapWords(bval[xo:xo+P], bval[xo+P:xo+2*P], m)
 			}
-		case OpEndsSwap:
-			// The prefix patch-up's opposite-ends stage, and every folded
-			// comparator stage of a balanced merging block (see foldEnds).
-			for xo, yo := lo*P, (hi-1)*P; xo < yo; xo, yo = xo+P, yo-P {
-				if m := bval[xo+tp] &^ bval[yo+tp]; m != 0 {
-					swapWords(bval[xo:xo+P], bval[yo:yo+P], m)
+		case OpEndsStage:
+			// One comparator stage: the periodic engine's stages, the
+			// prefix patch-up's ends stage, and every folded stage of a
+			// generic comparator network (see foldEnds).
+			bw := int(st.Aux) * P
+			for blo := lo * P; blo < hi*P; blo += bw {
+				for xo, yo := blo, blo+bw-P; xo < yo; xo, yo = xo+P, yo-P {
+					if m := bval[xo+tp] &^ bval[yo+tp]; m != 0 {
+						swapWords(bval[xo:xo+P], bval[yo:yo+P], m)
+					}
 				}
 			}
 		case OpFourIn:

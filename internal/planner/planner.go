@@ -51,8 +51,12 @@ const (
 	// OpShuffleCount perfect-shuffles [lo,hi) and loads the running ones
 	// count m for the patch-up chain that follows.
 	OpShuffleCount
-	// OpEndsSwap compare-swaps opposite ends of [lo,hi): (lo+i, hi-1-i).
-	OpEndsSwap
+	// OpEndsStage compare-swaps opposite ends of every Aux-block of
+	// [lo,hi): (blo+i, blo+Aux−1−i) for every block start blo = lo,
+	// lo+Aux, … and i < Aux/2 — one comparator stage of a balanced
+	// merging block (one block: the prefix patch-up's ends stage). The
+	// pairs are disjoint, so their order does not matter.
+	OpEndsStage
 	// OpCondIn evaluates the patch-up select m ≥ s/2, records it at aux,
 	// and on select swaps the halves of [lo,hi) and reduces m by s/2.
 	OpCondIn
@@ -99,7 +103,7 @@ const (
 
 // Step is one lowered routing operation: an opcode, the window [Lo,Hi) it
 // operates on, and an auxiliary operand (select-replay slot, fish block
-// count, or OpSetTag's packed tag plane).
+// count, ends-stage block size, or OpSetTag's packed tag plane).
 type Step struct {
 	Op     Op
 	Lo, Hi int32
@@ -121,12 +125,6 @@ type Layout struct {
 	// TagPlane is the packed bit plane of the routing tag before the
 	// first OpSetTag (0 for single-tag programs).
 	TagPlane int
-	// Repeat replays the whole step stream this many times per execution
-	// (values < 1 mean once). Constant-periodic engines compile one
-	// period and set Repeat to the period count, so the packed engine
-	// re-runs one short resident instruction stream instead of carrying
-	// an unrolled program — the fused level-replay packaging.
-	Repeat int
 }
 
 // Program is a compiled routing program. It is immutable after
@@ -239,7 +237,7 @@ func (b *Builder) patchUp(lo, hi int32) {
 	if s == 1 {
 		return
 	}
-	b.Emit(OpEndsSwap, lo, hi, 0)
+	b.EndsStage(lo, hi, s)
 	if s == 2 {
 		return
 	}
@@ -298,6 +296,16 @@ func (b *Builder) SelSwap(lo, sel int32) {
 func (b *Builder) Shuffle(lo, hi int32)   { b.Emit(OpShuffle, lo, hi, 0) }
 func (b *Builder) Unshuffle(lo, hi int32) { b.Emit(OpUnshuffle, lo, hi, 0) }
 
+// EndsStage emits one comparator stage: opposite ends compare-swapped
+// in every bs-block of [lo,hi). A malformed stage — bs not a power of
+// two, bs < 2, or bs not dividing hi−lo — is a lowering bug and panics.
+func (b *Builder) EndsStage(lo, hi, bs int32) {
+	if bs < 2 || bs&(bs-1) != 0 || hi-lo < bs || (hi-lo)%bs != 0 {
+		panic(fmt.Sprintf("planner: EndsStage over [%d,%d) with block size %d", lo, hi, bs))
+	}
+	b.Emit(OpEndsStage, lo, hi, bs)
+}
+
 // CmpPair emits one tag-driven compare-exchange of the arbitrary
 // position pair (i, j): the smaller tag lands at i.
 func (b *Builder) CmpPair(i, j int32) {
@@ -336,7 +344,7 @@ func (b *Builder) Permute(lo, hi int32, perm []int32) {
 }
 
 // Compile freezes the builder's step stream into an executable Program
-// with the given layout, folding comparator stages into OpEndsSwap steps
+// with the given layout, folding comparator stages into OpEndsStage steps
 // (see foldEnds). The builder must not be reused afterwards.
 func (b *Builder) Compile(layout Layout) *Program {
 	if !core.IsPow2(layout.N) {
@@ -357,27 +365,34 @@ func (b *Builder) Compile(layout Layout) *Program {
 	return p
 }
 
-// foldEnds rewrites every run of OpCmpPair steps (lo+i, hi−1−i) for
-// i = 0..s/2−1, s = hi−lo ≥ 4 — the opposite-ends comparator stage of a
-// balanced merging block, as the comparator-network lowering emits it
-// — into one OpEndsSwap over [lo, hi), which both runners already replay
-// with the same semantics. The run's comparators touch disjoint positions,
-// so RunStuck's faults applied once after the folded step leave the same
-// state as faults applied after each comparator. A periodic permuter at
-// n=4096 shrinks from 1.33M steps to 311k this way. steps is rewritten
-// in place; when a run folded, the result is a fresh slice sized to the
-// folded stream, so the unfolded array is released.
+// foldEnds rewrites every run of OpCmpPair steps that forms one
+// comparator stage of equal blocks — adjacent bs-blocks, each
+// compare-swapping its opposite ends (blo+i, blo+bs−1−i), bs a power of
+// two, bs = 2 being a run of adjacent pairs (i, i+1) — into one
+// OpEndsStage, which both runners replay with the same semantics. This
+// is how a generic comparator network lowered through cmpnet's LowerTo
+// (a balanced merging block, say) reaches the stage op; a lone
+// comparator stays an OpCmpPair. The run's comparators touch disjoint
+// positions, so RunStuck's faults applied once after the folded step
+// leave the same state as faults applied after each comparator. steps is
+// rewritten in place; when a run folded, the result is a fresh slice
+// sized to the folded stream, so the unfolded array is released.
 func foldEnds(steps []Step) []Step {
 	out := steps[:0] // the write index never passes the read index
 	for i := 0; i < len(steps); {
-		if st := steps[i]; st.Op == OpCmpPair {
-			if h := endsRun(steps[i:]); h > 0 {
-				out = append(out, Step{Op: OpEndsSwap, Lo: st.Lo, Hi: st.Hi + 1})
-				i += h
-				continue
-			}
+		st := steps[i]
+		bs := endsBlock(steps[i:])
+		used, hi := 0, st.Lo // the stage so far: used comparators over [st.Lo, hi)
+		for bs > 0 && i+used < len(steps) && steps[i+used].Lo == hi && endsBlock(steps[i+used:]) == bs {
+			used += int(bs / 2)
+			hi += bs
 		}
-		out = append(out, steps[i])
+		if used >= 2 {
+			out = append(out, Step{Op: OpEndsStage, Lo: st.Lo, Hi: hi, Aux: bs})
+			i += used
+			continue
+		}
+		out = append(out, st)
 		i++
 	}
 	if len(out) == len(steps) {
@@ -386,24 +401,21 @@ func foldEnds(steps []Step) []Step {
 	return slices.Clone(out)
 }
 
-// endsRun returns the length s/2 ≥ 2 of the opposite-ends comparator run
-// that opens steps — OpCmpPair (lo+i, hi−1−i) for i = 0..s/2−1 with
-// hi = steps[0].Hi+1 — or 0 when steps does not open with one.
-func endsRun(steps []Step) int {
+// endsBlock returns the size bs of the opposite-ends comparator block
+// that opens steps — OpCmpPair (lo+i, lo+bs−1−i) for i = 0..bs/2−1, bs a
+// power of two ≥ 2 — or 0 when steps does not open with one.
+func endsBlock(steps []Step) int32 {
 	st := steps[0]
-	if st.Op != OpCmpPair || st.Hi <= st.Lo || (st.Hi-st.Lo)%2 == 0 {
+	bs := st.Hi - st.Lo + 1
+	if st.Op != OpCmpPair || bs < 2 || bs&(bs-1) != 0 || int(bs/2) > len(steps) {
 		return 0
 	}
-	h := int(st.Hi-st.Lo+1) / 2
-	if h < 2 || h > len(steps) {
-		return 0
-	}
-	for i, c := range steps[1:h] {
+	for i, c := range steps[1 : bs/2] {
 		if c.Op != OpCmpPair || c.Lo != st.Lo+int32(i+1) || c.Hi != st.Hi-int32(i+1) {
 			return 0
 		}
 	}
-	return h
+	return bs
 }
 
 // N returns the network width of the program.
@@ -414,15 +426,6 @@ func (p *Program) NumSteps() int { return len(p.steps) }
 
 // NumSel returns the number of select-replay slots one execution needs.
 func (p *Program) NumSel() int { return p.nsel }
-
-// Repeats returns how many times the step stream replays per execution
-// (Layout.Repeat, minimum 1).
-func (p *Program) Repeats() int {
-	if p.layout.Repeat > 1 {
-		return p.layout.Repeat
-	}
-	return 1
-}
 
 // Layout returns the program's packet-word / bit-plane layout.
 func (p *Program) Layout() Layout { return p.layout }

@@ -3,9 +3,8 @@ package planner
 // The reference interpreter: a deliberately naive executor of compiled
 // Programs, written from the op definitions in planner.go and the
 // paper's four-way swapper tables rather than from either runner. It
-// takes one step at a time over plain packet words, builds every moved
-// window in a fresh slice, and replays Layout.Repeat by running the
-// stream again — no pooling, fusion or in-place tricks. The differential
+// takes one step at a time over plain packet words and builds every
+// moved window in a fresh slice — no pooling, fusion or in-place tricks. The differential
 // below checks Run, RunStuck, RunScratch and the packed engine against it
 // on random well-formed programs, every plane of every position, with
 // random per-lane preset select settings.
@@ -26,118 +25,117 @@ import (
 const refShift = 31
 
 // refRun executes p over vals with the semantics of each Op's comment:
-// Repeats() passes, the tag shift and the patch-up ones count re-armed
-// per pass, select slots recorded by FourIn/CondIn and replayed by
-// FourOut/CondOut, and OpSelSwap reading its slot's preset setting from
-// presets (one per slot, or nil for none).
+// the tag shift starts at Layout.TagShift, select slots are recorded by
+// FourIn/CondIn and replayed by FourOut/CondOut, and OpSelSwap reads its
+// slot's preset setting from presets (one per slot, or nil for none).
 func refRun(p *Program, vals []uint64, presets []uint8) {
 	sel := make([]int, p.nsel)
 	for s, v := range presets {
 		sel[s] = int(v)
 	}
-	for r := 0; r < p.Repeats(); r++ {
-		sh := p.layout.TagShift
-		m := 0 // ones count of the active patch-up chain
-		tag := func(i int) int { return int(vals[i] >> sh & 1) }
-		cmpx := func(a, b int) {
-			if tag(a) == 1 && tag(b) == 0 {
-				vals[a], vals[b] = vals[b], vals[a]
-			}
+	sh := p.layout.TagShift
+	m := 0 // ones count of the active patch-up chain
+	tag := func(i int) int { return int(vals[i] >> sh & 1) }
+	cmpx := func(a, b int) {
+		if tag(a) == 1 && tag(b) == 0 {
+			vals[a], vals[b] = vals[b], vals[a]
 		}
-		for _, st := range p.steps {
-			lo, hi, aux := int(st.Lo), int(st.Hi), int(st.Aux)
-			s := hi - lo
-			var from []int // from[j]: the position whose word lands at lo+j
-			switch st.Op {
-			case OpCmpSwap:
-				cmpx(lo, lo+1)
-			case OpCmpPair:
-				cmpx(lo, hi)
-			case OpEndsSwap:
-				for i := 0; i < s/2; i++ {
-					cmpx(lo+i, hi-1-i)
+	}
+	for _, st := range p.steps {
+		lo, hi, aux := int(st.Lo), int(st.Hi), int(st.Aux)
+		s := hi - lo
+		var from []int // from[j]: the position whose word lands at lo+j
+		switch st.Op {
+		case OpCmpSwap:
+			cmpx(lo, lo+1)
+		case OpCmpPair:
+			cmpx(lo, hi)
+		case OpEndsStage:
+			for blo := lo; blo < hi; blo += aux { // pair by pair
+				for i := 0; i < aux/2; i++ {
+					cmpx(blo+i, blo+aux-1-i)
 				}
-			case OpFourIn:
-				q := s / 4
-				sel[aux] = 2*tag(lo+q) + tag(lo+3*q)
-				from = refQuarters(lo, q, swapper.INSwap[sel[aux]])
-			case OpFourOut:
-				from = refQuarters(lo, s/4, swapper.OUTSwap[sel[aux]])
-			case OpShuffleCount, OpShuffle:
-				for i := 0; i < s/2; i++ {
-					from = append(from, lo+i, lo+s/2+i)
-				}
-				if st.Op == OpShuffleCount {
-					m = 0
-					for i := lo; i < hi; i++ {
-						m += tag(i)
-					}
-				}
-			case OpUnshuffle:
-				for i := 0; i < s; i += 2 {
-					from = append(from, lo+i)
-				}
-				for i := 1; i < s; i += 2 {
-					from = append(from, lo+i)
-				}
-			case OpCondIn, OpCondOut:
-				if st.Op == OpCondIn {
-					sel[aux] = 0
-					if m >= s/2 {
-						m -= s / 2
-						sel[aux] = 1
-					}
-				}
-				for i := 0; sel[aux] == 1 && i < s; i++ { // swap the halves
-					from = append(from, lo+(i+s/2)%s)
-				}
-			case OpFishSplit:
-				// Block j is sorted, so its middle tag names its clean
-				// half: the lower half is all 0s when the middle tag is 0,
-				// the upper half all 1s when it is 1.
-				bs := s / aux
-				half := bs / 2
-				var up, dn []int
-				for blo := lo; blo < hi; blo += bs {
-					clean, dirty := blo, blo+half
-					if tag(blo+half) == 1 {
-						clean, dirty = blo+half, blo
-					}
-					for t := 0; t < half; t++ {
-						up = append(up, clean+t)
-						dn = append(dn, dirty+t)
-					}
-				}
-				from = append(up, dn...)
-			case OpFishClean:
-				bs := s / aux
-				for _, blo := range refStable(lo, hi, bs, tag) {
-					for t := 0; t < bs; t++ {
-						from = append(from, blo+t)
-					}
-				}
-			case OpRank:
-				from = refStable(lo, hi, 1, tag)
-			case OpSetTag:
-				sh = uint(st.Lo)
-			case OpSelSwap:
-				if sel[aux] == 1 {
-					from = []int{lo + 1, lo}
-				}
-			case OpPermute:
-				for _, src := range p.perms[aux : aux+s] {
-					from = append(from, lo+int(src))
-				}
-			default:
-				panic(fmt.Sprintf("refRun: op %d has no reference form here", st.Op))
 			}
-			if from != nil {
-				out := make([]uint64, s)
-				for j, f := range from {
-					out[j] = vals[f]
-				}
-				copy(vals[lo:hi], out)
+		case OpFourIn:
+			q := s / 4
+			sel[aux] = 2*tag(lo+q) + tag(lo+3*q)
+			from = refQuarters(lo, q, swapper.INSwap[sel[aux]])
+		case OpFourOut:
+			from = refQuarters(lo, s/4, swapper.OUTSwap[sel[aux]])
+		case OpShuffleCount, OpShuffle:
+			for i := 0; i < s/2; i++ {
+				from = append(from, lo+i, lo+s/2+i)
 			}
+			if st.Op == OpShuffleCount {
+				m = 0
+				for i := lo; i < hi; i++ {
+					m += tag(i)
+				}
+			}
+		case OpUnshuffle:
+			for i := 0; i < s; i += 2 {
+				from = append(from, lo+i)
+			}
+			for i := 1; i < s; i += 2 {
+				from = append(from, lo+i)
+			}
+		case OpCondIn, OpCondOut:
+			if st.Op == OpCondIn {
+				sel[aux] = 0
+				if m >= s/2 {
+					m -= s / 2
+					sel[aux] = 1
+				}
+			}
+			for i := 0; sel[aux] == 1 && i < s; i++ { // swap the halves
+				from = append(from, lo+(i+s/2)%s)
+			}
+		case OpFishSplit:
+			// Block j is sorted, so its middle tag names its clean
+			// half: the lower half is all 0s when the middle tag is 0,
+			// the upper half all 1s when it is 1.
+			bs := s / aux
+			half := bs / 2
+			var up, dn []int
+			for blo := lo; blo < hi; blo += bs {
+				clean, dirty := blo, blo+half
+				if tag(blo+half) == 1 {
+					clean, dirty = blo+half, blo
+				}
+				for t := 0; t < half; t++ {
+					up = append(up, clean+t)
+					dn = append(dn, dirty+t)
+				}
+			}
+			from = append(up, dn...)
+		case OpFishClean:
+			bs := s / aux
+			for _, blo := range refStable(lo, hi, bs, tag) {
+				for t := 0; t < bs; t++ {
+					from = append(from, blo+t)
+				}
+			}
+		case OpRank:
+			from = refStable(lo, hi, 1, tag)
+		case OpSetTag:
+			sh = uint(st.Lo)
+		case OpSelSwap:
+			if sel[aux] == 1 {
+				from = []int{lo + 1, lo}
+			}
+		case OpPermute:
+			for _, src := range p.perms[aux : aux+s] {
+				from = append(from, lo+int(src))
+			}
+		default:
+			panic(fmt.Sprintf("refRun: op %d has no reference form here", st.Op))
+		}
+		if from != nil {
+			out := make([]uint64, s)
+			for j, f := range from {
+				out[j] = vals[f]
+			}
+			copy(vals[lo:hi], out)
 		}
 	}
 }
@@ -171,8 +169,9 @@ func refStable(lo, hi, u int, tag func(int) int) []int {
 
 // randProgram lowers a random well-formed program over n positions with
 // front planes riding at refShift: sorter windows (MMSort, PrefixSort,
-// FishSort, Rank) at random offsets, single comparators and
-// opposite-ends comparator stages, fixed permutations, shuffles and
+// FishSort, Rank) at random offsets, single comparators, comparator
+// stages of random block size (EndsStage, and the same stages as
+// OpCmpPair runs for Compile to fold), fixed permutations, shuffles and
 // unshuffles, tag retargets to any front plane, up or down, and columns
 // of preset 2×2 switches (OpSelSwap).
 func randProgram(rng *rand.Rand, n, front int) *Program {
@@ -184,7 +183,8 @@ func randProgram(rng *rand.Rand, n, front int) *Program {
 		s := int32(1) << lgs
 		lo := int32(rng.Intn(n - int(s) + 1))
 		hi := lo + s
-		switch rng.Intn(11) {
+		bs := int32(2) << rng.Intn(lgs) // a stage's block size, 2..s
+		switch rng.Intn(12) {
 		case 0:
 			b.MMSort(lo, hi)
 		case 1:
@@ -198,8 +198,10 @@ func randProgram(rng *rand.Rand, n, front int) *Program {
 			j := (i + 1 + rng.Intn(n-1)) % n
 			b.CmpPair(int32(i), int32(j))
 		case 5:
-			for i := int32(0); i < s/2; i++ { // folds to one OpEndsSwap
-				b.CmpPair(lo+i, hi-1-i)
+			for blo := lo; blo < hi; blo += bs { // folds to one OpEndsStage
+				for i := int32(0); i < bs/2; i++ {
+					b.CmpPair(blo+i, blo+bs-1-i)
+				}
 			}
 		case 6:
 			pm := make([]int32, s)
@@ -218,6 +220,8 @@ func randProgram(rng *rand.Rand, n, front int) *Program {
 			for i := int32(0); i < s/2; i++ {
 				b.SelSwap(lo+2*i, b.NewSel())
 			}
+		case 11:
+			b.EndsStage(lo, hi, bs)
 		}
 	}
 	return b.Compile(Layout{
@@ -225,7 +229,6 @@ func randProgram(rng *rand.Rand, n, front int) *Program {
 		FrontPlanes: front,
 		TagShift:    uint(refShift + tp),
 		TagPlane:    tp,
-		Repeat:      1 + rng.Intn(3),
 	})
 }
 
@@ -437,7 +440,7 @@ func TestRefSorts(t *testing.T) {
 // programs, plus the two shapes a bounded packed runner got wrong — a
 // tag retarget to a plane above the one the program sorted on, and a
 // second replay over the first replay's index planes — and a
-// Beneš-shaped preset-select program replayed twice per run.
+// Beneš-shaped preset-select program replayed twice.
 func TestRefDifferential(t *testing.T) {
 	for _, vec := range vectorPaths() {
 		setVector(t, vec)
@@ -460,8 +463,8 @@ func TestRefDifferential(t *testing.T) {
 		}), 2, rng)
 
 		// Preset switch columns around an unshuffle/shuffle pair, then a
-		// tag-driven sort, over two Layout.Repeat passes: the presets must
-		// hold across passes while the recorded slots are rewritten.
+		// tag-driven sort, replayed twice: the presets must hold across
+		// replays while the recorded slots are rewritten.
 		var benes Builder
 		for i := int32(0); i < 16; i += 2 {
 			benes.SelSwap(i, benes.NewSel())
@@ -472,7 +475,7 @@ func TestRefDifferential(t *testing.T) {
 		}
 		benes.Shuffle(0, 16)
 		benes.MMSort(0, 16)
-		checkAgainstRef(t, "preset selects", benes.Compile(Layout{N: 16, FrontPlanes: 1, TagShift: refShift, Repeat: 2}), 1, rng)
+		checkAgainstRef(t, "preset selects", benes.Compile(Layout{N: 16, FrontPlanes: 1, TagShift: refShift}), 2, rng)
 
 		for trial := 0; trial < 60; trial++ {
 			n := 4 << rng.Intn(5) // 4..64

@@ -42,9 +42,7 @@ const (
 )
 
 // EngineSpec describes one routing engine: its name, its lowering onto
-// the planner IR, and its capability envelope. Exactly one of Sort or
-// Period must be provided (Period implies Periods); Register derives the
-// unrolled Sort of a periodic engine automatically.
+// the planner IR, and its capability envelope.
 type EngineSpec struct {
 	// Name is the engine's registry key (flag values, bench columns,
 	// String). Must be unique and non-empty.
@@ -55,15 +53,6 @@ type EngineSpec struct {
 	// count); k ≤ 0 selects the engine's default. Engines without a
 	// parameter ignore k.
 	Sort func(b *Builder, lo, hi int32, k int)
-
-	// Period lowers ONE period of a constant-periodic engine over
-	// [lo, hi); Periods reports how many period replays sort n inputs.
-	// When the engine is the whole program (a concentrator plan), the
-	// period compiles once and replays Periods(n) times through
-	// Layout.Repeat — the fused level-replay packaging; used as one
-	// window among many (a permnet level), the period unrolls.
-	Period  func(b *Builder, lo, hi int32)
-	Periods func(n int) int
 
 	// CheckK validates and normalizes the tuning parameter for width n:
 	// it returns the k to compile with (resolving k ≤ 0 to the engine's
@@ -101,19 +90,8 @@ func Register(spec EngineSpec) (Engine, error) {
 	if spec.Name == "" {
 		return 0, fmt.Errorf("planner: Register: empty engine name")
 	}
-	if spec.Sort == nil && spec.Period == nil {
-		return 0, fmt.Errorf("planner: Register %q: no Sort or Period lowering", spec.Name)
-	}
-	if spec.Period != nil && spec.Periods == nil {
-		return 0, fmt.Errorf("planner: Register %q: Period without Periods", spec.Name)
-	}
 	if spec.Sort == nil {
-		period, periods := spec.Period, spec.Periods
-		spec.Sort = func(b *Builder, lo, hi int32, _ int) {
-			for i, p := 0, periods(int(hi-lo)); i < p; i++ {
-				period(b, lo, hi)
-			}
-		}
+		return 0, fmt.Errorf("planner: Register %q: no Sort lowering", spec.Name)
 	}
 	regMu.Lock()
 	defer regMu.Unlock()

@@ -38,14 +38,6 @@ func (p *Program) run(vals []uint64, tmp []uint64, sel []uint8, faults []StuckFa
 	if len(faults) != 0 {
 		applyStuck(vals, faults)
 	}
-	for r, reps := 0, p.Repeats(); r < reps; r++ {
-		p.runOnce(vals, tmp, sel, faults)
-	}
-}
-
-// runOnce walks the step stream exactly once; run replays it Layout.Repeat
-// times with the tag registers re-armed per pass.
-func (p *Program) runOnce(vals []uint64, tmp []uint64, sel []uint8, faults []StuckFault) {
 	sh := p.layout.TagShift
 	m := int32(0) // running ones count for the active patch-up chain
 	for _, st := range p.steps {
@@ -90,11 +82,12 @@ func (p *Program) runOnce(vals []uint64, tmp []uint64, sel []uint8, faults []Stu
 				vals[lo+2*i+1] = b
 				m += int32(a>>sh&1) + int32(b>>sh&1)
 			}
-		case OpEndsSwap:
-			for i := int32(0); i < s/2; i++ {
-				a, b := lo+i, hi-1-i
-				if va, vb := vals[a], vals[b]; va>>sh&1 > vb>>sh&1 {
-					vals[a], vals[b] = vb, va
+		case OpEndsStage:
+			for blo := lo; blo < hi; blo += st.Aux {
+				for a, b := blo, blo+st.Aux-1; a < b; a, b = a+1, b-1 {
+					if va, vb := vals[a], vals[b]; va>>sh&1 > vb>>sh&1 {
+						vals[a], vals[b] = vb, va
+					}
 				}
 			}
 		case OpCondIn:

@@ -9,11 +9,9 @@ package absort_test
 //     plan replay
 //
 // alongside the paper's fish engine as the resident baseline. The
-// constant-periodic engine is the zoo's headline: its whole program is
-// one balanced merging block replayed lg n times through the fused
-// level-replay (Layout.Repeat), so its step stream is lg n times
-// shorter than a fully unrolled network's and decode cost amortizes
-// accordingly. Results are persisted to BENCH_zoo.json; the CI smoke
+// constant-periodic engine is the zoo's headline: each of its steps is
+// a whole comparator stage (OpEndsStage), 144 at n = 4096, so step
+// decode cost amortizes over n/2 comparators. Results are persisted to BENCH_zoo.json; the CI smoke
 // run (`make bench` / `make bench-zoo`) refreshes them and
 // TestZooSpeedupFloor gates the packed path's profitability.
 
