@@ -18,6 +18,7 @@ package permnet
 
 import (
 	"fmt"
+	"math/bits"
 
 	"absort/internal/planner"
 )
@@ -117,29 +118,65 @@ func (p *RoutePlan) RoutePacked(out [][]int, dests [][]int) error {
 // routePackedAt is RoutePacked with the assignments' global batch offset
 // (for error messages of grouped batch execution); it returns the global
 // index of the offending request alongside the error.
+//
+// The group's shapes are checked first; the permutation check is the
+// network's own (DESIGN §13). LoadDestLanes checks every destination's
+// range as it packs, and after the replay MisplacedLanes finds every
+// lane whose destinations did not land on the identity. Only when some
+// lane fails does the per-lane validator run, for the canonical error.
 func (p *RoutePlan) routePackedAt(out [][]int, dests [][]int, base int) (int, error) {
-	if i, err := checkPackedGroup(p.n, out, dests, base, p.validate); err != nil {
-		return i, err
+	if _, err := checkPackedGroup(p.n, out, dests, base, nil); err != nil {
+		// The first offender may be an earlier lane's permutation error.
+		return checkPackedGroup(p.n, out, dests, base, p.validate)
 	}
 	pp, err := p.prog.Packed()
 	if err != nil {
 		return base, err
 	}
 	sc := pp.Get()
-	pp.LoadDestLanes(sc.Val, dests)
-	pp.Run(sc)
-	pp.Extract(out, sc.Val)
-	pp.Put(sc)
-	return 0, nil
+	defer pp.Put(sc)
+	inRange := pp.LoadDestLanes(sc.Val, dests)
+	if inRange {
+		pp.Run(sc)
+	}
+	return p.deliverPacked(pp, sc.Val, out, dests, base, inRange)
+}
+
+// deliverPacked extracts a replayed group into out once the network's
+// verdict clears every lane. Otherwise it writes nothing and returns the
+// first failing lane's error: a lane that fails the validator gets the
+// validator's error, as RouteInto would; a lane that passes it but
+// missed the identity was misdelivered by the replay, which is an error
+// too, never a silent re-route. With inRange false the replay never ran
+// and every lane is suspect.
+func (p *RoutePlan) deliverPacked(pp *planner.Packed, val []uint64, out, dests [][]int, base int, inRange bool) (int, error) {
+	bad := ^uint64(0)
+	if inRange {
+		bad = pp.MisplacedLanes(val, len(dests))
+	}
+	if bad == 0 {
+		pp.Extract(out, val)
+		return 0, nil
+	}
+	for l, dest := range dests {
+		if bad>>uint(l)&1 == 0 {
+			continue
+		}
+		if err := p.validate(dest); err != nil {
+			return base + l, err
+		}
+	}
+	l := bits.TrailingZeros64(bad)
+	return base + l, fmt.Errorf("permnet: RoutePacked: packed replay misdelivered request %d, a valid permutation", base+l)
 }
 
 // checkPackedGroup is the one validation contract of every plan's packed
 // group (DESIGN §13), checked in this order before anything routes: the
 // group holds 1..PackedLanes assignments, one output per assignment,
 // and each assignment l has n destinations, an n-slot output and passes
-// valid (the permutation check). It returns the global index of the
-// offending request (base + l, or base for a group-shape error)
-// alongside the error.
+// valid (the permutation check; nil checks the shapes alone). It returns
+// the global index of the offending request (base + l, or base for a
+// group-shape error) alongside the error.
 func checkPackedGroup(n int, out, dests [][]int, base int, valid func([]int) error) (int, error) {
 	lanes := len(dests)
 	if lanes == 0 || lanes > PackedLanes {
@@ -158,6 +195,9 @@ func checkPackedGroup(n int, out, dests [][]int, base int, valid func([]int) err
 		if len(out[l]) != n {
 			return base + l, fmt.Errorf("permnet: RouteInto into %d outputs, want %d",
 				len(out[l]), n)
+		}
+		if valid == nil {
+			continue
 		}
 		if err := valid(dest); err != nil {
 			return base + l, err

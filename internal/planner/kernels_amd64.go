@@ -1,7 +1,7 @@
 package planner
 
-// Declarations of the AVX2 plane-run kernels in kernels_amd64.s and the
-// CPU check that enables them (useAVX2, packed.go).
+// Declarations of the AVX2 kernels in kernels_amd64.s and the CPU check
+// that enables them (useAVX2, packed.go).
 
 // cpuHasAVX2 reports whether the CPU has AVX2 and the OS has enabled the
 // YMM register state (XCR0 bits 1 and 2) the kernels need.
@@ -35,3 +35,12 @@ func swapWordsAVX2(x, y *uint64, n int, m uint64)
 
 //go:noescape
 func blendRangeAVX2(dst, src0, src1 *uint64, n int, d uint64)
+
+//go:noescape
+func transpose64AVX2(a *[64]uint64)
+
+//go:noescape
+func endsStageAVX2(v *uint64, nw, bw, pw, tp int)
+
+//go:noescape
+func transpose16x4ColsAVX2(a *[16][64]uint64)

@@ -36,7 +36,9 @@
 //     for a q-position range. On amd64 CPUs with AVX2 they move four
 //     plane words per instruction (kernels_amd64.s), chosen once at
 //     package init; the Go loops are the reference and run the 0–3-word
-//     tails, or everything elsewhere.
+//     tails, or everything elsewhere. A comparator stage (OpEndsStage)
+//     runs whole in one kernel call, tag tests included, and the bit-block
+//     transposes of the lane load and extract have AVX2 forms too.
 //
 // A Packed engine performs zero steady-state heap allocations: plane
 // array, copy scratch, select-mask replay buffer, preset select masks,
@@ -221,50 +223,55 @@ func (pp *Packed) loadIndexBroadcast(val []uint64) {
 // beyond len(dests) (at most PackedLanes) are zeroed. Positions are
 // packed in 64-wide chunks through the same two transpose stages Extract
 // uses in reverse — about five word operations per packed destination.
-func (pp *Packed) LoadDestLanes(val []uint64, dests [][]int) {
+// It reports whether every destination lies in [0, n): one OR per
+// value, since n is a power of two. An out-of-range destination loads
+// only its low F bits, so d and d+n would load the same planes.
+func (pp *Packed) LoadDestLanes(val []uint64, dests [][]int) bool {
 	P, F := pp.P, pp.F
 	n := pp.prog.layout.N
 	if n < 64 || F > 16 {
-		pp.loadDestSlow(val, dests)
-		return
+		return pp.loadDestSlow(val, dests)
 	}
+	var lanePl [16][64]uint64 // lanePl[b][l]: lane l's plane-b bits
+	var or int
 	for base := 0; base < n; base += 64 {
 		// Stage 1 (inverse of Extract's stage 2): per lane, pack 64
-		// destination values into 16 words four-per-quarter and flip them
-		// into front-plane rows with the 16×16×4 block transpose.
-		var lanePl [16][64]uint64 // lanePl[b][l]: lane l's plane-b bits
+		// destination values into 16 words — word i holds positions
+		// 4i..4i+3, one per quarter — and flip every lane's words into
+		// front-plane rows with the 16×16×4 block transpose.
 		for l, d := range dests {
-			var a [16]uint64
 			dd := d[base : base+64]
-			for i := 0; i < 16; i++ {
-				a[i] = uint64(uint16(dd[i])) |
-					uint64(uint16(dd[16+i]))<<16 |
-					uint64(uint16(dd[32+i]))<<32 |
-					uint64(uint16(dd[48+i]))<<48
-			}
-			Transpose16x4(&a)
-			for b := 0; b < F; b++ {
-				lanePl[b][l] = a[b]
+			for i := range lanePl {
+				d0, d1, d2, d3 := dd[4*i], dd[4*i+1], dd[4*i+2], dd[4*i+3]
+				or |= d0 | d1 | d2 | d3
+				lanePl[i][l] = uint64(uint16(d0)) | uint64(uint16(d1))<<16 |
+					uint64(uint16(d2))<<32 | uint64(uint16(d3))<<48
 			}
 		}
+		transpose16x4Cols(&lanePl)
 		// Stage 2 (inverse of Extract's stage 1): one 64×64 transpose per
-		// front plane turns 64 lane-words into 64 position-words.
+		// front plane turns 64 lane-words into 64 position-words, row
+		// 16g+i holding position 4i+g.
 		for b := 0; b < F; b++ {
 			bp := &lanePl[b]
 			Transpose64(bp)
 			for j := 0; j < 64; j++ {
-				val[(base+j)*P+b] = bp[j]
+				val[(base+j)*P+b] = bp[16*(j&3)+j>>2]
 			}
+			clear(bp[len(dests):]) // re-zero the empty lanes for the next chunk
 		}
 	}
 	pp.loadIndexBroadcast(val)
+	return uint(or) < uint(n)
 }
 
 // loadDestSlow is the bit-scatter fallback of LoadDestLanes for programs
 // too narrow (or too wide) for the block-transpose fast path.
-func (pp *Packed) loadDestSlow(val []uint64, dests [][]int) {
+func (pp *Packed) loadDestSlow(val []uint64, dests [][]int) bool {
 	P, F := pp.P, pp.F
-	for i := 0; i < pp.prog.layout.N; i++ {
+	n := pp.prog.layout.N
+	var or int
+	for i := 0; i < n; i++ {
 		for b := 0; b < F; b++ {
 			wd := uint64(0)
 			for l, d := range dests {
@@ -273,7 +280,13 @@ func (pp *Packed) loadDestSlow(val []uint64, dests [][]int) {
 			val[i*P+b] = wd
 		}
 	}
+	for _, d := range dests {
+		for _, v := range d[:n] {
+			or |= v
+		}
+	}
 	pp.loadIndexBroadcast(val)
+	return uint(or) < uint(n)
 }
 
 // LoadSelBits flattens per-lane preset switch settings into per-step
@@ -346,12 +359,14 @@ func addCounter(c []uint64, m uint64) {
 
 // Extract reads the per-lane permutations back out of the index planes:
 // out[l][j] is the origin index whose bits lane l carries at position j,
-// for at most PackedLanes lanes. Positions are processed in 64-wide chunks through two transpose stages:
-// one 64×64 bit-block transpose per index plane turns 64 position-words
-// into 64 lane-words, then per lane a four-wide 16×16 SWAR transpose
-// turns up to 16 plane rows into 64 ready permutation values — about
-// five word operations per extracted index, instead of one shift-mask-or
-// per (lane, position, plane).
+// for at most PackedLanes lanes. Positions are processed in 64-wide
+// chunks through two transpose stages: one 64×64 bit-block transpose per
+// index plane turns 64 position-words into 64 lane-words, then per lane
+// a four-wide 16×16 SWAR transpose turns up to 16 plane rows into 64
+// ready permutation values — about five word operations per extracted
+// index, instead of one shift-mask-or per (lane, position, plane). Stage
+// one gathers position 4i+g into row 16g+i, so each word stage two
+// produces holds four consecutive positions.
 func (pp *Packed) Extract(out [][]int, val []uint64) {
 	P, F, I := pp.P, pp.F, pp.I
 	n := pp.prog.layout.N
@@ -364,31 +379,29 @@ func (pp *Packed) Extract(out [][]int, val []uint64) {
 	}
 	var lanePl [16][64]uint64
 	for base := 0; base < n; base += 64 {
-		// Stage 1: one transpose per index plane; lanePl[b][l] bit j is
-		// lane l's plane-b bit at position base+j.
+		// Stage 1: one transpose per index plane; lanePl[b][l] bit 16g+i
+		// is lane l's plane-b bit at position base+4i+g.
 		for b := 0; b < I; b++ {
 			bp := &lanePl[b]
 			for j := 0; j < 64; j++ {
-				bp[j] = val[(base+j)*P+F+b]
+				bp[16*(j&3)+j>>2] = val[(base+j)*P+F+b]
 			}
 			Transpose64(bp)
 		}
 		// Stage 2: per lane, rows 0..I-1 hold index bit b across 64
-		// positions; the 16×16 block transpose flips them into 16-bit
-		// index values, four positions per word quarter.
+		// positions; the 16×16 block transpose flips every lane's rows
+		// into 16-bit index values, row i holding positions 4i..4i+3.
+		// Rows I..15 must enter it zero.
+		clear(lanePl[I:])
+		transpose16x4Cols(&lanePl)
 		for l, ol := range out {
-			var a [16]uint64
-			for b := 0; b < I; b++ {
-				a[b] = lanePl[b][l]
-			}
-			Transpose16x4(&a)
 			o := ol[base : base+64]
-			for i := 0; i < 16; i++ {
-				ai := a[i]
-				o[i] = int(ai & 0xFFFF)
-				o[16+i] = int(ai >> 16 & 0xFFFF)
-				o[32+i] = int(ai >> 32 & 0xFFFF)
-				o[48+i] = int(ai >> 48 & 0xFFFF)
+			for i := range lanePl {
+				ai := lanePl[i][l]
+				o[4*i] = int(ai & 0xFFFF)
+				o[4*i+1] = int(ai >> 16 & 0xFFFF)
+				o[4*i+2] = int(ai >> 32 & 0xFFFF)
+				o[4*i+3] = int(ai >> 48)
 			}
 		}
 	}
@@ -407,6 +420,27 @@ func (pp *Packed) extractSlow(out [][]int, val []uint64) {
 			o[j] = v
 		}
 	}
+}
+
+// MisplacedLanes returns the lanes among the first `lanes` whose front
+// planes, after a destination-riding replay, differ anywhere from the
+// identity: position j must carry destination j. Packets move whole, so
+// the replay only rearranges each lane's destinations, and a lane that
+// loaded in-range destinations passes exactly when they were a
+// permutation and the network delivered every packet — the radix
+// permuter's own validation, n·F word operations for all lanes at once.
+func (pp *Packed) MisplacedLanes(val []uint64, lanes int) uint64 {
+	P, F := pp.P, pp.F
+	var bad uint64
+	for j := 0; j < pp.prog.layout.N; j++ {
+		for b, w := range val[j*P : j*P+F] {
+			bad |= w ^ -uint64(j>>uint(b)&1)
+		}
+	}
+	if lanes < PackedLanes {
+		bad &= 1<<uint(lanes) - 1
+	}
+	return bad
 }
 
 // Run executes the step program over the packed plane array in sc.
@@ -441,14 +475,7 @@ func (pp *Packed) Run(sc *PackedScratch) {
 			// One comparator stage: the periodic engine's stages, the
 			// prefix patch-up's ends stage, and every folded stage of a
 			// generic comparator network (see foldEnds).
-			bw := int(st.Aux) * P
-			for blo := lo * P; blo < hi*P; blo += bw {
-				for xo, yo := blo, blo+bw-P; xo < yo; xo, yo = xo+P, yo-P {
-					if m := bval[xo+tp] &^ bval[yo+tp]; m != 0 {
-						swapWords(bval[xo:xo+P], bval[yo:yo+P], m)
-					}
-				}
-			}
+			endsStage(bval[lo*P:hi*P], int(st.Aux)*P, P, tp)
 		case OpFourIn:
 			q := s / 4
 			h1 := bval[(lo+q)*P+tp]
@@ -575,6 +602,26 @@ func swapWords(x, y []uint64, m uint64) {
 		t := (xv ^ y[p]) & m
 		x[p] = xv ^ t
 		y[p] ^= t
+	}
+}
+
+// endsStage is OpEndsStage's kernel over the stage's window v, cut into
+// blocks of bw = bs·P words: in every block, packet i and packet bs−1−i
+// exchange on the lanes whose tag words (plane tp) order as (1, 0).
+// Compile guarantees that bs ≥ 2 divides the non-empty window; the tag
+// plane is checked here, once per stage, before the assembly form trusts
+// it.
+func endsStage(v []uint64, bw, P, tp int) {
+	if useAVX2 && uint(tp) < uint(P) {
+		endsStageAVX2(&v[0], len(v), bw, P, tp)
+		return
+	}
+	for blo := 0; blo < len(v); blo += bw {
+		for xo, yo := blo, blo+bw-P; xo < yo; xo, yo = xo+P, yo-P {
+			if m := v[xo+tp] &^ v[yo+tp]; m != 0 {
+				swapWords(v[xo:xo+P], v[yo:yo+P], m)
+			}
+		}
 	}
 }
 
@@ -729,8 +776,13 @@ func blendRange(dst, src0, src1 []uint64, d uint64) {
 // row c bit r) by recursive block swaps — the classic Hacker's Delight
 // construction, three XOR passes per halving level: at block size j, the
 // high-j bits of row k exchange with the low-j bits of row k+j within
-// every 2j×2j diagonal block.
+// every 2j×2j diagonal block. Where the CPU has AVX2 the levels run on
+// 4-row vectors in assembly; the Go loop is the reference.
 func Transpose64(a *[64]uint64) {
+	if useAVX2 {
+		transpose64AVX2(a)
+		return
+	}
 	// Each level: j is the block size, the mask selects the low j bits of
 	// every 2j bit group. Levels are unrolled so shifts and masks are
 	// compile-time constants.
@@ -774,13 +826,37 @@ func Transpose64(a *[64]uint64) {
 	}
 }
 
+// transpose16x4Cols applies Transpose16x4 to each of the 64 columns of
+// a: column l is the 16-word matrix a[0][l], …, a[15][l]. Extract and
+// LoadDestLanes flip all 64 lanes' matrices in one call this way, the
+// butterflies running between rows. Where the CPU has AVX2 it runs in
+// assembly, four columns per instruction.
+func transpose16x4Cols(a *[16][64]uint64) {
+	if useAVX2 {
+		transpose16x4ColsAVX2(a)
+		return
+	}
+	for j, m := uint(8), uint64(0x00FF00FF00FF00FF); j != 0; j, m = j>>1, m^(m<<(j>>1)) {
+		for k := uint(0); k < 16; k = (k + j + 1) &^ j {
+			x, y := &a[k], &a[k+j]
+			for l, xv := range x {
+				t := ((xv >> j) ^ y[l]) & m
+				x[l] = xv ^ t<<j
+				y[l] ^= t
+			}
+		}
+	}
+}
+
 // Transpose16x4 transposes four 16×16 bit matrices at once: each 16-bit
 // quarter of the 16 words is one matrix, and the butterfly masks repeat
-// per quarter so all four flip in the same three passes per level. Used
-// by Extract's stage two, where row b of quarter g is index bit b of
-// positions 16g..16g+15 and the transposed row i yields four finished
-// 16-bit index values (and by LoadDestLanes for the inverse packing —
-// bit-matrix transposition is an involution).
+// per quarter so all four flip in the same three passes per level. It is
+// the per-lane step of Extract's stage two, where bit 16g+i of row b is
+// index bit b of position 4i+g, so the transposed row i holds the four
+// finished 16-bit index values of positions 4i..4i+3 (and of
+// LoadDestLanes' inverse packing — bit-matrix transposition is an
+// involution). Both run it on all 64 lanes at once through
+// transpose16x4Cols, which tests check against this definition.
 func Transpose16x4(a *[16]uint64) {
 	for j, m := uint(8), uint64(0x00FF00FF00FF00FF); j != 0; j, m = j>>1, m^(m<<(j>>1)) {
 		for k := uint(0); k < 16; k = (k + j + 1) &^ j {

@@ -300,10 +300,16 @@ func (b *Builder) Unshuffle(lo, hi int32) { b.Emit(OpUnshuffle, lo, hi, 0) }
 // in every bs-block of [lo,hi). A malformed stage — bs not a power of
 // two, bs < 2, or bs not dividing hi−lo — is a lowering bug and panics.
 func (b *Builder) EndsStage(lo, hi, bs int32) {
-	if bs < 2 || bs&(bs-1) != 0 || hi-lo < bs || (hi-lo)%bs != 0 {
+	if !endsShapeOK(lo, hi, bs) {
 		panic(fmt.Sprintf("planner: EndsStage over [%d,%d) with block size %d", lo, hi, bs))
 	}
 	b.Emit(OpEndsStage, lo, hi, bs)
+}
+
+// endsShapeOK reports whether bs-blocks tile [lo,hi) as one comparator
+// stage: bs a power of two ≥ 2 dividing hi−lo.
+func endsShapeOK(lo, hi, bs int32) bool {
+	return bs >= 2 && bs&(bs-1) == 0 && hi-lo >= bs && (hi-lo)%bs == 0
 }
 
 // CmpPair emits one tag-driven compare-exchange of the arbitrary
@@ -345,16 +351,33 @@ func (b *Builder) Permute(lo, hi int32, perm []int32) {
 
 // Compile freezes the builder's step stream into an executable Program
 // with the given layout, folding comparator stages into OpEndsStage steps
-// (see foldEnds). The builder must not be reused afterwards.
+// (see foldEnds). The builder must not be reused afterwards. Emit checks
+// nothing, so Compile panics, as on any lowering bug, on a step whose
+// range leaves [0, N) and on an OpEndsStage whose blocks do not tile its
+// window: the runners — the stage's assembly kernel among them — trust
+// both.
 func (b *Builder) Compile(layout Layout) *Program {
 	if !core.IsPow2(layout.N) {
 		panic(fmt.Sprintf("planner: Compile: n=%d not a power of two", layout.N))
+	}
+	n := int32(layout.N)
+	for i, st := range b.steps {
+		switch {
+		case st.Op == OpSetTag: // Lo and Hi carry no positions
+		case st.Op == OpCmpPair:
+			if st.Lo < 0 || st.Lo >= n || st.Hi < 0 || st.Hi >= n {
+				panic(fmt.Sprintf("planner: Compile: step %d: CmpPair (%d, %d) leaves [0,%d)", i, st.Lo, st.Hi, n))
+			}
+		case st.Lo < 0 || st.Lo > st.Hi || st.Hi > n:
+			panic(fmt.Sprintf("planner: Compile: step %d: op %d over [%d,%d) leaves [0,%d)", i, st.Op, st.Lo, st.Hi, n))
+		case st.Op == OpEndsStage && !endsShapeOK(st.Lo, st.Hi, st.Aux):
+			panic(fmt.Sprintf("planner: Compile: step %d: EndsStage over [%d,%d) with block size %d", i, st.Lo, st.Hi, st.Aux))
+		}
 	}
 	if layout.FrontPlanes < 1 {
 		layout.FrontPlanes = 1
 	}
 	p := &Program{layout: layout, steps: foldEnds(b.steps), nsel: b.nsel, perms: b.perms}
-	n := layout.N
 	p.pool.New = func() any {
 		return &Scratch{
 			Val: make([]uint64, n),
