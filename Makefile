@@ -52,7 +52,9 @@
 # every call verified or failed with a connection error, none hung, one
 # response frame written per admitted request — and Close with a partial
 # run held behind a packed replay in flight: Close releases the run and
-# returns once the replay does, every future resolved.
+# returns once the replay does, every future resolved — and Close with a
+# run on a timed hold: Close stops the armed hold timer, releases the run
+# and returns at once, every future resolved.
 # `make lint` fails when `gofmt -l .` lists any file and greps for
 # engine switches that bypass the planner registry, and vets the tree
 # for arm64 so the pure-Go path of the packed runner's AVX2 kernels
@@ -175,7 +177,7 @@ bench-ab:
 		--trace $(AB_TRACE)
 
 chaos:
-	$(GO) test -race -run 'TestChaosRecovery|TestCloseReleasesHeldRun' -count=1 ./internal/serve
+	$(GO) test -race -run 'TestChaosRecovery|TestCloseReleasesHeldRun|TestCloseStopsHoldTimer' -count=1 ./internal/serve
 	$(GO) test -race -run 'TestChaosDrill|TestRoutingServiceFaultPublic' -count=1 .
 	$(GO) test -race -run 'TestWireDrainInvariant' -count=1 ./internal/frontdoor
 

@@ -353,29 +353,20 @@ func (b *Builder) Permute(lo, hi int32, perm []int32) {
 // with the given layout, folding comparator stages into OpEndsStage steps
 // (see foldEnds). The builder must not be reused afterwards. Emit checks
 // nothing, so Compile panics, as on any lowering bug, on a step whose
-// range leaves [0, N) and on an OpEndsStage whose blocks do not tile its
-// window: the runners — the stage's assembly kernel among them — trust
-// both.
+// shape the runners — the stage's assembly kernel among them — would
+// trust blindly (see malformed).
 func (b *Builder) Compile(layout Layout) *Program {
 	if !core.IsPow2(layout.N) {
 		panic(fmt.Sprintf("planner: Compile: n=%d not a power of two", layout.N))
 	}
 	n := int32(layout.N)
-	for i, st := range b.steps {
-		switch {
-		case st.Op == OpSetTag: // Lo and Hi carry no positions
-		case st.Op == OpCmpPair:
-			if st.Lo < 0 || st.Lo >= n || st.Hi < 0 || st.Hi >= n {
-				panic(fmt.Sprintf("planner: Compile: step %d: CmpPair (%d, %d) leaves [0,%d)", i, st.Lo, st.Hi, n))
-			}
-		case st.Lo < 0 || st.Lo > st.Hi || st.Hi > n:
-			panic(fmt.Sprintf("planner: Compile: step %d: op %d over [%d,%d) leaves [0,%d)", i, st.Op, st.Lo, st.Hi, n))
-		case st.Op == OpEndsStage && !endsShapeOK(st.Lo, st.Hi, st.Aux):
-			panic(fmt.Sprintf("planner: Compile: step %d: EndsStage over [%d,%d) with block size %d", i, st.Lo, st.Hi, st.Aux))
-		}
-	}
 	if layout.FrontPlanes < 1 {
 		layout.FrontPlanes = 1
+	}
+	for i, st := range b.steps {
+		if msg := b.malformed(st, n, int32(layout.FrontPlanes)); msg != "" {
+			panic(fmt.Sprintf("planner: Compile: step %d: %s", i, msg))
+		}
 	}
 	p := &Program{layout: layout, steps: foldEnds(b.steps), nsel: b.nsel, perms: b.perms}
 	p.pool.New = func() any {
@@ -386,6 +377,67 @@ func (b *Builder) Compile(layout Layout) *Program {
 		}
 	}
 	return p
+}
+
+// malformed describes how st breaks a shape the runners trust, or
+// returns "" for a well-formed step: every window lies in [0, n) (both
+// positions of an OpCmpPair), OpCmpSwap and OpSelSwap span exactly the
+// adjacent pair at lo, an OpEndsStage's blocks tile its window,
+// a quarter swap's window splits into four quarters and a conditional
+// half swap's is a power of two, both with a select slot below NumSel
+// (as OpSelSwap's), the fish ops' k ≥ 1 blocks cut the window equally
+// (and evenly for OpFishSplit, which halves each one), OpSetTag selects
+// one of the front planes, and an OpPermute table slice lies inside
+// the program's table storage.
+func (b *Builder) malformed(st Step, n, front int32) string {
+	lo, hi, aux := st.Lo, st.Hi, st.Aux
+	s := hi - lo
+	switch {
+	case st.Op == OpSetTag: // Lo is a bit shift, Hi carries nothing
+		if aux < 0 || aux >= front {
+			return fmt.Sprintf("SetTag to plane %d of %d front planes", aux, front)
+		}
+		return ""
+	case st.Op == OpCmpPair:
+		if lo < 0 || lo >= n || hi < 0 || hi >= n {
+			return fmt.Sprintf("CmpPair (%d, %d) leaves [0,%d)", lo, hi, n)
+		}
+		return ""
+	case lo < 0 || lo > hi || hi > n:
+		return fmt.Sprintf("op %d over [%d,%d) leaves [0,%d)", st.Op, lo, hi, n)
+	}
+	slot := aux >= 0 && aux < int32(b.nsel)
+	switch st.Op {
+	case OpEndsStage:
+		if !endsShapeOK(lo, hi, aux) {
+			return fmt.Sprintf("EndsStage over [%d,%d) with block size %d", lo, hi, aux)
+		}
+	case OpFourIn, OpFourOut:
+		if s < 4 || s%4 != 0 || !slot {
+			return fmt.Sprintf("quarter swap over [%d,%d) with select slot %d of %d", lo, hi, aux, b.nsel)
+		}
+	case OpCondIn, OpCondOut:
+		if s < 2 || s&(s-1) != 0 || !slot {
+			return fmt.Sprintf("half swap over [%d,%d) with select slot %d of %d", lo, hi, aux, b.nsel)
+		}
+	case OpFishSplit, OpFishClean:
+		if aux < 1 || s < aux || s%aux != 0 || (st.Op == OpFishSplit && s/aux%2 != 0) {
+			return fmt.Sprintf("fish op %d over [%d,%d) with %d blocks", st.Op, lo, hi, aux)
+		}
+	case OpCmpSwap:
+		if s != 2 {
+			return fmt.Sprintf("CmpSwap over [%d,%d) is not one adjacent pair", lo, hi)
+		}
+	case OpSelSwap:
+		if s != 2 || !slot {
+			return fmt.Sprintf("SelSwap over [%d,%d) with select slot %d of %d", lo, hi, aux, b.nsel)
+		}
+	case OpPermute:
+		if aux < 0 || int(aux)+int(s) > len(b.perms) {
+			return fmt.Sprintf("Permute over [%d,%d) with table slice [%d,%d) of %d", lo, hi, aux, aux+s, len(b.perms))
+		}
+	}
+	return ""
 }
 
 // foldEnds rewrites every run of OpCmpPair steps that forms one

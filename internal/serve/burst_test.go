@@ -2,8 +2,9 @@ package serve
 
 // Tests of the run rule's measured packing threshold: the break-even
 // width k*, runs of every interesting width routed bit-identically to
-// the per-request path, the per-path counters, and recovery re-learning
-// the cost cells.
+// the per-request path, the per-path counters, recovery re-learning
+// the cost cells, and the holds that fill lane words — behind a packed
+// replay in flight, and timed by the cost cells with none in flight.
 
 import (
 	"context"
@@ -19,6 +20,7 @@ import (
 	"absort/internal/concentrator"
 	"absort/internal/core"
 	"absort/internal/permnet"
+	"absort/internal/planner"
 )
 
 // TestBreakEvenBoundaries pins k* = ⌈packed-word ÷ scalar⌉ clamped to
@@ -663,4 +665,354 @@ func TestShardedRunNotHeld(t *testing.T) {
 	waitAll(t, h.submitPermutes(t, 10))
 	h.unhold()
 	waitAll(t, h.futs)
+}
+
+// pinCosts sets kind's cost cells on the current plan instance (0 leaves
+// a cell unobserved). Cells of milliseconds or more pin a timed hold a
+// test can see; the first real route or replay may lower them.
+func pinCosts(s *Service, kind Kind, scalar, packed time.Duration) {
+	inst := s.loadInst(kind)
+	inst.scalarNs.Store(int64(scalar))
+	inst.packedWordNs.Store(int64(packed))
+}
+
+// pinLastRun sets the width of the last run of kind the service
+// claimed, up to which a timed hold lets a run of kind grow.
+func pinLastRun(s *Service, kind Kind, w int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.lastRun[kind] = w
+}
+
+// holdArmed reports whether the service has ever armed its hold timer.
+func holdArmed(s *Service) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.holdTimer != nil
+}
+
+// submitAll submits reqs with ctx and returns their Futures.
+func submitAll(t *testing.T, s *Service, ctx context.Context, reqs ...Request) []*Future {
+	t.Helper()
+	futs := make([]*Future, len(reqs))
+	for i, req := range reqs {
+		var err error
+		if futs[i], err = s.Submit(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return futs
+}
+
+// TestUnobservedCostsNeverHold checks nothing is held while either cost
+// cell is unobserved: a lone Permute on an idle service resolves per
+// request without arming the hold timer, though the one observed cell,
+// where there is one, reads an hour.
+func TestUnobservedCostsNeverHold(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		scalar, packed time.Duration
+	}{
+		{"unobserved", 0, 0},
+		{"scalar only", time.Hour, 0},
+		{"packed only", 0, time.Hour},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 64
+			s := newTestService(t, Config{N: n, Engine: concentrator.MuxMerger, Workers: 1, QueueDepth: 4})
+			pinCosts(s, Permute, tc.scalar, tc.packed)
+			pinLastRun(s, Permute, planner.PackedLanes)
+			dest := rand.New(rand.NewSource(37)).Perm(n)
+			waitAll(t, submitAll(t, s, context.Background(), Request{Kind: Permute, Dest: dest}))
+			if holdArmed(s) {
+				t.Fatal("the hold timer was armed with a cost cell unobserved")
+			}
+			if p := s.Stats().Paths[Permute]; p.PerRequest != 1 || p.Packed != 0 {
+				t.Fatalf("permute paths %+v, want the lone request routed per request", p)
+			}
+		})
+	}
+}
+
+// TestTimedHoldWaitsServeNowCost pins the timed hold's bound: with no
+// replay in flight and the cost cells pinned at 30 ms per request and
+// 80 ms per packed word, 10 Permutes queued behind a parked worker are
+// claimed as one packed run no earlier than min(80, 10 × 30) = 80 ms
+// after the head's admission, and well within seconds of it.
+func TestTimedHoldWaitsServeNowCost(t *testing.T) {
+	const n, r = 64, 10
+	const scalar, packed = 30 * time.Millisecond, 80 * time.Millisecond
+	wait := min(packed, r*scalar)
+	s := newTestService(t, Config{N: n, Engine: concentrator.MuxMerger, Workers: 1, QueueDepth: 16})
+	h := newWorkerHold(s)
+	var mu sync.Mutex
+	var runs []int
+	var claimed time.Time
+	s.testOnBurst = func(kind Kind, size int) {
+		mu.Lock()
+		defer mu.Unlock()
+		if runs = append(runs, size); len(runs) == 1 {
+			claimed = time.Now()
+		}
+	}
+	holdFut := h.hold(t)
+	pinCosts(s, Permute, scalar, packed)
+	pinLastRun(s, Permute, planner.PackedLanes)
+	rng := rand.New(rand.NewSource(41))
+	reqs := make([]Request, r)
+	for i := range reqs {
+		reqs[i] = Request{Kind: Permute, Dest: rng.Perm(n)}
+	}
+	beforeHead := time.Now()
+	futs := submitAll(t, s, context.Background(), reqs...)
+	h.unhold()
+	waitAll(t, append(futs, holdFut))
+	mu.Lock()
+	defer mu.Unlock()
+	if len(runs) != 1 || runs[0] != r {
+		t.Fatalf("permute runs %v, want one of %d", runs, r)
+	}
+	if d := claimed.Sub(beforeHead); d < wait || d > wait+5*time.Second {
+		t.Fatalf("run claimed %v after its head's admission, want from %v to %v", d, wait, wait+5*time.Second)
+	}
+	if p := s.Stats().Paths[Permute]; p.Packed != r || p.PerRequest != 0 || p.Replays != 1 {
+		t.Fatalf("permute paths %+v, want %d packed in 1 replay", p, r)
+	}
+}
+
+// TestTimedHoldWaitsForLastRunWidth checks a timed hold only waits for
+// a run to grow to the width of the last run of its kind claimed, and
+// only when that width reaches k* times the worker count. After a claim
+// of 64, a lone Permute is held for one per-request route (pinned at
+// 30 ms) and then claimed alone; with the cost cells then pinned at an
+// hour, the next lone Permute, after that lone claim, is routed at once.
+// 10 Permutes queued behind a parked worker after a claim of 10 ride one
+// run at once. And with k* pinned at 3, a lone Permute after a claim of
+// 2 on one worker, or of 5 on two, is routed at once. None of these
+// arms the hold timer.
+func TestTimedHoldWaitsForLastRunWidth(t *testing.T) {
+	const n = 64
+	rng := rand.New(rand.NewSource(61))
+	t.Run("lone", func(t *testing.T) {
+		s := newTestService(t, Config{N: n, Engine: concentrator.MuxMerger, Workers: 1, QueueDepth: 4})
+		pinCosts(s, Permute, 30*time.Millisecond, 80*time.Millisecond)
+		pinLastRun(s, Permute, planner.PackedLanes)
+		waitAll(t, submitAll(t, s, context.Background(), Request{Kind: Permute, Dest: rng.Perm(n)}))
+		if !holdArmed(s) {
+			t.Fatal("a lone request after a claim of 64 was not held")
+		}
+		pinCosts(s, Permute, time.Hour, time.Hour)
+		waitAll(t, submitAll(t, s, context.Background(), Request{Kind: Permute, Dest: rng.Perm(n)}))
+		if p := s.Stats().Paths[Permute]; p.PerRequest != 2 {
+			t.Fatalf("permute paths %+v, want both lone requests routed per request", p)
+		}
+	})
+	t.Run("run", func(t *testing.T) {
+		const r = 10
+		s := newTestService(t, Config{N: n, Engine: concentrator.MuxMerger, Workers: 1, QueueDepth: 16})
+		h := newWorkerHold(s)
+		holdFut := h.hold(t)
+		pinCosts(s, Permute, time.Hour, time.Hour)
+		pinLastRun(s, Permute, r)
+		reqs := make([]Request, r)
+		for i := range reqs {
+			reqs[i] = Request{Kind: Permute, Dest: rng.Perm(n)}
+		}
+		futs := submitAll(t, s, context.Background(), reqs...)
+		h.unhold()
+		waitAll(t, append(futs, holdFut))
+		if holdArmed(s) {
+			t.Fatalf("a run of %d after a claim of %d armed the hold timer", r, r)
+		}
+		if p := s.Stats().Paths[Permute]; p.Packed != r || p.Replays != 1 {
+			t.Fatalf("permute paths %+v, want %d packed in 1 replay", p, r)
+		}
+	})
+	for _, tc := range []struct{ workers, last int }{{1, 2}, {2, 5}} {
+		t.Run(fmt.Sprintf("claim of %d on %d workers", tc.last, tc.workers), func(t *testing.T) {
+			s := newTestService(t, Config{N: n, Engine: concentrator.MuxMerger, Workers: tc.workers, QueueDepth: 4})
+			pinCosts(s, Permute, time.Hour, 3*time.Hour) // k* = 3
+			pinLastRun(s, Permute, tc.last)
+			waitAll(t, submitAll(t, s, context.Background(), Request{Kind: Permute, Dest: rng.Perm(n)}))
+			if holdArmed(s) {
+				t.Fatalf("a lone request after a claim of %d, below k* × %d workers, armed the hold timer", tc.last, tc.workers)
+			}
+		})
+	}
+}
+
+// TestTimedHoldOnlyAtQueueTail checks a run another kind follows is not
+// held, since no later request can extend it: with the cost cells
+// pinned at an hour, 10 Permutes queued behind a parked worker and
+// followed by a SortWords ride one run at once, without arming the hold
+// timer, and the SortWords resolves too.
+func TestTimedHoldOnlyAtQueueTail(t *testing.T) {
+	const n, r = 64, 10
+	s := newTestService(t, Config{N: n, Engine: concentrator.MuxMerger, Workers: 1, QueueDepth: 16})
+	h := newWorkerHold(s)
+	holdFut := h.hold(t)
+	pinCosts(s, Permute, time.Hour, time.Hour)
+	pinLastRun(s, Permute, planner.PackedLanes)
+	rng := rand.New(rand.NewSource(53))
+	reqs := make([]Request, r, r+1)
+	for i := range reqs {
+		reqs[i] = Request{Kind: Permute, Dest: rng.Perm(n)}
+	}
+	reqs = append(reqs, Request{Kind: SortWords, Keys: make([]uint64, n)})
+	futs := submitAll(t, s, context.Background(), reqs...)
+	h.unhold()
+	waitAll(t, append(futs, holdFut))
+	if holdArmed(s) {
+		t.Fatal("a run followed by another kind armed the hold timer")
+	}
+	if p := s.Stats().Paths[Permute]; p.Packed != r || p.Replays != 1 {
+		t.Fatalf("permute paths %+v, want %d packed in 1 replay", p, r)
+	}
+}
+
+// TestTimedHoldEndsBeforeDeadline checks a deadline in a run cuts its
+// timed hold short, so the hold never costs a request its deadline.
+// With both cost cells pinned at 400 ms, serving the run now costs
+// 400 ms. A run whose earliest deadline lies 600 ms after its head's
+// admission — a Request.Deadline on the head, or a context deadline on a
+// second request — is held until that deadline is 400 ms away, about
+// 200 ms in instead of 400. One whose deadline lies only 200 ms out is
+// not held at all. Every request succeeds.
+func TestTimedHoldEndsBeforeDeadline(t *testing.T) {
+	const n = 64
+	const cost = 400 * time.Millisecond
+	for _, tc := range []struct {
+		horizon time.Duration
+		onCtx   bool
+	}{
+		{600 * time.Millisecond, false},
+		{600 * time.Millisecond, true},
+		{200 * time.Millisecond, false},
+		{200 * time.Millisecond, true},
+	} {
+		t.Run(fmt.Sprintf("%v context %v", tc.horizon, tc.onCtx), func(t *testing.T) {
+			s := newTestService(t, Config{N: n, Engine: concentrator.MuxMerger, Workers: 1, QueueDepth: 4})
+			pinCosts(s, Permute, cost, cost)
+			pinLastRun(s, Permute, planner.PackedLanes)
+			var once sync.Once
+			var claimed time.Time
+			s.testBeforeExec = func() { once.Do(func() { claimed = time.Now() }) }
+			rng := rand.New(rand.NewSource(43))
+			before := time.Now()
+			deadline := before.Add(tc.horizon)
+			head := Request{Kind: Permute, Dest: rng.Perm(n)}
+			var futs []*Future
+			if tc.onCtx {
+				ctx, cancel := context.WithDeadline(context.Background(), deadline)
+				defer cancel()
+				futs = submitAll(t, s, context.Background(), head)
+				futs = append(futs, submitAll(t, s, ctx, Request{Kind: Permute, Dest: rng.Perm(n)})...)
+			} else {
+				head.Deadline = deadline
+				futs = submitAll(t, s, context.Background(), head)
+			}
+			waitAll(t, futs)
+			if !claimed.Before(deadline) {
+				t.Fatalf("run claimed %v after its head's admission, at or past its deadline", claimed.Sub(before))
+			}
+			if release := deadline.Add(-cost); tc.horizon > cost &&
+				(claimed.Before(release) || claimed.Sub(before) >= cost) {
+				t.Fatalf("held run claimed %v after its head's admission, want from %v to before %v",
+					claimed.Sub(before), release.Sub(before), cost)
+			}
+		})
+	}
+}
+
+// TestCloseStopsHoldTimer closes a service whose hold timer is armed for
+// an hour: Close releases the held run at once, returns promptly, stops
+// the timer, and resolves every Future.
+func TestCloseStopsHoldTimer(t *testing.T) {
+	const n, r = 64, 10
+	s, err := New(Config{N: n, Engine: concentrator.MuxMerger, Workers: 1, QueueDepth: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinCosts(s, Permute, time.Hour, time.Hour)
+	pinLastRun(s, Permute, planner.PackedLanes)
+	rng := rand.New(rand.NewSource(47))
+	reqs := make([]Request, r)
+	for i := range reqs {
+		reqs[i] = Request{Kind: Permute, Dest: rng.Perm(n)}
+	}
+	futs := submitAll(t, s, context.Background(), reqs...)
+	for start := time.Now(); !holdArmed(s); time.Sleep(time.Millisecond) {
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("the held run never armed the hold timer")
+		}
+	}
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return with the hold timer armed")
+	}
+	for i, fut := range futs {
+		select {
+		case <-fut.Done():
+		default:
+			t.Fatalf("request %d unresolved after Close returned", i)
+		}
+		if _, err := fut.Result(); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	s.mu.Lock()
+	stopped := !s.holdTimer.Stop() // false: Close already stopped it
+	s.mu.Unlock()
+	if !stopped {
+		t.Fatal("the hold timer was still armed after Close")
+	}
+	if p := s.Stats().Paths[Permute]; p.Packed != r || p.Replays != 1 {
+		t.Fatalf("permute paths %+v, want the %d held requests released as one run", p, r)
+	}
+}
+
+// TestClaimWakesIdleWorker checks a claim that leaves tasks queued wakes
+// another worker for them. Two workers sleep through a timed hold of an
+// hour on 10 Permutes; a SortWords landing behind the run ends the hold,
+// and admission wakes one worker, which claims the run and parks in its
+// replay. The other worker must take the SortWords at once, not after
+// the hold timer or the parked replay.
+func TestClaimWakesIdleWorker(t *testing.T) {
+	const n, r = 64, 10
+	s := newTestService(t, Config{N: n, Engine: concentrator.MuxMerger, Workers: 2, QueueDepth: 16})
+	pinCosts(s, Permute, time.Hour, time.Hour)
+	pinLastRun(s, Permute, planner.PackedLanes)
+	release := make(chan struct{})
+	var unpark sync.Once
+	t.Cleanup(func() { unpark.Do(func() { close(release) }) }) // before Close
+	s.testOnBurst = func(Kind, int) { <-release }
+	rng := rand.New(rand.NewSource(59))
+	reqs := make([]Request, r)
+	for i := range reqs {
+		reqs[i] = Request{Kind: Permute, Dest: rng.Perm(n)}
+	}
+	futs := submitAll(t, s, context.Background(), reqs...)
+	for start := time.Now(); !holdArmed(s); time.Sleep(time.Millisecond) {
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("the held run never armed the hold timer")
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // let both workers fall asleep
+	sw := submitAll(t, s, context.Background(), Request{Kind: SortWords, Keys: make([]uint64, n)})
+	select {
+	case <-sw[0].Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the SortWords waited behind the claimed run with a worker idle")
+	}
+	unpark.Do(func() { close(release) })
+	waitAll(t, append(futs, sw...))
+	if p := s.Stats().Paths[Permute]; p.Packed != r || p.Replays != 1 {
+		t.Fatalf("permute paths %+v, want %d packed in 1 replay", p, r)
+	}
 }

@@ -104,8 +104,9 @@ type planInstance struct {
 	// unobserved): the minimum observed wall time of one per-request
 	// route, and of one packed burst replay (one lane word). A Service's
 	// workers feed them from the routes they already run; breakEven
-	// turns them into the burst packing threshold. A replacement copy
-	// swapped in by recovery starts unobserved and re-learns them.
+	// turns them into the burst packing threshold and serveNowNs into
+	// the bound of a timed hold. A replacement copy swapped in by
+	// recovery starts unobserved and re-learns them.
 	scalarNs     atomic.Int64
 	packedWordNs atomic.Int64
 }
@@ -132,6 +133,15 @@ func (pi *planInstance) breakEven() int {
 	}
 	k := (packed + scalar - 1) / scalar
 	return int(min(max(k, minBreakEven), maxBreakEven))
+}
+
+// serveNowNs returns what serving a run of r requests on this copy
+// costs now: min(packedWordNs, r·scalarNs) — one packed replay, or r
+// per-request routes below k* — which is 0 while either cell is
+// unobserved. It bounds how long a Service holds a partial run with no
+// packed replay in flight.
+func (pi *planInstance) serveNowNs(r int) int64 {
+	return min(pi.packedWordNs.Load(), int64(r)*pi.scalarNs.Load())
 }
 
 // observeScalar feeds one per-request route's wall time into the

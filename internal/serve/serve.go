@@ -51,30 +51,52 @@
 // ever taken ahead of one admitted before it.
 //
 // A flat-plan replay costs a whole lane word however few lanes it
-// fills, so while another worker has a packed replay in flight a worker
-// holds a packable leading run shorter than one lane word (64) instead
-// of claiming it — Nagle's rule for lane words: the completions of the
-// replay in flight are about to refill the queue. The hold ends when
-// the run fills a word, when the service's last packed replay in flight
-// returns, or at Close; then the rule above applies. The held worker
-// sits idle meanwhile, and every later request, of any kind, queues
-// behind the held run: a SortWords, or a Permute behind a short
-// Concentrate run, waits up to one replay time that a free worker would
-// have spared it, and a request whose deadline passes in that wait
-// resolves with its deadline error, since context and deadline are
-// checked when its run executes. Per-request routes never count as in
-// flight, so a run below k* still spreads over the workers, and a
-// single-worker service never holds. The sharded permuter (n ≥ 65536)
-// is never held: each request of its run spans w shard lanes of its own
-// (a whole lane word at n = 65536), so waiting for 64 fills no lane. Stats reports per kind how many
-// requests were packed and routed per request, how many packed replays
-// ran, and the current k*. Results are bit-for-bit identical to the
-// per-request path, and every task of a run still honours its own
-// context, deadline, and (for Concentrate) capacity check
-// individually; a malformed permutation in a Permute run resolves alone
-// with its own error and never poisons its neighbours. The Ranking
-// engine's Concentrate requests always take the per-request path,
-// exactly as ConcentrateBatch does.
+// fills, so a worker holds a packable leading run shorter than one lane
+// word (64) on a flat plan instead of claiming it, in one of two ways.
+// While another worker has a packed replay in flight the hold is
+// Nagle's rule for lane words: the completions of the replay in flight
+// are about to refill the queue, and the hold ends when the run fills a
+// word, when the service's last packed replay in flight returns, or at
+// Close. The held worker sits idle meanwhile, and every later request,
+// of any kind, queues behind the held run: a SortWords, or a Permute
+// behind a short Concentrate run, waits up to one replay time that a
+// free worker would have spared it, and a request whose deadline passes
+// in that wait resolves with its deadline error, since context and
+// deadline are checked when its run executes. With no replay in flight
+// the hold is timed, by the ski-rental rule: wait at most what acting
+// now would cost. Acting now on a run of r costs min(packed word,
+// r × per-request route), both from the plan instance's cost cells. A
+// timed hold waits for the echo of the kind's last claim: it holds only
+// a run at the queue's tail that is still shorter than the last run of
+// its kind the service claimed, since the completions of that claim are
+// what refill the queue, and only when that width reaches k* times the
+// worker count — below it, one replay on one worker is slower than the
+// same requests routed one by one on every worker. It ends when the run
+// fills a word or reaches that width, when its head has waited that
+// cost since admission, when a request of another kind lands behind it
+// (then it cannot grow), or at Close. A lone request is never held
+// after a lone claim of its kind, so a client with one request in
+// flight is never delayed, and a closed loop of c clients waits only
+// until its c requests are back. Nothing is held while either cell is
+// unobserved. A deadline in the run (Request.Deadline or a context's)
+// ends the hold that same cost before the earliest one, so waiting
+// never turns a success into ErrDeadlineExceeded. One timer per service
+// wakes the held workers when a timed hold ends, and Close stops it.
+// When a hold ends the rule above applies, and a worker that claims a
+// run with tasks left behind it wakes another for them. Per-request
+// routes never count as in flight, so a run below k* still spreads over
+// the workers once its hold ends. The sharded permuter (n ≥ 65536) is
+// never held: each request of its run spans w shard lanes of its own (a
+// whole lane word at n = 65536), so waiting for 64 fills no lane.
+//
+// Stats reports per kind how many requests were packed and routed per
+// request, how many packed replays ran, and the current k*. Results are
+// bit-for-bit identical to the per-request path, and every task of a run
+// still honours its own context, deadline, and (for Concentrate)
+// capacity check individually; a malformed permutation in a Permute run
+// resolves alone with its own error and never poisons its neighbours.
+// The Ranking engine's Concentrate requests always take the per-request
+// path, exactly as ConcentrateBatch does.
 //
 // The plan set additionally carries the paper's hardware fault model into
 // the serving regime (see fault.go): each request kind routes through a
@@ -262,6 +284,16 @@ type task struct {
 	submitted time.Time
 }
 
+// deadline returns the earlier of the task's Request.Deadline and its
+// context's deadline, and whether it has either.
+func (t *task) deadline() (time.Time, bool) {
+	dl, ok := t.ctx.Deadline()
+	if r := t.req.Deadline; !r.IsZero() && (!ok || r.Before(dl)) {
+		dl, ok = r, true
+	}
+	return dl, ok
+}
+
 // Service is a streaming routing service: a bounded admission queue and
 // a long-lived worker pool in front of one PlanSet. The embedded plan
 // set supplies the routing, checking, fault and stats methods (its Exec
@@ -276,12 +308,19 @@ type Service struct {
 	slots chan struct{}
 	quit  chan struct{} // closed by Close: wakes blocked submitters
 
-	mu      sync.Mutex // guards queue, replays and closed
-	ready   sync.Cond  // on mu: a task queued, the last packed replay returned, or Close
-	queue   []*task    // admitted tasks in admission order
-	replays int        // packed runs claimed and not yet resolved
+	mu      sync.Mutex    // guards queue, replays, closed and the hold timer
+	ready   sync.Cond     // on mu: a task queued or left behind a claim, the last packed replay returned, a timed hold ended, or Close
+	queue   []*task       // admitted tasks in admission order
+	replays int           // packed runs claimed and not yet resolved
+	lastRun [numKinds]int // width of the last run claimed, per kind: how wide a timed hold lets a run grow
 	closed  bool
 	workers sync.WaitGroup
+
+	// holdTimer wakes the held workers when a timed hold ends (see
+	// runLen); it is made on the first timed hold and stopped by Close.
+	// holdWake is when it fires, zero while it is not armed.
+	holdTimer *time.Timer
+	holdWake  time.Time
 
 	// testBeforeExec, when set (tests only), runs in the worker once per
 	// task taken off the queue (including every task of a packed run)
@@ -392,6 +431,9 @@ func (s *Service) Close() {
 	s.mu.Lock()
 	first := !s.closed
 	s.closed = true
+	if s.holdTimer != nil {
+		s.holdTimer.Stop()
+	}
 	s.mu.Unlock()
 	if first {
 		close(s.quit)       // wake submitters blocked on a full queue
@@ -437,8 +479,11 @@ func (s *Service) worker() {
 // take blocks until the queue holds a run to claim, then moves it
 // (runLen tasks off its front) into buf and frees their queue slots. A
 // run longer than one counts as a packed replay in flight until the
-// worker has resolved it. take returns an empty run once the service is
-// closed and the queue drained.
+// worker has resolved it. When tasks remain behind the run, take wakes
+// one more worker to read them: admit's one wake-up may have been spent
+// on this claim while the others sleep through a hold that has ended.
+// take returns an empty run once the service is closed and the queue
+// drained.
 func (s *Service) take(buf []*task) []*task {
 	s.mu.Lock()
 	var n int
@@ -456,11 +501,15 @@ func (s *Service) take(buf []*task) []*task {
 	if n > 1 {
 		s.replays++
 	}
+	s.lastRun[s.queue[0].req.Kind] = n
 	buf = append(buf[:0], s.queue[:n]...)
 	rest := copy(s.queue, s.queue[n:])
 	clear(s.queue[rest:])
 	s.queue = s.queue[:rest]
 	s.mu.Unlock()
+	if rest > 0 {
+		s.ready.Signal()
+	}
 	for range n {
 		<-s.slots
 	}
@@ -473,10 +522,11 @@ func (s *Service) take(buf []*task) []*task {
 // and the run reaches the instance's break-even width k*; otherwise 1,
 // the head alone. A run shorter than k* is left to route per request,
 // one task per take, so it spreads over the workers instead of
-// serializing on one. While another worker has a packed replay in
-// flight and the service is open, a packable run on a flat plan shorter
-// than one lane word is held instead: runLen returns 0 (see the package
-// comment).
+// serializing on one. While the service is open, a packable run on a
+// flat plan shorter than one lane word is held instead — behind a packed
+// replay in flight, or, while it is shorter than a wide enough last run
+// of its kind claimed, for at most what serving it now would cost (see
+// held) — and runLen returns 0 (see the package comment).
 func (s *Service) runLen() int {
 	kind := s.queue[0].req.Kind
 	inst := s.loadInst(kind)
@@ -487,13 +537,67 @@ func (s *Service) runLen() int {
 	for n < len(s.queue) && n < planner.PackedLanes && s.queue[n].req.Kind == kind {
 		n++
 	}
-	if n < planner.PackedLanes && s.replays > 0 && !s.closed && inst.sharded == nil {
+	if n < planner.PackedLanes && !s.closed && inst.sharded == nil && s.held(inst, n) {
 		return 0
 	}
 	if n < inst.breakEven() {
 		return 1
 	}
 	return n
+}
+
+// held reports whether the queue's leading run of r tasks, packable on
+// inst, stays held, with s.mu held. Behind a packed replay in flight it
+// does. Otherwise only a run that reaches the queue's tail can grow, and
+// only one shorter than the last run of its kind claimed (lastRun) is
+// still waiting for that claim's completions to come back; it is held
+// only when lastRun reaches k* × Workers, from where one replay of that
+// width beats spreading its requests over every worker. Serving it now
+// costs c = inst.serveNowNs(r): it is held until its head has waited c
+// since admission, or until c before the earliest deadline among its
+// tasks, whichever comes first, and held arms the service's hold timer
+// for that instant. While a cost cell is unobserved c is 0, and nothing
+// is held.
+func (s *Service) held(inst *planInstance, r int) bool {
+	if s.replays > 0 {
+		return true
+	}
+	last := s.lastRun[s.queue[0].req.Kind]
+	if r < len(s.queue) || r >= last || last < s.cfg.Workers*inst.breakEven() {
+		return false
+	}
+	c := time.Duration(inst.serveNowNs(r))
+	now := time.Now()
+	until := s.queue[0].submitted.Add(c)
+	if !now.Before(until) {
+		return false
+	}
+	for _, t := range s.queue[:r] {
+		if dl, ok := t.deadline(); ok && dl.Add(-c).Before(until) {
+			until = dl.Add(-c)
+		}
+	}
+	if !now.Before(until) {
+		return false
+	}
+	if s.holdWake.IsZero() || until.Before(s.holdWake) {
+		s.holdWake = until
+		if s.holdTimer == nil {
+			s.holdTimer = time.AfterFunc(until.Sub(now), s.endHold)
+		} else {
+			s.holdTimer.Reset(until.Sub(now))
+		}
+	}
+	return true
+}
+
+// endHold is the hold timer's callback: it disarms the timer and wakes
+// every held worker, which re-reads the queue under s.mu.
+func (s *Service) endHold() {
+	s.mu.Lock()
+	s.holdWake = time.Time{}
+	s.mu.Unlock()
+	s.ready.Broadcast()
 }
 
 // execBurst resolves a run of same-kind tasks taken off the queue. A

@@ -114,10 +114,9 @@ type PathStats struct {
 	Replays int64
 	// BreakEven is the current plan instance's break-even width k*: a
 	// Service worker packs a run of this kind once the queue leads with
-	// k* of them and the run is not held behind a packed replay in
-	// flight (see Service.runLen). It is 0 when the instance can
-	// never ride the packed replay (SortWords, a packed-unprofitable or
-	// faulted instance, degraded service).
+	// k* of them and the run is not held (see Service.runLen). It is 0
+	// when the instance can never ride the packed replay (SortWords, a
+	// packed-unprofitable or faulted instance, degraded service).
 	BreakEven int
 }
 
