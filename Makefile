@@ -60,7 +60,10 @@
 # for arm64 so the pure-Go path of the packed runner's AVX2 kernels
 # (internal/planner/kernels_amd64.s) keeps compiling; `make ci` runs it
 # between vet and build. `make vet`'s asmdecl check pins the kernels'
-# frame layouts to their Go declarations.
+# frame layouts to their Go declarations. Both `make vet` and
+# `make lint` also vet the perfbench module, which has its own go.mod
+# and so is never compiled by `go build ./...` at the root: a facade
+# signature it builds against cannot break unseen.
 #
 # `make floors` runs every Test*Floor timing gate alone (one package at
 # a time, -p 1) three times over and prints each run's logged ratio or
@@ -129,9 +132,11 @@ lint:
 		exit 1; \
 	fi
 	GOARCH=arm64 $(GO) vet ./...
+	cd perfbench && GOARCH=arm64 $(GO) vet ./...
 
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 build:
 	$(GO) build ./...

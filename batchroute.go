@@ -18,19 +18,16 @@ import (
 // onto the 64-lane SWAR packed engine automatically.
 type BatchPermuter struct {
 	rp   *permnet.RadixPermuter
-	plan *permnet.RoutePlan
-	// sharded is engaged at n ≥ ShardedAutoThreshold: requests route
-	// through the w-way sharded decomposition and the flat fused plan is
-	// only compiled if one of the explicit flat-path methods asks for it.
-	sharded *permnet.ShardedRoutePlan
+	plan permnet.Plan // flat or sharded, as RadixPermuter.Plan chose
 }
 
 // NewBatchPermuter returns a batch permuter for n-input assignments (n a
 // power of two) whose distribution stages use the given engine
-// (EngineFish gives the O(n lg n) bit-level cost configuration). At
-// n ≥ ShardedAutoThreshold, routing auto-engages the sharded plan — w
-// independent n/w sub-programs behind a cross-shard exchange — instead
-// of compiling the flat fused program.
+// (EngineFish gives the O(n lg n) bit-level cost configuration). It
+// routes through the plan RadixPermuter.Plan chooses: at huge n the
+// sharded plan — w independent n/w sub-programs behind a cross-shard
+// exchange — instead of the flat fused program, which is then never
+// compiled unless RouteBatchPlanned asks for it.
 func NewBatchPermuter(n int, engine Engine) (*BatchPermuter, error) {
 	if n < 2 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("absort: NewBatchPermuter(%d): n must be a power of two ≥ 2", n)
@@ -38,34 +35,12 @@ func NewBatchPermuter(n int, engine Engine) (*BatchPermuter, error) {
 	if _, ok := planner.Lookup(engine); !ok {
 		return nil, fmt.Errorf("absort: NewBatchPermuter(%d): unknown engine %v", n, engine)
 	}
-	if !planner.CanRoute(engine, n) || !planner.CanRoute(engine, 2) {
-		// The radix levels halve the window from n down to 2, so a
-		// width-locked kernel engine cannot back the permuter.
-		return nil, fmt.Errorf("absort: NewBatchPermuter(%d): engine %v cannot route the permuter's level widths 2..%d",
-			n, engine, n)
-	}
 	rp := permnet.NewRadixPermuter(n, engine, 0)
-	b := &BatchPermuter{rp: rp}
-	if n >= ShardedAutoThreshold {
-		sharded, err := rp.Sharded(0)
-		if err != nil {
-			return nil, fmt.Errorf("absort: NewBatchPermuter(%d): %w", n, err)
-		}
-		b.sharded = sharded
-	} else {
-		b.plan = rp.Compile()
+	plan, err := rp.Plan()
+	if err != nil {
+		return nil, fmt.Errorf("absort: NewBatchPermuter(%d): %w", n, err)
 	}
-	return b, nil
-}
-
-// flatPlan returns the flat fused route plan, compiling it on first use
-// (the auto-sharded constructor skips it; RadixPermuter.Compile caches
-// behind an atomic pointer, so concurrent calls stay race-free).
-func (b *BatchPermuter) flatPlan() *permnet.RoutePlan {
-	if b.plan != nil {
-		return b.plan
-	}
-	return b.rp.Compile()
+	return &BatchPermuter{rp: rp, plan: plan}, nil
 }
 
 // N returns the network width.
@@ -78,39 +53,24 @@ func (b *BatchPermuter) Engine() Engine { return b.rp.Engine() }
 // replays the same compiled plans, and the cost/time models).
 func (b *BatchPermuter) Permuter() *RadixPermuter { return b.rp }
 
-// Route computes, through the compiled plan (sharded above the
-// auto-engage threshold), the permutation p realizing "input i goes to
-// output dest[i]" (receives-from form: out[j] = in[p[j]]).
+// Route computes, through the compiled plan, the permutation p
+// realizing "input i goes to output dest[i]" (receives-from form:
+// out[j] = in[p[j]]).
 func (b *BatchPermuter) Route(dest []int) ([]int, error) {
-	if b.sharded != nil {
-		return b.sharded.Route(dest)
-	}
 	return b.plan.Route(dest)
 }
 
 // RouteInto is Route writing into a caller-provided slice — zero
 // steady-state heap allocations.
 func (b *BatchPermuter) RouteInto(out []int, dest []int) error {
-	if b.sharded != nil {
-		return b.sharded.RouteInto(out, dest)
-	}
 	return b.plan.RouteInto(out, dest)
 }
 
-// Sharded reports whether requests auto-route through the sharded plan
-// (n ≥ ShardedAutoThreshold); Shards returns its shard count, 0 when
-// flat.
-func (b *BatchPermuter) Sharded() bool {
-	return b.sharded != nil
-}
+// Sharded reports whether requests route through the sharded plan.
+func (b *BatchPermuter) Sharded() bool { return b.plan.Shards() > 0 }
 
 // Shards returns the engaged shard count, 0 when routing flat.
-func (b *BatchPermuter) Shards() int {
-	if b.sharded == nil {
-		return 0
-	}
-	return b.sharded.Shards()
-}
+func (b *BatchPermuter) Shards() int { return b.plan.Shards() }
 
 // RouteBatch routes every assignment concurrently using workers
 // goroutines (≤ 0 means GOMAXPROCS). Results preserve input order.
@@ -119,17 +79,15 @@ func (b *BatchPermuter) Shards() int {
 // lane-packed engine, spread over the workers; results are bit-for-bit
 // identical to the per-assignment path.
 func (b *BatchPermuter) RouteBatch(dests [][]int, workers int) ([][]int, error) {
-	if b.sharded != nil {
-		return b.sharded.RouteBatch(dests, workers)
-	}
 	return b.plan.RouteBatch(dests, workers)
 }
 
-// RouteBatchPlanned is RouteBatch pinned to the per-assignment planned
-// path — the baseline the packed engine's throughput is measured
-// against. Results are identical to RouteBatch.
+// RouteBatchPlanned is RouteBatch pinned to the per-assignment replay of
+// the flat fused plan — the baseline the packed engine's throughput is
+// measured against. It compiles the flat plan on first use, sharded
+// width or not. Results are identical to RouteBatch.
 func (b *BatchPermuter) RouteBatchPlanned(dests [][]int, workers int) ([][]int, error) {
-	return b.flatPlan().RouteBatchPlanned(dests, workers)
+	return b.rp.Compile().RouteBatchPlanned(dests, workers)
 }
 
 // RoutePacked routes up to PackedLanes destination assignments
@@ -137,7 +95,7 @@ func (b *BatchPermuter) RouteBatchPlanned(dests [][]int, workers int) ([][]int, 
 // out (one length-n slice per assignment). It is the explicit
 // single-lane-group form of RouteBatch's packed fast path.
 func (b *BatchPermuter) RoutePacked(out [][]int, dests [][]int) error {
-	return b.flatPlan().RoutePacked(out, dests)
+	return b.plan.RoutePacked(out, dests)
 }
 
 // BatchConcentrator routes many concentration requests through one
@@ -220,14 +178,14 @@ const (
 	MinPackedLanes = concentrator.MinPackedLanes
 )
 
-// ShardedAutoThreshold is the network width at or above which the
-// permuting front doors (BatchPermuter, RoutingService, WordSorter)
-// route through the sharded decomposition by default instead of
+// ShardedAutoThreshold is the network width at or above which a radix
+// permuter's plan — and with it BatchPermuter, RoutingService and
+// WordSorter — routes through the sharded decomposition instead of
 // compiling a flat fused plan; see permnet.ShardedAutoThreshold.
 const ShardedAutoThreshold = permnet.ShardedAutoThreshold
 
-// DefaultShards returns the shard count the auto-engaged sharded plan
-// uses for an n-input network.
+// DefaultShards returns the shard count the sharded plan uses for an
+// n-input network.
 func DefaultShards(n int) int { return permnet.DefaultShards(n) }
 
 // PlanCacheStats is a snapshot of the process-wide compiled-plan cache's

@@ -2,6 +2,7 @@ package absort_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"absort"
@@ -79,6 +80,65 @@ func TestBatchPermuterDifferential(t *testing.T) {
 				t.Fatalf("%v request %d: routing does not deliver", engine, i)
 			}
 		}
+	}
+}
+
+// TestBatchPermuterShardedCutover checks the facade at n =
+// ShardedAutoThreshold routes through the shared default-shard plan:
+// Route, RoutePacked and RouteBatch each match ShardedPlanFor(n, e, 0)
+// bit for bit (and dest⁻¹), Shards reports that plan's shard count, and
+// no flat KindPermuter plan at that width lands in planner.Shared.
+func TestBatchPermuterShardedCutover(t *testing.T) {
+	n, e := absort.ShardedAutoThreshold, absort.EngineMuxMerger
+	bp, err := absort.NewBatchPermuter(n, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := permnet.ShardedPlanFor(n, e, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bp.Sharded() || bp.Shards() != sp.Shards() {
+		t.Fatalf("Sharded() = %v, Shards() = %d; want true, %d", bp.Sharded(), bp.Shards(), sp.Shards())
+	}
+	rng := rand.New(rand.NewSource(65))
+	dests := make([][]int, 3)
+	want := make([][]int, len(dests))
+	for i := range dests {
+		dests[i] = rng.Perm(n)
+		if want[i], err = sp.Route(dests[i]); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(want[i], inverse(dests[i])) {
+			t.Fatalf("ShardedPlanFor request %d does not realize dest⁻¹", i)
+		}
+	}
+	single, err := bp.Route(dests[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed := make([][]int, len(dests))
+	for i := range packed {
+		packed[i] = make([]int, n)
+	}
+	if err := bp.RoutePacked(packed, dests); err != nil {
+		t.Fatal(err)
+	}
+	batch, err := bp.RouteBatch(dests, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(single, want[0]) {
+		t.Error("Route differs from the sharded plan")
+	}
+	for i := range dests {
+		if !slices.Equal(packed[i], want[i]) || !slices.Equal(batch[i], want[i]) {
+			t.Errorf("request %d: RoutePacked or RouteBatch differs from the sharded plan", i)
+		}
+	}
+	key := planner.PlanKey{Kind: planner.KindPermuter, N: n, Engine: int8(e)}
+	if _, ok := planner.Shared.Get(key); ok {
+		t.Errorf("flat KindPermuter plan at n=%d landed in planner.Shared", n)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 
 	"absort/internal/concentrator"
 	"absort/internal/frontdoor"
+	"absort/internal/permnet"
 	"absort/internal/planner"
 )
 
@@ -79,7 +80,7 @@ func loadgenSpec(n int, eng concentrator.Engine, i int) frontdoor.TenantSpec {
 	width := n << (i % 2)
 	engines := []concentrator.Engine{eng}
 	for _, e := range planner.Engines() {
-		if e != eng && planner.CanRoute(e, width) && planner.CanRoute(e, 2) &&
+		if e != eng && permnet.CheckLevelWidths(e, width) == nil &&
 			planner.PackedProfitable(e) {
 			engines = append(engines, e)
 		}

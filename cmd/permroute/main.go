@@ -113,7 +113,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "batch worker goroutines (0 = GOMAXPROCS)")
 		shards   = flag.Int("shards", 0, "sharded routing comparison for -batch: 0 = auto (engaged at n >= 65536), else a power of two in [2, n/2]")
 		serveArg = flag.String("serve", "", "replay a workload file through the streaming routing service ('rand' generates -batch random permutes)")
-		queue    = flag.Int("queue", 0, "streaming service admission queue depth (0 = 4x workers)")
+		queue    = flag.Int("queue", 0, "streaming service admission queue depth (0 = max(4x workers, 64))")
 		chaos    = flag.Bool("chaos", false, "fault drill: wedge stuck-at faults into the live service mid-stream and report time-to-recovery")
 		listen   = flag.String("listen", "", "serve the multi-tenant front door over TCP on this address")
 		loadgen  = flag.String("loadgen", "", "drive a front-door server at this address with a mixed verified workload")
@@ -143,9 +143,8 @@ func main() {
 			*engine, strings.Join(planner.EngineNames(), ", "))
 		os.Exit(1)
 	}
-	if !planner.CanRoute(eng, *n) || !planner.CanRoute(eng, 2) {
-		fmt.Fprintf(os.Stderr, "permroute: engine %s cannot route the permuter's level widths 2..%d\n",
-			eng, *n)
+	if err := permnet.CheckLevelWidths(eng, *n); err != nil {
+		fmt.Fprintln(os.Stderr, "permroute:", err)
 		os.Exit(1)
 	}
 	kind := analysis.RadixMuxMerger
@@ -179,8 +178,13 @@ func main() {
 
 	if *batch > 0 {
 		w := *shards
-		if w == 0 && *n >= permnet.ShardedAutoThreshold {
-			w = permnet.DefaultShards(*n)
+		if w == 0 {
+			plan, err := rp.Plan()
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "permroute:", err)
+				os.Exit(1)
+			}
+			w = plan.Shards() // 0 when the permuter routes flat
 		}
 		runBatch(rp, rng, *batch, *workers, w)
 		runConcentrateBatch(*n, eng, rng, *batch, *workers)
@@ -261,20 +265,25 @@ func runBatch(rp *permnet.RadixPermuter, rng *rand.Rand, batch, workers, shards 
 
 	var sharded time.Duration
 	var routedSharded [][]int
-	var shardPlan *permnet.ShardedRoutePlan
+	var shardShape string // "w×m shards, mode" of the route-sharded row
 	if shards > 0 {
-		shardPlan, err = rp.Sharded(shards)
+		sp, err := rp.Sharded(shards)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "permroute:", err)
 			os.Exit(1)
 		}
 		t0 = time.Now()
-		routedSharded, err = shardPlan.RouteBatch(dests, workers)
+		routedSharded, err = sp.RouteBatch(dests, workers)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "permroute:", err)
 			os.Exit(1)
 		}
 		sharded = time.Since(t0)
+		mode := "scalar sub-replay"
+		if sp.Packed() {
+			mode = "packed sub-replay"
+		}
+		shardShape = fmt.Sprintf("%d×%d shards, %s", sp.Shards(), sp.ShardWidth(), mode)
 	}
 
 	bp, err := permnet.CompileBenes(n)
@@ -338,14 +347,9 @@ func runBatch(rp *permnet.RadixPermuter, rng *rand.Rand, batch, workers, shards 
 		fmt.Printf("  packed engine needs a batch ≥ %d assignments; RouteBatch stayed on the planned path\n",
 			permnet.PackedLanes)
 	}
-	if shardPlan != nil {
-		mode := "scalar sub-replay"
-		if shardPlan.Packed() {
-			mode = "packed sub-replay"
-		}
-		fmt.Printf("  route-sharded    %12v/route   %10.0f routes/sec   (%.1f× planned-parallel, %d×%d shards, %s)\n",
-			perRoute(sharded), rate(sharded), parallel.Seconds()/sharded.Seconds(),
-			shardPlan.Shards(), shardPlan.ShardWidth(), mode)
+	if routedSharded != nil {
+		fmt.Printf("  route-sharded    %12v/route   %10.0f routes/sec   (%.1f× planned-parallel, %s)\n",
+			perRoute(sharded), rate(sharded), parallel.Seconds()/sharded.Seconds(), shardShape)
 	}
 	fmt.Printf("  benes-planned    %12v/route   %10.0f routes/sec   (%d switches/route)\n",
 		perRoute(benes), rate(benes), bp.NumSwitches())

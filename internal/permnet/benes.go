@@ -9,6 +9,8 @@
 // The radix permuter routes only through its compiled plans: the flat
 // fused program (plan.go), its SWAR lane-packed replay (packed.go) and,
 // at or above ShardedAutoThreshold, the sharded plan (sharded.go).
+// RadixPermuter.Plan alone chooses between the flat and the sharded
+// plan; every caller routes through the Plan it returns.
 // Whichever binary sorter distributes the packets, the network realizes
 // out[j] = in[dest⁻¹(j)], so tests check every route against the
 // inverse assignment (VerifyRouting) rather than against a second

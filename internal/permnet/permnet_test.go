@@ -380,3 +380,33 @@ func TestRouteComparatorNetworkEngine(t *testing.T) {
 		return true
 	})
 }
+
+// TestPlanChoosesByWidth pins RadixPermuter.Plan as the one flat-or-
+// sharded selector: below ShardedAutoThreshold it is the permuter's own
+// flat plan (Shards 0), at the threshold the shared default-shard plan
+// ShardedPlanFor(n, engine, 0), chosen without compiling the flat plan.
+func TestPlanChoosesByWidth(t *testing.T) {
+	small := NewRadixPermuter(64, concentrator.Fish, 0)
+	p, err := small.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flat, ok := p.(*RoutePlan); !ok || flat != small.Compile() || p.Shards() != 0 {
+		t.Fatalf("Plan at n=64 = %T with %d shards, want the permuter's flat plan", p, p.Shards())
+	}
+	n := ShardedAutoThreshold
+	huge := NewRadixPermuter(n, concentrator.MuxMerger, 0)
+	if p, err = huge.Plan(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ShardedPlanFor(n, concentrator.MuxMerger, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp, ok := p.(*ShardedRoutePlan); !ok || sp != want || p.Shards() != DefaultShards(n) {
+		t.Fatalf("Plan at n=%d = %T with %d shards, want ShardedPlanFor(n, e, 0)", n, p, p.Shards())
+	}
+	if huge.plan.Load() != nil {
+		t.Error("Plan compiled the permuter's flat plan at the sharded cut-over")
+	}
+}

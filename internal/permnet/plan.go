@@ -65,7 +65,7 @@ type validScratch struct {
 // permuters over the same (n, engine, k) share one program.
 //
 // Compile requires an engine that can route every level width 2..n
-// (planner.CanRoute at both ends) and panics otherwise; Route and Sharded
+// (planner.CanRoute at both ends) and panics otherwise; Plan and Sharded
 // check that and return an error instead.
 func (r *RadixPermuter) Compile() *RoutePlan {
 	if p := r.plan.Load(); p != nil {
@@ -154,6 +154,9 @@ func newRoutePlan(n int, engine concentrator.Engine, k int) *RoutePlan {
 
 // N returns the network width of the plan.
 func (p *RoutePlan) N() int { return p.n }
+
+// Shards returns 0: a flat plan routes each request on one lane.
+func (p *RoutePlan) Shards() int { return 0 }
 
 // NumLevels returns the number of distribution levels (lg n).
 func (p *RoutePlan) NumLevels() int { return p.nlevels }

@@ -41,39 +41,63 @@ func (r *RadixPermuter) N() int { return r.n }
 // Engine returns the distribution engine.
 func (r *RadixPermuter) Engine() concentrator.Engine { return r.engine }
 
+// Plan is a compiled route plan of a radix permuter, flat or sharded:
+// the one surface its callers route through. Both *RoutePlan and
+// *ShardedRoutePlan satisfy it, with bit-identical results.
+type Plan interface {
+	// N returns the network width.
+	N() int
+	// Shards returns the shard count of a sharded plan — the lanes of a
+	// packed replay one request spans — and 0 for a flat plan.
+	Shards() int
+	Route(dest []int) ([]int, error)
+	RouteInto(out, dest []int) error
+	RoutePacked(out, dests [][]int) error
+	RouteBatch(dests [][]int, workers int) ([][]int, error)
+}
+
+// Plan returns the permuter's route plan, the one place the flat-or-
+// sharded choice is made: the flat fused program (Compile) below
+// ShardedAutoThreshold, the DefaultShards sharded plan at or above it,
+// so a huge permuter never compiles the flat program. An engine that
+// cannot route every level width 2..n (a width-locked kernel) is an
+// error, not a panic in the lowering.
+func (r *RadixPermuter) Plan() (Plan, error) {
+	if err := CheckLevelWidths(r.engine, r.n); err != nil {
+		return nil, fmt.Errorf("permnet: %w", err)
+	}
+	if r.n < ShardedAutoThreshold {
+		return r.Compile(), nil
+	}
+	sp, err := r.Sharded(0)
+	if err != nil {
+		return nil, err
+	}
+	return sp, nil
+}
+
 // Route computes the permutation realized by the network for the
 // assignment "input i goes to output dest[i]": it returns p with
 // out[j] = in[p[j]], so p is the inverse assignment. The routing is
 // self-routing: every switching decision is derived from destination
-// address bits flowing with the packets. Route replays the compiled
-// plan — the flat fused program below ShardedAutoThreshold, the sharded
-// plan at or above it, so a huge permuter never compiles the flat
-// program. An engine that cannot route every level width 2..n (a
-// width-locked kernel) is an error, not a panic in the lowering.
+// address bits flowing with the packets. Route replays the plan that
+// Plan chooses.
 func (r *RadixPermuter) Route(dest []int) ([]int, error) {
-	if len(dest) != r.n {
-		return nil, fmt.Errorf("permnet: Route with %d destinations, want %d",
-			len(dest), r.n)
+	p, err := r.Plan()
+	if err != nil {
+		return nil, err
 	}
-	if err := checkLevelWidths(r.engine, r.n); err != nil {
-		return nil, fmt.Errorf("permnet: Route: %w", err)
-	}
-	if r.n >= ShardedAutoThreshold {
-		sp, err := r.Sharded(0)
-		if err != nil {
-			return nil, err
-		}
-		return sp.Route(dest)
-	}
-	return r.Compile().Route(dest)
+	return p.Route(dest)
 }
 
-// checkLevelWidths reports an error unless engine can route every level
+// CheckLevelWidths reports an error unless engine can route every level
 // width 2..n of an n-input radix permuter — the precondition of lowering
-// its fused program (Compile) or a sharded plan over n-input shards.
+// its fused program (Compile) or a sharded plan over n-input shards, and
+// so of every layer built on the permuter; they validate a shape with it
+// before compiling anything. A permuter narrower than 2 has no levels.
 // Registered widths are intervals, so the two ends decide it.
-func checkLevelWidths(engine concentrator.Engine, n int) error {
-	if !planner.CanRoute(engine, n) || !planner.CanRoute(engine, 2) {
+func CheckLevelWidths(engine concentrator.Engine, n int) error {
+	if n >= 2 && (!planner.CanRoute(engine, n) || !planner.CanRoute(engine, 2)) {
 		return fmt.Errorf("engine %v cannot route the level widths 2..%d of a %d-input permuter",
 			engine, n, n)
 	}

@@ -45,11 +45,11 @@ import (
 	"absort/internal/planner"
 )
 
-// ShardedAutoThreshold is the network width at or above which the
-// higher layers (wordsort, serve, the absort facade) route through a
-// sharded plan by default: the flat fused program's replay is purely
-// sequential and its step stream grows Θ(n lg n), so beyond 64K inputs
-// the sharded decomposition is both faster and far smaller.
+// ShardedAutoThreshold is the network width at or above which
+// RadixPermuter.Plan returns the sharded plan instead of the flat one:
+// the flat fused program's replay is purely sequential and its step
+// stream grows Θ(n lg n), so beyond 64K inputs the sharded
+// decomposition is both faster and far smaller.
 const ShardedAutoThreshold = 1 << 16
 
 // shardGroupBudget caps the per-group scratch of the wide batch path:
@@ -177,7 +177,7 @@ func ShardedPlanFor(n int, engine concentrator.Engine, w int) (*ShardedRoutePlan
 	if p, ok := planner.Shared.Get(key); ok {
 		return p.(*ShardedRoutePlan), nil
 	}
-	if err := checkLevelWidths(engine, n/w); err != nil {
+	if err := CheckLevelWidths(engine, n/w); err != nil {
 		return nil, fmt.Errorf("permnet: ShardedPlanFor(%d, %d shards): %w", n, w, err)
 	}
 	// Compile outside the cache lock (see planFor); a racing duplicate is

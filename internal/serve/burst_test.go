@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"absort/internal/cmpnet"
 	"absort/internal/concentrator"
@@ -659,7 +660,7 @@ func TestCloseReleasesHeldRun(t *testing.T) {
 // while that replay is still in flight.
 func TestShardedRunNotHeld(t *testing.T) {
 	h := newReplayHold(t, permnet.ShardedAutoThreshold)
-	if h.s.loadInst(Permute).sharded == nil {
+	if h.s.loadInst(Permute).perm.Shards() == 0 {
 		t.Fatal("Permute plan is not sharded")
 	}
 	waitAll(t, h.submitPermutes(t, 10))
@@ -1014,5 +1015,80 @@ func TestClaimWakesIdleWorker(t *testing.T) {
 	waitAll(t, append(futs, sw...))
 	if p := s.Stats().Paths[Permute]; p.Packed != r || p.Replays != 1 {
 		t.Fatalf("permute paths %+v, want %d packed in 1 replay", p, r)
+	}
+}
+
+// TestDefaultDepthPacks checks a Service with the default QueueDepth
+// packs on a two-core box: the depth holds one lane word, so a burst of
+// 64 Permutes queued behind two parked workers rides a packed replay.
+func TestDefaultDepthPacks(t *testing.T) {
+	const n = 64
+	s := newTestService(t, Config{N: n, Engine: concentrator.Fish, Workers: 2})
+	gate := make(chan struct{})
+	openGate := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(openGate) // runs before the service's Close
+	var parked atomic.Int32
+	s.testBeforeExec = func() {
+		if parked.Add(1) <= 2 {
+			<-gate
+		}
+	}
+	ctx := context.Background()
+	futs := submitAll(t, s, ctx,
+		Request{Kind: SortWords, Keys: make([]uint64, n)},
+		Request{Kind: SortWords, Keys: make([]uint64, n)})
+	for parked.Load() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	rng := rand.New(rand.NewSource(64))
+	for i := 0; i < planner.PackedLanes; i++ {
+		fut, err := s.TrySubmit(ctx, Request{Kind: Permute, Dest: rng.Perm(n)})
+		if err != nil {
+			t.Fatalf("TrySubmit of Permute %d at default depth %d: %v", i, s.QueueDepth(), err)
+		}
+		futs = append(futs, fut)
+	}
+	openGate()
+	waitAll(t, futs)
+	if ps := s.Stats().Paths[Permute]; ps.Packed == 0 {
+		t.Fatalf("default-depth service never packed: %+v", ps)
+	}
+}
+
+// TestPackedResultsOwnRows checks the results of one packed replay share
+// no backing array, so one unread result pins only its own row.
+func TestPackedResultsOwnRows(t *testing.T) {
+	const n = 64
+	s := newTestService(t, Config{N: n, Engine: concentrator.Fish, Workers: 1, QueueDepth: 128})
+	h := newWorkerHold(s)
+	var bursts []int
+	s.testOnBurst = func(_ Kind, size int) { bursts = append(bursts, size) }
+	holdFut := h.hold(t)
+	rng := rand.New(rand.NewSource(65))
+	futs := make([]*Future, planner.PackedLanes)
+	for i := range futs {
+		var err error
+		if futs[i], err = s.Submit(context.Background(), Request{Kind: Permute, Dest: rng.Perm(n)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.unhold()
+	waitAll(t, append(futs, holdFut))
+	if len(bursts) != 1 || bursts[0] != planner.PackedLanes {
+		t.Fatalf("bursts %v, want one of %d", bursts, planner.PackedLanes)
+	}
+	type span struct{ lo, hi uintptr }
+	spans := make([]span, len(futs))
+	for i, fut := range futs {
+		res, _ := fut.Result()
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(res.Perm)))
+		spans[i] = span{lo, lo + uintptr(cap(res.Perm))*unsafe.Sizeof(0)}
+	}
+	for i, a := range spans {
+		for j, b := range spans[:i] {
+			if a.lo < b.hi && b.lo < a.hi {
+				t.Fatalf("results %d and %d of one packed replay share a backing array", j, i)
+			}
+		}
 	}
 }

@@ -62,12 +62,12 @@ const maxRecoverAttempts = 6
 // width-locked small-n kernel (MinN = MaxN) never rotates into them.
 func rotationFor(kind Kind, n int) []Engine {
 	es := planner.EnginesFor(n)
-	if kind == Concentrate || n < 2 {
+	if kind == Concentrate {
 		return es
 	}
 	rot := es[:0]
 	for _, e := range es {
-		if planner.CanRoute(e, 2) {
+		if permnet.CheckLevelWidths(e, n) == nil {
 			rot = append(rot, e)
 		}
 	}
@@ -78,14 +78,16 @@ func rotationFor(kind Kind, n int) []Engine {
 // The plans themselves are immutable and shared (planner.Shared); the
 // instance adds the mutable runtime state of the copy — injected faults,
 // the suspect flag and the measured path costs — so quarantining a copy
-// is one pointer swap.
+// is one pointer swap. A Permute copy holds the one plan
+// permnet.RadixPermuter.Plan chose for its width, flat or sharded. The
+// plan's shard count says which: a sharded request spans shard lanes
+// (spansLanes), and InjectFault wedges only a flat plan.
 type planInstance struct {
 	engine Engine
 
-	perm    *permnet.RoutePlan         // Permute, flat widths
-	sharded *permnet.ShardedRoutePlan  // Permute, n ≥ permnet.ShardedAutoThreshold
-	conc    *concentrator.Concentrator // Concentrate
-	word    *wordsort.Sorter           // SortWords
+	perm permnet.Plan               // Permute, flat or sharded as permnet chose
+	conc *concentrator.Concentrator // Concentrate
+	word *wordsort.Sorter           // SortWords
 
 	// degraded marks the concentrator's last-resort mode: no concentrator
 	// plan at all — requests route through the Permute instance on the
@@ -164,6 +166,23 @@ func storeMin(cell *atomic.Int64, d time.Duration) {
 	}
 }
 
+// spansLanes reports whether each request on this copy spans several
+// lanes of a packed replay — the sharded permuter's shard lanes. Such a
+// run is never held for a fuller lane word, and its replays, which
+// route groups of requests rather than one per lane, feed no packed
+// cost cell.
+func (pi *planInstance) spansLanes() bool { return pi.perm != nil && pi.perm.Shards() > 0 }
+
+// routePermute routes dest on the copy's permuter plan into out: through
+// the scalar faulty replay while wires are wedged into it (InjectFault
+// wedges only flat plans), through the plan itself otherwise.
+func (pi *planInstance) routePermute(out, dest []int) error {
+	if f := pi.faultList(); f != nil {
+		return pi.perm.(*permnet.RoutePlan).RouteIntoStuck(out, dest, f)
+	}
+	return pi.perm.RouteInto(out, dest)
+}
+
 // faultList returns the instance's injected faults (nil when clean).
 func (pi *planInstance) faultList() []planner.StuckFault {
 	if f := pi.faults.Load(); f != nil {
@@ -201,7 +220,7 @@ func (pi *planInstance) packable(kind Kind) bool {
 	case Concentrate:
 		return pi.conc != nil && planner.PackedProfitable(pi.engine)
 	case Permute:
-		return pi.perm != nil || pi.sharded != nil
+		return pi.perm != nil
 	}
 	return false
 }
@@ -280,9 +299,8 @@ func (p *PlanSet) InjectFault(f WireFault) error {
 			return fmt.Errorf("serve: InjectFault: destination bit %d, want 0..%d", f.Bit, lg-1)
 		}
 		inst := p.loadInst(Permute)
-		if inst.sharded != nil {
-			return fmt.Errorf("serve: InjectFault: sharded permute plans (n ≥ %d) do not support injection",
-				permnet.ShardedAutoThreshold)
+		if w := inst.perm.Shards(); w > 0 {
+			return fmt.Errorf("serve: InjectFault: sharded permute plans (%d shards) do not support injection", w)
 		}
 		inst.addFault(permnet.DestBitFault(f.Pos, f.Bit, f.Stuck))
 	case Concentrate:
@@ -464,14 +482,11 @@ func (p *PlanSet) newInstanceLocked(kind Kind, e Engine) (*planInstance, error) 
 	}
 	switch kind {
 	case Permute:
-		if p.cfg.N >= permnet.ShardedAutoThreshold {
-			sh, err := permnet.ShardedPlanFor(p.cfg.N, e, 0)
-			if err != nil {
-				return nil, err
-			}
-			return &planInstance{engine: e, sharded: sh}, nil
+		perm, err := permnet.NewRadixPermuter(p.cfg.N, e, k).Plan()
+		if err != nil {
+			return nil, err
 		}
-		return &planInstance{engine: e, perm: permnet.NewRadixPermuter(p.cfg.N, e, k).Compile()}, nil
+		return &planInstance{engine: e, perm: perm}, nil
 	case Concentrate:
 		conc := concentrator.New(p.cfg.N, p.cfg.M, e, k)
 		conc.Compile()
@@ -515,17 +530,7 @@ func (p *PlanSet) concentrateDegraded(marked []bool) (Result, error) {
 		}
 	}
 	out := make([]int, n)
-	pin := p.loadInst(Permute)
-	var err error
-	switch {
-	case pin.sharded != nil:
-		err = pin.sharded.RouteInto(out, dest)
-	case pin.faultList() != nil:
-		err = pin.perm.RouteIntoStuck(out, dest, pin.faultList())
-	default:
-		err = pin.perm.RouteInto(out, dest)
-	}
-	if err != nil {
+	if err := p.loadInst(Permute).routePermute(out, dest); err != nil {
 		return Result{}, err
 	}
 	p.stats.faultDegraded.Add(1)

@@ -3,11 +3,14 @@ package serve
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"absort/internal/concentrator"
 	"absort/internal/core"
+	"absort/internal/permnet"
 	"absort/internal/planner"
 )
 
@@ -292,5 +295,78 @@ func TestCheckFractionDisabled(t *testing.T) {
 	}
 	if fs := s.FaultStats(); fs.Checked != 0 || fs.Detected != 0 {
 		t.Fatalf("disabled checker still ran: %+v", fs)
+	}
+}
+
+// TestPlanSetShardedCutover checks a plan set at n =
+// ShardedAutoThreshold serves Permute, and degraded Concentrate, through
+// the shared default-shard plan ShardedPlanFor(n, e, 0) bit for bit
+// without adding the flat KindPermuter plan to planner.Shared, and that
+// InjectFault on the sharded Permute instance returns its error and
+// stores no fault.
+func TestPlanSetShardedCutover(t *testing.T) {
+	n, e := permnet.ShardedAutoThreshold, concentrator.MuxMerger
+	p, err := NewPlanSet(Config{N: n, Engine: e, WordBits: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := permnet.ShardedPlanFor(n, e, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := p.loadInst(Permute)
+	if inst.perm != sp {
+		t.Fatalf("Permute plan is %T, want ShardedPlanFor(n, e, 0)", inst.perm)
+	}
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(17))
+	dest := rng.Perm(n)
+	want, err := sp.Route(dest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Exec(ctx, Request{Kind: Permute, Dest: dest}, time.Now())
+	if err != nil || !slices.Equal(res.Perm, want) {
+		t.Fatalf("Permute: err %v or result differs from the sharded plan", err)
+	}
+
+	p.inst[Concentrate].Store(&planInstance{engine: e, degraded: true})
+	marked := make([]bool, n)
+	split := make([]int, n) // the stable split degraded service routes
+	r := 0
+	for j := range marked {
+		if marked[j] = rng.Intn(2) == 0; marked[j] {
+			r++
+		}
+	}
+	z, o := 0, r
+	for j, m := range marked {
+		if m {
+			split[j] = z
+			z++
+		} else {
+			split[j] = o
+			o++
+		}
+	}
+	if want, err = sp.Route(split); err != nil {
+		t.Fatal(err)
+	}
+	res, err = p.Exec(ctx, Request{Kind: Concentrate, Marked: marked}, time.Now())
+	if err != nil || res.Count != r || !slices.Equal(res.Perm, want) {
+		t.Fatalf("degraded Concentrate: err %v, count %d (want %d), or result differs from the sharded plan",
+			err, res.Count, r)
+	}
+
+	if err := p.InjectFault(WireFault{Kind: Permute, Pos: 0, Bit: 0, Stuck: 1}); err == nil ||
+		!strings.Contains(err.Error(), "sharded") {
+		t.Fatalf("InjectFault on the sharded Permute instance = %v", err)
+	}
+	if inst.faults.Load() != nil {
+		t.Fatal("InjectFault stored a fault on the sharded Permute instance")
+	}
+	key := planner.PlanKey{Kind: planner.KindPermuter, N: n, Engine: int8(e)}
+	if _, ok := planner.Shared.Get(key); ok {
+		t.Errorf("flat KindPermuter plan at n=%d landed in planner.Shared", n)
 	}
 }

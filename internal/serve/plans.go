@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"absort/internal/core"
+	"absort/internal/permnet"
 	"absort/internal/planner"
 	"absort/internal/verify"
 )
@@ -34,10 +35,10 @@ type PlanSet struct {
 	// (indexed by Kind). An instance is one "hardware copy" of the
 	// compiled plan: fault injection wedges wires of the current
 	// instance, and recovery swaps in a replacement — the quarantined
-	// copy (with its faults) is simply never routed through again. For
-	// Permute at n ≥ permnet.ShardedAutoThreshold the instance carries
-	// the sharded decomposition and the flat fused program — Θ(n lg n)
-	// steps at those widths — is never compiled.
+	// copy (with its faults) is simply never routed through again. A
+	// Permute instance carries the one plan permnet's RadixPermuter.Plan
+	// chooses — flat, or sharded at huge n, where the flat fused program
+	// is never compiled.
 	inst [numKinds]atomic.Pointer[planInstance]
 
 	// checker verifies sampled responses; checkStride is the sampling
@@ -71,11 +72,10 @@ func (c Config) Resolve() (Config, error) {
 	if _, err := planner.ResolveK(c.Engine, c.N, c.K); err != nil {
 		return c, fmt.Errorf("serve: %w", err)
 	}
-	if c.N >= 2 && !planner.CanRoute(c.Engine, 2) {
+	if err := permnet.CheckLevelWidths(c.Engine, c.N); err != nil {
 		// The permuter and word-sorter plans recurse through every level
 		// width n, n/2, …, 2, so a width-locked kernel cannot back them.
-		return c, fmt.Errorf("serve: engine %v cannot route the permuter's level widths 2..%d",
-			c.Engine, c.N)
+		return c, fmt.Errorf("serve: %w", err)
 	}
 	if c.M <= 0 {
 		c.M = c.N
@@ -98,7 +98,8 @@ func (c Config) Resolve() (Config, error) {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.Workers
+		// At least one lane word, so a queued run can reach any k*.
+		c.QueueDepth = max(4*c.Workers, planner.PackedLanes)
 	}
 	return c, nil
 }
@@ -255,19 +256,7 @@ func (p *PlanSet) routeOn(inst *planInstance, req Request) (Result, error) {
 	switch req.Kind {
 	case Permute:
 		out := make([]int, p.cfg.N)
-		if inst.sharded != nil {
-			if err := inst.sharded.RouteInto(out, req.Dest); err != nil {
-				return Result{}, err
-			}
-			return Result{Perm: out}, nil
-		}
-		if f := inst.faultList(); f != nil {
-			if err := inst.perm.RouteIntoStuck(out, req.Dest, f); err != nil {
-				return Result{}, err
-			}
-			return Result{Perm: out}, nil
-		}
-		if err := inst.perm.RouteInto(out, req.Dest); err != nil {
+		if err := inst.routePermute(out, req.Dest); err != nil {
 			return Result{}, err
 		}
 		return Result{Perm: out}, nil

@@ -85,9 +85,11 @@
 // When a hold ends the rule above applies, and a worker that claims a
 // run with tasks left behind it wakes another for them. Per-request
 // routes never count as in flight, so a run below k* still spreads over
-// the workers once its hold ends. The sharded permuter (n ≥ 65536) is
-// never held: each request of its run spans w shard lanes of its own (a
-// whole lane word at n = 65536), so waiting for 64 fills no lane.
+// the workers once its hold ends. A sharded permuter plan (the one
+// permnet's RadixPermuter.Plan picks at n ≥ 65536) is never held: each
+// request of its run spans w shard lanes of its own (a whole lane word
+// at n = 65536), so waiting for 64 fills no lane; the plan's shard
+// count says whether it is sharded.
 //
 // Stats reports per kind how many requests were packed and routed per
 // request, how many packed replays ran, and the current k*. Results are
@@ -151,7 +153,9 @@ type Config struct {
 	WordBits int
 	// Workers is the worker pool size (≤ 0 means GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the admission queue (≤ 0 means 4 × Workers).
+	// QueueDepth bounds the admission queue (≤ 0 means the larger of
+	// 4 × Workers and one lane word, PackedLanes = 64: a shallower queue
+	// never holds a run wide enough to pack).
 	QueueDepth int
 	// CheckFraction is the fraction of successful responses verified by
 	// the lanewise misroute checker (permutation realization for Permute,
@@ -537,7 +541,7 @@ func (s *Service) runLen() int {
 	for n < len(s.queue) && n < planner.PackedLanes && s.queue[n].req.Kind == kind {
 		n++
 	}
-	if n < planner.PackedLanes && !s.closed && inst.sharded == nil && s.held(inst, n) {
+	if n < planner.PackedLanes && !s.closed && !inst.spansLanes() && s.held(inst, n) {
 		return 0
 	}
 	if n < inst.breakEven() {
@@ -643,11 +647,11 @@ func (s *Service) execBurst(kind Kind, burst []*task, marked [][]bool, dests [][
 		s.routeEach(live)
 		return
 	}
-	n := s.cfg.N
-	flat := make([]int, len(live)*n)
+	// Each lane's result gets a row of its own: rows carved from one
+	// slab would let a single unread result pin the whole replay's.
 	perms := make([][]int, len(live))
 	for i := range live {
-		perms[i] = flat[i*n : (i+1)*n]
+		perms[i] = make([]int, s.cfg.N)
 	}
 	var counts []int
 	var err error
@@ -664,20 +668,16 @@ func (s *Service) execBurst(kind Kind, burst []*task, marked [][]bool, dests [][
 		for _, t := range live {
 			dests = append(dests, t.req.Dest)
 		}
-		if inst.sharded != nil {
-			// Shard-parallel replay: the run routes in groups of requests
-			// per wide replay, each request spanning its w shard lanes.
-			err = inst.sharded.RoutePacked(perms, dests)
-		} else {
-			err = inst.perm.RoutePacked(perms, dests)
-		}
+		// On a sharded plan the run routes in groups of requests per
+		// wide replay, each request spanning its w shard lanes.
+		err = inst.perm.RoutePacked(perms, dests)
 	}
 	if err != nil {
 		s.routeEach(live)
 		return
 	}
 	s.stats.paths[kind].replays.Add(1)
-	if inst.sharded == nil {
+	if !inst.spansLanes() {
 		inst.observePacked(time.Since(start))
 	}
 	for i, t := range live {

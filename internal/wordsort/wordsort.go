@@ -11,11 +11,12 @@
 // bit-level cost w × O(n lg n) with the fish-based permuter — the
 // composition the paper's interconnection results exist to enable.
 //
-// All w radix passes of every Sort go through the permuter's compiled
-// route plan (see internal/permnet/plan.go), with per-pass working state
-// drawn from a pool: a Sort allocates only its two result slices, and
-// SortBatch streams many key sets through the same plan concurrently on
-// an atomic work cursor.
+// All w radix passes of every Sort go through the one route plan that
+// permnet's RadixPermuter.Plan chooses — the flat fused plan
+// (internal/permnet/plan.go), or the sharded plan at or above the
+// sharded cut-over — with per-pass working state drawn from a pool: a
+// Sort allocates only its two result slices, and SortBatch streams many
+// key sets through the same plan concurrently on an atomic work cursor.
 package wordsort
 
 import (
@@ -34,10 +35,9 @@ type Engine = concentrator.Engine
 
 // Sorter sorts w-bit keys over an n-wide network.
 type Sorter struct {
-	n, w    int
-	permute *permnet.RadixPermuter
-	sharded *permnet.ShardedRoutePlan // non-nil at n ≥ permnet.ShardedAutoThreshold
-	pool    sync.Pool                 // *sortScratch
+	n, w int
+	plan permnet.Plan // the radix permuter's route plan, flat or sharded
+	pool sync.Pool    // *sortScratch
 }
 
 // sortScratch is the pooled per-Sort working state: one set for all w
@@ -63,23 +63,11 @@ func New(n, w int, engine Engine) (*Sorter, error) {
 	if _, ok := planner.Lookup(engine); !ok {
 		return nil, fmt.Errorf("wordsort: unknown engine %v", engine)
 	}
-	if n >= 2 && (!planner.CanRoute(engine, n) || !planner.CanRoute(engine, 2)) {
-		// Every radix pass routes through permuter levels of width
-		// n, n/2, …, 2; a width-locked kernel engine cannot back them.
-		return nil, fmt.Errorf("wordsort: engine %v cannot route the permuter's level widths 2..%d", engine, n)
+	plan, err := permnet.NewRadixPermuter(n, engine, 0).Plan()
+	if err != nil {
+		return nil, fmt.Errorf("wordsort: %w", err)
 	}
-	s := &Sorter{n: n, w: w, permute: permnet.NewRadixPermuter(n, engine, 0)}
-	if n >= permnet.ShardedAutoThreshold {
-		// Huge networks route every pass through the sharded plan: the
-		// flat fused program's Θ(n lg n) step stream is never compiled,
-		// and each pass replays w SWAR shard lanes instead of one
-		// sequential pass (see internal/permnet/sharded.go).
-		sp, err := s.permute.Sharded(0)
-		if err != nil {
-			return nil, fmt.Errorf("wordsort: %w", err)
-		}
-		s.sharded = sp
-	}
+	s := &Sorter{n: n, w: w, plan: plan}
 	s.pool.New = func() any {
 		return &sortScratch{
 			tags: make(bitvec.Vector, n),
@@ -163,7 +151,7 @@ func (s *Sorter) SortInto(out []uint64, perm []int, keys []uint64) error {
 			sc.tags[i] = bitvec.Bit((k >> uint(b)) & 1)
 		}
 		stableSplitDestInto(sc.dest, sc.tags)
-		if err := s.routePass(sc.p, sc.dest); err != nil {
+		if err := s.plan.RouteInto(sc.p, sc.dest); err != nil {
 			return fmt.Errorf("wordsort: pass %d: %w", b, err)
 		}
 		for j, i := range sc.p {
@@ -174,15 +162,6 @@ func (s *Sorter) SortInto(out []uint64, perm []int, keys []uint64) error {
 		copy(perm, sc.perm)
 	}
 	return nil
-}
-
-// routePass routes one radix pass's stable-split destinations: through
-// the sharded plan on huge networks, the flat compiled plan otherwise.
-func (s *Sorter) routePass(p []int, dest []int) error {
-	if s.sharded != nil {
-		return s.sharded.RouteInto(p, dest)
-	}
-	return s.permute.Compile().RouteInto(p, dest)
 }
 
 // sortBatchGrain is the number of key sets a batch worker claims per
@@ -200,8 +179,9 @@ const sortBatchGrain = 2
 // group runs all w radix passes inside the permuter's SWAR engine
 // without ever leaving bit-plane form, and the rest sort per set. A plan
 // whose step stream has no packed form (planner.ErrNotPackable) falls
-// back to the per-set planned path. Results are bit-for-bit identical
-// either way.
+// back to the per-set planned path, and so does a sharded plan, whose
+// passes already replay packed shard lanes. Results are bit-for-bit
+// identical either way.
 func (s *Sorter) SortBatch(keySets [][]uint64, workers int) ([][]uint64, [][]int, error) {
 	if len(keySets) == 0 {
 		return nil, nil, nil
@@ -244,13 +224,14 @@ func (r *batchSets) Group(lo, hi int) (int, error) {
 }
 
 func (r *batchSets) Packed() (*planner.Program, error) {
-	// Huge networks never pack whole-n key sets: that would compile the
-	// flat fused program sharding exists to avoid, and each sharded
+	// Only a flat plan packs whole-n key sets: a sharded plan would need
+	// the flat fused program sharding exists to avoid, and each sharded
 	// SortInto already replays packed shard lanes internally.
-	if r.s.sharded != nil || r.s.n < 2 {
+	flat, ok := r.s.plan.(*permnet.RoutePlan)
+	if !ok || r.s.n < 2 {
 		return nil, nil
 	}
-	r.prog = r.s.permute.Compile().Program()
+	r.prog = flat.Program()
 	return r.prog, nil
 }
 

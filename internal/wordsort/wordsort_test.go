@@ -8,6 +8,8 @@ import (
 
 	"absort/internal/bitvec"
 	"absort/internal/concentrator"
+	"absort/internal/permnet"
+	"absort/internal/planner"
 	"absort/internal/race"
 )
 
@@ -372,5 +374,61 @@ func TestStableSplitDestInto(t *testing.T) {
 				t.Fatalf("trial %d: Into %v != alloc %v", trial, got, want)
 			}
 		}
+	}
+}
+
+// TestSortShardedCutover checks a sorter at n = ShardedAutoThreshold
+// routes every pass through the shared default-shard plan
+// ShardedPlanFor(n, e, 0): Sort and SortBatch return the stable sort,
+// batches never pack whole key sets on the flat program, and no flat
+// KindPermuter plan at that width lands in planner.Shared.
+func TestSortShardedCutover(t *testing.T) {
+	n, e := permnet.ShardedAutoThreshold, concentrator.Fish
+	s, err := New(n, 2, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := permnet.ShardedPlanFor(n, e, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.plan.(*permnet.ShardedRoutePlan); !ok || got != sp {
+		t.Fatalf("sorter plan is %T, want ShardedPlanFor(n, e, 0)", s.plan)
+	}
+	if prog, err := (&batchSets{s: s}).Packed(); prog != nil || err != nil {
+		t.Fatalf("a sharded sorter's batch offers a packed flat program (%v, %v)", prog, err)
+	}
+	rng := rand.New(rand.NewSource(16))
+	sets := make([][]uint64, 2)
+	for i := range sets {
+		sets[i] = make([]uint64, n)
+		for j := range sets[i] {
+			sets[i][j] = uint64(rng.Intn(4))
+		}
+	}
+	keys, perms, err := s.SortBatch(sets, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, set := range sets {
+		wantP := make([]int, n)
+		for j := range wantP {
+			wantP[j] = j
+		}
+		sort.SliceStable(wantP, func(a, b int) bool { return set[wantP[a]] < set[wantP[b]] })
+		gotK, gotP, err := s.Sort(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, src := range wantP {
+			if gotP[j] != src || perms[i][j] != src || gotK[j] != set[src] || keys[i][j] != set[src] {
+				t.Fatalf("set %d position %d: Sort (%d, %d), SortBatch (%d, %d), want the stable sort's (%d, %d)",
+					i, j, gotK[j], gotP[j], keys[i][j], perms[i][j], set[src], src)
+			}
+		}
+	}
+	key := planner.PlanKey{Kind: planner.KindPermuter, N: n, Engine: int8(e)}
+	if _, ok := planner.Shared.Get(key); ok {
+		t.Errorf("flat KindPermuter plan at n=%d landed in planner.Shared", n)
 	}
 }

@@ -16,7 +16,8 @@ import (
 type RoutingService = serve.Service
 
 // ServeConfig configures a RoutingService; zero values select defaults
-// (M = N, WordBits = 64, Workers = GOMAXPROCS, QueueDepth = 4×Workers).
+// (M = N, WordBits = 64, Workers = GOMAXPROCS, QueueDepth =
+// max(4×Workers, 64), at least one packed lane word).
 type ServeConfig = serve.Config
 
 // ServeRequest is one unit of work for a RoutingService.
